@@ -49,10 +49,10 @@ from .modules import (
     dump_module,
     e_vector,
     is_marginal_weight,
+    marginal_matrix_e,
     marginal_test_e,
     marginal_vectors,
     nu_of,
-    seq,
     w_ij,
     weight_spaces,
 )

@@ -222,6 +222,15 @@ def delta_shift(params: Params5) -> Fq2:
     return params.delta + al ** dbar + al ** (-dbar)
 
 
+def orbit_image(row: table1.Row, quad: Quad, shift: Fq2) -> Quint:
+    """The row image of a quadruple, with delta chosen so that delta_shift of
+    the image is ``shift``."""
+    img = table1.apply_row(row, quad)
+    al = img[0] / img[3]
+    dbar = al.ctx.dbar
+    return (*img, shift - al ** dbar - al ** (-dbar))
+
+
 def simeq_z2s4(p1: Params5, p2: Params5) -> bool:
     """Quadruple orbits match and the corner invariant is preserved."""
     return delta_shift(p1) == delta_shift(p2) and approx_equiv(p1.quadruple, p2.quadruple)
@@ -292,7 +301,6 @@ def simeq_closure(params: Params5, cap: int = 10_000) -> OrbitSet:
     sends X back to the current node.  Stops at a fixpoint; raises
     CapExceeded if the member count passes the cap.
     """
-    ctx = params.ctx
     start = canon_sign5(params.astuple())
     members: list[Quint] = [start]
     index: dict[tuple, int] = {quint_key(start): 0}
@@ -315,11 +323,7 @@ def simeq_closure(params: Params5, cap: int = 10_000) -> OrbitSet:
         shift = delta_shift(cur)
         quad = cur.quadruple.astuple()
         for row in table1.ROWS:
-            img = table1.apply_row(row, quad)
-            al = img[0] / img[3]
-            dbar = ctx.dbar
-            nd = shift - al ** dbar - al ** (-dbar)
-            intern(canon_sign5((*img, nd)), i, f"s4:{row[0]}")
+            intern(canon_sign5(orbit_image(row, quad, shift)), i, f"s4:{row[0]}")
         for mover, cond, label in (
             (_move_inv_a, _cond_inv_a, "inv-a"),
             (_move_inv_ab, _cond_inv_ab, "inv-ab"),

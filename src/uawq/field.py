@@ -376,13 +376,6 @@ def sqrt(x: Fq2) -> Fq2:
     return min(r, -r, key=lambda e: e.key)
 
 
-def sqrt_or_none(x: Fq2) -> Fq2 | None:
-    try:
-        return sqrt(x)
-    except NotASquare:
-        return None
-
-
 # ---------------------------------------------------------------------------
 # polynomials over F_{p^2}
 #

@@ -20,9 +20,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import PairRep
-from .errors import BadRange, NotAWeight, NuOutsideField, WeightOutsideField, ZeroVector
-from .field import FieldCtx, Fq2, poly_gcd, poly_roots, poly_trim, quadratic_roots
-from .linalg import FMat, hstack, kernel, product_shifted, rank
+from .errors import (
+    BadRange,
+    CaseNotApplicable,
+    NotAWeight,
+    NuOutsideField,
+    WeightOutsideField,
+    ZeroVector,
+)
+from .field import FieldCtx, Fq2, poly_from_roots, poly_gcd, poly_roots, poly_trim, quadratic_roots
+from .linalg import FMat, char_poly, hstack, kernel, product_shifted, rank
 
 
 @dataclass(frozen=True)
@@ -128,8 +135,24 @@ class SeqData:
         return self.omega, self.omega_star, self.omega_eps
 
 
-def seq(params: Params4) -> SeqData:
-    return SeqData(params)
+def _pair_rep(s: SeqData, dim: int, corner: Fq2 | None = None) -> PairRep:
+    """theta / ones on A's diagonal and subdiagonal, theta_star / varphi on
+    B's diagonal and superdiagonal; ``corner`` goes to A[0, dim-1]."""
+    ctx = s.ctx
+    amat = FMat.zeros(ctx, dim, dim).arr.copy()
+    bmat = amat.copy()
+    for i in range(dim):
+        th, ts = s.theta(i), s.theta_star(i)
+        amat[i, i] = (th.x0, th.x1)
+        bmat[i, i] = (ts.x0, ts.x1)
+        if i + 1 < dim:
+            amat[i + 1, i, 0] = 1
+        if i >= 1:
+            ph = s.varphi(i)
+            bmat[i - 1, i] = (ph.x0, ph.x1)
+    if corner is not None:
+        amat[0, dim - 1] = (corner.x0, corner.x1)
+    return PairRep(ctx, FMat(ctx, amat), FMat(ctx, bmat), *s.scalars())
 
 
 def build_Vn(a: Fq2, b: Fq2, c: Fq2, n: int) -> PairRep:
@@ -137,41 +160,12 @@ def build_Vn(a: Fq2, b: Fq2, c: Fq2, n: int) -> PairRep:
     ctx = a.ctx
     if not 0 <= n <= ctx.dbar - 2:
         raise BadRange(f"n={n} outside [0, {ctx.dbar - 2}]")
-    lam = ctx.qpow(n)
-    s = SeqData(Params4(a, b, c, lam))
-    dim = n + 1
-    amat = FMat.zeros(ctx, dim, dim).arr.copy()
-    bmat = amat.copy()
-    for i in range(dim):
-        th, ts = s.theta(i), s.theta_star(i)
-        amat[i, i] = (th.x0, th.x1)
-        bmat[i, i] = (ts.x0, ts.x1)
-        if i + 1 < dim:
-            amat[i + 1, i, 0] = 1
-        if i >= 1:
-            ph = s.varphi(i)
-            bmat[i - 1, i] = (ph.x0, ph.x1)
-    return PairRep(ctx, FMat(ctx, amat), FMat(ctx, bmat), *s.scalars())
+    return _pair_rep(SeqData(Params4(a, b, c, ctx.qpow(n))), n + 1)
 
 
 def build_W(params: Params5) -> PairRep:
     """The dbar-dimensional cyclic quotient with corner entry delta."""
-    ctx = params.ctx
-    s = SeqData(params.quadruple)
-    dim = ctx.dbar
-    amat = FMat.zeros(ctx, dim, dim).arr.copy()
-    bmat = amat.copy()
-    for i in range(dim):
-        th, ts = s.theta(i), s.theta_star(i)
-        amat[i, i] = (th.x0, th.x1)
-        bmat[i, i] = (ts.x0, ts.x1)
-        if i + 1 < dim:
-            amat[i + 1, i, 0] = 1
-        if i >= 1:
-            ph = s.varphi(i)
-            bmat[i - 1, i] = (ph.x0, ph.x1)
-    amat[0, dim - 1] = (params.delta.x0, params.delta.x1)
-    return PairRep(ctx, FMat(ctx, amat), FMat(ctx, bmat), *s.scalars())
+    return _pair_rep(SeqData(params.quadruple), params.ctx.dbar, params.delta)
 
 
 def dump_module(rep: PairRep, params: Params4 | Params5, n: int | None = None) -> dict:
@@ -196,10 +190,6 @@ def dump_module(rep: PairRep, params: Params4 | Params5, n: int | None = None) -
 
 # ---------------------------------------------------------------------------
 # weight spaces and marginal machinery
-
-
-def _symmetric_eigenvalue(rep: PairRep, mu: Fq2) -> Fq2:
-    return mu + mu.inv()
 
 
 def weight_spaces(rep: PairRep) -> list[tuple[Fq2, FMat]]:
@@ -227,23 +217,18 @@ def weight_spaces(rep: PairRep) -> list[tuple[Fq2, FMat]]:
 def char_poly_fast(m: FMat) -> list[Fq2]:
     # upper-triangular B matrices dominate here; fall back to the generic
     # Hessenberg route otherwise
-    from .linalg import char_poly
-
     arr = m.arr
     lower = arr.copy()
     for i in range(m.nrows):
         lower[i, i:] = 0
     if not lower.any():
-        from .field import poly_from_roots
-
         return poly_from_roots(m.ctx, [m.entry(i, i) for i in range(m.nrows)])
     return char_poly(m)
 
 
 def _weight_basis(rep: PairRep, mu: Fq2) -> FMat:
     ctx = rep.ctx
-    th = _symmetric_eigenvalue(rep, mu)
-    basis = kernel(rep.B - FMat.scalar(ctx, rep.n, th))
+    basis = kernel(rep.B - FMat.scalar(ctx, rep.n, mu + mu.inv()))
     if basis.ncols == 0:
         raise NotAWeight(f"{mu!r} is not a weight of this rep")
     return basis
@@ -257,7 +242,7 @@ def is_marginal_weight(rep: PairRep, mu: Fq2) -> bool:
     shift_up = mu * q2 + mu.inv() * q2.inv()
     m = (
         (rep.B - FMat.scalar(ctx, rep.n, shift_up))
-        @ (rep.B - FMat.scalar(ctx, rep.n, _symmetric_eigenvalue(rep, mu)))
+        @ (rep.B - FMat.scalar(ctx, rep.n, mu + mu.inv()))
         @ rep.A
     )
     image = m @ basis
@@ -363,48 +348,53 @@ def e_vector(params: Params5, i: int, nu: NuData | None = None) -> FMat:
     return FMat.column(ctx, coeffs)
 
 
+def marginal_values(params: Params4, i: int) -> tuple[list[Fq2], list[Fq2]]:
+    """The four values of nu that make e_i marginal on the (+) side, and the
+    four on the (-) side, in a fixed order."""
+    ctx = params.ctx
+    a, b, c, lam = params.astuple()
+    plus = [
+        a * lam.inv() * ctx.qpow(2 * (i - 1)),
+        a.inv() * lam.inv() * ctx.qpow(2 * (i - 1)),
+        b * c * ctx.qpow(2 * i - 1),
+        b * c.inv() * ctx.qpow(2 * i - 1),
+    ]
+    minus = [
+        a * lam * ctx.qpow(2 * (i + 1)),
+        a.inv() * lam * ctx.qpow(2 * (i + 1)),
+        b.inv() * c * ctx.qpow(2 * i + 1),
+        b.inv() * c.inv() * ctx.qpow(2 * i + 1),
+    ]
+    return plus, minus
+
+
 def marginal_test_e(
     params: Params5, i: int, nu: NuData | None = None
 ) -> tuple[bool, bool]:
     """Set-membership marginality conditions for the ladder vector e_i.
 
-    Returns (cond_plus, cond_minus).  Each is also validated against the
-    equivalent matrix condition (A - vt_{i+1})(A - vt_i) B e_i = 0
-    (resp. with vt_{i-1}) on the built module; a mismatch would be a bug
-    and raises AssertionError.
+    Returns (cond_plus, cond_minus), read off the parameters alone;
+    ``marginal_matrix_e`` is the equivalent condition on the built module.
     """
-    ctx = params.ctx
-    dbar = ctx.dbar
+    dbar = params.ctx.dbar
     if not 0 <= i <= dbar - 1:
         raise BadRange(f"i={i} outside [0, {dbar - 1}]")
     if nu is None:
         nu = nu_of(params)
-    a, b, c, lam = params.quadruple.astuple()
-    v = nu.nu
-    plus_set = {
-        a * lam.inv() * ctx.qpow(2 * (i - 1)),
-        a.inv() * lam.inv() * ctx.qpow(2 * (i - 1)),
-        b * c * ctx.qpow(2 * i - 1),
-        b * c.inv() * ctx.qpow(2 * i - 1),
-    }
-    minus_set = {
-        a * lam * ctx.qpow(2 * (i + 1)),
-        a.inv() * lam * ctx.qpow(2 * (i + 1)),
-        b.inv() * c * ctx.qpow(2 * i + 1),
-        b.inv() * c.inv() * ctx.qpow(2 * i + 1),
-    }
-    cond_plus = v in plus_set
-    cond_minus = v in minus_set
+    plus, minus = marginal_values(params.quadruple, i)
+    return nu.nu in plus, nu.nu in minus
 
-    rep = build_W(params)
-    ei = e_vector(params, i, nu)
-    be = rep.B @ ei
+
+def marginal_matrix_e(rep: PairRep, params: Params5, i: int, nu: NuData) -> tuple[bool, bool]:
+    """Whether (A - vt_{i+1})(A - vt_i) B e_i and (A - vt_{i-1})(A - vt_i) B e_i
+    vanish on ``rep``, the cyclic quotient built from ``params``."""
+    ctx = params.ctx
+    dbar = ctx.dbar
+    be = rep.B @ e_vector(params, i, nu)
     mid = rep.A - FMat.scalar(ctx, dbar, nu.vartheta(i))
     up = rep.A - FMat.scalar(ctx, dbar, nu.vartheta(i + 1))
     down = rep.A - FMat.scalar(ctx, dbar, nu.vartheta(i - 1))
-    assert cond_plus == (up @ mid @ be).is_zero(), "membership vs matrix mismatch (+)"
-    assert cond_minus == (down @ mid @ be).is_zero(), "membership vs matrix mismatch (-)"
-    return cond_plus, cond_minus
+    return (up @ mid @ be).is_zero(), (down @ mid @ be).is_zero()
 
 
 def w_ij(params: Params5, i: int, j: int) -> FMat:
@@ -452,26 +442,41 @@ def L_recurrence(params: Params5, i: int, nu: NuData | None = None) -> list[list
     return L
 
 
+def closed_form_case(params: Params5, i: int, nu: NuData) -> int | None:
+    """Which of L_closed's four case sets (0-3) holds nu q^{-2i}, or None."""
+    ctx = params.ctx
+    a, b, c, lam = params.quadruple.astuple()
+    q = ctx.q
+    x = nu.nu * ctx.qpow(-2 * i)
+    cases = (
+        (a * lam.inv() * ctx.qpow(-2), a.inv() * lam * ctx.qpow(2)),
+        (a * lam * ctx.qpow(2), a.inv() * lam.inv() * ctx.qpow(-2)),
+        (b * c * q.inv(), b.inv() * c.inv() * q),
+        (b * c.inv() * q.inv(), b.inv() * c * q),
+    )
+    return next((k for k, vals in enumerate(cases) if x in vals), None)
+
+
 def L_closed(params: Params5, i: int, j: int, k: int, nu: NuData | None = None) -> Fq2:
     """Closed form for the coefficient array, by case on nu q^{-2i}.
 
     Raises CaseNotApplicable when nu q^{-2i} lies in none of the four case
     sets.
     """
-    from .errors import CaseNotApplicable
-
     ctx = params.ctx
     dbar = ctx.dbar
     if not (0 <= i <= dbar - 1 and 0 <= j <= dbar - 1 and 0 <= k <= dbar - 1):
         raise BadRange(f"indices ({i}, {j}, {k}) outside [0, {dbar - 1}]")
     if nu is None:
         nu = nu_of(params)
+    case = closed_form_case(params, i, nu)
+    if case is None:
+        x = nu.nu * ctx.qpow(-2 * i)
+        raise CaseNotApplicable(f"nu q^-2i = {x!r} matches no closed-form case")
     a, b, c, lam = params.quadruple.astuple()
-    q = ctx.q
-    x = nu.nu * ctx.qpow(-2 * i)
     s = SeqData(params.quadruple)
 
-    if x in (a * lam.inv() * ctx.qpow(-2), a.inv() * lam * ctx.qpow(2)):
+    if case == 0:
         if j != k:
             return ctx.zero
         out = ctx.one
@@ -482,7 +487,7 @@ def L_closed(params: Params5, i: int, j: int, k: int, nu: NuData | None = None) 
     def qp(e: int) -> Fq2:
         return ctx.qpow(e)
 
-    if x in (a * lam * ctx.qpow(2), a.inv() * lam.inv() * ctx.qpow(-2)):
+    if case == 1:
         out = ctx.one
         for h in range(1, k + 1):
             out = out * (qp(h + j - k) - qp(k - h - j))
@@ -494,7 +499,7 @@ def L_closed(params: Params5, i: int, j: int, k: int, nu: NuData | None = None) 
             out = out * (a * qp(1 - h) - a.inv() * qp(h - 1))
         return out
 
-    if x in (b * c * q.inv(), b.inv() * c.inv() * q):
+    if case == 2:
         out = ctx.one
         for h in range(1, k + 1):
             out = out * (qp(h + j - k) - qp(k - h - j))
@@ -506,19 +511,16 @@ def L_closed(params: Params5, i: int, j: int, k: int, nu: NuData | None = None) 
             out = out * (b * c * lam * qp(h) - a * qp(1 - h))
         return out
 
-    if x in (b * c.inv() * q.inv(), b.inv() * c * q):
-        out = ctx.one
-        for h in range(1, k + 1):
-            out = out * (qp(h + j - k) - qp(k - h - j))
-            out = out * (b * qp(-h) - b.inv() * qp(h))
-            out = out * (a * lam * qp(h + 1) - b * c.inv() * qp(-h))
-        for h in range(1, j + 1):
-            out = out * (lam.inv() * qp(-h - 1) - a.inv() * b.inv() * c * qp(h))
-        for h in range(1, j - k + 1):
-            out = out * (b * c.inv() * lam * qp(h) - a * qp(1 - h))
-        return out
-
-    raise CaseNotApplicable(f"nu q^-2i = {x!r} matches no closed-form case")
+    out = ctx.one
+    for h in range(1, k + 1):
+        out = out * (qp(h + j - k) - qp(k - h - j))
+        out = out * (b * qp(-h) - b.inv() * qp(h))
+        out = out * (a * lam * qp(h + 1) - b * c.inv() * qp(-h))
+    for h in range(1, j + 1):
+        out = out * (lam.inv() * qp(-h - 1) - a.inv() * b.inv() * c * qp(h))
+    for h in range(1, j - k + 1):
+        out = out * (b * c.inv() * lam * qp(h) - a * qp(1 - h))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from uawq.field import ctx_new
+from uawq.modules import Params5
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -43,3 +44,10 @@ def ctx37():
 @pytest.fixture()
 def rng():
     return random.Random(20240801)
+
+
+def force_nu(quad, nu):
+    """The quintuple whose delta makes nu a root of the spectral equation for quad."""
+    dbar = quad.ctx.dbar
+    al = quad.a / quad.lam
+    return Params5(*quad.astuple(), nu ** dbar + nu ** (-dbar) - al ** dbar - al ** (-dbar))

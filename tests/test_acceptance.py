@@ -1,73 +1,40 @@
 """Acceptance criteria, one test per criterion, exact arithmetic throughout.
 
-Each test prints a single PASS/FAIL line (collected into the terminal
-summary).  The exhaustive sweeps honor UAWQ_THREADS.
+Each criterion runs the verification bodies of ``uawq.suite`` at its own
+seed and count, and prints a single PASS/FAIL line (collected into the
+terminal summary).  The exhaustive sweeps honor UAWQ_THREADS.
 """
 
-import json
 import random
 
 import pytest
+from conftest import force_nu
 
 from uawq import table1
-from uawq.algebra import central_elements_check, derive_C, verify_rep
-from uawq.classify import (
-    burnside_irreducible,
-    canon_sign4,
-    canon_sign5,
-    classify_sample,
-    delta_shift,
-    feasible,
-    feasible_target,
-    intertwiner,
-    irr_Vn_criterion,
-    irr_W_criterion,
-    quad_key,
-    quint_key,
-    rand_nonzero,
-    s4_orbit,
-    sample_quintuple,
-    sample_triple,
-    simeq_closure,
-    solve_feasible,
+from uawq.classify import rand_nonzero, sample_quintuple
+from uawq.field import ctx_new
+from uawq.modules import Params4, marginal_values
+from uawq.suite import (
+    Tally,
+    center_chebyshev,
+    charpoly_corner,
+    classify_rerun,
+    cross_class_pairs,
+    descent_delta_case,
+    equiv_case,
+    feasible_case,
+    irr_vn_samples,
+    ladder_case,
+    marginal_case,
+    relation_verify,
+    vn_grid_sweep,
+    w_grid_sweep,
 )
-from uawq.errors import NeedsExtension, NuOutsideField
-from uawq.field import ctx_new, poly_from_roots
-from uawq.linalg import (
-    FMat,
-    commutator,
-    is_scalar_matrix,
-    mat_poly_eval,
-    product_shifted,
-    rank,
-)
-from uawq.field import chebyshev_T
-from uawq.modules import (
-    L_closed,
-    L_recurrence,
-    Params4,
-    Params5,
-    SeqData,
-    build_Vn,
-    build_W,
-    char_poly_fast,
-    e_vector,
-    nu_of,
-    w_ij,
-)
-from uawq.suite import vn_grid_sweep, w_grid_sweep
 
 
 @pytest.fixture(scope="module")
 def ctx():
     return ctx_new(13, 3)
-
-
-def force_nu(ctx, quad, nu):
-    dbar = ctx.dbar
-    al = quad.a / quad.lam
-    delta = nu ** dbar + nu ** (-dbar) - al ** dbar - al ** (-dbar)
-    return Params5(*quad.astuple(), delta)
 
 
 def free_quadruple(ctx, rng):
@@ -77,19 +44,10 @@ def free_quadruple(ctx, rng):
 
 def test_criterion_01_relation_verification(ctx, acceptance_record):
     """1,000 seeded quintuples: every built module satisfies the relations."""
-    rng = random.Random(1001)
-    bad = 0
-    for _ in range(1000):
-        p5 = sample_quintuple(ctx, rng)
-        if not verify_rep(build_W(p5)).ok:
-            bad += 1
-        a, b, c = sample_triple(ctx, rng)
-        n = rng.randrange(0, ctx.dbar - 1)
-        if not verify_rep(build_Vn(a, b, c, n)).ok:
-            bad += 1
-    line = f"criterion 01 relation-verification: {bad} failures in 2000 builds"
-    acceptance_record(("PASS " if bad == 0 else "FAIL ") + line)
-    assert bad == 0
+    t = relation_verify(ctx, random.Random(1001), 1000)
+    line = f"criterion 01 relation-verification: {t.failures} failures in {t.cases} builds"
+    acceptance_record(("PASS " if t.failures == 0 else "FAIL ") + line)
+    assert t.failures == 0
 
 
 def test_criterion_02_w_criterion_oracle_exhaustive(acceptance_record):
@@ -102,21 +60,14 @@ def test_criterion_02_w_criterion_oracle_exhaustive(acceptance_record):
     assert mismatches == []
 
 
-def test_criterion_03_vn_criterion_oracle(ctx, acceptance_record):
+def test_criterion_03_vn_criterion_oracle(acceptance_record):
     """Exhaustive (F_13^x)^3 x {0,1} plus 500 seeded cases at p=37, d=6."""
     mismatches = vn_grid_sweep(13, 3)
-    ctx37 = ctx_new(37, 6)
-    rng = random.Random(1003)
-    extra = 0
-    for _ in range(500):
-        a, b, c = sample_triple(ctx37, rng)
-        n = rng.randrange(0, ctx37.dbar - 1)
-        if irr_Vn_criterion(a, b, c, n) != burnside_irreducible(build_Vn(a, b, c, n)):
-            extra += 1
+    t = irr_vn_samples(ctx_new(37, 6), random.Random(1003), 500)
     total = 12 ** 3 * 2
     line = (f"criterion 03 irr-Vn criterion vs oracle: {len(mismatches)} mismatches in "
-            f"{total} exhaustive cases, {extra} in 500 seeded cases at p=37 d=6")
-    ok = not mismatches and extra == 0
+            f"{total} exhaustive cases, {t.failures} in {t.cases} seeded cases at p=37 d=6")
+    ok = not mismatches and t.failures == 0
     acceptance_record(("PASS " if ok else "FAIL ") + line)
     assert ok
 
@@ -125,146 +76,57 @@ def test_criterion_04_closed_form_vs_recurrence(ctx, acceptance_record):
     """>= 50 seeded parameter sets per spectral case: closed == recurrence == matrix."""
     rng = random.Random(1004)
     case_hits = [0, 0, 0, 0]
-    failures = 0
+    t = Tally()
     trials = 0
     while min(case_hits) < 50 and trials < 20000:
         trials += 1
         quad = free_quadruple(ctx, rng)
         a, b, c, lam = quad.astuple()
-        which = trials % 4
         base = [
             a / lam * ctx.qpow(-2),
             a * lam * ctx.qpow(2),
             b * c / ctx.q,
             b / (c * ctx.q),
-        ][which]
+        ][trials % 4]
         shift_i = rng.randrange(ctx.dbar)
-        p5 = force_nu(ctx, quad, base * ctx.qpow(2 * shift_i))
-        nd = nu_of(p5)
-        rep = build_W(p5)
-        s = SeqData(quad)
-        case_sets = [
-            (a / lam * ctx.qpow(-2), lam / a * ctx.qpow(2)),
-            (a * lam * ctx.qpow(2), (a * lam).inv() * ctx.qpow(-2)),
-            (b * c / ctx.q, (b * c).inv() * ctx.q),
-            (b / (c * ctx.q), c * ctx.q / b),
-        ]
-        matched_cases = set()
-        for i in range(ctx.dbar):
-            L = L_recurrence(p5, i, nd)
-            ei = e_vector(p5, i, nd)
-            for k in range(ctx.dbar):
-                vec = product_shifted(
-                    rep.B, [s.theta_star(ctx.dbar - h) for h in range(1, k + 1)]) @ ei
-                for j in range(ctx.dbar):
-                    if vec.entry(ctx.dbar - j - 1, 0) != L[j][k]:
-                        failures += 1
-            x = nd.nu * ctx.qpow(-2 * i)
-            ci = next((n_ for n_, vals in enumerate(case_sets) if x in vals), None)
-            if ci is None:
-                continue
-            matched_cases.add(ci)
-            for j in range(ctx.dbar):
-                for k in range(ctx.dbar):
-                    if L_closed(p5, i, j, k, nd) != L[j][k]:
-                        failures += 1
-        for ci in matched_cases:
+        for ci in ladder_case(force_nu(quad, base * ctx.qpow(2 * shift_i)), t):
             case_hits[ci] += 1
-    ok = failures == 0 and min(case_hits) >= 50
+    ok = t.failures == 0 and min(case_hits) >= 50
     line = (f"criterion 04 closed form vs recurrence: case hits {case_hits}, "
-            f"{failures} value mismatches")
+            f"{t.failures} value mismatches")
     acceptance_record(("PASS " if ok else "FAIL ") + line)
     assert ok
 
 
 def test_criterion_05_charpoly_identities(ctx, acceptance_record):
     """500 seeded cyclic modules: both characteristic polynomial identities."""
-    rng = random.Random(1005)
-    bad = 0
-    for _ in range(500):
-        p5 = sample_quintuple(ctx, rng)
-        rep = build_W(p5)
-        s = SeqData(p5.quadruple)
-        want_a = poly_from_roots(ctx, [s.theta(i) for i in range(ctx.dbar)])
-        want_a[0] = want_a[0] - p5.delta
-        want_b = poly_from_roots(ctx, [s.theta_star(i) for i in range(ctx.dbar)])
-        if char_poly_fast(rep.A) != want_a or char_poly_fast(rep.B) != want_b:
-            bad += 1
-    line = f"criterion 05 characteristic polynomials: {bad} failures in 500 reps"
-    acceptance_record(("PASS " if bad == 0 else "FAIL ") + line)
-    assert bad == 0
+    t = charpoly_corner(ctx, random.Random(1005), 500)
+    line = f"criterion 05 characteristic polynomials: {t.failures} failures in {t.cases} reps"
+    acceptance_record(("PASS " if t.failures == 0 else "FAIL ") + line)
+    assert t.failures == 0
 
 
 def test_criterion_06_feasibility_roundtrip(ctx, acceptance_record):
     """200 seeded quadruples: solver contains the input and stays in its orbit."""
     rng = random.Random(1006)
-    bad = 0
-    skipped = 0
-    for _ in range(200):
-        p4 = free_quadruple(ctx, rng)
-        tgt = feasible_target(p4)
-        sols = solve_feasible(tgt)
-        keys = {quad_key(canon_sign4(s.astuple())) for s in sols}
-        if quad_key(canon_sign4(p4.astuple())) not in keys:
-            bad += 1
-            continue
-        if any(not feasible(s, tgt) for s in sols):
-            bad += 1
-            continue
-        try:
-            orbit_keys = s4_orbit(p4).member_keys()
-        except NeedsExtension:
-            skipped += 1
-            continue
-        if not keys <= orbit_keys:
-            bad += 1
-    line = (f"criterion 06 feasibility round-trip: {bad} failures, "
+    t = Tally()
+    skipped = sum(feasible_case(free_quadruple(ctx, rng), t) for _ in range(200))
+    line = (f"criterion 06 feasibility round-trip: {t.failures} failures, "
             f"{skipped}/200 orbit checks skipped (needs field extension)")
-    acceptance_record(("PASS " if bad == 0 else "FAIL ") + line)
-    assert bad == 0
+    acceptance_record(("PASS " if t.failures == 0 else "FAIL ") + line)
+    assert t.failures == 0
 
 
 def test_criterion_07_orbit_isomorphism_coherence(ctx, acceptance_record):
     """Neighbors are isomorphic (invertible map); distinct classes are not."""
     rng = random.Random(1007)
-    bad_within = 0
-    checked_within = 0
-    for _ in range(200):
-        p5 = sample_quintuple(ctx, rng)
-        rep = build_W(p5)
-        shift = delta_shift(p5)
-        seen = set()
-        for row in table1.ROWS:
-            img = table1.apply_row(row, p5.quadruple.astuple())
-            al = img[0] / img[3]
-            nd = shift - al ** ctx.dbar - al ** (-ctx.dbar)
-            other = Params5(*img, nd)
-            key = quint_key(canon_sign5(other.astuple()))
-            if key in seen:
-                continue
-            seen.add(key)
-            s = intertwiner(rep, build_W(other))
-            checked_within += 1
-            if s is None or rank(s) != rep.n:
-                bad_within += 1
-    bad_cross = 0
-    pairs = 0
-    attempts = 0
-    while pairs < 100 and attempts < 5000:
-        attempts += 1
-        pa = sample_quintuple(ctx, rng)
-        pb = sample_quintuple(ctx, rng)
-        if not (irr_W_criterion(pa) and irr_W_criterion(pb)):
-            continue
-        class_a = {quint_key(m) for m in simeq_closure(pa).members}
-        if quint_key(canon_sign5(pb.astuple())) in class_a:
-            continue
-        pairs += 1
-        if intertwiner(build_W(pa), build_W(pb)) is not None:
-            bad_cross += 1
-    ok = bad_within == 0 and bad_cross == 0 and pairs == 100
-    line = (f"criterion 07 orbit/isomorphism coherence: {bad_within} failures in "
-            f"{checked_within} neighbor maps, {bad_cross} unexpected maps in {pairs} "
+    within = Tally()
+    checked = sum(equiv_case(sample_quintuple(ctx, rng), table1.ROWS, within)
+                  for _ in range(200))
+    cross = cross_class_pairs(ctx, rng, 100, 5000)
+    ok = within.failures == 0 and cross.failures == 0 and cross.cases == 100
+    line = (f"criterion 07 orbit/isomorphism coherence: {within.failures} failures in "
+            f"{checked} neighbor maps, {cross.failures} unexpected maps in {cross.cases} "
             f"cross-class pairs")
     acceptance_record(("PASS " if ok else "FAIL ") + line)
     assert ok
@@ -273,98 +135,31 @@ def test_criterion_07_orbit_isomorphism_coherence(ctx, acceptance_record):
 def test_criterion_08_marginal_machinery(ctx, acceptance_record):
     """Membership tests match matrix conditions; descent scalar matches entrywise."""
     rng = random.Random(1008)
-    q, qi = ctx.q, ctx.q.inv()
-    dbar = ctx.dbar
-    failures = 0
+    t = Tally()
     branch_hits = [0] * 8
 
     def run_case(p5):
-        nonlocal failures
-        try:
-            nd = nu_of(p5)
-        except NuOutsideField:
-            return
-        a, b, c, lam = p5.quadruple.astuple()
-        rep = build_W(p5)
-        v = nd.nu
-        for i in range(dbar):
-            plus_vals = [
-                a / lam * ctx.qpow(2 * (i - 1)),
-                (a * lam).inv() * ctx.qpow(2 * (i - 1)),
-                b * c * ctx.qpow(2 * i - 1),
-                b / c * ctx.qpow(2 * i - 1),
-            ]
-            minus_vals = [
-                a * lam * ctx.qpow(2 * (i + 1)),
-                a.inv() * lam * ctx.qpow(2 * (i + 1)),
-                c / b * ctx.qpow(2 * i + 1),
-                (b * c).inv() * ctx.qpow(2 * i + 1),
-            ]
-            member_plus = v in set(plus_vals)
-            member_minus = v in set(minus_vals)
-            ei = e_vector(p5, i, nd)
-            be = rep.B @ ei
-            mid = rep.A - FMat.scalar(ctx, dbar, nd.vartheta(i))
-            up = rep.A - FMat.scalar(ctx, dbar, nd.vartheta(i + 1))
-            down = rep.A - FMat.scalar(ctx, dbar, nd.vartheta(i - 1))
-            if member_plus != (up @ mid @ be).is_zero():
-                failures += 1
-            if member_minus != (down @ mid @ be).is_zero():
-                failures += 1
-            for k, val in enumerate(plus_vals):
-                if v == val:
-                    branch_hits[k] += 1
-            for k, val in enumerate(minus_vals):
-                if v == val:
-                    branch_hits[4 + k] += 1
+        for k in marginal_case(p5, t) or ():
+            branch_hits[k] += 1
 
     # constructed families hitting each membership branch
     trials = 0
     while min(branch_hits) < 20 and trials < 20000:
         trials += 1
         quad = free_quadruple(ctx, rng)
-        a, b, c, lam = quad.astuple()
-        i = rng.randrange(dbar)
-        targets = [
-            a / lam * ctx.qpow(2 * (i - 1)),
-            (a * lam).inv() * ctx.qpow(2 * (i - 1)),
-            b * c * ctx.qpow(2 * i - 1),
-            b / c * ctx.qpow(2 * i - 1),
-            a * lam * ctx.qpow(2 * (i + 1)),
-            a.inv() * lam * ctx.qpow(2 * (i + 1)),
-            c / b * ctx.qpow(2 * i + 1),
-            (b * c).inv() * ctx.qpow(2 * i + 1),
-        ]
-        run_case(force_nu(ctx, quad, targets[trials % 8]))
+        plus, minus = marginal_values(quad, rng.randrange(ctx.dbar))
+        run_case(force_nu(quad, (plus + minus)[trials % 8]))
     # 200 generic cases
     for _ in range(200):
         run_case(sample_quintuple(ctx, rng))
 
     # descent scalar with the delta term, entrywise
-    scalar_bad = 0
+    descent = Tally()
     for _ in range(200):
-        p5 = sample_quintuple(ctx, rng)
-        a, b, c, lam, delta = p5.astuple()
-        rep = build_W(p5)
-        s = SeqData(p5.quadruple)
-        w0d = w_ij(p5, 0, dbar - 1)
-        lhs = (rep.B - FMat.scalar(ctx, dbar, s.theta_star(dbar - 2))) @ (
-            rep.B - FMat.scalar(ctx, dbar, s.theta_star(dbar - 1))) @ (rep.A @ w0d)
-        pref = ctx.qpow(-dbar * (dbar - 1) // 2) * (q * q - qi * qi)
-        for i in range(1, dbar):
-            pref = pref * (ctx.qpow(i) - ctx.qpow(-i))
-        bl = (b / lam) ** dbar
-        term = delta * (bl - bl.inv()) - (a * b) ** (-dbar) * (
-            lam ** (2 * dbar) - ctx.one
-        ) * ((a * b * c / lam) ** dbar * ctx.qpow(dbar) - ctx.one) * (
-            (a * b / (c * lam)) ** dbar * ctx.qpow(dbar) - ctx.one
-        )
-        want = w_ij(p5, 0, 0) * (pref * (s.theta_star(0) - s.theta_star(dbar - 1)) * term)
-        if lhs != want:
-            scalar_bad += 1
-    ok = failures == 0 and scalar_bad == 0 and min(branch_hits) >= 20
-    line = (f"criterion 08 marginal machinery: {failures} membership/matrix "
-            f"disagreements, {scalar_bad} descent-scalar mismatches, "
+        descent_delta_case(sample_quintuple(ctx, rng), descent)
+    ok = t.failures == 0 and descent.failures == 0 and min(branch_hits) >= 20
+    line = (f"criterion 08 marginal machinery: {t.failures} membership/matrix "
+            f"disagreements, {descent.failures} descent-scalar mismatches, "
             f"branch hits >= {min(branch_hits)}")
     acceptance_record(("PASS " if ok else "FAIL ") + line)
     assert ok
@@ -372,40 +167,18 @@ def test_criterion_08_marginal_machinery(ctx, acceptance_record):
 
 def test_criterion_09_classification_smoke(ctx, acceptance_record):
     """seed=42, count=200: stable class table, validated both directions."""
-    r1 = classify_sample(ctx, 42, 200)
-    r2 = classify_sample(ctx, 42, 200)
-    b1 = json.dumps(r1, sort_keys=True, separators=(",", ":")).encode()
-    b2 = json.dumps(r2, sort_keys=True, separators=(",", ":")).encode()
-    ok = b1 == b2 and r1["errors"] == [] and len(r1["classes"]) >= 1
-    line = (f"criterion 09 classification smoke: {len(r1['classes'])} classes, "
-            f"{len(r1['rejected'])} rejected, {len(r1['errors'])} errors, "
-            f"rerun byte-identical={b1 == b2}")
+    report, same = classify_rerun(ctx, 42, 200)
+    ok = same and report["errors"] == [] and len(report["classes"]) >= 1
+    line = (f"criterion 09 classification smoke: {len(report['classes'])} classes, "
+            f"{len(report['rejected'])} rejected, {len(report['errors'])} errors, "
+            f"rerun byte-identical={same}")
     acceptance_record(("PASS " if ok else "FAIL ") + line)
     assert ok
 
 
 def test_criterion_10_chebyshev_center(ctx, acceptance_record):
     """200 seeded reps: translated generators are central; corner acts as delta."""
-    rng = random.Random(1010)
-    bad = 0
-    tcoeffs = chebyshev_T(ctx, ctx.dbar)
-    for _ in range(200):
-        p5 = sample_quintuple(ctx, rng)
-        rep = build_W(p5)
-        mu = rand_nonzero(ctx, rng)
-        if not central_elements_check(rep, mu).ok:
-            bad += 1
-            continue
-        gens = (rep.A, rep.B, derive_C(rep))
-        for g in gens:
-            tg = mat_poly_eval(tcoeffs, g)
-            if any(not commutator(tg, h).is_zero() for h in gens):
-                bad += 1
-                break
-        s = SeqData(p5.quadruple)
-        prod = product_shifted(rep.A, [s.theta(i) for i in range(ctx.dbar)])
-        if is_scalar_matrix(prod) != p5.delta:
-            bad += 1
-    line = f"criterion 10 chebyshev/center: {bad} failures in 200 reps"
-    acceptance_record(("PASS " if bad == 0 else "FAIL ") + line)
-    assert bad == 0
+    t = center_chebyshev(ctx, random.Random(1010), 200)
+    line = f"criterion 10 chebyshev/center: {t.failures} failures in {t.cases} reps"
+    acceptance_record(("PASS " if t.failures == 0 else "FAIL ") + line)
+    assert t.failures == 0

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from conftest import force_nu
 
 from uawq import errors
 from uawq.algebra import verify_rep
@@ -22,10 +23,10 @@ from uawq.modules import (
     dump_module,
     e_vector,
     is_marginal_weight,
+    marginal_matrix_e,
     marginal_test_e,
     marginal_vectors,
     nu_of,
-    seq,
     w_ij,
     weight_spaces,
 )
@@ -54,7 +55,7 @@ class TestSeq:
 
     def test_omega_at_ones(self, ctx13):
         # direct substitution: omega = 4 + 2*(3 + 9) = 28 = 2 mod 13
-        s = seq(Params4(*[ctx13.one] * 4))
+        s = SeqData(Params4(*[ctx13.one] * 4))
         assert s.omega == ctx13.el(2)
         assert s.omega_star == ctx13.el(2)
         assert s.omega_eps == ctx13.el(2)
@@ -367,12 +368,12 @@ class TestEVector:
                         assert v == L[j][k]
 
 
-def force_nu(ctx, quad, nu):
-    """delta making nu a root of the spectral equation for the quadruple."""
-    dbar = ctx.dbar
-    al = quad.a / quad.lam
-    delta = nu ** dbar + nu ** (-dbar) - al ** dbar - al ** (-dbar)
-    return Params5(*quad.astuple(), delta)
+def membership_conds(p5, nd):
+    """marginal_test_e at every index, checked against the matrix condition."""
+    rep = build_W(p5)
+    conds = [marginal_test_e(p5, i, nd) for i in range(p5.ctx.dbar)]
+    assert conds == [marginal_matrix_e(rep, p5, i, nd) for i in range(p5.ctx.dbar)]
+    return conds
 
 
 class TestMarginalTestE:
@@ -393,9 +394,8 @@ class TestMarginalTestE:
                 b / c * ctx.qpow(2 * i - 1),
             ]
             target = choices[rng.randrange(4)]
-            p5 = force_nu(ctx, quad, target)
-            nd = nu_of(p5)
-            conds = [marginal_test_e(p5, k, nd) for k in range(ctx.dbar)]
+            p5 = force_nu(quad, target)
+            conds = membership_conds(p5, nu_of(p5))
             plus_seen += any(cp for cp, _ in conds)
             minus_seen += any(cm for _, cm in conds)
             assert any(cp or cm for cp, cm in conds)
@@ -410,14 +410,13 @@ class TestMarginalTestE:
                 nd = nu_of(p5)
             except errors.NuOutsideField:
                 continue
-            conds = [marginal_test_e(p5, i, nd) for i in range(ctx13.dbar)]
+            conds = membership_conds(p5, nd)
             if all(not cp and not cm for cp, cm in conds):
                 seen_all_false = True
                 break
         assert seen_all_false
 
     def test_membership_matches_matrix_condition(self, ctx13, rng):
-        # marginal_test_e asserts the equivalence internally; run it broadly
         ran = 0
         for _ in range(25):
             p5 = sample_quintuple(ctx13, rng)
@@ -425,9 +424,7 @@ class TestMarginalTestE:
                 nd = nu_of(p5)
             except errors.NuOutsideField:
                 continue
-            for i in range(ctx13.dbar):
-                marginal_test_e(p5, i, nd)
-                ran += 1
+            ran += len(membership_conds(p5, nd))
         assert ran > 0
 
 
@@ -506,7 +503,7 @@ class TestLArray:
         while done < 8:
             quad = sample_quadruple(ctx, rng)
             i = rng.randrange(ctx.dbar)
-            p5 = force_nu(ctx, quad, quad.a / quad.lam * ctx.qpow(2 * (i - 1)))
+            p5 = force_nu(quad, quad.a / quad.lam * ctx.qpow(2 * (i - 1)))
             nd = nu_of(p5)
             matched = False
             for k in range(ctx.dbar):
@@ -545,7 +542,7 @@ class TestLArray:
                 b * c / ctx.q,
                 b / (c * ctx.q),
             ][case]
-            p5 = force_nu(ctx, quad, base * ctx.qpow(2 * i))
+            p5 = force_nu(quad, base * ctx.qpow(2 * i))
             nd = nu_of(p5)
             sets = [
                 (a / lam * ctx.qpow(-2), lam / a * ctx.qpow(2)),
