@@ -16,7 +16,7 @@ import numpy as np
 
 from . import table1
 from .algebra import PairRep
-from .errors import BadRange, CapExceeded, DimensionMismatch, NoSolutionsInField
+from .errors import BadRange, CapExceeded, DimensionMismatch, InvariantViolation, NoSolutionsInField
 from .field import FieldCtx, Fq2, poly_roots, quadratic_roots
 from .linalg import FMat, kernel, kron, rank, vstack
 from .modules import Params4, Params5, SeqData, build_W
@@ -72,6 +72,33 @@ def feasible(params: Params4, target: Target) -> bool:
     )
 
 
+def _shifts(target: Target) -> tuple[Fq2, Fq2]:
+    """d1 = (we - q phi)/(q + 1/q) and d2 = (we + phi/q)/(q + 1/q), the
+    coefficients shared by the quartic and the sextic."""
+    q, qi = target.mu.ctx.q, target.mu.ctx.q.inv()
+    we, phi = target.omega_eps, target.phi
+    return (we - q * phi) / (q + qi), (we + qi * phi) / (q + qi)
+
+
+def feasible_quartic(target: Target) -> list[Fq2]:
+    """The quartic whose roots are the values kappa = a/lam of feasible tuples."""
+    mu, ws = target.mu, target.omega_star
+    q, qi = mu.ctx.q, mu.ctx.q.inv()
+    d1, d2 = _shifts(target)
+    return [mu * q, -d1, ws - mu * qi - mu.inv() * q, -d2, (mu * q).inv()]
+
+
+def feasible_sextic(target: Target, kappa: Fq2) -> list[Fq2]:
+    """The sextic whose roots are the values lam of feasible tuples with a/lam = kappa."""
+    mu = target.mu
+    ctx = mu.ctx
+    q, qi = ctx.q, ctx.q.inv()
+    d1, d2 = _shifts(target)
+    zero = ctx.zero
+    return [-(kappa * mu * q).inv(), zero, d2 - kappa * mu.inv() * qi, zero,
+            kappa.inv() * mu * q - d1, zero, kappa * mu * q]
+
+
 def solve_feasible(target: Target) -> list[Params4]:
     """All quadruples in F_{p^2} feasible for the target.
 
@@ -81,27 +108,15 @@ def solve_feasible(target: Target) -> list[Params4]:
     survives in F_{p^2}.
     """
     mu, phi = target.mu, target.phi
-    ws, we = target.omega_star, target.omega_eps
+    we = target.omega_eps
     ctx = mu.ctx
     q, qi = ctx.q, ctx.q.inv()
     mui = mu.inv()
-    d1 = (we - q * phi) / (q + qi)
-    d2 = (we + qi * phi) / (q + qi)
-    quartic = [mu * q, -d1, ws - mu * qi - mui * q, -d2, (mu * q).inv()]
     out: list[Params4] = []
     seen: set[tuple] = set()
-    for kappa in sorted(set(poly_roots(ctx, quartic)), key=lambda e: e.key):
+    for kappa in sorted(set(poly_roots(ctx, feasible_quartic(target))), key=lambda e: e.key):
         ki = kappa.inv()
-        sextic = [
-            -(kappa * mu * q).inv(),
-            ctx.zero,
-            d2 - kappa * mui * qi,
-            ctx.zero,
-            ki * mu * q - d1,
-            ctx.zero,
-            kappa * mu * q,
-        ]
-        for lam in sorted(set(poly_roots(ctx, sextic)), key=lambda e: e.key):
+        for lam in sorted(set(poly_roots(ctx, feasible_sextic(target, kappa))), key=lambda e: e.key):
             lami = lam.inv()
             kl = kappa * lam + ki * lami
             if lam * lam == ctx.one:
@@ -114,7 +129,8 @@ def solve_feasible(target: Target) -> list[Params4]:
                 if key in seen:
                     continue
                 seen.add(key)
-                assert feasible(cand, target), "solver emitted an infeasible tuple"
+                if not feasible(cand, target):
+                    raise InvariantViolation("solver emitted an infeasible tuple")
                 out.append(cand)
     if not out:
         raise NoSolutionsInField("no feasible quadruple exists inside F_{p^2}")
@@ -409,7 +425,8 @@ def burnside_irreducible(rep: PairRep) -> bool:
     """
     ctx = rep.ctx
     n = rep.n
-    assert n >= 1
+    if n < 1:
+        raise InvariantViolation(f"spanning oracle on a module of dimension {n}")
     p, t = ctx.p, ctx.t
     nn = n * n
     a0, a1 = rep.A.arr[..., 0], rep.A.arr[..., 1]

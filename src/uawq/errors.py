@@ -67,3 +67,8 @@ class CapExceeded(UawqError):
 
 class DimensionMismatch(UawqError):
     pass
+
+
+class InvariantViolation(UawqError):
+    """An internal invariant failed; raised instead of ``assert`` so the check
+    also runs under ``python -O``."""

@@ -8,11 +8,20 @@ any elements drawn from it may be shared freely across workers.
 The context also fixes a root of unity q of exact multiplicative order d
 (d not in {1, 2, 4}) and the derived order dbar of q^2: dbar = d for odd d
 and d/2 for even d.
+
+Powers, square roots and orders are read off discrete-log tables of the
+cyclic group F_{p^2}^*, built once per (p, t) from the canonical generator
+(Lidl & Niederreiter, *Finite Fields*; K. Huber, "Some comments on
+Zech's logarithms", IEEE Trans. IT, 1990).  Elements are addressed in
+the tables by their plain-lex index x0*p + x1, which is monotone in ``key``.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from functools import lru_cache
+from itertools import chain
+from math import gcd
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -20,6 +29,7 @@ from .errors import (
     DExcluded,
     DivisionByZero,
     DOrderUnavailable,
+    InvariantViolation,
     NotASquare,
     NotPrime,
     ZeroPolynomial,
@@ -132,15 +142,14 @@ class Fq2:
     def __pow__(self, e: int) -> "Fq2":
         if not isinstance(e, int):
             return NotImplemented
-        base = self.inv() if e < 0 else self
-        e = abs(e)
-        acc = self.ctx.one
-        while e:
-            if e & 1:
-                acc = acc * base
-            base = base * base
-            e >>= 1
-        return acc
+        ctx = self.ctx
+        if self.x0 == 0 and self.x1 == 0:
+            if e < 0:
+                raise DivisionByZero("inverse of zero in F_{p^2}")
+            return ctx.one if e == 0 else ctx.zero
+        exp, log = ctx.log_tables()
+        k = exp[log[self.x0 * ctx.p + self.x1] * e % len(exp)]
+        return Fq2(ctx, k // ctx.p, k % ctx.p)
 
     # -- comparisons / hashing -------------------------------------------
 
@@ -177,7 +186,7 @@ class FieldCtx:
     validated inputs.
     """
 
-    __slots__ = ("p", "t", "d", "dbar", "q", "_qpows", "_all", "_nonsquare", "_two_adic")
+    __slots__ = ("p", "t", "d", "dbar", "q", "_qpows", "_all", "_logs")
 
     def __init__(self, p: int, t: int, d: int, q_pair: tuple[int, int]):
         self.p = p
@@ -187,8 +196,7 @@ class FieldCtx:
         self.q = Fq2(self, q_pair[0], q_pair[1])
         self._qpows: list[Fq2] | None = None
         self._all: np.ndarray | None = None
-        self._nonsquare: Fq2 | None = None
-        self._two_adic: tuple[int, int] | None = None
+        self._logs: tuple[tuple[int, ...], tuple[int, ...]] | None = None
 
     # -- element constructors ---------------------------------------------
 
@@ -235,24 +243,23 @@ class FieldCtx:
             self._qpows = pows
         return self._qpows[k % self.d]
 
-    # sqrt machinery ------------------------------------------------------
+    def log_tables(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(exp, log) of the canonical generator g: exp[k] is the plain-lex
+        index of g^k for 0 <= k < p^2 - 1, and log[i] is the discrete log of
+        the element of index i (log[0] = -1: zero has none)."""
+        if self._logs is None:
+            self._logs = _log_tables(self.p, self.t)
+        return self._logs
 
-    def _sqrt_setup(self) -> tuple[Fq2, int, int]:
-        if self._two_adic is None:
-            n = self.p * self.p - 1
-            s = 0
-            while n % 2 == 0:
-                n //= 2
-                s += 1
-            self._two_adic = (n, s)
-        if self._nonsquare is None:
-            half = (self.p * self.p - 1) // 2
-            for z in self.elements():
-                if not z.is_zero() and (z ** half) != self.one:
-                    self._nonsquare = z
-                    break
-        odd, s = self._two_adic
-        return self._nonsquare, odd, s
+    def root_log(self, k: int) -> int:
+        """The log of the canonical (lex-least) square root of g^k, k even.
+
+        The roots are g^(k/2) and g^(k/2 + (p^2-1)/2) = -g^(k/2).
+        """
+        exp, _ = self.log_tables()
+        half = len(exp) // 2
+        r = k // 2 % half
+        return r + half if exp[r + half] < exp[r] else r
 
     # pickling: drop lazily built caches so contexts ship cheaply to workers
 
@@ -284,10 +291,30 @@ def _least_nonresidue(p: int) -> int:
     raise NotPrime(f"{p} admits no quadratic non-residue")
 
 
-def _mult_order_is(x: Fq2, d: int, proper_divisors: Iterable[int]) -> bool:
-    if (x ** d) != x.ctx.one:
-        return False
-    return all((x ** k) != x.ctx.one for k in proper_divisors)
+@lru_cache(maxsize=None)
+def _log_tables(p: int, t: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Discrete-log tables of F_p(sqrt(t))^* for its canonical generator, the
+    element of least plain-lex index with order p^2 - 1.
+
+    Candidates are walked in index order; a candidate whose powers return to
+    1 early has smaller order and is skipped.  Immutable tuples of plain
+    ints, so the tables hold no context and are shared by every context with
+    this (p, t).
+    """
+    n = p * p - 1
+    for g in range(1, p * p):
+        g0, g1 = divmod(g, p)
+        exp = [p]  # index of 1
+        x0, x1 = g0, g1
+        while x0 != 1 or x1 != 0:
+            exp.append(x0 * p + x1)
+            x0, x1 = (x0 * g0 + t * x1 * g1) % p, (x0 * g1 + x1 * g0) % p
+        if len(exp) == n:
+            log = [-1] * (p * p)
+            for k, i in enumerate(exp):
+                log[i] = k
+            return tuple(exp), tuple(log)
+    raise InvariantViolation(f"F_{{{p}^2}} has no generator")
 
 
 def ctx_new(p: int, d: int) -> FieldCtx:
@@ -304,35 +331,15 @@ def ctx_new(p: int, d: int) -> FieldCtx:
     if d < 1 or (p * p - 1) % d != 0:
         raise DOrderUnavailable(f"d={d} does not divide p^2-1={p * p - 1}")
     t = _least_nonresidue(p)
-    ctx = FieldCtx(p, t, d, (0, 0))
-    proper = [d // r for r in _prime_factors(d)]
-
-    def candidates():
-        for x0 in range(p):  # prime field first
-            yield ctx.el(x0)
-        for x0 in range(p):
-            for x1 in range(1, p):
-                yield ctx.el(x0, x1)
-
-    for cand in candidates():
-        if not cand.is_zero() and _mult_order_is(cand, d, proper):
-            return FieldCtx(p, t, d, (cand.x0, cand.x1))
+    _, log = _log_tables(p, t)
+    n = p * p - 1
+    # the prime field first, then x1 != 0; g^k has order n / gcd(k, n)
+    candidates = chain(range(p, p * p, p), (i for i in range(p * p) if i % p))
+    for i in candidates:
+        if n // gcd(log[i], n) == d:
+            return FieldCtx(p, t, d, divmod(i, p))
     # unreachable: d | p^2-1 guarantees an element of order d
     raise DOrderUnavailable(f"no element of order {d} found")
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -340,40 +347,25 @@ def _prime_factors(n: int) -> list[int]:
 
 
 def is_square(x: Fq2) -> bool:
+    """Whether x is a square in F_{p^2}: zero, or of even discrete log."""
     if x.is_zero():
         return True
-    half = (x.ctx.p * x.ctx.p - 1) // 2
-    return (x ** half) == x.ctx.one
+    _, log = x.ctx.log_tables()
+    return log[x.x0 * x.ctx.p + x.x1] % 2 == 0
 
 
 def sqrt(x: Fq2) -> Fq2:
     """Canonical square root in F_{p^2}: the lex-smaller of the two roots.
 
     Raises NotASquare when the root lives only in a further extension.
-    The choice is deterministic, so repeated calls agree.
     """
     ctx = x.ctx
-    if x.is_zero():
-        return ctx.zero
     if not is_square(x):
         raise NotASquare(f"{x!r} is not a square in F_{{{ctx.p}^2}}")
-    # Tonelli-Shanks in the cyclic group of order p^2 - 1.
-    z, odd, s = ctx._sqrt_setup()
-    c = z ** odd
-    r = x ** ((odd + 1) // 2)
-    u = x ** odd
-    m = s
-    while u != ctx.one:
-        v, i = u, 0
-        while v != ctx.one:
-            v = v * v
-            i += 1
-        b = c ** (1 << (m - i - 1))
-        r = r * b
-        c = b * b
-        u = u * c
-        m = i
-    return min(r, -r, key=lambda e: e.key)
+    if x.is_zero():
+        return ctx.zero
+    exp, log = ctx.log_tables()
+    return ctx.from_index(exp[ctx.root_log(log[x.x0 * ctx.p + x.x1])])
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +492,7 @@ def poly_roots(ctx: FieldCtx, coeffs: Sequence[Fq2]) -> list[Fq2]:
         while True:
             g, rem = poly_divmod_linear(g, root)
             if not rem.is_zero():
-                raise AssertionError("scan root fails synthetic division")
+                raise InvariantViolation("scan root fails synthetic division")
             out.append(root)
             if not g or not poly_eval(g, root).is_zero():
                 break

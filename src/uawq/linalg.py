@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InvariantViolation
 from .field import FieldCtx, Fq2, poly_trim
 
 
@@ -29,7 +29,8 @@ class FMat:
     __slots__ = ("ctx", "arr")
 
     def __init__(self, ctx: FieldCtx, arr: np.ndarray):
-        assert arr.ndim == 3 and arr.shape[2] == 2
+        if arr.ndim != 3 or arr.shape[2] != 2:
+            raise InvariantViolation(f"matrix array of shape {arr.shape}, want (rows, cols, 2)")
         a = np.asarray(arr, dtype=np.int64) % ctx.p
         a.setflags(write=False)
         self.ctx = ctx
@@ -248,7 +249,8 @@ def char_poly(m: FMat) -> list[Fq2]:
     """Monic characteristic polynomial det(xI - m), ascending coefficients."""
     ctx = m.ctx
     n = m.nrows
-    assert n == m.ncols
+    if n != m.ncols:
+        raise InvariantViolation(f"char_poly of a {n}x{m.ncols} matrix")
     if n == 0:
         return [ctx.one]
     h = [[m.entry(i, j) for j in range(n)] for i in range(n)]

@@ -18,11 +18,13 @@ its coefficient recurrence / closed forms) used by the classification.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .algebra import PairRep
 from .errors import (
     BadRange,
     CaseNotApplicable,
+    InvariantViolation,
     NotAWeight,
     NuOutsideField,
     WeightOutsideField,
@@ -252,14 +254,15 @@ def is_marginal_weight(rep: PairRep, mu: Fq2) -> bool:
 def marginal_vectors(rep: PairRep, mu: Fq2) -> list[FMat]:
     """All lines in V(mu) fixed by the one-factor map, one vector per line.
 
-    dim V(mu) <= 2 always holds for reps built here; it is asserted, not
+    dim V(mu) <= 2 always holds for reps built here; it is checked, not
     assumed.  If every vector of a 2-dimensional V(mu) qualifies, the two
     basis columns are returned.
     """
     ctx = rep.ctx
     basis = _weight_basis(rep, mu)
     k = basis.ncols
-    assert k <= 2, f"weight space of dimension {k} > 2: invariant violation"
+    if k > 2:
+        raise InvariantViolation(f"weight space of dimension {k} > 2")
     q2 = ctx.q * ctx.q
     shift_up = mu * q2 + mu.inv() * q2.inv()
     m = (rep.B - FMat.scalar(ctx, rep.n, shift_up)) @ rep.A
@@ -311,7 +314,8 @@ class NuData:
 
     def __post_init__(self):
         dbar = self.nu.ctx.dbar
-        assert self.nu ** dbar + self.nu ** (-dbar) == self.rhs
+        if self.nu ** dbar + self.nu ** (-dbar) != self.rhs:
+            raise InvariantViolation(f"nu={self.nu!r} does not solve nu^dbar + nu^-dbar = {self.rhs!r}")
 
     def vartheta(self, i: int) -> Fq2:
         ctx = self.nu.ctx
@@ -319,16 +323,29 @@ class NuData:
 
 
 def nu_of(params: Params5) -> NuData:
-    """The canonically least root nu of z^{2 dbar} - R z^{dbar} + 1."""
+    """The canonically least root nu of z^{2 dbar} - R z^{dbar} + 1.
+
+    Solved as a quadratic in y = z^dbar; the dbar-th roots of each y are read
+    off the discrete logs: z = g^k with dbar k = log y (mod p^2 - 1).
+    """
     ctx = params.ctx
     dbar = ctx.dbar
     a, lam = params.a, params.lam
     rhs = params.delta + (a / lam) ** dbar + (lam / a) ** dbar
-    coeffs = [ctx.one] + [ctx.zero] * (dbar - 1) + [-rhs] + [ctx.zero] * (dbar - 1) + [ctx.one]
-    roots = poly_roots(ctx, coeffs)
+    exp, log = ctx.log_tables()
+    n = len(exp)
+    g = gcd(dbar, n)
+    step = n // g
+    inv = pow(dbar // g, -1, step)
+    roots = []
+    for y in quadratic_roots(ctx.one, -rhs, ctx.one):
+        ly = log[y.x0 * ctx.p + y.x1]
+        if ly % g == 0:
+            k0 = ly // g * inv % step
+            roots += [exp[k0 + j * step] for j in range(g)]
     if not roots:
         raise NuOutsideField("no spectral scalar nu in F_{p^2}")
-    return NuData(roots[0], rhs)
+    return NuData(ctx.from_index(min(roots)), rhs)
 
 
 def e_vector(params: Params5, i: int, nu: NuData | None = None) -> FMat:

@@ -28,6 +28,8 @@ from .classify import (
     classify_sample,
     delta_shift,
     feasible,
+    feasible_quartic,
+    feasible_sextic,
     feasible_target,
     intertwiner,
     irr_Vn_criterion,
@@ -247,10 +249,17 @@ def marginal_case(p5: Params5, t: Tally) -> list[int] | None:
 def feasible_case(p4: Params4, t: Tally) -> bool:
     """The read-off target is feasible; the solver returns the input and only
     feasible tuples, all inside the input's orbit.  Returns whether the orbit
-    comparison was skipped because the orbit needs a field extension."""
+    comparison was skipped because the orbit needs a field extension.
+
+    Feasibility of the read-off target is tested against the solver's
+    polynomial system: kappa = a/lam is a root of the quartic and lam a root
+    of the sextic at kappa."""
     wit = p4.astuple()
     tgt = feasible_target(p4)
-    if not t.check(feasible(p4, tgt), wit, "read-off target not feasible"):
+    kappa = p4.a / p4.lam
+    on_system = (poly_eval(feasible_quartic(tgt), kappa).is_zero()
+                 and poly_eval(feasible_sextic(tgt, kappa), p4.lam).is_zero())
+    if not t.check(on_system, wit, "read-off target not feasible"):
         return False
     sols = solve_feasible(tgt)
     keys = {quad_key(canon_sign4(s.astuple())) for s in sols}

@@ -6,7 +6,8 @@ its permutation label, its one-line permutation (0-based), and one exponent
 vector (ea, eb, ec, el, eq, es) per output entry.  Every entry that involves
 s carries it to an odd power, so flipping the choice of square root flips
 all four entries at once and the induced map on sign-classes is well
-defined.
+defined.  A row is applied as data: each entry's discrete log is the dot
+product of its exponent vector with the logs of (a, b, c, lam, q, s).
 
 The transcription is validated by unit tests that compose the three
 generator rows and compare against every other row.
@@ -15,7 +16,7 @@ generator rows and compare against every other row.
 from __future__ import annotations
 
 from .errors import NeedsExtension
-from .field import Fq2, is_square, sqrt
+from .field import Fq2
 
 Expo = tuple[int, int, int, int, int, int]
 Row = tuple[str, tuple[int, int, int, int], tuple[Expo, Expo, Expo, Expo]]
@@ -92,27 +93,30 @@ def row_needs_sqrt(row: Row) -> bool:
 
 
 def apply_row(row: Row, quad: tuple[Fq2, Fq2, Fq2, Fq2]) -> tuple[Fq2, Fq2, Fq2, Fq2]:
-    """Evaluate a table row at a concrete quadruple.
+    """Evaluate a table row at a concrete quadruple of nonzero elements.
 
     Raises NeedsExtension when the row involves s = sqrt(a b c lam q) and
-    the argument is a non-square in F_{p^2}.
+    the argument is a non-square in F_{p^2}.  s is the canonical (lex-min)
+    root, as ``field.sqrt`` returns it.
     """
     a, b, c, lam = quad
     ctx = a.ctx
-    s = None
+    p, q = ctx.p, ctx.q
+    exp, log = ctx.log_tables()
+    n = len(exp)
+    logs = [log[x.x0 * p + x.x1] for x in (a, b, c, lam, q)]
+    if min(logs) < 0:
+        raise ValueError("parameters a, b, c, lam must be nonzero")
+    ls = 0
     if row_needs_sqrt(row):
-        arg = orbit_sqrt_arg(a, b, c, lam)
-        if not is_square(arg):
-            raise NeedsExtension(
-                f"orbit row {row[0]} needs sqrt of non-square {arg!r}"
-            )
-        s = sqrt(arg)
-    parts = (a, b, c, lam, ctx.q, s)
+        total = sum(logs)
+        if total % 2:
+            arg = orbit_sqrt_arg(a, b, c, lam)
+            raise NeedsExtension(f"orbit row {row[0]} needs sqrt of non-square {arg!r}")
+        ls = ctx.root_log(total)
+    la, lb, lc, ll, lq = logs
     out = []
-    for expo in row[2]:
-        val = ctx.one
-        for base, e in zip(parts, expo):
-            if e:
-                val = val * (base ** e)
-        out.append(val)
+    for ea, eb, ec, el, eq, es in row[2]:
+        k = exp[(ea * la + eb * lb + ec * lc + el * ll + eq * lq + es * ls) % n]
+        out.append(Fq2(ctx, k // p, k % p))
     return tuple(out)

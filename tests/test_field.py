@@ -1,6 +1,11 @@
-import pytest
+import pickle
+import random
 
-from uawq import errors
+import pytest
+from conftest import force_nu
+
+from uawq import errors, table1
+from uawq.modules import Params4
 from uawq.field import (
     FieldCtx,
     chebyshev_T,
@@ -15,6 +20,7 @@ from uawq.field import (
     quadratic_roots,
     sqrt,
 )
+from uawq.modules import nu_of
 
 
 def brute_order(x, cap):
@@ -232,8 +238,140 @@ def test_serialization_roundtrip(ctx13):
 
 
 def test_context_pickles(ctx13):
-    import pickle
-
     ctx2 = pickle.loads(pickle.dumps(ctx13))
     assert ctx2 == ctx13
     assert ctx2.q == ctx2.el(3)
+
+
+# ---------------------------------------------------------------------------
+# the discrete-log core against references that use no tables
+
+
+def ref_pow(x, e):
+    """Square-and-multiply with Fq2 products and the norm inverse."""
+    base = x.inv() if e < 0 else x
+    e = abs(e)
+    acc = x.ctx.one
+    while e:
+        if e & 1:
+            acc = acc * base
+        base = base * base
+        e >>= 1
+    return acc
+
+
+def euler_is_square(x):
+    return x.is_zero() or ref_pow(x, (x.ctx.p ** 2 - 1) // 2) == x.ctx.one
+
+
+def least_roots(ctx):
+    """Square -> its lex-least square root, by scanning the field in lex order."""
+    out = {}
+    for y in ctx.elements():
+        out.setdefault((y * y).key, y)
+    return out
+
+
+def ref_apply_row(row, quad, roots):
+    """The row evaluated by powering each base, with s the lex-least root."""
+    a, b, c, lam = quad
+    ctx = a.ctx
+    s = None
+    if table1.row_needs_sqrt(row):
+        arg = table1.orbit_sqrt_arg(a, b, c, lam)
+        if not euler_is_square(arg):
+            raise errors.NeedsExtension(f"orbit row {row[0]} needs sqrt of non-square {arg!r}")
+        s = roots[arg.key]
+    out = []
+    for expo in row[2]:
+        val = ctx.one
+        for base, e in zip((a, b, c, lam, ctx.q, s), expo):
+            if e:
+                val = val * ref_pow(base, e)
+        out.append(val)
+    return tuple(out)
+
+
+LOG_CORE_FIELDS = [(3, 8), (5, 3), (7, 3), (13, 3), (29, 28)]
+
+
+@pytest.mark.parametrize("p,d", LOG_CORE_FIELDS)
+class TestLogCore:
+    def test_pow_every_element(self, p, d):
+        ctx = ctx_new(p, d)
+        n = p * p - 1
+        for x in ctx.elements():
+            for e in (-n - 1, -ctx.dbar, -1, 0, 1, 2, ctx.dbar, n, n + 1):
+                if x.is_zero() and e < 0:
+                    with pytest.raises(errors.DivisionByZero):
+                        x ** e
+                    continue
+                r = x ** e
+                assert r == ref_pow(x, e), (x, e)
+                assert r.ctx is ctx
+
+    def test_is_square_is_euler(self, p, d):
+        ctx = ctx_new(p, d)
+        for x in ctx.elements():
+            assert is_square(x) == euler_is_square(x), x
+
+    def test_sqrt_is_least_root(self, p, d):
+        ctx = ctx_new(p, d)
+        roots = least_roots(ctx)
+        for x in ctx.elements():
+            if x.key in roots:
+                r = sqrt(x)
+                assert r == roots[x.key] and r.ctx is ctx, x
+            else:
+                with pytest.raises(errors.NotASquare):
+                    sqrt(x)
+
+    def test_apply_row_matches_powers(self, p, d):
+        ctx = ctx_new(p, d)
+        roots = least_roots(ctx)
+        rng = random.Random(p * 100 + d)
+        outcomes = set()
+        for _ in range(12):
+            quad = tuple(ctx.from_index(rng.randrange(1, p * p)) for _ in range(4))
+            for row in table1.ROWS:
+                try:
+                    want = ref_apply_row(row, quad, roots)
+                except errors.NeedsExtension as exc:
+                    with pytest.raises(errors.NeedsExtension) as got:
+                        table1.apply_row(row, quad)
+                    assert str(got.value) == str(exc)
+                    outcomes.add("extension")
+                    continue
+                got = table1.apply_row(row, quad)
+                assert got == want, (row[0], quad)
+                assert all(x.ctx is ctx for x in got)
+                outcomes.add("value")
+        assert outcomes == {"extension", "value"}
+
+
+def test_contexts_sharing_tables_keep_their_own_ctx(ctx13, ctx13d6):
+    # (13, 3) and (13, 6) share p and t, hence the log tables
+    assert ctx13.log_tables() is ctx13d6.log_tables()
+    for ctx in (ctx13, ctx13d6):
+        x = ctx.el(5, 7)
+        quad = Params4(ctx.el(2), ctx.el(3, 1), x, ctx.el(1, 4))
+        results = [x ** 5, x ** -2, sqrt(x * x), nu_of(force_nu(quad, x)).nu]
+        for row in table1.ROWS:
+            try:
+                results += table1.apply_row(row, quad.astuple())
+            except errors.NeedsExtension:
+                pass
+        assert len(results) > 4
+        assert all(r.ctx is ctx for r in results)
+
+
+def test_pickled_context_gives_equal_results(ctx13d6):
+    ctx2 = pickle.loads(pickle.dumps(ctx13d6))
+    rng = random.Random(5)
+    for _ in range(40):
+        k = rng.randrange(1, 13 * 13)
+        x, y = ctx13d6.from_index(k), ctx2.from_index(k)
+        assert x ** 7 == y ** 7 and x ** -3 == y ** -3
+        assert is_square(x) == is_square(y)
+        if is_square(x):
+            assert sqrt(x) == sqrt(y) and sqrt(y).ctx is ctx2
