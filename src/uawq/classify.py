@@ -18,7 +18,7 @@ from . import table1
 from .algebra import PairRep
 from .errors import BadRange, CapExceeded, DimensionMismatch, InvariantViolation, NoSolutionsInField
 from .field import FieldCtx, Fq2, poly_roots, quadratic_roots
-from .linalg import FMat, kernel, kron, rank, vstack
+from .linalg import FMat, check_int64, kernel, kron, rank, vstack
 from .modules import Params4, Params5, SeqData, build_W
 
 Quad = tuple[Fq2, Fq2, Fq2, Fq2]
@@ -147,9 +147,16 @@ def sign_flip4(quad: Quad) -> Quad:
 
 
 def canon_sign4(quad: Quad) -> Quad:
-    """Lexicographic minimum of the quadruple and its global sign flip."""
-    flipped = sign_flip4(quad)
-    return min(quad, flipped, key=lambda t: tuple(x.key for x in t))
+    """Lexicographic minimum of the quadruple and its global sign flip.
+
+    The two agree up to the first nonzero coordinate x and differ there, so
+    that coordinate decides: x.key against (-x).key.
+    """
+    p = quad[0].ctx.p
+    for x in quad:
+        if x.x0 or x.x1:
+            return quad if x.key < ((-x.x0) % p, (-x.x1) % p) else sign_flip4(quad)
+    return quad
 
 
 def canon_sign5(quint: Quint) -> Quint:
@@ -422,6 +429,12 @@ def burnside_irreducible(rep: PairRep) -> bool:
     Iterative closure with echelon reduction after every multiplication
     round; true iff the span reaches dimension n^2.  This is absolute
     irreducibility, unchanged under extension of the base field.
+
+    The echelon basis fills preallocated rows.  A new word is reduced only
+    against the basis rows whose pivot it touches, and a new basis row is
+    cleared only from the rows with a nonzero entry in its pivot column.  A
+    reduction sums at most n^2 products of (1+t)*p^2 each, so n^2*(1+t)*p^2
+    must fit in int64.
     """
     ctx = rep.ctx
     n = rep.n
@@ -429,48 +442,51 @@ def burnside_irreducible(rep: PairRep) -> bool:
         raise InvariantViolation(f"spanning oracle on a module of dimension {n}")
     p, t = ctx.p, ctx.t
     nn = n * n
+    check_int64(nn * (1 + t) * p * p, "spanning oracle reduction")
     a0, a1 = rep.A.arr[..., 0], rep.A.arr[..., 1]
     b0, b1 = rep.B.arr[..., 0], rep.B.arr[..., 1]
-    basis0 = np.zeros((0, nn), dtype=np.int64)
-    basis1 = np.zeros((0, nn), dtype=np.int64)
-    pivots: list[int] = []
+    basis0 = np.zeros((nn, nn), dtype=np.int64)
+    basis1 = np.zeros((nn, nn), dtype=np.int64)
+    pivots = np.zeros(nn, dtype=np.intp)
+    size = 0
     frontier: list[tuple[np.ndarray, np.ndarray]] = []
 
-    def insert(m0: np.ndarray, m1: np.ndarray) -> bool:
-        nonlocal basis0, basis1
+    def insert(m0: np.ndarray, m1: np.ndarray) -> None:
+        nonlocal size
         v0, v1 = m0.ravel() % p, m1.ravel() % p
-        if pivots:
-            c0, c1 = v0[pivots], v1[pivots]
-            if c0.any() or c1.any():
-                v0 = (v0 - (c0 @ basis0 + t * (c1 @ basis1))) % p
-                v1 = (v1 - (c0 @ basis1 + c1 @ basis0)) % p
-        nz = np.nonzero((v0 != 0) | (v1 != 0))[0]
+        c0, c1 = v0[pivots[:size]], v1[pivots[:size]]
+        used = np.flatnonzero(c0 | c1)
+        if used.size:
+            c0, c1, r0, r1 = c0[used], c1[used], basis0[used], basis1[used]
+            v0 = (v0 - (c0 @ r0 + t * (c1 @ r1))) % p
+            v1 = (v1 - (c0 @ r1 + c1 @ r0)) % p
+        nz = np.flatnonzero(v0 | v1)
         if nz.size == 0:
-            return False
+            return
         j = int(nz[0])
         inv = Fq2(ctx, int(v0[j]), int(v1[j])).inv()
-        w0 = (v0 * inv.x0 + t * (v1 * inv.x1)) % p
-        w1 = (v0 * inv.x1 + v1 * inv.x0) % p
-        if pivots:
-            e0, e1 = basis0[:, j].copy(), basis1[:, j].copy()
-            if e0.any() or e1.any():
-                basis0 = (basis0 - (np.outer(e0, w0) + t * np.outer(e1, w1))) % p
-                basis1 = (basis1 - (np.outer(e0, w1) + np.outer(e1, w0))) % p
-        basis0 = np.vstack([basis0, w0])
-        basis1 = np.vstack([basis1, w1])
-        pivots.append(j)
+        s0, s1 = v0[j:], v1[j:]
+        w0 = (s0 * inv.x0 + t * (s1 * inv.x1)) % p
+        w1 = (s0 * inv.x1 + s1 * inv.x0) % p
+        hit = np.flatnonzero(basis0[:size, j] | basis1[:size, j])
+        if hit.size:
+            e0, e1 = basis0[hit, j, None], basis1[hit, j, None]
+            basis0[hit, j:] = (basis0[hit, j:] - (e0 * w0 + t * (e1 * w1))) % p
+            basis1[hit, j:] = (basis1[hit, j:] - (e0 * w1 + e1 * w0)) % p
+        basis0[size, j:], basis1[size, j:] = w0, w1
+        pivots[size] = j
+        size += 1
         frontier.append((v0.reshape(n, n), v1.reshape(n, n)))
-        return True
 
     eye = np.eye(n, dtype=np.int64)
     insert(eye, np.zeros((n, n), dtype=np.int64))
-    while frontier and len(pivots) < nn:
+    while frontier and size < nn:
         w0, w1 = frontier.pop()
         for g0, g1 in ((a0, a1), (b0, b1)):
             m0 = (g0 @ w0 + t * (g1 @ w1)) % p
             m1 = (g0 @ w1 + g1 @ w0) % p
             insert(m0, m1)
-    return len(pivots) == nn
+    return size == nn
 
 
 def intertwiner(rep_x: PairRep, rep_y: PairRep) -> FMat | None:

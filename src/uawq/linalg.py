@@ -173,35 +173,52 @@ def is_scalar_matrix(m: FMat) -> Fq2 | None:
 # echelon forms, rank, kernel
 
 
+def check_int64(bound: int, what: str) -> None:
+    """Raise InvariantViolation when an accumulation bound leaves int64."""
+    if bound >= 2**63:
+        raise InvariantViolation(f"{what} sums up to {bound}, beyond int64")
+
+
 def rref(m: FMat) -> tuple[FMat, tuple[int, ...]]:
-    """Reduced row echelon form and its pivot columns."""
+    """Reduced row echelon form and its pivot columns.
+
+    A pivot at (r, c) changes only the rows with a nonzero entry in column c,
+    and only in columns >= c, since the pivot row is zero left of c.  Each
+    updated entry is x - (f0 y0 + t f1 y1) with every factor in [0, p), so
+    its magnitude stays below (1+t)*p^2, which must fit in int64.
+    """
     ctx = m.ctx
     p, t = ctx.p, ctx.t
-    a = m.arr.copy()
+    check_int64((1 + t) * p * p, "rref row update")
+    a0 = m.arr[..., 0].copy()
+    a1 = m.arr[..., 1].copy()
     rows, cols = m.shape
     pivots: list[int] = []
     r = 0
     for c in range(cols):
         if r == rows:
             break
-        nz = np.nonzero((a[r:, c, 0] != 0) | (a[r:, c, 1] != 0))[0]
+        nz = np.flatnonzero(a0[r:, c] | a1[r:, c])
         if nz.size == 0:
             continue
         i = r + int(nz[0])
         if i != r:
-            a[[r, i]] = a[[i, r]]
-        piv = Fq2(ctx, int(a[r, c, 0]), int(a[r, c, 1])).inv()
-        a[r, :, 0], a[r, :, 1] = _mul_parts(a[r, :, 0], a[r, :, 1], piv.x0, piv.x1, p, t)
-        f0, f1 = a[:, c, 0].copy(), a[:, c, 1].copy()
-        f0[r] = 0
-        f1[r] = 0
-        s0 = np.outer(f0, a[r, :, 0]) + t * np.outer(f1, a[r, :, 1])
-        s1 = np.outer(f0, a[r, :, 1]) + np.outer(f1, a[r, :, 0])
-        a[:, :, 0] = (a[:, :, 0] - s0) % p
-        a[:, :, 1] = (a[:, :, 1] - s1) % p
+            a0[[r, i]] = a0[[i, r]]
+            a1[[r, i]] = a1[[i, r]]
+        piv = Fq2(ctx, int(a0[r, c]), int(a1[r, c])).inv()
+        w0, w1 = _mul_parts(a0[r, c:], a1[r, c:], piv.x0, piv.x1, p, t)
+        # The rows to clear include row r itself, which the update zeroes
+        # (a_r - a_rc * a_r / a_rc) before the scaled row is written back.
+        hit = np.flatnonzero(a0[:, c] | a1[:, c])
+        f0, f1 = a0[hit, c, None], a1[hit, c, None]
+        a0[hit, c:] = (a0[hit, c:] - (f0 * w0 + t * (f1 * w1))) % p
+        a1[hit, c:] = (a1[hit, c:] - (f0 * w1 + f1 * w0)) % p
+        a0[r, c:], a1[r, c:] = w0, w1
         pivots.append(c)
         r += 1
-    return FMat(ctx, a), tuple(pivots)
+    red = np.stack([a0, a1], axis=-1)
+    del a0, a1  # FMat copies red while reducing it; free the components first
+    return FMat(ctx, red), tuple(pivots)
 
 
 def rank(m: FMat) -> int:
@@ -210,17 +227,13 @@ def rank(m: FMat) -> int:
 
 def kernel(m: FMat) -> FMat:
     """Columns form a basis of the right kernel {v : m v = 0}."""
-    ctx = m.ctx
     red, pivots = rref(m)
     cols = m.ncols
     free = [c for c in range(cols) if c not in pivots]
     basis = np.zeros((cols, len(free), 2), dtype=np.int64)
-    for k, fc in enumerate(free):
-        basis[fc, k, 0] = 1
-        for r, pc in enumerate(pivots):
-            basis[pc, k, 0] = (-red.arr[r, fc, 0]) % ctx.p
-            basis[pc, k, 1] = (-red.arr[r, fc, 1]) % ctx.p
-    return FMat(ctx, basis)
+    basis[list(pivots)] = -red.arr[: len(pivots)][:, free]
+    basis[free, range(len(free)), 0] = 1
+    return FMat(m.ctx, basis)
 
 
 def hstack(mats: Sequence[FMat]) -> FMat:

@@ -1,6 +1,8 @@
+import itertools
 import json
 import random
 
+import numpy as np
 import pytest
 
 from uawq import errors, table1
@@ -29,6 +31,7 @@ from uawq.classify import (
     solve_feasible,
     z2cubed_orbit,
 )
+from uawq.field import Fq2, ctx_new
 from uawq.linalg import FMat, hstack, rank
 from uawq.modules import Params4, Params5, SeqData, build_Vn, build_W
 
@@ -128,6 +131,16 @@ class TestZ2Cubed:
                 for ec in (1, -1):
                     want.add((a ** ea, b ** eb, c ** ec))
         assert z2cubed_orbit(a, b, c) == want
+
+
+def test_canon_sign4_is_the_lex_min_of_a_quad_and_its_flip(ctx13):
+    # coordinates from zero, both signs of a base-field and a sqrt(t) value,
+    # and a mixed one, so leading zeros and every sign pattern occur
+    vals = [ctx13.zero, ctx13.el(3), ctx13.el(10), ctx13.el(0, 4), ctx13.el(0, 9), ctx13.el(6, 2)]
+    for quad in itertools.product(vals, repeat=4):
+        flipped = tuple(-x for x in quad)
+        want = min(quad, flipped, key=lambda q: tuple(x.key for x in q))
+        assert quad_key(canon_sign4(quad)) == quad_key(want)
 
 
 class TestS4Orbit:
@@ -432,6 +445,54 @@ class TestIrrW:
             assert irr_W_criterion(Params5(*img, nd)) == val
 
 
+def ref_span_dim(rep):
+    """Dimension of the span the spanning oracle closes, by the vstack closure it
+    replaced: every insert reduces against and updates every basis row."""
+    ctx = rep.ctx
+    n = rep.n
+    p, t = ctx.p, ctx.t
+    nn = n * n
+    a0, a1 = rep.A.arr[..., 0], rep.A.arr[..., 1]
+    b0, b1 = rep.B.arr[..., 0], rep.B.arr[..., 1]
+    basis0 = np.zeros((0, nn), dtype=np.int64)
+    basis1 = np.zeros((0, nn), dtype=np.int64)
+    pivots = []
+    frontier = []
+
+    def insert(m0, m1):
+        nonlocal basis0, basis1
+        v0, v1 = m0.ravel() % p, m1.ravel() % p
+        if pivots:
+            c0, c1 = v0[pivots], v1[pivots]
+            if c0.any() or c1.any():
+                v0 = (v0 - (c0 @ basis0 + t * (c1 @ basis1))) % p
+                v1 = (v1 - (c0 @ basis1 + c1 @ basis0)) % p
+        nz = np.nonzero((v0 != 0) | (v1 != 0))[0]
+        if nz.size == 0:
+            return
+        j = int(nz[0])
+        inv = Fq2(ctx, int(v0[j]), int(v1[j])).inv()
+        w0 = (v0 * inv.x0 + t * (v1 * inv.x1)) % p
+        w1 = (v0 * inv.x1 + v1 * inv.x0) % p
+        if pivots:
+            e0, e1 = basis0[:, j].copy(), basis1[:, j].copy()
+            if e0.any() or e1.any():
+                basis0 = (basis0 - (np.outer(e0, w0) + t * np.outer(e1, w1))) % p
+                basis1 = (basis1 - (np.outer(e0, w1) + np.outer(e1, w0))) % p
+        basis0 = np.vstack([basis0, w0])
+        basis1 = np.vstack([basis1, w1])
+        pivots.append(j)
+        frontier.append((v0.reshape(n, n), v1.reshape(n, n)))
+
+    eye = np.eye(n, dtype=np.int64)
+    insert(eye, np.zeros((n, n), dtype=np.int64))
+    while frontier and len(pivots) < nn:
+        w0, w1 = frontier.pop()
+        for g0, g1 in ((a0, a1), (b0, b1)):
+            insert((g0 @ w0 + t * (g1 @ w1)) % p, (g0 @ w1 + g1 @ w0) % p)
+    return len(pivots)
+
+
 class TestBurnside:
     def test_one_dimensional(self, ctx13):
         rep = build_Vn(ctx13.el(2), ctx13.el(3), ctx13.el(4), 0)
@@ -457,6 +518,37 @@ class TestBurnside:
             stacked = hstack([FMat(ctx13, m.arr.reshape(n * n, 1, 2)) for m in mats])
             full = rank(stacked) == n * n
             assert burnside_irreducible(rep) == full
+
+    def test_matches_vstack_closure_on_a_p7_chunk(self):
+        # every case of the a=1 chunk of the exhaustive W sweep at p=7
+        ctx = ctx_new(7, 3)
+        dims = set()
+        for b, c, lam, delta in itertools.product(range(1, 7), range(1, 7), range(1, 7), range(7)):
+            rep = build_W(Params5(*(ctx.el(x) for x in (1, b, c, lam, delta))))
+            dim = ref_span_dim(rep)
+            dims.add(dim)
+            assert burnside_irreducible(rep) == (dim == 9), (b, c, lam, delta)
+        assert {5, 6, 7, 9} <= dims
+
+    @pytest.mark.parametrize("p,d,count", [(13, 3, 40), (29, 28, 3)])
+    def test_matches_vstack_closure_on_seeded_w(self, p, d, count):
+        # each draw, and its delta=0, lam=1 variant, which is reducible
+        ctx, rng = ctx_new(p, d), random.Random(p)
+        seen = set()
+        for _ in range(count):
+            p5 = sample_quintuple(ctx, rng)
+            for params in (p5, Params5(p5.a, p5.b, p5.c, ctx.one, ctx.zero)):
+                rep = build_W(params)
+                full = ref_span_dim(rep) == rep.n ** 2
+                assert burnside_irreducible(rep) == full
+                seen.add(full)
+        assert seen == {False, True}
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_matches_vstack_closure_on_vn(self, ctx13, rng, n):
+        for _ in range(40):
+            rep = build_Vn(*sample_triple(ctx13, rng), n)
+            assert burnside_irreducible(rep) == (ref_span_dim(rep) == rep.n ** 2)
 
 
 class TestIntertwiner:

@@ -1,7 +1,10 @@
+import random
+
+import numpy as np
 import pytest
 
 from uawq.errors import DimensionMismatch
-from uawq.field import poly_from_roots
+from uawq.field import Fq2, ctx_new, poly_from_roots
 from uawq.linalg import (
     FMat,
     char_poly,
@@ -145,3 +148,83 @@ def test_commutator_and_krylov(ctx13, rng):
     assert commutator(m, m).is_zero()
     v = rand_mat(ctx13, rng, 3, 1)
     assert 0 <= krylov_span_dim(m, v) <= 3
+
+
+def ref_rref(m):
+    """The full-sweep elimination: every pivot updates every entry of the matrix."""
+    ctx = m.ctx
+    p, t = ctx.p, ctx.t
+    a = m.arr.copy()
+    rows, cols = m.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.nonzero((a[r:, c, 0] != 0) | (a[r:, c, 1] != 0))[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            a[[r, i]] = a[[i, r]]
+        piv = Fq2(ctx, int(a[r, c, 0]), int(a[r, c, 1])).inv()
+        a[r, :, 0], a[r, :, 1] = ((a[r, :, 0] * piv.x0 + t * (a[r, :, 1] * piv.x1)) % p,
+                                  (a[r, :, 0] * piv.x1 + a[r, :, 1] * piv.x0) % p)
+        f0, f1 = a[:, c, 0].copy(), a[:, c, 1].copy()
+        f0[r] = 0
+        f1[r] = 0
+        s0 = np.outer(f0, a[r, :, 0]) + t * np.outer(f1, a[r, :, 1])
+        s1 = np.outer(f0, a[r, :, 1]) + np.outer(f1, a[r, :, 0])
+        a[:, :, 0] = (a[:, :, 0] - s0) % p
+        a[:, :, 1] = (a[:, :, 1] - s1) % p
+        pivots.append(c)
+        r += 1
+    return FMat(ctx, a), tuple(pivots)
+
+
+def ref_kernel(m):
+    """Kernel basis filled entry by entry from ref_rref."""
+    red, pivots = ref_rref(m)
+    free = [c for c in range(m.ncols) if c not in pivots]
+    basis = np.zeros((m.ncols, len(free), 2), dtype=np.int64)
+    for k, fc in enumerate(free):
+        basis[fc, k, 0] = 1
+        for r, pc in enumerate(pivots):
+            basis[pc, k, 0] = (-red.arr[r, fc, 0]) % m.ctx.p
+            basis[pc, k, 1] = (-red.arr[r, fc, 1]) % m.ctx.p
+    return FMat(m.ctx, basis)
+
+
+def sparse_mat(ctx, rng, r, c, density):
+    return FMat.from_entries(ctx, [
+        [ctx.from_index(rng.randrange(1, ctx.p ** 2)) if rng.random() < density else ctx.zero
+         for _ in range(c)] for _ in range(r)])
+
+
+def shaped_cases(ctx, rng):
+    for _ in range(3):
+        yield "tall", rand_mat(ctx, rng, 9, 4)
+        yield "wide", rand_mat(ctx, rng, 4, 9)
+        yield "square", rand_mat(ctx, rng, 6, 6)
+        yield "one row", rand_mat(ctx, rng, 1, 6)
+        yield "one column", rand_mat(ctx, rng, 6, 1)
+        yield "sparse", sparse_mat(ctx, rng, 10, 8, 0.25)
+        k = rng.randrange(1, 4)
+        yield "rank-deficient", rand_mat(ctx, rng, 7, k) @ rand_mat(ctx, rng, k, 8)
+    yield "zero", FMat.zeros(ctx, 5, 7)
+
+
+@pytest.mark.parametrize("p,d", [(3, 8), (13, 3), (29, 28)])
+def test_rref_rank_kernel_match_full_sweep(p, d):
+    ctx = ctx_new(p, d)
+    for name, m in shaped_cases(ctx, random.Random(p)):
+        before = m.arr.copy()
+        red, piv = rref(m)
+        want_red, want_piv = ref_rref(m)
+        assert (red, piv) == (want_red, want_piv), name
+        assert rank(m) == len(want_piv), name
+        k = kernel(m)
+        assert k == ref_kernel(m), name
+        assert (m @ k).is_zero(), name
+        assert k.ncols == m.ncols - len(piv), name
+        assert np.array_equal(m.arr, before), name

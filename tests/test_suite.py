@@ -10,12 +10,15 @@ import pytest
 from conftest import force_nu
 
 import uawq
-from uawq import classify, suite
-from uawq.classify import (Target, classify_sample, feasible_target, sample_quadruple,
-                           sample_quintuple, s4_orbit, simeq_closure)
+from uawq import classify, suite, table1
+from uawq.classify import (Target, classify_sample, delta_shift, feasible_target, intertwiner,
+                           orbit_image, sample_quadruple, sample_quintuple, s4_orbit,
+                           simeq_closure)
+from uawq.cli import main
 from uawq.errors import NuOutsideField
 from uawq.field import ctx_new
-from uawq.modules import nu_of
+from uawq.linalg import FMat, kron, rref, vstack
+from uawq.modules import Params5, build_W, nu_of
 from uawq.suite import report_bytes, run_suite
 
 # SHA-256 of the newline-joined run_suite(13, 3, seed, "smoke") lines (seeds 0
@@ -100,6 +103,73 @@ def test_nu_is_golden_at_41():
     assert got == NU_41
 
 
+def image_pair(ctx, rng):
+    """A drawn W module and the module of a drawn row image with the delta that
+    keeps it in the same class, as the large_module benchmark pairs them."""
+    p5 = sample_quintuple(ctx, rng)
+    row = table1.ROWS[rng.randrange(len(table1.ROWS))]
+    return build_W(p5), build_W(Params5(*orbit_image(row, p5.quadruple.astuple(), delta_shift(p5))))
+
+
+def intertwiner_system(rep_x, rep_y):
+    """The stacked Kronecker system whose kernel intertwiner reads."""
+    ident = FMat.identity(rep_x.ctx, rep_x.n)
+    return vstack([kron(ident, rep_x.A.transpose()) - kron(rep_y.A, ident),
+                   kron(ident, rep_x.B.transpose()) - kron(rep_y.B, ident)])
+
+
+# Recorded before the sparse-aware elimination: intertwiner on eight
+# image_pair draws from random.Random(11) at (29, 28) (392x196 systems) ...
+INTERTWINER_29_SHA256 = [
+    "205253434695a3ea8578247f252eeabc61b5d2b452849c70049f72961fa0a54c",
+    "a22545191a5e2a7c273bd9a75e2e1ba822915d9097c4d6c1f622aa809845ba9a",
+    "8ea4d364db0f26c7d2c2109546b65cda711e11d79f0d0a51131ef3fe590c14c4",
+    "e466a1f24110c3c8e1d5f03141237fdb5c5a7a22f35b6243e8f61608fe088cdf",
+    "1c332a1c37492cafc88a714bf09ebe79837668cf0db692857d09dd35b87601b9",
+    "5d6080656a5183b8eb4ad789b507ab1abfe3c1f85d23054713f61b624e141089",
+    "6f394a4807c907beeb9c1ab2f353829bd53247995fba889184802d272fe63364",
+    "d07b51e7b9279f76146f485ac0a25ead7cc2dc142e9e3121f439adef0cb1a9de",
+]
+# ... rref of the 800x400 systems of two draws from random.Random(12) at (41, 40),
+# as [matrix JSON, pivots] ...
+RREF_41_SHA256 = [
+    "1093e2f70c885763dabb83010f08656ecbab75362f0484beb95e0e407e94e8a1",
+    "9b0dbb0c173e7fc6dd69907ff9856d0855b98e084f1be8ccf2b5012e3d008fad",
+]
+# ... and the stdout of `uawq irr w` at (29, 28) on a reducible and an
+# irreducible quintuple.
+IRR_29_STDOUT = {
+    "2,3,5,1,0": "criterion=False oracle=False agree=True\n",
+    "2,3,5,7,1": "criterion=True oracle=True agree=True\n",
+}
+
+
+def test_intertwiners_are_golden_at_29():
+    ctx, rng = ctx_new(29, 28), random.Random(11)
+    got = []
+    for _ in range(8):
+        s = intertwiner(*image_pair(ctx, rng))
+        got.append(sha(None if s is None else s.to_json()))
+    assert got == INTERTWINER_29_SHA256
+
+
+def test_intertwiner_systems_reduce_golden_at_41():
+    ctx, rng = ctx_new(41, 40), random.Random(12)
+    got = []
+    for _ in range(2):
+        m = intertwiner_system(*image_pair(ctx, rng))
+        assert m.shape == (800, 400)
+        red, piv = rref(m)
+        got.append(sha([red.arr.tolist(), list(piv)]))  # the to_json() nesting
+    assert got == RREF_41_SHA256
+
+
+@pytest.mark.parametrize("params", sorted(IRR_29_STDOUT))
+def test_irr_stdout_is_golden_at_29(capsys, params):
+    assert main(["irr", "w", "--p", "29", "--d", "28", "--params", params]) == 0
+    assert capsys.readouterr().out == IRR_29_STDOUT[params]
+
+
 def test_feasible_case_rejects_a_corrupted_target(monkeypatch, ctx13):
     # A wrong phi formula in feasible_target, seen by every caller: comparing
     # the read-off target with itself cannot notice it, the solver's
@@ -167,3 +237,32 @@ else:
 def test_nudata_invariant_holds_under_optimize():
     (line,) = run_optimized(NUDATA_WRONG_ROOT)
     assert line.startswith("InvariantViolation nu=2 does not solve")
+
+
+# A context whose p and t overflow both accumulation bounds, (1+t)*p^2 and
+# n^2*(1+t)*p^2; each guard must fire before anything is allocated or reduced.
+HUGE_P_GUARDS = """
+from types import SimpleNamespace
+from uawq.classify import burnside_irreducible
+from uawq.errors import UawqError
+from uawq.field import ctx_new
+from uawq.linalg import FMat, rref
+from uawq.modules import build_W
+huge = SimpleNamespace(p=2**31 - 1, t=7)
+m = FMat.identity(ctx_new(13, 3), 2)
+m.ctx = huge
+rep = SimpleNamespace(ctx=huge, n=2, A=m, B=m)
+for call in (lambda: rref(m), lambda: burnside_irreducible(rep)):
+    try:
+        call()
+    except UawqError as exc:
+        print(type(exc).__name__, exc)
+    else:
+        print("no error")
+"""
+
+
+def test_int64_guards_hold_under_optimize():
+    rref_line, oracle_line = run_optimized(HUGE_P_GUARDS)
+    assert rref_line.startswith("InvariantViolation rref row update sums up to")
+    assert oracle_line.startswith("InvariantViolation spanning oracle reduction sums up to")
