@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -487,6 +488,106 @@ def burnside_irreducible(rep: PairRep) -> bool:
             m1 = (g0 @ w1 + g1 @ w0) % p
             insert(m0, m1)
     return size == nn
+
+
+# Bases of the cases run in lockstep at once, in bytes; larger batches run
+# in groups, so that high-dimensional modules cannot exhaust memory.
+LOCKSTEP_BYTES = 1 << 23
+
+
+def burnside_irreducible_many(reps: Sequence[PairRep]) -> list[bool]:
+    """``burnside_irreducible`` of each module, run in lockstep on a leading
+    case axis; all modules share one dimension and the field of the first.
+
+    Every case keeps an echelon basis of shape (n^2, n^2) and a queue of the
+    basis rows whose products with A and B are still to be inserted.  Each
+    step takes the next row of every live case, multiplies it by A and by B
+    for all of them at once, and reduces the products against the union of
+    the basis rows that any of them touches.  A case stops when its queue is
+    empty or its span reaches n^2, and leaves the arrays.  A queued row may
+    since have been cleared by later pivots; it then differs from the word
+    inserted there by later rows, which are queued too, so the span closes
+    on the same algebra and each verdict is the single-module one.  The
+    int64 bound is the single oracle's, n^2*(1+t)*p^2.
+    """
+    if not reps:
+        return []
+    n = reps[0].n
+    if any(rep.n != n for rep in reps):
+        raise DimensionMismatch(f"modules of dimensions {sorted({rep.n for rep in reps})}")
+    if n < 1:
+        raise InvariantViolation(f"spanning oracle on a module of dimension {n}")
+    p, t = reps[0].ctx.p, reps[0].ctx.t
+    nn = n * n
+    check_int64(nn * (1 + t) * p * p, "spanning oracle reduction")
+    group = max(1, LOCKSTEP_BYTES // (16 * nn * nn))
+    if len(reps) > group:
+        return [verdict for k in range(0, len(reps), group)
+                for verdict in burnside_irreducible_many(reps[k:k + group])]
+
+    def mul(x0, x1, y0, y1, op=np.multiply):
+        # component arrays of (x0 + x1 s) * (y0 + y1 s) with s^2 = t
+        return (op(x0, y0) + t * op(x1, y1)) % p, (op(x0, y1) + op(x1, y0)) % p
+
+    inv_p = np.array([pow(x, -1, p) if x else 0 for x in range(p)], dtype=np.int64)
+    cases = len(reps)
+    verdict = np.zeros(cases, dtype=bool)
+    # per live case: its index, generators (A or B, component, n, n), basis
+    # components, pivot columns, basis size and next queued row
+    order = np.arange(cases)
+    gens = np.moveaxis(np.array([(rep.A.arr, rep.B.arr) for rep in reps]), -1, 2)
+    basis0 = np.zeros((cases, nn, nn), dtype=np.int64)
+    basis1 = np.zeros((cases, nn, nn), dtype=np.int64)
+    basis0[:, 0] = np.eye(n, dtype=np.int64).ravel()
+    pivots = np.zeros((cases, nn), dtype=np.intp)
+    size = np.ones(cases, dtype=np.intp)
+    head = np.zeros(cases, dtype=np.intp)
+    cols = np.arange(nn)
+
+    def insert(v0: np.ndarray, v1: np.ndarray) -> None:
+        rows = np.arange(len(v0))
+        c0, c1 = (np.where(cols < size[:, None], v[rows[:, None], pivots], 0) for v in (v0, v1))
+        used = np.flatnonzero((c0 | c1).any(0))
+        if used.size:
+            r0, r1 = mul(c0[:, None, used], c1[:, None, used], basis0[:, used], basis1[:, used],
+                         np.matmul)
+            v0, v1 = (v0 - r0[:, 0]) % p, (v1 - r1[:, 0]) % p
+        nz = (v0 | v1) != 0
+        gain = np.flatnonzero(nz.any(1))
+        if not gain.size:
+            return
+        # a case without gain has x = 0, so its normalised row w is zero
+        j = nz.argmax(1)
+        x0, x1 = v0[rows, j, None], v1[rows, j, None]
+        ninv = inv_p[(x0 * x0 - t * (x1 * x1)) % p]
+        w0, w1 = mul(v0, v1, x0 * ninv % p, -x1 * ninv % p)
+        e0, e1 = basis0[rows, :, j], basis1[rows, :, j]
+        hit = np.flatnonzero((e0 | e1).any(0))
+        if hit.size:
+            d0, d1 = mul(e0[:, hit, None], e1[:, hit, None], w0[:, None], w1[:, None])
+            basis0[:, hit] = (basis0[:, hit] - d0) % p
+            basis1[:, hit] = (basis1[:, hit] - d1) % p
+        at = size[gain]
+        basis0[gain, at], basis1[gain, at] = w0[gain], w1[gain]
+        pivots[gain, at] = j[gain]
+        size[gain] += 1
+
+    while True:
+        done = (head == size) | (size == nn)
+        verdict[order[done]] = size[done] == nn
+        if done.all():
+            return verdict.tolist()
+        if done.any():
+            keep = ~done
+            order, gens, basis0, basis1, pivots, size, head = (
+                x[keep] for x in (order, gens, basis0, basis1, pivots, size, head))
+        rows = np.arange(len(order))
+        w0 = basis0[rows, head].reshape(-1, n, n)
+        w1 = basis1[rows, head].reshape(-1, n, n)
+        head += 1
+        for g in range(2):
+            m0, m1 = mul(gens[:, g, 0], gens[:, g, 1], w0, w1, np.matmul)
+            insert(m0.reshape(-1, nn), m1.reshape(-1, nn))
 
 
 def intertwiner(rep_x: PairRep, rep_y: PairRep) -> FMat | None:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from typing import Sequence
 
 from .algebra import PairRep
 from .errors import (
@@ -137,9 +138,10 @@ class SeqData:
         return self.omega, self.omega_star, self.omega_eps
 
 
-def _pair_rep(s: SeqData, dim: int, corner: Fq2 | None = None) -> PairRep:
+def _pair_reps(s: SeqData, dim: int, corners: Sequence[Fq2 | None]) -> list[PairRep]:
     """theta / ones on A's diagonal and subdiagonal, theta_star / varphi on
-    B's diagonal and superdiagonal; ``corner`` goes to A[0, dim-1]."""
+    B's diagonal and superdiagonal; one module per entry of ``corners``,
+    which goes to A[0, dim-1] unless it is None.  The modules share B."""
     ctx = s.ctx
     amat = FMat.zeros(ctx, dim, dim).arr.copy()
     bmat = amat.copy()
@@ -152,9 +154,13 @@ def _pair_rep(s: SeqData, dim: int, corner: Fq2 | None = None) -> PairRep:
         if i >= 1:
             ph = s.varphi(i)
             bmat[i - 1, i] = (ph.x0, ph.x1)
-    if corner is not None:
-        amat[0, dim - 1] = (corner.x0, corner.x1)
-    return PairRep(ctx, FMat(ctx, amat), FMat(ctx, bmat), *s.scalars())
+    bfmat = FMat(ctx, bmat)
+    out = []
+    for corner in corners:
+        if corner is not None:
+            amat[0, dim - 1] = (corner.x0, corner.x1)
+        out.append(PairRep(ctx, FMat(ctx, amat), bfmat, *s.scalars()))
+    return out
 
 
 def build_Vn(a: Fq2, b: Fq2, c: Fq2, n: int) -> PairRep:
@@ -162,12 +168,18 @@ def build_Vn(a: Fq2, b: Fq2, c: Fq2, n: int) -> PairRep:
     ctx = a.ctx
     if not 0 <= n <= ctx.dbar - 2:
         raise BadRange(f"n={n} outside [0, {ctx.dbar - 2}]")
-    return _pair_rep(SeqData(Params4(a, b, c, ctx.qpow(n))), n + 1)
+    return _pair_reps(SeqData(Params4(a, b, c, ctx.qpow(n))), n + 1, [None])[0]
 
 
 def build_W(params: Params5) -> PairRep:
     """The dbar-dimensional cyclic quotient with corner entry delta."""
-    return _pair_rep(SeqData(params.quadruple), params.ctx.dbar, params.delta)
+    return build_W_corners(params.quadruple, [params.delta])[0]
+
+
+def build_W_corners(quad: Params4, deltas: Sequence[Fq2]) -> list[PairRep]:
+    """``build_W`` of the quadruple at each corner entry delta.  The modules
+    differ only in that entry, so the sequences are evaluated once."""
+    return _pair_reps(SeqData(quad), quad.ctx.dbar, deltas)
 
 
 def dump_module(rep: PairRep, params: Params4 | Params5, n: int | None = None) -> dict:

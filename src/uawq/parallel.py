@@ -11,13 +11,22 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Sequence, TypeVar
 
+from .errors import BadRange
+
 T = TypeVar("T")
 R = TypeVar("R")
 
 
 def worker_count(requested: int | None = None) -> int:
+    """The requested worker count capped by UAWQ_THREADS, else by the CPU count."""
     cap = os.environ.get("UAWQ_THREADS")
-    limit = int(cap) if cap else (os.cpu_count() or 1)
+    if cap:
+        try:
+            limit = int(cap)
+        except ValueError:
+            raise BadRange(f"UAWQ_THREADS={cap!r} is not an integer") from None
+    else:
+        limit = os.cpu_count() or 1
     if requested is None:
         requested = limit
     return max(1, min(requested, limit))

@@ -17,12 +17,14 @@ from __future__ import annotations
 import json
 import random
 from functools import partial
+from itertools import product
 from typing import Callable, NamedTuple
 
 from . import table1
 from .algebra import PairRep, central_elements_check, vee, verify_rep
 from .classify import (
     burnside_irreducible,
+    burnside_irreducible_many,
     canon_sign4,
     canon_sign5,
     classify_sample,
@@ -56,6 +58,7 @@ from .modules import (
     SeqData,
     build_Vn,
     build_W,
+    build_W_corners,
     char_poly_fast,
     check_W_universal,
     closed_form_case,
@@ -625,20 +628,50 @@ def check_irr_w(ctx, rng, n, exhaustive=False):
 # --- exhaustive grids (shared with the acceptance tests) --------------------
 
 
-def w_grid_chunk(args: tuple[int, int, int]) -> list[tuple]:
-    """All (a, b, c, lam, delta) mismatches for one a-value; entries in F_p."""
+def _grid_chunk(args: tuple[int, int, int], slice_cases: Callable) -> list[tuple]:
+    """The mismatching cases of one a-value, in grid order.
+
+    ``slice_cases(ctx, a, b)`` lists the (case, criterion verdict, module)
+    triples of one b-value.  Each slice is judged by the batch oracle, one
+    batch per module dimension, so memory stays at one slice.
+    """
     p, d, a_val = args
     ctx = ctx_new(p, d)
     mism = []
-    units = range(1, p)
-    for b in units:
-        for c in units:
-            for lam in units:
-                for delta in range(p):
-                    p5 = Params5(ctx.el(a_val), ctx.el(b), ctx.el(c), ctx.el(lam), ctx.el(delta))
-                    if irr_W_criterion(p5) != burnside_irreducible(build_W(p5)):
-                        mism.append((a_val, b, c, lam, delta))
+    for b in range(1, p):
+        cases, crit, reps = zip(*slice_cases(ctx, a_val, b))
+        orac = [False] * len(reps)
+        for dim in {rep.n for rep in reps}:
+            same = [i for i, rep in enumerate(reps) if rep.n == dim]
+            for i, verdict in zip(same, burnside_irreducible_many([reps[i] for i in same])):
+                orac[i] = verdict
+        mism += [case for case, c, o in zip(cases, crit, orac) if c != o]
     return mism
+
+
+def _w_slice(ctx: FieldCtx, a_val: int, b: int) -> list[tuple]:
+    p = ctx.p
+    deltas = [ctx.el(delta) for delta in range(p)]
+    out = []
+    for c, lam in product(range(1, p), range(1, p)):
+        quad = Params4(ctx.el(a_val), ctx.el(b), ctx.el(c), ctx.el(lam))
+        for delta, rep in enumerate(build_W_corners(quad, deltas)):
+            p5 = Params5(*quad.astuple(), deltas[delta])
+            out.append(((a_val, b, c, lam, delta), irr_W_criterion(p5), rep))
+    return out
+
+
+def _vn_slice(ctx: FieldCtx, a_val: int, b: int) -> list[tuple]:
+    out = []
+    for c, n in product(range(1, ctx.p), range(min(2, ctx.dbar - 1))):
+        ta, tb, tc = ctx.el(a_val), ctx.el(b), ctx.el(c)
+        out.append(((a_val, b, c, n), irr_Vn_criterion(ta, tb, tc, n), build_Vn(ta, tb, tc, n)))
+    return out
+
+
+def w_grid_chunk(args: tuple[int, int, int]) -> list[tuple]:
+    """All (a, b, c, lam, delta) mismatches for one a-value; entries in F_p."""
+    return _grid_chunk(args, _w_slice)
 
 
 def w_grid_sweep(p: int, d: int, workers: int | None = None) -> list[tuple]:
@@ -648,18 +681,8 @@ def w_grid_sweep(p: int, d: int, workers: int | None = None) -> list[tuple]:
 
 
 def vn_grid_chunk(args: tuple[int, int, int]) -> list[tuple]:
-    p, d, a_val = args
-    ctx = ctx_new(p, d)
-    mism = []
-    units = range(1, p)
-    for b in units:
-        for c in units:
-            for n in range(min(2, ctx.dbar - 1)):
-                ta, tb, tc = ctx.el(a_val), ctx.el(b), ctx.el(c)
-                if irr_Vn_criterion(ta, tb, tc, n) != burnside_irreducible(
-                        build_Vn(ta, tb, tc, n)):
-                    mism.append((a_val, b, c, n))
-    return mism
+    """All (a, b, c, n) mismatches for one a-value, n in {0, 1}."""
+    return _grid_chunk(args, _vn_slice)
 
 
 def vn_grid_sweep(p: int, d: int, workers: int | None = None) -> list[tuple]:

@@ -5,11 +5,12 @@ import random
 import numpy as np
 import pytest
 
-from uawq import errors, table1
+from uawq import classify, errors, table1
 from uawq.classify import (
     Target,
     approx_equiv,
     burnside_irreducible,
+    burnside_irreducible_many,
     canon_sign4,
     classify_sample,
     delta_shift,
@@ -519,36 +520,54 @@ class TestBurnside:
             full = rank(stacked) == n * n
             assert burnside_irreducible(rep) == full
 
-    def test_matches_vstack_closure_on_a_p7_chunk(self):
-        # every case of the a=1 chunk of the exhaustive W sweep at p=7
+    def test_matches_vstack_closure_on_a_p7_chunk(self, monkeypatch):
+        # every case of the a=1 chunk of the exhaustive W sweep at p=7: one
+        # by one, by the batch oracle in per-b slices, as one batch and as
+        # one batch run in lockstep groups of 100 cases
         ctx = ctx_new(7, 3)
-        dims = set()
-        for b, c, lam, delta in itertools.product(range(1, 7), range(1, 7), range(1, 7), range(7)):
-            rep = build_W(Params5(*(ctx.el(x) for x in (1, b, c, lam, delta))))
-            dim = ref_span_dim(rep)
-            dims.add(dim)
-            assert burnside_irreducible(rep) == (dim == 9), (b, c, lam, delta)
-        assert {5, 6, 7, 9} <= dims
+        reps = [build_W(Params5(*(ctx.el(x) for x in (1, b, c, lam, delta))))
+                for b, c, lam, delta in itertools.product(range(1, 7), range(1, 7), range(1, 7),
+                                                          range(7))]
+        dims = [ref_span_dim(rep) for rep in reps]
+        full = [dim == 9 for dim in dims]
+        assert [burnside_irreducible(rep) for rep in reps] == full
+        per_b = [burnside_irreducible_many(reps[k:k + 252]) for k in range(0, len(reps), 252)]
+        assert [v for verdicts in per_b for v in verdicts] == full
+        assert burnside_irreducible_many(reps) == full
+        monkeypatch.setattr(classify, "LOCKSTEP_BYTES", 100 * 16 * 9 * 9)
+        assert burnside_irreducible_many(reps) == full
+        assert {5, 6, 7, 9} <= set(dims)
 
     @pytest.mark.parametrize("p,d,count", [(13, 3, 40), (29, 28, 3)])
     def test_matches_vstack_closure_on_seeded_w(self, p, d, count):
-        # each draw, and its delta=0, lam=1 variant, which is reducible
+        # each draw and its delta=0, lam=1 variant, which is reducible, one by
+        # one and in one batch, where the variants finish at earlier steps
         ctx, rng = ctx_new(p, d), random.Random(p)
-        seen = set()
+        reps = []
         for _ in range(count):
             p5 = sample_quintuple(ctx, rng)
-            for params in (p5, Params5(p5.a, p5.b, p5.c, ctx.one, ctx.zero)):
-                rep = build_W(params)
-                full = ref_span_dim(rep) == rep.n ** 2
-                assert burnside_irreducible(rep) == full
-                seen.add(full)
-        assert seen == {False, True}
+            reps += [build_W(params) for params in (p5, Params5(p5.a, p5.b, p5.c, ctx.one, ctx.zero))]
+        full = [ref_span_dim(rep) == rep.n ** 2 for rep in reps]
+        assert [burnside_irreducible(rep) for rep in reps] == full
+        assert burnside_irreducible_many(reps) == full
+        assert set(full) == {False, True}
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_matches_vstack_closure_on_vn(self, ctx13, rng, n):
-        for _ in range(40):
-            rep = build_Vn(*sample_triple(ctx13, rng), n)
-            assert burnside_irreducible(rep) == (ref_span_dim(rep) == rep.n ** 2)
+        # 40 draws, then the Vn grid's a=2, b=3 slice, which has reducible
+        # modules of dimension 2; one by one and in one batch
+        reps = [build_Vn(*sample_triple(ctx13, rng), n) for _ in range(40)]
+        reps += [build_Vn(ctx13.el(2), ctx13.el(3), ctx13.el(c), n) for c in range(1, 13)]
+        full = [ref_span_dim(rep) == rep.n ** 2 for rep in reps]
+        assert [burnside_irreducible(rep) for rep in reps] == full
+        assert burnside_irreducible_many(reps) == full
+        assert set(full) == ({True} if n == 0 else {False, True})
+
+    def test_batch_of_nothing_and_of_mixed_dimensions(self, ctx13):
+        assert burnside_irreducible_many([]) == []
+        reps = [build_Vn(ctx13.el(2), ctx13.el(3), ctx13.el(4), n) for n in (0, 1)]
+        with pytest.raises(errors.DimensionMismatch):
+            burnside_irreducible_many(reps)
 
 
 class TestIntertwiner:

@@ -17,6 +17,7 @@ from uawq.modules import (
     SeqData,
     build_Vn,
     build_W,
+    build_W_corners,
     char_poly_fast,
     check_verma_universal,
     check_W_universal,
@@ -106,6 +107,16 @@ class TestBuildW:
         p5 = sample_quintuple(ctx13, rng)
         rep = build_W(p5)
         assert rep.A.entry(0, ctx13.dbar - 1) == p5.delta
+
+    def test_corners_match_one_build_each(self, ctx13, rng):
+        # every delta of one quadruple: later corners must not leak into
+        # earlier modules, which share all of A's other entries
+        quad = sample_quadruple(ctx13, rng)
+        deltas = [ctx13.el(x) for x in range(13)]
+        reps = build_W_corners(quad, deltas)
+        for delta, rep in zip(deltas, reps):
+            assert rep.A.entry(0, ctx13.dbar - 1) == delta
+            assert rep.dump() == build_W(Params5(*quad.astuple(), delta)).dump()
 
     def test_charpoly_A_delta_zero(self, ctx13, rng):
         p5 = Params5(*sample_quadruple(ctx13, rng).astuple(), ctx13.zero)

@@ -243,7 +243,7 @@ def test_nudata_invariant_holds_under_optimize():
 # n^2*(1+t)*p^2; each guard must fire before anything is allocated or reduced.
 HUGE_P_GUARDS = """
 from types import SimpleNamespace
-from uawq.classify import burnside_irreducible
+from uawq.classify import burnside_irreducible, burnside_irreducible_many
 from uawq.errors import UawqError
 from uawq.field import ctx_new
 from uawq.linalg import FMat, rref
@@ -252,7 +252,8 @@ huge = SimpleNamespace(p=2**31 - 1, t=7)
 m = FMat.identity(ctx_new(13, 3), 2)
 m.ctx = huge
 rep = SimpleNamespace(ctx=huge, n=2, A=m, B=m)
-for call in (lambda: rref(m), lambda: burnside_irreducible(rep)):
+for call in (lambda: rref(m), lambda: burnside_irreducible(rep),
+             lambda: burnside_irreducible_many([rep])):
     try:
         call()
     except UawqError as exc:
@@ -263,6 +264,28 @@ for call in (lambda: rref(m), lambda: burnside_irreducible(rep)):
 
 
 def test_int64_guards_hold_under_optimize():
-    rref_line, oracle_line = run_optimized(HUGE_P_GUARDS)
+    rref_line, oracle_line, batch_line = run_optimized(HUGE_P_GUARDS)
     assert rref_line.startswith("InvariantViolation rref row update sums up to")
     assert oracle_line.startswith("InvariantViolation spanning oracle reduction sums up to")
+    assert batch_line.startswith("InvariantViolation spanning oracle reduction sums up to")
+
+
+def test_grid_chunks_report_flipped_cases_in_grid_order(monkeypatch):
+    # Criteria that disagree with the oracle on exactly these cases: the
+    # mismatch lists must name them, in grid order, however the batch
+    # oracle's slices and dimension groups line verdicts up with cases.
+    w_flips = {(1, 1, 1, 1, 0), (1, 2, 1, 3, 4), (1, 2, 4, 3, 0), (1, 2, 4, 3, 1),
+               (1, 4, 4, 4, 4)}
+    vn_flips = {(1, 1, 1, 0), (1, 2, 1, 1), (1, 2, 3, 0), (1, 2, 3, 1), (1, 4, 4, 1)}
+    irr_w, irr_vn = suite.irr_W_criterion, suite.irr_Vn_criterion
+
+    def flipped_w(p5):
+        return irr_w(p5) != (tuple(x.x0 for x in p5.astuple()) in w_flips)
+
+    def flipped_vn(a, b, c, n):
+        return irr_vn(a, b, c, n) != ((a.x0, b.x0, c.x0, n) in vn_flips)
+
+    monkeypatch.setattr(suite, "irr_W_criterion", flipped_w)
+    monkeypatch.setattr(suite, "irr_Vn_criterion", flipped_vn)
+    assert suite.w_grid_chunk((5, 3, 1)) == sorted(w_flips)
+    assert suite.vn_grid_chunk((5, 3, 1)) == sorted(vn_flips)
