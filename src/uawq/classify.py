@@ -18,8 +18,8 @@ import numpy as np
 from . import table1
 from .algebra import PairRep
 from .errors import BadRange, CapExceeded, DimensionMismatch, InvariantViolation, NoSolutionsInField
-from .field import FieldCtx, Fq2, poly_roots, quadratic_roots
-from .linalg import FMat, check_int64, kernel, kron, rank, vstack
+from .field import FieldCtx, Fq2, mul_parts, poly_roots, quadratic_roots
+from .linalg import FMat, check_int64, kernel, kron, pivot_step, rank, vstack
 from .modules import Params4, Params5, SeqData, build_W
 
 Quad = tuple[Fq2, Fq2, Fq2, Fq2]
@@ -432,10 +432,9 @@ def burnside_irreducible(rep: PairRep) -> bool:
     irreducibility, unchanged under extension of the base field.
 
     The echelon basis fills preallocated rows.  A new word is reduced only
-    against the basis rows whose pivot it touches, and a new basis row is
-    cleared only from the rows with a nonzero entry in its pivot column.  A
-    reduction sums at most n^2 products of (1+t)*p^2 each, so n^2*(1+t)*p^2
-    must fit in int64.
+    against the basis rows whose pivot it touches, and becomes a basis row
+    by one ``pivot_step``.  A reduction sums at most n^2 products of
+    (1+t)*p^2 each, so n^2*(1+t)*p^2 must fit in int64.
     """
     ctx = rep.ctx
     n = rep.n
@@ -444,49 +443,35 @@ def burnside_irreducible(rep: PairRep) -> bool:
     p, t = ctx.p, ctx.t
     nn = n * n
     check_int64(nn * (1 + t) * p * p, "spanning oracle reduction")
-    a0, a1 = rep.A.arr[..., 0], rep.A.arr[..., 1]
-    b0, b1 = rep.B.arr[..., 0], rep.B.arr[..., 1]
     basis0 = np.zeros((nn, nn), dtype=np.int64)
     basis1 = np.zeros((nn, nn), dtype=np.int64)
     pivots = np.zeros(nn, dtype=np.intp)
     size = 0
     frontier: list[tuple[np.ndarray, np.ndarray]] = []
 
-    def insert(m0: np.ndarray, m1: np.ndarray) -> None:
+    def insert(v0: np.ndarray, v1: np.ndarray) -> None:
         nonlocal size
-        v0, v1 = m0.ravel() % p, m1.ravel() % p
         c0, c1 = v0[pivots[:size]], v1[pivots[:size]]
         used = np.flatnonzero(c0 | c1)
         if used.size:
-            c0, c1, r0, r1 = c0[used], c1[used], basis0[used], basis1[used]
-            v0 = (v0 - (c0 @ r0 + t * (c1 @ r1))) % p
-            v1 = (v1 - (c0 @ r1 + c1 @ r0)) % p
+            v0, v1 = mul_parts(c0[used], c1[used], basis0[used], basis1[used], p, t, np.matmul,
+                               subtract_from=(v0, v1))
         nz = np.flatnonzero(v0 | v1)
         if nz.size == 0:
             return
         j = int(nz[0])
-        inv = Fq2(ctx, int(v0[j]), int(v1[j])).inv()
-        s0, s1 = v0[j:], v1[j:]
-        w0 = (s0 * inv.x0 + t * (s1 * inv.x1)) % p
-        w1 = (s0 * inv.x1 + s1 * inv.x0) % p
-        hit = np.flatnonzero(basis0[:size, j] | basis1[:size, j])
-        if hit.size:
-            e0, e1 = basis0[hit, j, None], basis1[hit, j, None]
-            basis0[hit, j:] = (basis0[hit, j:] - (e0 * w0 + t * (e1 * w1))) % p
-            basis1[hit, j:] = (basis1[hit, j:] - (e0 * w1 + e1 * w0)) % p
+        w0, w1 = pivot_step(basis0[:size], basis1[:size], v0, v1, j, p, t)
         basis0[size, j:], basis1[size, j:] = w0, w1
         pivots[size] = j
         size += 1
         frontier.append((v0.reshape(n, n), v1.reshape(n, n)))
 
-    eye = np.eye(n, dtype=np.int64)
-    insert(eye, np.zeros((n, n), dtype=np.int64))
+    insert(np.eye(n, dtype=np.int64).ravel(), np.zeros(nn, dtype=np.int64))
     while frontier and size < nn:
         w0, w1 = frontier.pop()
-        for g0, g1 in ((a0, a1), (b0, b1)):
-            m0 = (g0 @ w0 + t * (g1 @ w1)) % p
-            m1 = (g0 @ w1 + g1 @ w0) % p
-            insert(m0, m1)
+        for g in (rep.A.arr, rep.B.arr):
+            m0, m1 = mul_parts(g[..., 0], g[..., 1], w0, w1, p, t, np.matmul)
+            insert(m0.ravel(), m1.ravel())
     return size == nn
 
 
@@ -499,16 +484,21 @@ def burnside_irreducible_many(reps: Sequence[PairRep]) -> list[bool]:
     """``burnside_irreducible`` of each module, run in lockstep on a leading
     case axis; all modules share one dimension and the field of the first.
 
-    Every case keeps an echelon basis of shape (n^2, n^2) and a queue of the
+    Every case keeps an echelon basis of shape (n^2, n^2) and a stack of the
     basis rows whose products with A and B are still to be inserted.  Each
-    step takes the next row of every live case, multiplies it by A and by B
-    for all of them at once, and reduces the products against the union of
-    the basis rows that any of them touches.  A case stops when its queue is
-    empty or its span reaches n^2, and leaves the arrays.  A queued row may
-    since have been cleared by later pivots; it then differs from the word
-    inserted there by later rows, which are queued too, so the span closes
-    on the same algebra and each verdict is the single-module one.  The
-    int64 bound is the single oracle's, n^2*(1+t)*p^2.
+    step pops the top row of every live case, multiplies it by A and by B
+    for all of them at once, and reduces and pivots as the single oracle
+    does, on the union of the rows that any case touches.  A case stops when
+    its stack is empty or its span reaches n^2, and leaves the arrays.
+
+    A popped row may have been cleared by pivots inserted after it: it is
+    then the word inserted there plus multiples of later rows.  Every row is
+    pushed once and popped once, before the stacks empty.  So, from the last
+    row back, the products of each inserted word with A and B lie in the span
+    (those of the popped row were inserted, those of the later rows by
+    induction): the span closes on the same algebra, and each verdict is the
+    single-module one.  The int64 bound is the single oracle's,
+    n^2*(1+t)*p^2.
     """
     if not reps:
         return []
@@ -525,15 +515,10 @@ def burnside_irreducible_many(reps: Sequence[PairRep]) -> list[bool]:
         return [verdict for k in range(0, len(reps), group)
                 for verdict in burnside_irreducible_many(reps[k:k + group])]
 
-    def mul(x0, x1, y0, y1, op=np.multiply):
-        # component arrays of (x0 + x1 s) * (y0 + y1 s) with s^2 = t
-        return (op(x0, y0) + t * op(x1, y1)) % p, (op(x0, y1) + op(x1, y0)) % p
-
-    inv_p = np.array([pow(x, -1, p) if x else 0 for x in range(p)], dtype=np.int64)
     cases = len(reps)
     verdict = np.zeros(cases, dtype=bool)
     # per live case: its index, generators (A or B, component, n, n), basis
-    # components, pivot columns, basis size and next queued row
+    # components, pivot columns, basis size, and the stack of rows to visit
     order = np.arange(cases)
     gens = np.moveaxis(np.array([(rep.A.arr, rep.B.arr) for rep in reps]), -1, 2)
     basis0 = np.zeros((cases, nn, nn), dtype=np.int64)
@@ -541,52 +526,50 @@ def burnside_irreducible_many(reps: Sequence[PairRep]) -> list[bool]:
     basis0[:, 0] = np.eye(n, dtype=np.int64).ravel()
     pivots = np.zeros((cases, nn), dtype=np.intp)
     size = np.ones(cases, dtype=np.intp)
-    head = np.zeros(cases, dtype=np.intp)
-    cols = np.arange(nn)
+    stack = np.zeros((cases, nn), dtype=np.intp)
+    depth = np.ones(cases, dtype=np.intp)
 
     def insert(v0: np.ndarray, v1: np.ndarray) -> None:
         rows = np.arange(len(v0))
-        c0, c1 = (np.where(cols < size[:, None], v[rows[:, None], pivots], 0) for v in (v0, v1))
+        # rows at or past a case's size are zero and reduce nothing
+        piv = pivots[:, :size.max()]
+        c0, c1 = v0[rows[:, None], piv], v1[rows[:, None], piv]
         used = np.flatnonzero((c0 | c1).any(0))
         if used.size:
-            r0, r1 = mul(c0[:, None, used], c1[:, None, used], basis0[:, used], basis1[:, used],
-                         np.matmul)
-            v0, v1 = (v0 - r0[:, 0]) % p, (v1 - r1[:, 0]) % p
+            r0, r1 = mul_parts(c0[:, None, used], c1[:, None, used], basis0[:, used],
+                               basis1[:, used], p, t, np.matmul,
+                               subtract_from=(v0[:, None], v1[:, None]))
+            v0, v1 = r0[:, 0], r1[:, 0]
         nz = (v0 | v1) != 0
         gain = np.flatnonzero(nz.any(1))
         if not gain.size:
             return
-        # a case without gain has x = 0, so its normalised row w is zero
+        # a case without gain has j = 0 and a zero row, which pivots nothing
         j = nz.argmax(1)
-        x0, x1 = v0[rows, j, None], v1[rows, j, None]
-        ninv = inv_p[(x0 * x0 - t * (x1 * x1)) % p]
-        w0, w1 = mul(v0, v1, x0 * ninv % p, -x1 * ninv % p)
-        e0, e1 = basis0[rows, :, j], basis1[rows, :, j]
-        hit = np.flatnonzero((e0 | e1).any(0))
-        if hit.size:
-            d0, d1 = mul(e0[:, hit, None], e1[:, hit, None], w0[:, None], w1[:, None])
-            basis0[:, hit] = (basis0[:, hit] - d0) % p
-            basis1[:, hit] = (basis1[:, hit] - d1) % p
-        at = size[gain]
-        basis0[gain, at], basis1[gain, at] = w0[gain], w1[gain]
+        w0, w1 = pivot_step(basis0, basis1, v0, v1, j, p, t)
+        at, lo = size[gain], nn - w0.shape[1]
+        basis0[gain, at, lo:], basis1[gain, at, lo:] = w0[gain], w1[gain]
         pivots[gain, at] = j[gain]
+        stack[gain, depth[gain]] = at
         size[gain] += 1
+        depth[gain] += 1
 
     while True:
-        done = (head == size) | (size == nn)
+        done = (depth == 0) | (size == nn)
         verdict[order[done]] = size[done] == nn
         if done.all():
             return verdict.tolist()
         if done.any():
             keep = ~done
-            order, gens, basis0, basis1, pivots, size, head = (
-                x[keep] for x in (order, gens, basis0, basis1, pivots, size, head))
+            order, gens, basis0, basis1, pivots, size, stack, depth = (
+                x[keep] for x in (order, gens, basis0, basis1, pivots, size, stack, depth))
         rows = np.arange(len(order))
-        w0 = basis0[rows, head].reshape(-1, n, n)
-        w1 = basis1[rows, head].reshape(-1, n, n)
-        head += 1
+        depth -= 1
+        top = stack[rows, depth]
+        w0 = basis0[rows, top].reshape(-1, n, n)
+        w1 = basis1[rows, top].reshape(-1, n, n)
         for g in range(2):
-            m0, m1 = mul(gens[:, g, 0], gens[:, g, 1], w0, w1, np.matmul)
+            m0, m1 = mul_parts(gens[:, g, 0], gens[:, g, 1], w0, w1, p, t, np.matmul)
             insert(m0.reshape(-1, nn), m1.reshape(-1, nn))
 
 

@@ -317,6 +317,27 @@ def _log_tables(p: int, t: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     raise InvariantViolation(f"F_{{{p}^2}} has no generator")
 
 
+def mul_parts(x0, x1, y0, y1, p: int, t: int, op=np.multiply, subtract_from=None):
+    """Components of x*y mod p on int64 arrays, where x = x0 + x1*sqrt(t):
+    (x0 y0 + t x1 y1, x0 y1 + x1 y0), with products formed by ``op``
+    (``np.multiply``, ``np.matmul`` or ``np.kron``).  Given a pair
+    ``subtract_from`` that broadcasts to the product's shape, the components
+    of that element minus x*y instead.  The sums run in place on the
+    products, sparing large updates a temporary per step.
+
+    With every entry in [0, p), an entry of an op that sums k products stays
+    below k*(1+t)*p^2 before the reduction, which must fit in int64.
+    """
+    c0 = op(x0, y0)
+    c0 += t * op(x1, y1)
+    c1 = op(x0, y1)
+    c1 += op(x1, y0)
+    if subtract_from is not None:
+        np.subtract(subtract_from[0], c0, out=c0)
+        np.subtract(subtract_from[1], c1, out=c1)
+    return np.remainder(c0, p, out=c0), np.remainder(c1, p, out=c1)
+
+
 def ctx_new(p: int, d: int) -> FieldCtx:
     """Build the field context for prime p and root-of-unity order d.
 
@@ -475,15 +496,12 @@ def poly_roots(ctx: FieldCtx, coeffs: Sequence[Fq2]) -> list[Fq2]:
     f = poly_trim(coeffs)
     if not f:
         raise ZeroPolynomial("root finding on the zero polynomial")
-    table = ctx.element_table()
     p = ctx.p
-    acc0 = np.zeros(len(table), dtype=np.int64)
-    acc1 = np.zeros(len(table), dtype=np.int64)
-    x0, x1 = table[:, 0], table[:, 1]
+    # Horner steps acc*x + c, written as c - acc*(-x)
+    neg0, neg1 = (-ctx.element_table() % p).T
+    acc0 = acc1 = np.zeros(p * p, dtype=np.int64)
     for c in reversed(f):
-        n0 = (acc0 * x0 + ctx.t * acc1 * x1 + c.x0) % p
-        n1 = (acc0 * x1 + acc1 * x0 + c.x1) % p
-        acc0, acc1 = n0, n1
+        acc0, acc1 = mul_parts(acc0, acc1, neg0, neg1, p, ctx.t, subtract_from=(c.x0, c.x1))
     hits = np.nonzero((acc0 == 0) & (acc1 == 0))[0]
     out: list[Fq2] = []
     for k in hits:

@@ -11,16 +11,13 @@ characteristic polynomials and Kronecker products on top of it.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatch, InvariantViolation
-from .field import FieldCtx, Fq2, poly_trim
-
-
-def _mul_parts(a0, a1, b0, b1, p, t):
-    return (a0 * b0 + t * (a1 * b1)) % p, (a0 * b1 + a1 * b0) % p
+from .field import FieldCtx, Fq2, mul_parts, poly_add, poly_scale
 
 
 class FMat:
@@ -107,12 +104,9 @@ class FMat:
     def __matmul__(self, other: "FMat") -> "FMat":
         if self.ncols != other.nrows:
             raise DimensionMismatch(f"{self.shape} @ {other.shape}")
-        p, t = self.ctx.p, self.ctx.t
-        a0, a1 = self.arr[..., 0], self.arr[..., 1]
-        b0, b1 = other.arr[..., 0], other.arr[..., 1]
-        c0 = (a0 @ b0 + t * (a1 @ b1)) % p
-        c1 = (a0 @ b1 + a1 @ b0) % p
-        return FMat(self.ctx, np.stack([c0, c1], axis=-1))
+        a, b = self.arr, other.arr
+        c = mul_parts(a[..., 0], a[..., 1], b[..., 0], b[..., 1], self.ctx.p, self.ctx.t, np.matmul)
+        return FMat(self.ctx, np.stack(c, axis=-1))
 
     def __add__(self, other: "FMat") -> "FMat":
         return FMat(self.ctx, self.arr + other.arr)
@@ -128,10 +122,9 @@ class FMat:
             s = self.ctx.el(s)
         if not isinstance(s, Fq2):
             return NotImplemented
-        p, t = self.ctx.p, self.ctx.t
-        a0, a1 = self.arr[..., 0], self.arr[..., 1]
-        c0, c1 = _mul_parts(a0, a1, s.x0, s.x1, p, t)
-        return FMat(self.ctx, np.stack([c0, c1], axis=-1))
+        a = self.arr
+        c = mul_parts(a[..., 0], a[..., 1], s.x0, s.x1, self.ctx.p, self.ctx.t)
+        return FMat(self.ctx, np.stack(c, axis=-1))
 
     __rmul__ = __mul__
 
@@ -179,13 +172,53 @@ def check_int64(bound: int, what: str) -> None:
         raise InvariantViolation(f"{what} sums up to {bound}, beyond int64")
 
 
+@lru_cache(maxsize=None)
+def _inverses(p: int, t: int) -> np.ndarray:
+    """The components of 1/x = (x0 - x1 sqrt(t)) / (x0^2 - t x1^2) for every
+    x in F_{p^2}, by plain-lex index x0*p + x1; zero for zero."""
+    x0, x1 = np.divmod(np.arange(p * p, dtype=np.int64), p)
+    norm_inv = np.array([pow(n, -1, p) if n else 0 for n in range(p)], dtype=np.int64)
+    ninv = norm_inv[(x0 * x0 - t * (x1 * x1)) % p]
+    inv = np.stack([x0 * ninv % p, -x1 * ninv % p], axis=-1)
+    inv.setflags(write=False)
+    return inv
+
+
+def pivot_step(b0, b1, v0, v1, j, p: int, t: int):
+    """One Gauss-Jordan pivot step on the components of a basis b: scale the
+    row v by the inverse of its entry in column j, clear column j from the
+    rows of b that hold it (in place), and return the scaled row.
+
+    Works on the last two axes of b (rows, cols) and the last axis of v, so
+    leading axes hold independent cases, with one j each.  A case whose v is
+    zero in column j has no pivot: it clears nothing and its row is zero.
+    Each v must be zero left of its j; then no column left of the smallest
+    pivot j changes, and the returned row starts there.  An updated entry is
+    x - (e0 w0 + t e1 w1) with every factor in [0, p), so it stays below
+    (1+t)*p^2 in magnitude.
+    """
+    batched = v0.ndim > 1
+    lead = (np.arange(len(j)),) if batched else ()
+    x0, x1 = v0[lead + (j,)], v1[lead + (j,)]
+    inv = _inverses(p, t)[x0 * p + x1]
+    lo = int(j[(x0 | x1) != 0].min()) if batched else j
+    w0, w1 = mul_parts(v0[..., lo:], v1[..., lo:], inv[..., :1], inv[..., 1:], p, t)
+    e0, e1 = b0[lead + (slice(None), j)], b1[lead + (slice(None), j)]
+    held = e0 | e1
+    hit = np.flatnonzero(held.any(0) if batched else held)
+    if hit.size:
+        b0[..., hit, lo:], b1[..., hit, lo:] = mul_parts(
+            e0[..., hit, None], e1[..., hit, None], w0[..., None, :], w1[..., None, :], p, t,
+            subtract_from=(b0[..., hit, lo:], b1[..., hit, lo:]))
+    return w0, w1
+
+
 def rref(m: FMat) -> tuple[FMat, tuple[int, ...]]:
     """Reduced row echelon form and its pivot columns.
 
-    A pivot at (r, c) changes only the rows with a nonzero entry in column c,
-    and only in columns >= c, since the pivot row is zero left of c.  Each
-    updated entry is x - (f0 y0 + t f1 y1) with every factor in [0, p), so
-    its magnitude stays below (1+t)*p^2, which must fit in int64.
+    Each pivot is one ``pivot_step``: it changes only the rows with a nonzero
+    entry in the pivot column, and only from that column on.  Its entries
+    stay below (1+t)*p^2, which must fit in int64.
     """
     ctx = m.ctx
     p, t = ctx.p, ctx.t
@@ -205,15 +238,9 @@ def rref(m: FMat) -> tuple[FMat, tuple[int, ...]]:
         if i != r:
             a0[[r, i]] = a0[[i, r]]
             a1[[r, i]] = a1[[i, r]]
-        piv = Fq2(ctx, int(a0[r, c]), int(a1[r, c])).inv()
-        w0, w1 = _mul_parts(a0[r, c:], a1[r, c:], piv.x0, piv.x1, p, t)
-        # The rows to clear include row r itself, which the update zeroes
-        # (a_r - a_rc * a_r / a_rc) before the scaled row is written back.
-        hit = np.flatnonzero(a0[:, c] | a1[:, c])
-        f0, f1 = a0[hit, c, None], a1[hit, c, None]
-        a0[hit, c:] = (a0[hit, c:] - (f0 * w0 + t * (f1 * w1))) % p
-        a1[hit, c:] = (a1[hit, c:] - (f0 * w1 + f1 * w0)) % p
-        a0[r, c:], a1[r, c:] = w0, w1
+        # Row r is among the rows cleared (a_r - a_rc * a_r / a_rc = 0)
+        # before the scaled row is stored back in its place.
+        a0[r, c:], a1[r, c:] = pivot_step(a0, a1, a0[r], a1[r], c, p, t)
         pivots.append(c)
         r += 1
     red = np.stack([a0, a1], axis=-1)
@@ -245,12 +272,9 @@ def vstack(mats: Sequence[FMat]) -> FMat:
 
 
 def kron(a: FMat, b: FMat) -> FMat:
-    p, t = a.ctx.p, a.ctx.t
-    a0, a1 = a.arr[..., 0], a.arr[..., 1]
-    b0, b1 = b.arr[..., 0], b.arr[..., 1]
-    c0 = (np.kron(a0, b0) + t * np.kron(a1, b1)) % p
-    c1 = (np.kron(a0, b1) + np.kron(a1, b0)) % p
-    return FMat(a.ctx, np.stack([c0, c1], axis=-1))
+    x, y = a.arr, b.arr
+    c = mul_parts(x[..., 0], x[..., 1], y[..., 0], y[..., 1], a.ctx.p, a.ctx.t, np.kron)
+    return FMat(a.ctx, np.stack(c, axis=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -291,33 +315,16 @@ def char_poly(m: FMat) -> list[Fq2]:
     # p_k(x) = det(xI - H_k) for leading principal k x k blocks
     polys: list[list[Fq2]] = [[ctx.one]]
     for k in range(1, n + 1):
-        term = poly_mul_shifted(polys[k - 1], -h[k - 1][k - 1])
+        # (x - h_kk) p_{k-1}
+        term = poly_add([ctx.zero] + polys[k - 1], poly_scale(polys[k - 1], -h[k - 1][k - 1]))
         sub = ctx.one
         for j in range(k - 1, 0, -1):
             sub = sub * h[j][j - 1]
             coeff = h[j - 1][k - 1] * sub
             if not coeff.is_zero():
-                term = _poly_axpy(term, polys[j - 1], -coeff)
+                term = poly_add(term, poly_scale(polys[j - 1], -coeff))
         polys.append(term)
-    return poly_trim(polys[n])
-
-
-def poly_mul_shifted(f: list[Fq2], c: Fq2) -> list[Fq2]:
-    """(x + c) * f, used by the Hessenberg characteristic recurrence."""
-    ctx = c.ctx
-    out = [ctx.zero] + list(f)
-    for i, a in enumerate(f):
-        out[i] = out[i] + c * a
-    return out
-
-
-def _poly_axpy(f: list[Fq2], g: list[Fq2], c: Fq2) -> list[Fq2]:
-    out = list(f)
-    while len(out) < len(g):
-        out.append(c.ctx.zero)
-    for i, a in enumerate(g):
-        out[i] = out[i] + c * a
-    return out
+    return polys[n]
 
 
 def mat_poly_eval(coeffs: Sequence[Fq2], m: FMat) -> FMat:

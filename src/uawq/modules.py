@@ -31,7 +31,7 @@ from .errors import (
     WeightOutsideField,
     ZeroVector,
 )
-from .field import FieldCtx, Fq2, poly_from_roots, poly_gcd, poly_roots, poly_trim, quadratic_roots
+from .field import FieldCtx, Fq2, poly_gcd, poly_roots, poly_trim, quadratic_roots
 from .linalg import FMat, char_poly, hstack, kernel, product_shifted, rank
 
 
@@ -215,7 +215,7 @@ def weight_spaces(rep: PairRep) -> list[tuple[Fq2, FMat]]:
     columns are in reduced echelon form.
     """
     ctx = rep.ctx
-    cp = char_poly_fast(rep.B)
+    cp = char_poly(rep.B)
     eigs = sorted(set(poly_roots(ctx, cp)), key=lambda e: e.key)
     out = []
     for th in eigs:
@@ -226,18 +226,6 @@ def weight_spaces(rep: PairRep) -> list[tuple[Fq2, FMat]]:
         basis = kernel(rep.B - FMat.scalar(ctx, rep.n, th))
         out.append((mu, basis))
     return out
-
-
-def char_poly_fast(m: FMat) -> list[Fq2]:
-    # upper-triangular B matrices dominate here; fall back to the generic
-    # Hessenberg route otherwise
-    arr = m.arr
-    lower = arr.copy()
-    for i in range(m.nrows):
-        lower[i, i:] = 0
-    if not lower.any():
-        return poly_from_roots(m.ctx, [m.entry(i, i) for i in range(m.nrows)])
-    return char_poly(m)
 
 
 def _weight_basis(rep: PairRep, mu: Fq2) -> FMat:

@@ -19,6 +19,7 @@ from uawq.classify import (
     intertwiner,
     irr_Vn_criterion,
     irr_W_criterion,
+    orbit_image,
     quad_key,
     quint_key,
     rand_nonzero,
@@ -440,10 +441,7 @@ class TestIrrW:
         val = irr_W_criterion(p5)
         shift = delta_shift(p5)
         for row in table1.ROWS[:6]:
-            img = table1.apply_row(row, p5.quadruple.astuple())
-            al = img[0] / img[3]
-            nd = shift - al ** ctx13.dbar - al ** (-ctx13.dbar)
-            assert irr_W_criterion(Params5(*img, nd)) == val
+            assert irr_W_criterion(Params5(*orbit_image(row, p5.quadruple.astuple(), shift))) == val
 
 
 def ref_span_dim(rep):
@@ -589,10 +587,7 @@ class TestIntertwiner:
         p5 = sample_quintuple(ctx13, rng)
         rep = build_W(p5)
         shift = delta_shift(p5)
-        img = table1.apply_row(table1.ROWS[6], p5.quadruple.astuple())
-        al = img[0] / img[3]
-        nd = shift - al ** ctx13.dbar - al ** (-ctx13.dbar)
-        other = build_W(Params5(*img, nd))
+        other = build_W(Params5(*orbit_image(table1.ROWS[6], p5.quadruple.astuple(), shift)))
         s = intertwiner(rep, other)
         assert s is not None
         assert s @ rep.A == other.A @ s
@@ -607,10 +602,7 @@ class TestIntertwiner:
                 continue
             rep = build_W(p5)
             shift = delta_shift(p5)
-            img = table1.apply_row(table1.ROWS[1], p5.quadruple.astuple())
-            al = img[0] / img[3]
-            nd = shift - al ** ctx13.dbar - al ** (-ctx13.dbar)
-            other = Params5(*img, nd)
+            other = Params5(*orbit_image(table1.ROWS[1], p5.quadruple.astuple(), shift))
             if not irr_W_criterion(other):
                 continue
             s = intertwiner(rep, build_W(other))

@@ -1,6 +1,7 @@
 import pickle
 import random
 
+import numpy as np
 import pytest
 from conftest import force_nu
 
@@ -11,6 +12,7 @@ from uawq.field import (
     chebyshev_T,
     ctx_new,
     is_square,
+    mul_parts,
     poly_divmod_linear,
     poly_eval,
     poly_from_roots,
@@ -229,6 +231,35 @@ class TestPolyHelpers:
         f = poly_from_roots(ctx13, [ctx13.el(2)] * 3)
         g = poly_from_roots(ctx13, [ctx13.el(5)] * 2)
         assert len(poly_mul(f, g)) == 6
+
+
+@pytest.mark.parametrize("p,d", [(13, 3), (61, 62), (97, 8)])
+@pytest.mark.parametrize("op", [np.multiply, np.matmul, np.kron])
+def test_mul_parts_matches_fq2_product(p, d, op):
+    # (97, 8) has the largest (1+t)*p^2 of the fields the tests use, and
+    # (61, 62) is the largest field of the README's scale table; each array
+    # holds the entry (p-1, p-1), which reaches the bound of every product
+    ctx = ctx_new(p, d)
+    rng = np.random.default_rng(p * 100 + d)
+    x = rng.integers(0, p, (3, 4, 2))
+    y = rng.integers(0, p, (4, 3, 2) if op is np.matmul else (3, 4, 2))
+    z = rng.integers(0, p, (3, 3, 2) if op is np.matmul else op(x[..., 0], y[..., 0]).shape + (2,))
+    x[0, 0] = y[0, 0] = z[0, 0] = p - 1
+    xs, ys = ([[ctx.from_json(e) for e in row] for row in a.tolist()] for a in (x, y))
+    if op is np.multiply:
+        want = [[a * b for a, b in zip(r, s)] for r, s in zip(xs, ys)]
+    elif op is np.matmul:
+        want = [[sum((xs[i][k] * ys[k][j] for k in range(4)), ctx.zero) for j in range(3)]
+                for i in range(3)]
+    else:
+        want = [[xs[i][j] * ys[k][m] for j in range(4) for m in range(4)]
+                for i in range(3) for k in range(3)]
+    got = mul_parts(x[..., 0], x[..., 1], y[..., 0], y[..., 1], p, ctx.t, op)
+    assert np.stack(got, axis=-1).tolist() == [[w.to_json() for w in row] for row in want]
+    got = mul_parts(x[..., 0], x[..., 1], y[..., 0], y[..., 1], p, ctx.t, op,
+                    subtract_from=(z[..., 0], z[..., 1]))
+    assert np.stack(got, axis=-1).tolist() == [
+        [(ctx.from_json(c) - w).to_json() for c, w in zip(r, s)] for r, s in zip(z.tolist(), want)]
 
 
 def test_serialization_roundtrip(ctx13):

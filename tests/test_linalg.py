@@ -15,6 +15,7 @@ from uawq.linalg import (
     kron,
     krylov_span_dim,
     mat_poly_eval,
+    pivot_step,
     product_shifted,
     rank,
     rref,
@@ -65,6 +66,34 @@ def test_rref_idempotent_and_pivots(ctx13, rng):
             for r2 in range(red.nrows):
                 if r2 != r:
                     assert red.entry(r2, c).is_zero()
+
+
+def test_batched_pivot_step_is_the_2d_step_per_case(ctx13):
+    # six cases on a leading axis, case 2 with a zero row and so no pivot
+    p, t = ctx13.p, ctx13.t
+    rng = np.random.default_rng(11)
+    cases, rows, cols = 6, 5, 8
+    b = rng.integers(0, p, (cases, rows, cols, 2))
+    b[rng.random((cases, rows)) < 0.4] = 0
+    j = rng.integers(1, cols, cases)
+    v = rng.integers(0, p, (cases, cols, 2))
+    v[np.arange(cols) < j[:, None]] = 0
+    v[np.arange(cases), j, 0] = rng.integers(1, p, cases)
+    v[2], j[2] = 0, 0
+    b0, b1 = b[..., 0].copy(), b[..., 1].copy()
+    w0, w1 = pivot_step(b0, b1, v[..., 0], v[..., 1], j, p, t)
+    lo = cols - w0.shape[1]
+    assert lo == min(j[k] for k in range(cases) if k != 2)
+    assert not (w0[2].any() or w1[2].any())
+    assert (b0[2] == b[2, ..., 0]).all() and (b1[2] == b[2, ..., 1]).all()
+    for k in set(range(cases)) - {2}:
+        c0, c1 = b[k, ..., 0].copy(), b[k, ..., 1].copy()
+        u0, u1 = pivot_step(c0, c1, v[k, :, 0], v[k, :, 1], int(j[k]), p, t)
+        assert (b0[k] == c0).all() and (b1[k] == c1).all()
+        assert not (c0[:, j[k]].any() or c1[:, j[k]].any())
+        assert not (w0[k, :j[k] - lo].any() or w1[k, :j[k] - lo].any())
+        assert (w0[k, j[k] - lo:] == u0).all() and (w1[k, j[k] - lo:] == u1).all()
+        assert (u0[0], u1[0]) == (1, 0)
 
 
 def test_kernel_annihilates(ctx13, rng):
