@@ -2,14 +2,18 @@
 
 The package is organized bottom-up:
 
+* ``errors``: the typed exception hierarchy every module raises;
 * ``field``: F_{p^2} arithmetic, roots of unity, square roots, polynomial
   root finding;
 * ``linalg``: exact dense matrices over F_{p^2};
 * ``algebra``: the defining relations as executable checks on matrix pairs;
-* ``modules``: the two families of finite quotient modules and their
-  weight/marginal machinery;
+* ``parallel``: deterministic, order-preserving fan-out for sweeps;
+* ``modules``: the two families of finite quotient modules, their
+  weight/marginal machinery and the corner invariant;
+* ``table1``: the 24-row parameter action, stored and applied as data;
 * ``classify``: feasibility, parameter orbits, irreducibility criteria and
   the independent linear-algebra oracles;
+* ``suite``: the named property suite and every verification body;
 * ``cli``: the ``uawq`` command-line front end.
 """
 

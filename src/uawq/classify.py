@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .algebra import PairRep
 from .errors import BadRange, CapExceeded, DimensionMismatch, InvariantViolation, NoSolutionsInField
 from .field import FieldCtx, Fq2, mul_parts, poly_roots, quadratic_roots
 from .linalg import FMat, check_int64, kernel, kron, pivot_step, rank, vstack
-from .modules import Params4, Params5, SeqData, build_W
+from .modules import Params4, Params5, SeqData, build_W, corner_terms, delta_shift
 
 Quad = tuple[Fq2, Fq2, Fq2, Fq2]
 Quint = tuple[Fq2, Fq2, Fq2, Fq2, Fq2]
@@ -64,13 +64,7 @@ def feasible_target(params: Params4) -> Target:
 
 def feasible(params: Params4, target: Target) -> bool:
     """Whether the four defining equations hold exactly."""
-    t = feasible_target(params)
-    return (
-        t.mu == target.mu
-        and t.phi == target.phi
-        and t.omega_star == target.omega_star
-        and t.omega_eps == target.omega_eps
-    )
+    return feasible_target(params) == target
 
 
 def _shifts(target: Target) -> tuple[Fq2, Fq2]:
@@ -195,6 +189,17 @@ class OrbitSet:
         }
 
 
+def _orbit_set(members: list[tuple], edges: list[tuple[int, str, int]],
+               key: Callable[[tuple], tuple]) -> OrbitSet:
+    """The members sorted by ``key``, and the edges renumbered to match and sorted."""
+    order = sorted(range(len(members)), key=lambda i: key(members[i]))
+    renum = {old: new for new, old in enumerate(order)}
+    return OrbitSet(
+        members=tuple(members[i] for i in order),
+        edges=tuple(sorted((renum[s], lab, renum[t]) for s, lab, t in edges)),
+    )
+
+
 def z2cubed_orbit(a: Fq2, b: Fq2, c: Fq2) -> set[tuple[Fq2, Fq2, Fq2]]:
     """All triples obtained by independently inverting each coordinate."""
     out = set()
@@ -226,12 +231,7 @@ def s4_orbit(params: Params4) -> OrbitSet:
     for row in table1.ROWS:
         img = canon_sign4(table1.apply_row(row, quad))
         edges.append((src, row[0], intern(img)))
-    order = sorted(range(len(members)), key=lambda i: quad_key(members[i]))
-    renum = {old: new for new, old in enumerate(order)}
-    return OrbitSet(
-        members=tuple(members[i] for i in order),
-        edges=tuple(sorted((renum[s], lab, renum[t]) for s, lab, t in edges)),
-    )
+    return _orbit_set(members, edges, quad_key)
 
 
 def approx_equiv(p1: Params4, p2: Params4) -> bool:
@@ -239,20 +239,11 @@ def approx_equiv(p1: Params4, p2: Params4) -> bool:
     return quad_key(canon_sign4(p2.astuple())) in s4_orbit(p1).member_keys()
 
 
-def delta_shift(params: Params5) -> Fq2:
-    """delta + a^dbar lam^-dbar + a^-dbar lam^dbar, the corner invariant."""
-    dbar = params.ctx.dbar
-    al = params.a / params.lam
-    return params.delta + al ** dbar + al ** (-dbar)
-
-
 def orbit_image(row: table1.Row, quad: Quad, shift: Fq2) -> Quint:
     """The row image of a quadruple, with delta chosen so that delta_shift of
     the image is ``shift``."""
     img = table1.apply_row(row, quad)
-    al = img[0] / img[3]
-    dbar = al.ctx.dbar
-    return (*img, shift - al ** dbar - al ** (-dbar))
+    return (*img, shift - corner_terms(img[0], img[3]))
 
 
 def simeq_z2s4(p1: Params5, p2: Params5) -> bool:
@@ -265,39 +256,39 @@ def _q2_window(ctx: FieldCtx) -> set[Fq2]:
     return {ctx.qpow(2 * i) for i in range(ctx.dbar - 1)}
 
 
-def _move_inv_a(p: Params5) -> Params5:
-    q2i = p.ctx.qpow(-2)
-    return Params5(p.a.inv(), p.b, p.c, p.lam.inv() * q2i, p.delta)
-
-
-def _move_inv_ab(p: Params5) -> Params5:
-    q2i = p.ctx.qpow(-2)
-    return Params5(p.a.inv(), p.b.inv(), p.c, p.lam.inv() * q2i, p.delta)
+def _move_inv(p: Params5) -> tuple[Params5, Params5]:
+    """The a-inversion and ab-inversion images of p.  Both send a to 1/a and
+    lam to 1/(lam q^2), keep c and delta, and are involutions."""
+    a, lam = p.a.inv(), p.lam.inv() * p.ctx.qpow(-2)
+    return Params5(a, p.b, p.c, lam, p.delta), Params5(a, p.b.inv(), p.c, lam, p.delta)
 
 
 def _cond_inv_a(p: Params5) -> bool:
     return p.lam * p.lam in _q2_window(p.ctx)
 
 
-def _cond_inv_ab(p: Params5) -> bool:
+def inv_ab_defect(p: Params5) -> Fq2:
+    """The polynomial whose zeros are the ab-inversion move's delta condition;
+    it is also the delta-carrying factor of the descent scalar at w_{0,dbar-1}."""
     ctx = p.ctx
     dbar = ctx.dbar
     a, b, c, lam = p.quadruple.astuple()
-    bl2 = (b / lam) ** 2
-    excluded = {ctx.qpow(2 * (dbar - i + 1)) for i in range(dbar - 1)}
-    if bl2 in excluded:
-        return False
     bl = (b / lam) ** dbar
-    lhs = p.delta * (bl - bl.inv())
     abq = (a * b * ctx.q / lam) ** dbar
     cd = c ** dbar
-    rhs = (
+    return p.delta * (bl - bl.inv()) - (
         (a * b) ** (-dbar)
         * (lam ** (2 * dbar) - ctx.one)
         * (abq * cd - ctx.one)
         * (abq * cd.inv() - ctx.one)
     )
-    return lhs == rhs
+
+
+def _cond_inv_ab(p: Params5) -> bool:
+    ctx = p.ctx
+    dbar = ctx.dbar
+    excluded = {ctx.qpow(2 * (dbar - i + 1)) for i in range(dbar - 1)}
+    return (p.b / p.lam) ** 2 not in excluded and inv_ab_defect(p).is_zero()
 
 
 def sim_related(p1: Params5, p2: Params5) -> bool:
@@ -307,10 +298,9 @@ def sim_related(p1: Params5, p2: Params5) -> bool:
     NeedsExtension can only escape from the orbit branch.
     """
     t2 = p2.astuple()
-    if _cond_inv_a(p1) and _move_inv_a(p1).astuple() == t2:
-        return True
-    if _cond_inv_ab(p1) and _move_inv_ab(p1).astuple() == t2:
-        return True
+    for cand, cond in zip(_move_inv(p1), (_cond_inv_a, _cond_inv_ab)):
+        if cond(p1) and cand.astuple() == t2:
+            return True
     return simeq_z2s4(p1, p2)
 
 
@@ -348,22 +338,15 @@ def simeq_closure(params: Params5, cap: int = 10_000) -> OrbitSet:
         quad = cur.quadruple.astuple()
         for row in table1.ROWS:
             intern(canon_sign5(orbit_image(row, quad, shift)), i, f"s4:{row[0]}")
-        for mover, cond, label in (
-            (_move_inv_a, _cond_inv_a, "inv-a"),
-            (_move_inv_ab, _cond_inv_ab, "inv-ab"),
-        ):
+        for cand, cond, label in zip(_move_inv(cur), (_cond_inv_a, _cond_inv_ab),
+                                     ("inv-a", "inv-ab")):
+            img = canon_sign5(cand.astuple())
             if cond(cur):
-                intern(canon_sign5(mover(cur).astuple()), i, label)
-            cand = mover(cur)
+                intern(img, i, label)
             if cond(cand):
                 # reverse edge: cand ~ cur since the move is an involution
-                intern(canon_sign5(cand.astuple()), i, label + ":rev")
-    order = sorted(range(len(members)), key=lambda k: quint_key(members[k]))
-    renum = {old: new for new, old in enumerate(order)}
-    return OrbitSet(
-        members=tuple(members[k] for k in order),
-        edges=tuple(sorted({(renum[s], lab, renum[t]) for s, lab, t in edges})),
-    )
+                intern(img, i, label + ":rev")
+    return _orbit_set(members, edges, quint_key)
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +382,7 @@ def irr_W_criterion(params: Params5) -> bool:
     ai, bi, ci, lami = a.inv(), b.inv(), c.inv(), lam.inv()
     lam2 = lam * lam
     ad, lamd = a ** dbar, lam ** dbar
-    shift = delta + ad * lamd.inv() + ad.inv() * lamd
+    shift = delta_shift(params)
 
     def excl(*vals: Fq2) -> bool:
         return all(v not in window for v in vals)
@@ -427,14 +410,20 @@ def irr_W_criterion(params: Params5) -> bool:
 def burnside_irreducible(rep: PairRep) -> bool:
     """Spanning oracle: words in {I, A, B} span the full matrix algebra.
 
-    Iterative closure with echelon reduction after every multiplication
-    round; true iff the span reaches dimension n^2.  This is absolute
-    irreducibility, unchanged under extension of the base field.
+    True iff the span reaches dimension n^2: absolute irreducibility,
+    unchanged under extension of the base field.
 
     The echelon basis fills preallocated rows.  A new word is reduced only
     against the basis rows whose pivot it touches, and becomes a basis row
-    by one ``pivot_step``.  A reduction sums at most n^2 products of
-    (1+t)*p^2 each, so n^2*(1+t)*p^2 must fit in int64.
+    by one ``pivot_step``; a reduction sums at most n^2 products of
+    (1+t)*p^2 each, so n^2*(1+t)*p^2 must fit in int64.  Each new basis row
+    is pushed on a stack; each step pops the top row and inserts its
+    products with A and B.  A popped row may have been cleared by pivots
+    inserted after it: it is then the word inserted there plus multiples of
+    later rows.  Every row is pushed once and popped once, before the stack
+    empties.  So, from the last row back, the products of each inserted word
+    with A and B lie in the span (those of the popped row were inserted,
+    those of the later rows by induction): the span closes on the algebra.
     """
     ctx = rep.ctx
     n = rep.n
@@ -447,7 +436,7 @@ def burnside_irreducible(rep: PairRep) -> bool:
     basis1 = np.zeros((nn, nn), dtype=np.int64)
     pivots = np.zeros(nn, dtype=np.intp)
     size = 0
-    frontier: list[tuple[np.ndarray, np.ndarray]] = []
+    stack: list[int] = []
 
     def insert(v0: np.ndarray, v1: np.ndarray) -> None:
         nonlocal size
@@ -463,12 +452,14 @@ def burnside_irreducible(rep: PairRep) -> bool:
         w0, w1 = pivot_step(basis0[:size], basis1[:size], v0, v1, j, p, t)
         basis0[size, j:], basis1[size, j:] = w0, w1
         pivots[size] = j
+        stack.append(size)
         size += 1
-        frontier.append((v0.reshape(n, n), v1.reshape(n, n)))
 
     insert(np.eye(n, dtype=np.int64).ravel(), np.zeros(nn, dtype=np.int64))
-    while frontier and size < nn:
-        w0, w1 = frontier.pop()
+    while stack and size < nn:
+        top = stack.pop()
+        # copies: the A-product's pivot may clear the row before B reads it
+        w0, w1 = basis0[top].reshape(n, n).copy(), basis1[top].reshape(n, n).copy()
         for g in (rep.A.arr, rep.B.arr):
             m0, m1 = mul_parts(g[..., 0], g[..., 1], w0, w1, p, t, np.matmul)
             insert(m0.ravel(), m1.ravel())
@@ -489,16 +480,10 @@ def burnside_irreducible_many(reps: Sequence[PairRep]) -> list[bool]:
     step pops the top row of every live case, multiplies it by A and by B
     for all of them at once, and reduces and pivots as the single oracle
     does, on the union of the rows that any case touches.  A case stops when
-    its stack is empty or its span reaches n^2, and leaves the arrays.
-
-    A popped row may have been cleared by pivots inserted after it: it is
-    then the word inserted there plus multiples of later rows.  Every row is
-    pushed once and popped once, before the stacks empty.  So, from the last
-    row back, the products of each inserted word with A and B lie in the span
-    (those of the popped row were inserted, those of the later rows by
-    induction): the span closes on the same algebra, and each verdict is the
-    single-module one.  The int64 bound is the single oracle's,
-    n^2*(1+t)*p^2.
+    its stack is empty or its span reaches n^2, and leaves the arrays.  Each
+    case visits its rows in the single oracle's order, so its closure
+    argument and its int64 bound, n^2*(1+t)*p^2, carry over, and each
+    verdict is the single-module one.
     """
     if not reps:
         return []

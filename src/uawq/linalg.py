@@ -87,12 +87,6 @@ class FMat:
     def col(self, j: int) -> "FMat":
         return FMat(self.ctx, self.arr[:, j : j + 1, :])
 
-    def row(self, i: int) -> "FMat":
-        return FMat(self.ctx, self.arr[i : i + 1, :, :])
-
-    def entries(self) -> list[list[Fq2]]:
-        return [[self.entry(i, j) for j in range(self.ncols)] for i in range(self.nrows)]
-
     def is_zero(self) -> bool:
         return not self.arr.any()
 

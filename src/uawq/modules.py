@@ -307,7 +307,7 @@ def marginal_vectors(rep: PairRep, mu: Fq2) -> list[FMat]:
 
 @dataclass(frozen=True)
 class NuData:
-    """A scalar nu with nu^dbar + nu^-dbar = delta + a^dbar lam^-dbar + a^-dbar lam^dbar."""
+    """A scalar nu with nu^dbar + nu^-dbar = rhs, the corner invariant ``delta_shift``."""
 
     nu: Fq2
     rhs: Fq2
@@ -322,16 +322,28 @@ class NuData:
         return self.nu.inv() * ctx.qpow(2 * i) + self.nu * ctx.qpow(-2 * i)
 
 
+def corner_terms(a: Fq2, lam: Fq2) -> Fq2:
+    """(a/lam)^dbar + (lam/a)^dbar, the a, lam part of the corner invariant."""
+    al = a / lam
+    dbar = al.ctx.dbar
+    return al ** dbar + al ** (-dbar)
+
+
+def delta_shift(params: Params5) -> Fq2:
+    """delta + (a/lam)^dbar + (lam/a)^dbar, the corner invariant: every
+    closure move keeps it, and nu^dbar + nu^-dbar equals it."""
+    return params.delta + corner_terms(params.a, params.lam)
+
+
 def nu_of(params: Params5) -> NuData:
-    """The canonically least root nu of z^{2 dbar} - R z^{dbar} + 1.
+    """The canonically least root nu of z^{2 dbar} - R z^{dbar} + 1, R = delta_shift.
 
     Solved as a quadratic in y = z^dbar; the dbar-th roots of each y are read
     off the discrete logs: z = g^k with dbar k = log y (mod p^2 - 1).
     """
     ctx = params.ctx
     dbar = ctx.dbar
-    a, lam = params.a, params.lam
-    rhs = params.delta + (a / lam) ** dbar + (lam / a) ** dbar
+    rhs = delta_shift(params)
     exp, log = ctx.log_tables()
     n = len(exp)
     g = gcd(dbar, n)
@@ -460,18 +472,11 @@ def L_recurrence(params: Params5, i: int, nu: NuData | None = None) -> list[list
 
 
 def closed_form_case(params: Params5, i: int, nu: NuData) -> int | None:
-    """Which of L_closed's four case sets (0-3) holds nu q^{-2i}, or None."""
-    ctx = params.ctx
-    a, b, c, lam = params.quadruple.astuple()
-    q = ctx.q
-    x = nu.nu * ctx.qpow(-2 * i)
-    cases = (
-        (a * lam.inv() * ctx.qpow(-2), a.inv() * lam * ctx.qpow(2)),
-        (a * lam * ctx.qpow(2), a.inv() * lam.inv() * ctx.qpow(-2)),
-        (b * c * q.inv(), b.inv() * c.inv() * q),
-        (b * c.inv() * q.inv(), b.inv() * c * q),
-    )
-    return next((k for k, vals in enumerate(cases) if x in vals), None)
+    """Which of L_closed's four case sets (0-3) holds nu, or None.  Each set
+    pairs a (+) and a (-) value of ``marginal_values`` at i."""
+    plus, minus = marginal_values(params.quadruple, i)
+    cases = ((plus[0], minus[1]), (minus[0], plus[1]), (plus[2], minus[3]), (plus[3], minus[2]))
+    return next((k for k, vals in enumerate(cases) if nu.nu in vals), None)
 
 
 def L_closed(params: Params5, i: int, j: int, k: int, nu: NuData | None = None) -> Fq2:
@@ -516,27 +521,18 @@ def L_closed(params: Params5, i: int, j: int, k: int, nu: NuData | None = None) 
             out = out * (a * qp(1 - h) - a.inv() * qp(h - 1))
         return out
 
-    if case == 2:
-        out = ctx.one
-        for h in range(1, k + 1):
-            out = out * (qp(h + j - k) - qp(k - h - j))
-            out = out * (b * qp(-h) - b.inv() * qp(h))
-            out = out * (a * lam * qp(h + 1) - b * c * qp(-h))
-        for h in range(1, j + 1):
-            out = out * (lam.inv() * qp(-h - 1) - a.inv() * b.inv() * c.inv() * qp(h))
-        for h in range(1, j - k + 1):
-            out = out * (b * c * lam * qp(h) - a * qp(1 - h))
-        return out
-
+    # case 3 is case 2 with c replaced by 1/c
+    if case == 3:
+        c = c.inv()
     out = ctx.one
     for h in range(1, k + 1):
         out = out * (qp(h + j - k) - qp(k - h - j))
         out = out * (b * qp(-h) - b.inv() * qp(h))
-        out = out * (a * lam * qp(h + 1) - b * c.inv() * qp(-h))
+        out = out * (a * lam * qp(h + 1) - b * c * qp(-h))
     for h in range(1, j + 1):
-        out = out * (lam.inv() * qp(-h - 1) - a.inv() * b.inv() * c * qp(h))
+        out = out * (lam.inv() * qp(-h - 1) - a.inv() * b.inv() * c.inv() * qp(h))
     for h in range(1, j - k + 1):
-        out = out * (b * c.inv() * lam * qp(h) - a * qp(1 - h))
+        out = out * (b * c * lam * qp(h) - a * qp(1 - h))
     return out
 
 

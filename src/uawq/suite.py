@@ -28,12 +28,12 @@ from .classify import (
     canon_sign4,
     canon_sign5,
     classify_sample,
-    delta_shift,
     feasible,
     feasible_quartic,
     feasible_sextic,
     feasible_target,
     intertwiner,
+    inv_ab_defect,
     irr_Vn_criterion,
     irr_W_criterion,
     orbit_image,
@@ -63,6 +63,7 @@ from .modules import (
     build_W_corners,
     check_W_universal,
     closed_form_case,
+    delta_shift,
     e_vector,
     is_marginal_weight,
     marginal_matrix_e,
@@ -324,11 +325,11 @@ def cross_class_pairs(ctx: FieldCtx, rng: random.Random, count: int,
 
 def descent_delta_case(p5: Params5, t: Tally) -> None:
     """(B - th*_{dbar-2})(B - th*_{dbar-1}) A w_{0,dbar-1} is w_0 times the
-    closed-form descent scalar, whose last factor carries delta."""
+    closed-form descent scalar, whose last factor is ``inv_ab_defect``: the
+    ab-inversion move's delta condition holds exactly where it vanishes."""
     ctx = p5.ctx
     dbar = ctx.dbar
     q, qi = ctx.q, ctx.q.inv()
-    a, b, c, lam, delta = p5.astuple()
     rep = build_W(p5)
     s = SeqData(p5.quadruple)
     lhs = (rep.B - FMat.scalar(ctx, dbar, s.theta_star(dbar - 2))) @ (
@@ -336,13 +337,8 @@ def descent_delta_case(p5: Params5, t: Tally) -> None:
     pref = ctx.qpow(-dbar * (dbar - 1) // 2) * (q * q - qi * qi)
     for i in range(1, dbar):
         pref = pref * (ctx.qpow(i) - ctx.qpow(-i))
-    bl = (b / lam) ** dbar
-    term = delta * (bl - bl.inv()) - (a * b) ** (-dbar) * (
-        lam ** (2 * dbar) - ctx.one
-    ) * ((a * b * c / lam) ** dbar * ctx.qpow(dbar) - ctx.one) * (
-        (a * b / (c * lam)) ** dbar * ctx.qpow(dbar) - ctx.one
-    )
-    want = w_ij(p5, 0, 0) * (pref * (s.theta_star(0) - s.theta_star(dbar - 1)) * term)
+    want = w_ij(p5, 0, 0) * (pref * (s.theta_star(0) - s.theta_star(dbar - 1))
+                             * inv_ab_defect(p5))
     t.check(lhs == want, p5.astuple(), "descent scalar mismatch")
 
 
@@ -436,6 +432,18 @@ def check_center(ctx, rng, n):
     return center_chebyshev(ctx, rng, max(n // 4, 2)), "centrality and corner product"
 
 
+def _irreducible_draws(ctx, rng, n, t: Tally, want: int):
+    """Sampled quintuples that pass ``irr_W_criterion``, each counted as a
+    case of ``t``, until ``want`` cases or 20 * n + 40 draws."""
+    for _ in range(20 * n + 40):
+        if t.cases >= want:
+            return
+        p5 = sample_quintuple(ctx, rng)
+        if irr_W_criterion(p5):
+            t.cases += 1
+            yield p5
+
+
 def _cases_with_nu(ctx, rng, n, case: Callable) -> Tally:
     """Run ``case`` on sampled quintuples until max(n // 4, 2) had nu in the field."""
     t = Tally()
@@ -505,13 +513,7 @@ def check_bridge_vectors(ctx, rng, n):
 
 def check_krylov_span(ctx, rng, n):
     t = Tally()
-    attempts = 0
-    while t.cases < max(n // 8, 1) and attempts < 20 * n + 40:
-        attempts += 1
-        p5 = sample_quintuple(ctx, rng)
-        if not irr_W_criterion(p5):
-            continue
-        t.cases += 1
+    for p5 in _irreducible_draws(ctx, rng, n, t, max(n // 8, 1)):
         rep = build_W(p5)
         mu = p5.b / p5.lam
         vs = marginal_vectors(rep, mu)
@@ -563,33 +565,21 @@ def check_equiv_intertwiner(ctx, rng, n):
 
 def check_closure_pm(ctx, rng, n):
     t = Tally()
-    attempts = 0
-    while t.cases < max(n // 8, 2) and attempts < 20 * n + 40:
-        attempts += 1
-        p5 = sample_quintuple(ctx, rng)
-        if not irr_W_criterion(p5):
-            continue
+    for p5 in _irreducible_draws(ctx, rng, n, t, max(n // 8, 2)):
         for member in simeq_closure(p5).members:
             t.check(irr_W_criterion(Params5(*member)), (p5.astuple(), member), "class leaves PM")
-        t.cases += 1
     return t, f"{t.cases} closures stay irreducible"
 
 
 def check_closure_iso(ctx, rng, n):
     t = Tally()
-    attempts = 0
-    while t.cases < max(n // 16, 1) and attempts < 20 * n + 40:
-        attempts += 1
-        p5 = sample_quintuple(ctx, rng)
-        if not irr_W_criterion(p5):
-            continue
+    for p5 in _irreducible_draws(ctx, rng, n, t, max(n // 16, 1)):
         rep = build_W(p5)
         members = simeq_closure(p5).members
         for member in members[:: max(1, len(members) // 6)]:
             s = intertwiner(rep, build_W(Params5(*member)))
             t.check(s is not None and rank(s) == rep.n, (p5.astuple(), member),
                     "class member not isomorphic")
-        t.cases += 1
     return t, f"{t.cases} closures, sampled members isomorphic"
 
 

@@ -315,6 +315,22 @@ class TestSimRelated:
 
 
 class TestSimeqClosure:
+    @pytest.mark.parametrize("p,d", [(13, 3), (29, 28)])
+    def test_every_move_keeps_delta_shift(self, p, d, rng):
+        # the 24 orbit rows, and both inversion moves forward and reverse
+        from uawq.classify import _move_inv
+
+        ctx = ctx_new(p, d)
+        for _ in range(10):
+            p5 = sample_quintuple(ctx, rng)
+            shift = delta_shift(p5)
+            quad = p5.quadruple.astuple()
+            for row in table1.ROWS:
+                assert delta_shift(Params5(*orbit_image(row, quad, shift))) == shift, row[0]
+            for k, img in enumerate(_move_inv(p5)):
+                assert delta_shift(img) == shift
+                assert _move_inv(img)[k] == p5
+
     def test_contains_start(self, ctx13, rng):
         p5 = sample_quintuple(ctx13, rng)
         orbit = simeq_closure(p5)
@@ -356,7 +372,7 @@ class TestSimeqClosure:
         # conditions hold at x but fail at the image p, so x is reachable
         # from p only through the reverse edge; the closure must still find
         # it (the generated relation is an equivalence)
-        from uawq.classify import _cond_inv_ab, _move_inv_ab, canon_sign5
+        from uawq.classify import _cond_inv_ab, _move_inv, canon_sign5
 
         ctx = ctx13
         found = 0
@@ -368,7 +384,7 @@ class TestSimeqClosure:
             x = Params5(a, b, c, lam, rand_nonzero(ctx, rng))
             if not _cond_inv_ab(x):
                 continue
-            p = _move_inv_ab(x)
+            p = _move_inv(x)[1]
             if _cond_inv_ab(p):
                 continue
             closure = simeq_closure(p)

@@ -20,6 +20,7 @@ from uawq.modules import (
     build_W_corners,
     check_verma_universal,
     check_W_universal,
+    closed_form_case,
     dump_module,
     e_vector,
     is_marginal_weight,
@@ -560,6 +561,7 @@ class TestLArray:
             for k in range(ctx.dbar):
                 x = nd.nu * ctx.qpow(-2 * k)
                 which = next((ci for ci, vals in enumerate(sets) if x in vals), None)
+                assert closed_form_case(p5, k, nd) == which
                 if which is None:
                     with pytest.raises(errors.CaseNotApplicable):
                         L_closed(p5, k, 0, 0, nd)
