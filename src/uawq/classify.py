@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -120,7 +120,7 @@ def solve_feasible(target: Target) -> list[Params4]:
                 r = (phi + kl * (mu * lam * q - mui * lami * qi)) / (lam - lami)
             for c in quadratic_roots(ctx.one, -r, ctx.one):
                 cand = Params4(kappa * lam, mu * lam, c, lam)
-                key = tuple(x.key for x in cand.astuple())
+                key = param_key(cand.astuple())
                 if key in seen:
                     continue
                 seen.add(key)
@@ -129,7 +129,7 @@ def solve_feasible(target: Target) -> list[Params4]:
                 out.append(cand)
     if not out:
         raise NoSolutionsInField("no feasible quadruple exists inside F_{p^2}")
-    out.sort(key=lambda pr: tuple(x.key for x in pr.astuple()))
+    out.sort(key=lambda pr: param_key(pr.astuple()))
     return out
 
 
@@ -137,34 +137,26 @@ def solve_feasible(target: Target) -> list[Params4]:
 # sign classes and orbits
 
 
-def sign_flip4(quad: Quad) -> Quad:
-    return tuple(-x for x in quad)  # type: ignore[return-value]
-
-
-def canon_sign4(quad: Quad) -> Quad:
-    """Lexicographic minimum of the quadruple and its global sign flip.
+def canon_sign(t: tuple) -> tuple:
+    """The sign class of a parameter tuple: the lexicographic minimum of
+    (a, b, c, lam) and its global sign flip, followed by delta, if any,
+    which keeps its sign.  Returns ``t`` itself when no flip is needed.
 
     The two agree up to the first nonzero coordinate x and differ there, so
     that coordinate decides: x.key against (-x).key.
     """
-    p = quad[0].ctx.p
-    for x in quad:
+    p = t[0].ctx.p
+    for x in t[:4]:
         if x.x0 or x.x1:
-            return quad if x.key < ((-x.x0) % p, (-x.x1) % p) else sign_flip4(quad)
-    return quad
+            if x.key < ((-x.x0) % p, (-x.x1) % p):
+                return t
+            return (-t[0], -t[1], -t[2], -t[3], *t[4:])
+    return t
 
 
-def canon_sign5(quint: Quint) -> Quint:
-    quad = canon_sign4(quint[:4])
-    return (*quad, quint[4])
-
-
-def quad_key(quad: Quad) -> tuple:
-    return tuple(x.key for x in quad)
-
-
-def quint_key(quint: Quint) -> tuple:
-    return tuple(x.key for x in quint)
+def param_key(t: tuple) -> tuple:
+    """The plain-lex key of a parameter tuple: its entries' keys in order."""
+    return tuple(x.key for x in t)
 
 
 @dataclass(frozen=True)
@@ -179,7 +171,7 @@ class OrbitSet:
         return len(self.members)
 
     def member_keys(self) -> set[tuple]:
-        return {tuple(x.key for x in m) for m in self.members}
+        return {param_key(m) for m in self.members}
 
     def to_json(self) -> dict:
         return {
@@ -189,10 +181,9 @@ class OrbitSet:
         }
 
 
-def _orbit_set(members: list[tuple], edges: list[tuple[int, str, int]],
-               key: Callable[[tuple], tuple]) -> OrbitSet:
-    """The members sorted by ``key``, and the edges renumbered to match and sorted."""
-    order = sorted(range(len(members)), key=lambda i: key(members[i]))
+def _orbit_set(members: list[tuple], edges: list[tuple[int, str, int]]) -> OrbitSet:
+    """The members sorted by ``param_key``, and the edges renumbered to match and sorted."""
+    order = sorted(range(len(members)), key=lambda i: param_key(members[i]))
     renum = {old: new for new, old in enumerate(order)}
     return OrbitSet(
         members=tuple(members[i] for i in order),
@@ -221,22 +212,22 @@ def s4_orbit(params: Params4) -> OrbitSet:
     edges: list[tuple[int, str, int]] = []
 
     def intern(c: Quad) -> int:
-        k = quad_key(c)
+        k = param_key(c)
         if k not in images:
             images[k] = len(members)
             members.append(c)
         return images[k]
 
-    src = intern(canon_sign4(quad))
+    src = intern(canon_sign(quad))
     for row in table1.ROWS:
-        img = canon_sign4(table1.apply_row(row, quad))
+        img = canon_sign(table1.apply_row(row, quad))
         edges.append((src, row[0], intern(img)))
-    return _orbit_set(members, edges, quad_key)
+    return _orbit_set(members, edges)
 
 
 def approx_equiv(p1: Params4, p2: Params4) -> bool:
     """Whether the sign-class of p2 lies in the 24-row orbit of p1."""
-    return quad_key(canon_sign4(p2.astuple())) in s4_orbit(p1).member_keys()
+    return param_key(canon_sign(p2.astuple())) in s4_orbit(p1).member_keys()
 
 
 def orbit_image(row: table1.Row, quad: Quad, shift: Fq2) -> Quint:
@@ -315,14 +306,14 @@ def simeq_closure(params: Params5, cap: int = 10_000) -> OrbitSet:
     sends X back to the current node.  Stops at a fixpoint; raises
     CapExceeded if the member count passes the cap.
     """
-    start = canon_sign5(params.astuple())
+    start = canon_sign(params.astuple())
     members: list[Quint] = [start]
-    index: dict[tuple, int] = {quint_key(start): 0}
+    index: dict[tuple, int] = {param_key(start): 0}
     edges: list[tuple[int, str, int]] = []
     frontier = deque([0])
 
     def intern(c: Quint, src: int, label: str):
-        k = quint_key(c)
+        k = param_key(c)
         if k not in index:
             if len(members) >= cap:
                 raise CapExceeded(f"closure exceeded cap={cap} nodes")
@@ -337,16 +328,16 @@ def simeq_closure(params: Params5, cap: int = 10_000) -> OrbitSet:
         shift = delta_shift(cur)
         quad = cur.quadruple.astuple()
         for row in table1.ROWS:
-            intern(canon_sign5(orbit_image(row, quad, shift)), i, f"s4:{row[0]}")
+            intern(canon_sign(orbit_image(row, quad, shift)), i, f"s4:{row[0]}")
         for cand, cond, label in zip(_move_inv(cur), (_cond_inv_a, _cond_inv_ab),
                                      ("inv-a", "inv-ab")):
-            img = canon_sign5(cand.astuple())
+            img = canon_sign(cand.astuple())
             if cond(cur):
                 intern(img, i, label)
             if cond(cand):
                 # reverse edge: cand ~ cur since the move is an involution
                 intern(img, i, label + ":rev")
-    return _orbit_set(members, edges, quint_key)
+    return _orbit_set(members, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -669,7 +660,7 @@ def classify_sample(ctx: FieldCtx, seed: int, count: int, cap: int = 10_000) -> 
         except CapExceeded as exc:
             errors.append({"index": idx, "params": p5.to_json(), "error": str(exc)})
             continue
-        key = quint_key(orb.members[0])
+        key = param_key(orb.members[0])
         rec = closures.setdefault(
             key,
             {"representative": orb.members[0], "member_keys": orb.member_keys(),

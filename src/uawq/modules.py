@@ -52,7 +52,7 @@ class Params4:
     def ctx(self) -> FieldCtx:
         return self.a.ctx
 
-    def astuple(self) -> tuple[Fq2, Fq2, Fq2, Fq2]:
+    def astuple(self) -> tuple[Fq2, ...]:
         return (self.a, self.b, self.c, self.lam)
 
     def to_json(self) -> list[list[int]]:
@@ -60,32 +60,18 @@ class Params4:
 
 
 @dataclass(frozen=True)
-class Params5:
-    """Params4 plus the corner parameter delta (delta may be zero)."""
+class Params5(Params4):
+    """Params4 plus the corner parameter delta (delta may be zero).  A
+    Params5 never equals a Params4: dataclass equality compares classes."""
 
-    a: Fq2
-    b: Fq2
-    c: Fq2
-    lam: Fq2
     delta: Fq2
-
-    def __post_init__(self):
-        if any(x.is_zero() for x in (self.a, self.b, self.c, self.lam)):
-            raise ValueError("parameters a, b, c, lam must be nonzero")
-
-    @property
-    def ctx(self) -> FieldCtx:
-        return self.a.ctx
 
     @property
     def quadruple(self) -> Params4:
         return Params4(self.a, self.b, self.c, self.lam)
 
-    def astuple(self) -> tuple[Fq2, Fq2, Fq2, Fq2, Fq2]:
+    def astuple(self) -> tuple[Fq2, ...]:
         return (self.a, self.b, self.c, self.lam, self.delta)
-
-    def to_json(self) -> list[list[int]]:
-        return [x.to_json() for x in self.astuple()]
 
 
 class SeqData:
@@ -182,7 +168,7 @@ def build_W_corners(quad: Params4, deltas: Sequence[Fq2]) -> list[PairRep]:
     return _pair_reps(SeqData(quad), quad.ctx.dbar, deltas)
 
 
-def dump_module(rep: PairRep, params: Params4 | Params5, n: int | None = None) -> dict:
+def dump_module(rep: PairRep, params: Params4, n: int | None = None) -> dict:
     """JSON-serializable module dump with deterministic entry ordering."""
     ctx = rep.ctx
     out = {
@@ -360,14 +346,12 @@ def nu_of(params: Params5) -> NuData:
     return NuData(ctx.from_index(min(roots)), rhs)
 
 
-def e_vector(params: Params5, i: int, nu: NuData | None = None) -> FMat:
+def e_vector(params: Params5, i: int, nu: NuData) -> FMat:
     """The ladder eigenvector with coefficient 1 on the last basis vector."""
     ctx = params.ctx
     dbar = ctx.dbar
     if not 0 <= i <= dbar - 1:
         raise BadRange(f"i={i} outside [0, {dbar - 1}]")
-    if nu is None:
-        nu = nu_of(params)
     s = SeqData(params.quadruple)
     vt = nu.vartheta(i)
     coeffs = [ctx.one] * dbar
@@ -397,9 +381,7 @@ def marginal_values(params: Params4, i: int) -> tuple[list[Fq2], list[Fq2]]:
     return plus, minus
 
 
-def marginal_test_e(
-    params: Params5, i: int, nu: NuData | None = None
-) -> tuple[bool, bool]:
+def marginal_test_e(params: Params5, i: int, nu: NuData) -> tuple[bool, bool]:
     """Set-membership marginality conditions for the ladder vector e_i.
 
     Returns (cond_plus, cond_minus), read off the parameters alone;
@@ -408,8 +390,6 @@ def marginal_test_e(
     dbar = params.ctx.dbar
     if not 0 <= i <= dbar - 1:
         raise BadRange(f"i={i} outside [0, {dbar - 1}]")
-    if nu is None:
-        nu = nu_of(params)
     plus, minus = marginal_values(params.quadruple, i)
     return nu.nu in plus, nu.nu in minus
 
@@ -445,7 +425,7 @@ def w_ij(params: Params5, i: int, j: int) -> FMat:
     return FMat.column(ctx, coeffs)
 
 
-def L_recurrence(params: Params5, i: int, nu: NuData | None = None) -> list[list[Fq2]]:
+def L_recurrence(params: Params5, i: int, nu: NuData) -> list[list[Fq2]]:
     """The dbar x dbar coefficient array of the descending B-products at e_i.
 
     Entry [j][k] is the coefficient of w_{dbar-j-1} in
@@ -455,8 +435,6 @@ def L_recurrence(params: Params5, i: int, nu: NuData | None = None) -> list[list
     dbar = ctx.dbar
     if not 0 <= i <= dbar - 1:
         raise BadRange(f"i={i} outside [0, {dbar - 1}]")
-    if nu is None:
-        nu = nu_of(params)
     s = SeqData(params.quadruple)
     vt = nu.vartheta(i)
     L = [[ctx.zero] * dbar for _ in range(dbar)]
@@ -479,7 +457,7 @@ def closed_form_case(params: Params5, i: int, nu: NuData) -> int | None:
     return next((k for k, vals in enumerate(cases) if nu.nu in vals), None)
 
 
-def L_closed(params: Params5, i: int, j: int, k: int, nu: NuData | None = None) -> Fq2:
+def L_closed(params: Params5, i: int, j: int, k: int, nu: NuData) -> Fq2:
     """Closed form for the coefficient array, by case on nu q^{-2i}.
 
     Raises CaseNotApplicable when nu q^{-2i} lies in none of the four case
@@ -489,8 +467,6 @@ def L_closed(params: Params5, i: int, j: int, k: int, nu: NuData | None = None) 
     dbar = ctx.dbar
     if not (0 <= i <= dbar - 1 and 0 <= j <= dbar - 1 and 0 <= k <= dbar - 1):
         raise BadRange(f"indices ({i}, {j}, {k}) outside [0, {dbar - 1}]")
-    if nu is None:
-        nu = nu_of(params)
     case = closed_form_case(params, i, nu)
     if case is None:
         x = nu.nu * ctx.qpow(-2 * i)
@@ -563,8 +539,6 @@ def check_verma_universal(rep: PairRep, v: FMat, params: Params4) -> bool:
 
 def check_W_universal(rep: PairRep, v: FMat, params: Params5) -> bool:
     """check_verma_universal plus the corner condition prod(A - theta_i) v = delta v."""
-    if v.is_zero():
-        raise ZeroVector("universal-property test on the zero vector")
     if not check_verma_universal(rep, v, params.quadruple):
         return False
     ctx = params.ctx

@@ -25,8 +25,7 @@ from .algebra import PairRep, central_elements_check, vee, verify_rep
 from .classify import (
     burnside_irreducible,
     burnside_irreducible_many,
-    canon_sign4,
-    canon_sign5,
+    canon_sign,
     classify_sample,
     feasible,
     feasible_quartic,
@@ -37,8 +36,7 @@ from .classify import (
     irr_Vn_criterion,
     irr_W_criterion,
     orbit_image,
-    quad_key,
-    quint_key,
+    param_key,
     rand_nonzero,
     s4_orbit,
     sample_quadruple,
@@ -107,6 +105,15 @@ class Tally:
             return CheckResult(name, True, detail)
         witness, what = self.first
         return CheckResult(name, False, what, repr(witness))
+
+
+def _draws(t: Tally, want: int, budget: int, draw: Callable):
+    """Successive ``draw()`` results until ``t`` has ``want`` cases or
+    ``budget`` draws were made; the bound is checked before each draw."""
+    for _ in range(budget):
+        if t.cases >= want:
+            return
+        yield draw()
 
 
 LEVEL_COUNTS = {"smoke": 8, "standard": 80, "exhaustive": 200}
@@ -267,8 +274,8 @@ def feasible_case(p4: Params4, t: Tally) -> bool:
     if not t.check(on_system, wit, "read-off target not feasible"):
         return False
     sols = solve_feasible(tgt)
-    keys = {quad_key(canon_sign4(s.astuple())) for s in sols}
-    if not t.check(quad_key(canon_sign4(wit)) in keys, wit, "input lost by solver"):
+    keys = {param_key(canon_sign(s.astuple())) for s in sols}
+    if not t.check(param_key(canon_sign(wit)) in keys, wit, "input lost by solver"):
         return False
     if not t.check(all(feasible(s, tgt) for s in sols), wit, "solver output not feasible"):
         return False
@@ -291,7 +298,7 @@ def equiv_case(p5: Params5, rows, t: Tally) -> int:
     seen = set()
     for row in rows:
         img = orbit_image(row, quad, shift)
-        key = quint_key(canon_sign5(img))
+        key = param_key(canon_sign(img))
         if key in seen:
             continue
         seen.add(key)
@@ -307,15 +314,12 @@ def cross_class_pairs(ctx: FieldCtx, rng: random.Random, count: int,
     """Up to ``count`` pairs of irreducible quintuples from different closure
     classes admit no intertwiner; ``cases`` is the number of pairs found."""
     t = Tally()
-    attempts = 0
-    while t.cases < count and attempts < max_attempts:
-        attempts += 1
-        pa = sample_quintuple(ctx, rng)
-        pb = sample_quintuple(ctx, rng)
+    pairs = _draws(t, count, max_attempts,
+                   lambda: (sample_quintuple(ctx, rng), sample_quintuple(ctx, rng)))
+    for pa, pb in pairs:
         if not (irr_W_criterion(pa) and irr_W_criterion(pb)):
             continue
-        class_a = {quint_key(m) for m in simeq_closure(pa).members}
-        if quint_key(canon_sign5(pb.astuple())) in class_a:
+        if param_key(canon_sign(pb.astuple())) in simeq_closure(pa).member_keys():
             continue
         t.cases += 1
         t.check(intertwiner(build_W(pa), build_W(pb)) is None,
@@ -435,10 +439,7 @@ def check_center(ctx, rng, n):
 def _irreducible_draws(ctx, rng, n, t: Tally, want: int):
     """Sampled quintuples that pass ``irr_W_criterion``, each counted as a
     case of ``t``, until ``want`` cases or 20 * n + 40 draws."""
-    for _ in range(20 * n + 40):
-        if t.cases >= want:
-            return
-        p5 = sample_quintuple(ctx, rng)
+    for p5 in _draws(t, want, 20 * n + 40, lambda: sample_quintuple(ctx, rng)):
         if irr_W_criterion(p5):
             t.cases += 1
             yield p5
@@ -447,10 +448,8 @@ def _irreducible_draws(ctx, rng, n, t: Tally, want: int):
 def _cases_with_nu(ctx, rng, n, case: Callable) -> Tally:
     """Run ``case`` on sampled quintuples until max(n // 4, 2) had nu in the field."""
     t = Tally()
-    attempts = 0
-    while t.cases < max(n // 4, 2) and attempts < 20 * n + 40:
-        attempts += 1
-        if case(sample_quintuple(ctx, rng), t) is not None:
+    for p5 in _draws(t, max(n // 4, 2), 20 * n + 40, lambda: sample_quintuple(ctx, rng)):
+        if case(p5, t) is not None:
             t.cases += 1
     return t
 
@@ -551,8 +550,8 @@ def check_orbit_closure(ctx, rng, n):
         keys = orb.member_keys()
         for member in orb.members:
             for g in gens:
-                img = canon_sign4(table1.apply_row(g, member))
-                t.check(quad_key(img) in keys, (p4.astuple(), g[0]), "generator escapes orbit")
+                img = canon_sign(table1.apply_row(g, member))
+                t.check(param_key(img) in keys, (p4.astuple(), g[0]), "generator escapes orbit")
     return t, "generator-stable, size <= 24"
 
 
@@ -598,7 +597,8 @@ def _check_grid(t, sweep, ctx, n, exhaustive):
     if grid:
         mism = sweep(ctx.p, ctx.d)
         t.check(not mism, next(iter(mism), None), "exhaustive grid mismatch")
-    suffix = " + full grid" if grid else (" (grid gated: p > 17)" if exhaustive else "")
+    gated = f" (grid gated: p > {EXHAUSTIVE_P_CAP})"
+    suffix = " + full grid" if grid else (gated if exhaustive else "")
     return t, f"{n} samples{suffix}"
 
 

@@ -11,7 +11,7 @@ from uawq.classify import (
     approx_equiv,
     burnside_irreducible,
     burnside_irreducible_many,
-    canon_sign4,
+    canon_sign,
     classify_sample,
     delta_shift,
     feasible,
@@ -20,8 +20,7 @@ from uawq.classify import (
     irr_Vn_criterion,
     irr_W_criterion,
     orbit_image,
-    quad_key,
-    quint_key,
+    param_key,
     rand_nonzero,
     s4_orbit,
     sample_quadruple,
@@ -86,8 +85,8 @@ class TestSolveFeasible:
         for _ in range(10):
             p4 = sample_quadruple(ctx13, rng)
             sols = solve_feasible(feasible_target(p4))
-            keys = {quad_key(canon_sign4(s.astuple())) for s in sols}
-            assert quad_key(canon_sign4(p4.astuple())) in keys
+            keys = {param_key(canon_sign(s.astuple())) for s in sols}
+            assert param_key(canon_sign(p4.astuple())) in keys
 
     def test_all_outputs_feasible(self, ctx13, rng):
         p4 = sample_quadruple(ctx13, rng)
@@ -101,7 +100,7 @@ class TestSolveFeasible:
             tgt = feasible_target(p4)
             orbit_keys = s4_orbit(p4).member_keys()
             for sol in solve_feasible(tgt):
-                assert quad_key(canon_sign4(sol.astuple())) in orbit_keys
+                assert param_key(canon_sign(sol.astuple())) in orbit_keys
 
     def test_solver_equals_computable_orbit(self, ctx13, rng):
         # when the whole orbit lives in F_{p^2}, the solver recovers exactly
@@ -109,7 +108,7 @@ class TestSolveFeasible:
         for _ in range(10):
             p4 = sample_quadruple(ctx13, rng)
             sols = {
-                quad_key(canon_sign4(s.astuple()))
+                param_key(canon_sign(s.astuple()))
                 for s in solve_feasible(feasible_target(p4))
             }
             assert sols == s4_orbit(p4).member_keys()
@@ -135,26 +134,33 @@ class TestZ2Cubed:
         assert z2cubed_orbit(a, b, c) == want
 
 
-def test_canon_sign4_is_the_lex_min_of_a_quad_and_its_flip(ctx13):
+def test_canon_sign_is_the_lex_min_of_a_quad_and_its_flip(ctx13):
     # coordinates from zero, both signs of a base-field and a sqrt(t) value,
-    # and a mixed one, so leading zeros and every sign pattern occur
+    # and a mixed one, so leading zeros and every sign pattern occur; a fifth
+    # entry (zero or not) keeps its sign and leaves the first four as they are
     vals = [ctx13.zero, ctx13.el(3), ctx13.el(10), ctx13.el(0, 4), ctx13.el(0, 9), ctx13.el(6, 2)]
     for quad in itertools.product(vals, repeat=4):
         flipped = tuple(-x for x in quad)
         want = min(quad, flipped, key=lambda q: tuple(x.key for x in q))
-        assert quad_key(canon_sign4(quad)) == quad_key(want)
+        got = canon_sign(quad)
+        assert param_key(got) == param_key(want)
+        assert (got is quad) == (param_key(want) == param_key(quad))
+        for delta in (ctx13.zero, ctx13.el(6, 2)):
+            got5 = canon_sign((*quad, delta))
+            assert len(got5) == 5 and got5[4] is delta
+            assert param_key(got5[:4]) == param_key(got)
 
 
 class TestS4Orbit:
     def test_identity_row_present(self, ctx13, rng):
         p4 = sample_quadruple(ctx13, rng)
         orbit = s4_orbit(p4)
-        assert quad_key(canon_sign4(p4.astuple())) in orbit.member_keys()
+        assert param_key(canon_sign(p4.astuple())) in orbit.member_keys()
 
     def test_row_34_image(self, ctx13, rng):
         p4 = sample_quadruple(ctx13, rng)
         img = Params4(p4.a.inv(), p4.b, p4.c, p4.lam)
-        assert quad_key(canon_sign4(img.astuple())) in s4_orbit(p4).member_keys()
+        assert param_key(canon_sign(img.astuple())) in s4_orbit(p4).member_keys()
 
     def test_size_bound(self, ctx13, rng):
         for _ in range(10):
@@ -167,7 +173,7 @@ class TestS4Orbit:
             keys = orbit.member_keys()
             for member in orbit.members:
                 for g in gens:
-                    assert quad_key(canon_sign4(table1.apply_row(g, member))) in keys
+                    assert param_key(canon_sign(table1.apply_row(g, member))) in keys
 
     def test_needs_extension(self, ctx13):
         # find a quadruple whose orbit square-root argument is a non-square
@@ -191,7 +197,7 @@ class TestS4Orbit:
         assert sqrt(ctx13.el(3)) == ctx13.el(4)
         orbit = s4_orbit(Params4(*[ctx13.one] * 4))
         assert orbit.size >= 1
-        assert quad_key((ctx13.one,) * 4) in orbit.member_keys()
+        assert param_key((ctx13.one,) * 4) in orbit.member_keys()
 
 
 class TestTableGolden:
@@ -204,9 +210,9 @@ class TestTableGolden:
             for label, perm, entries in table1.ROWS:
                 mid = table1.apply_row((label, perm, entries), quad)
                 for g in gens:
-                    got = canon_sign4(table1.apply_row(g, mid))
+                    got = canon_sign(table1.apply_row(g, mid))
                     composite = table1.ROW_BY_PERM[table1.perm_mul(perm, g[1])]
-                    want = canon_sign4(table1.apply_row(composite, quad))
+                    want = canon_sign(table1.apply_row(composite, quad))
                     assert got == want, (label, g[0])
 
     def test_all_perms_present(self):
@@ -334,11 +340,7 @@ class TestSimeqClosure:
     def test_contains_start(self, ctx13, rng):
         p5 = sample_quintuple(ctx13, rng)
         orbit = simeq_closure(p5)
-        from uawq.classify import canon_sign5
-
-        assert quint_key(canon_sign5(p5.astuple())) in {
-            quint_key(m) for m in orbit.members
-        }
+        assert param_key(canon_sign(p5.astuple())) in orbit.member_keys()
 
     def test_members_connected(self, ctx13, rng):
         p5 = sample_quintuple(ctx13, rng)
@@ -372,7 +374,7 @@ class TestSimeqClosure:
         # conditions hold at x but fail at the image p, so x is reachable
         # from p only through the reverse edge; the closure must still find
         # it (the generated relation is an equivalence)
-        from uawq.classify import _cond_inv_ab, _move_inv, canon_sign5
+        from uawq.classify import _cond_inv_ab, _move_inv
 
         ctx = ctx13
         found = 0
@@ -388,8 +390,7 @@ class TestSimeqClosure:
             if _cond_inv_ab(p):
                 continue
             closure = simeq_closure(p)
-            keys = {quint_key(m) for m in closure.members}
-            assert quint_key(canon_sign5(x.astuple())) in keys
+            assert param_key(canon_sign(x.astuple())) in closure.member_keys()
             assert any(lab == "inv-ab:rev" for _, lab, _ in closure.edges)
             found += 1
             if found >= 2:
@@ -635,10 +636,7 @@ class TestIntertwiner:
             pb = sample_quintuple(ctx13, rng)
             if not (irr_W_criterion(pa) and irr_W_criterion(pb)):
                 continue
-            keys = {quint_key(m) for m in simeq_closure(pa).members}
-            from uawq.classify import canon_sign5
-
-            if quint_key(canon_sign5(pb.astuple())) in keys:
+            if param_key(canon_sign(pb.astuple())) in simeq_closure(pa).member_keys():
                 continue
             assert intertwiner(build_W(pa), build_W(pb)) is None
             done += 1

@@ -70,8 +70,18 @@ class TestSeq:
                 assert s.varphi(i) == s.varphi(i + ctx.dbar)
 
     def test_nonzero_params_required(self, ctx13):
-        with pytest.raises(ValueError):
-            Params4(ctx13.zero, ctx13.one, ctx13.one, ctx13.one)
+        vals = [ctx13.el(2), ctx13.el(3), ctx13.el(0, 4), ctx13.el(5, 1)]
+        for k in range(4):
+            bad = vals[:k] + [ctx13.zero] + vals[k + 1:]
+            with pytest.raises(ValueError, match="parameters a, b, c, lam must be nonzero"):
+                Params4(*bad)
+            with pytest.raises(ValueError, match="parameters a, b, c, lam must be nonzero"):
+                Params5(*bad, ctx13.one)
+        p4 = Params4(*vals)
+        for delta in (ctx13.zero, ctx13.el(7)):
+            p5 = Params5(*vals, delta)
+            assert p5.delta == delta and p5.quadruple == p4
+            assert p4 != p5 and p5 != p4
 
 
 class TestBuildVn:
@@ -345,9 +355,9 @@ class TestEVector:
                     assert e.entry(ctx.dbar - 1, 0) == ctx.one
 
     def test_bad_range(self, ctx13, rng):
-        p5 = sample_quintuple(ctx13, rng)
+        p5, nd = sample_with_nu(ctx13, rng)
         with pytest.raises(errors.BadRange):
-            e_vector(p5, ctx13.dbar)
+            e_vector(p5, ctx13.dbar, nd)
 
     def test_alternative_roots_spot_check(self, ctx13, rng):
         # the ladder statements hold for any root of the spectral equation;
