@@ -22,7 +22,6 @@ from .algebra import PairRep, central_elements_check, derive_C, vee, verify_rep
 from .classify import (
     OrbitSet,
     Target,
-    approx_equiv,
     burnside_irreducible,
     classify_sample,
     feasible,
@@ -31,9 +30,7 @@ from .classify import (
     irr_Vn_criterion,
     irr_W_criterion,
     s4_orbit,
-    sim_related,
     simeq_closure,
-    simeq_z2s4,
     solve_feasible,
     z2cubed_orbit,
 )

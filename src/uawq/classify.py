@@ -9,8 +9,8 @@ acceptance suite sweeps both routes against each other.
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -18,13 +18,9 @@ import numpy as np
 from . import table1
 from .algebra import PairRep
 from .errors import BadRange, CapExceeded, DimensionMismatch, InvariantViolation, NoSolutionsInField
-from .field import FieldCtx, Fq2, mul_parts, poly_roots, quadratic_roots
+from .field import FieldCtx, Fq2, index_of, index_sub, mul_parts, poly_roots, quadratic_roots
 from .linalg import FMat, check_int64, kernel, kron, pivot_step, rank, vstack
-from .modules import Params4, Params5, SeqData, build_W, corner_terms, delta_shift
-
-Quad = tuple[Fq2, Fq2, Fq2, Fq2]
-Quint = tuple[Fq2, Fq2, Fq2, Fq2, Fq2]
-
+from .modules import Params4, Params5, SeqData, build_W, corner_index, corner_terms, delta_shift
 
 # ---------------------------------------------------------------------------
 # feasibility
@@ -135,23 +131,28 @@ def solve_feasible(target: Target) -> list[Params4]:
 
 # ---------------------------------------------------------------------------
 # sign classes and orbits
+#
+# Orbits and closures run on tuples of plain-lex indices x0*p + x1, which sort
+# as ``param_key`` does, and on discrete logs: products, inverses and powers
+# are sums of logs mod p^2 - 1, sums and differences are componentwise.
+
+
+def sign_index(t: tuple[int, ...], p: int) -> tuple[int, ...]:
+    """The sign class of a tuple of plain-lex indices: the lexicographic
+    minimum of (a, b, c, lam) and its global sign flip, followed by delta, if
+    any, which keeps its sign; ``t`` itself when no flip is needed.  The two
+    agree up to the first nonzero entry x and differ there: x against 0 - x."""
+    x = t[0] or t[1] or t[2] or t[3]
+    if x <= index_sub(0, x, p):
+        return t
+    return tuple([index_sub(0, y, p) for y in t[:4]]) + t[4:]
 
 
 def canon_sign(t: tuple) -> tuple:
-    """The sign class of a parameter tuple: the lexicographic minimum of
-    (a, b, c, lam) and its global sign flip, followed by delta, if any,
-    which keeps its sign.  Returns ``t`` itself when no flip is needed.
-
-    The two agree up to the first nonzero coordinate x and differ there, so
-    that coordinate decides: x.key against (-x).key.
-    """
-    p = t[0].ctx.p
-    for x in t[:4]:
-        if x.x0 or x.x1:
-            if x.key < ((-x.x0) % p, (-x.x1) % p):
-                return t
-            return (-t[0], -t[1], -t[2], -t[3], *t[4:])
-    return t
+    """``sign_index`` of a tuple of field elements."""
+    idx = index_of(t)
+    out = sign_index(idx, t[0].ctx.p)
+    return t if out is idx else (*map(t[0].ctx.from_index, out[:4]), *t[4:])
 
 
 def param_key(t: tuple) -> tuple:
@@ -181,12 +182,26 @@ class OrbitSet:
         }
 
 
-def _orbit_set(members: list[tuple], edges: list[tuple[int, str, int]]) -> OrbitSet:
-    """The members sorted by ``param_key``, and the edges renumbered to match and sorted."""
-    order = sorted(range(len(members)), key=lambda i: param_key(members[i]))
+def _explore(ctx: FieldCtx, start: tuple[int, ...], moves, cap: int = 10_000) -> OrbitSet:
+    """Breadth-first search from a sign class, where ``moves(i, node)`` yields
+    (label, sign class) for the i-th node found; raises CapExceeded if the node
+    count passes the cap.  Nodes become field elements only in the OrbitSet,
+    sorted by index, with the edges renumbered to match and sorted."""
+    members = [start]
+    index = {start: 0}
+    edges: list[tuple[int, str, int]] = []
+    for i, node in enumerate(members):  # the list grows as the search goes
+        for label, img in moves(i, node):
+            if img not in index:
+                if len(members) >= cap:
+                    raise CapExceeded(f"closure exceeded cap={cap} nodes")
+                index[img] = len(members)
+                members.append(img)
+            edges.append((i, label, index[img]))
+    order = sorted(range(len(members)), key=members.__getitem__)
     renum = {old: new for new, old in enumerate(order)}
     return OrbitSet(
-        members=tuple(members[i] for i in order),
+        members=tuple(tuple(map(ctx.from_index, members[i])) for i in order),
         edges=tuple(sorted((renum[s], lab, renum[t]) for s, lab, t in edges)),
     )
 
@@ -201,45 +216,37 @@ def z2cubed_orbit(a: Fq2, b: Fq2, c: Fq2) -> set[tuple[Fq2, Fq2, Fq2]]:
     return out
 
 
+def _row_images(ctx: FieldCtx, quad: tuple[int, ...], delta_of=None):
+    """(label, sign class) of the 24 row images of a quadruple, in row order,
+    from one product of ``table1.EXPONENTS`` with its logs.  With
+    ``delta_of``, an image with a/lam = g^k gets delta_of(k) as its delta.
+    Lazy, so NeedsExtension comes at the first row that needs a missing s."""
+    exp, _ = ctx.log_tables()
+    logs = table1.orbit_logs(ctx, quad)
+    for row, (la, lb, lc, ll) in zip(table1.ROWS, table1.entry_logs(ctx, table1.EXPONENTS, logs)):
+        table1.require_root(ctx, row, logs)
+        img = (exp[la], exp[lb], exp[lc], exp[ll])
+        if delta_of is not None:
+            img += (delta_of(la - ll),)
+        yield row[0], sign_index(img, ctx.p)
+
+
 def s4_orbit(params: Params4) -> OrbitSet:
     """Sign-classes of the 24 row images of the quadruple.
 
     Raises NeedsExtension when sqrt(a b c lam q) is missing from F_{p^2}.
     """
-    quad = params.astuple()
-    images: dict[tuple, int] = {}
-    members: list[Quad] = []
-    edges: list[tuple[int, str, int]] = []
-
-    def intern(c: Quad) -> int:
-        k = param_key(c)
-        if k not in images:
-            images[k] = len(members)
-            members.append(c)
-        return images[k]
-
-    src = intern(canon_sign(quad))
-    for row in table1.ROWS:
-        img = canon_sign(table1.apply_row(row, quad))
-        edges.append((src, row[0], intern(img)))
-    return _orbit_set(members, edges)
+    quad = index_of(params.astuple())
+    # the search expands the quadruple itself, node 0, and none of its images
+    return _explore(params.ctx, sign_index(quad, params.ctx.p),
+                    lambda i, _: () if i else _row_images(params.ctx, quad))
 
 
-def approx_equiv(p1: Params4, p2: Params4) -> bool:
-    """Whether the sign-class of p2 lies in the 24-row orbit of p1."""
-    return param_key(canon_sign(p2.astuple())) in s4_orbit(p1).member_keys()
-
-
-def orbit_image(row: table1.Row, quad: Quad, shift: Fq2) -> Quint:
+def orbit_image(row: table1.Row, quad: tuple, shift: Fq2) -> tuple:
     """The row image of a quadruple, with delta chosen so that delta_shift of
     the image is ``shift``."""
     img = table1.apply_row(row, quad)
     return (*img, shift - corner_terms(img[0], img[3]))
-
-
-def simeq_z2s4(p1: Params5, p2: Params5) -> bool:
-    """Quadruple orbits match and the corner invariant is preserved."""
-    return delta_shift(p1) == delta_shift(p2) and approx_equiv(p1.quadruple, p2.quadruple)
 
 
 def _q2_window(ctx: FieldCtx) -> set[Fq2]:
@@ -247,52 +254,57 @@ def _q2_window(ctx: FieldCtx) -> set[Fq2]:
     return {ctx.qpow(2 * i) for i in range(ctx.dbar - 1)}
 
 
-def _move_inv(p: Params5) -> tuple[Params5, Params5]:
-    """The a-inversion and ab-inversion images of p.  Both send a to 1/a and
-    lam to 1/(lam q^2), keep c and delta, and are involutions."""
-    a, lam = p.a.inv(), p.lam.inv() * p.ctx.qpow(-2)
-    return Params5(a, p.b, p.c, lam, p.delta), Params5(a, p.b.inv(), p.c, lam, p.delta)
+@lru_cache(maxsize=None)
+def _move_windows(ctx: FieldCtx) -> tuple[frozenset[int], frozenset[int]]:
+    """The indices of the a-inversion window, ``_q2_window``, and of the values
+    of (b/lam)^2 that exclude the ab-inversion, q^{2(dbar-i+1)} for i < dbar-1."""
+    excluded = {ctx.qpow(2 * (ctx.dbar - i + 1)) for i in range(ctx.dbar - 1)}
+    return frozenset(index_of(_q2_window(ctx))), frozenset(index_of(excluded))
 
 
-def _cond_inv_a(p: Params5) -> bool:
-    return p.lam * p.lam in _q2_window(p.ctx)
+def _move_inv(ctx: FieldCtx, node: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The a-inversion and ab-inversion images of a quintuple of indices: both
+    send a to 1/a and lam to 1/(lam q^2), keep c and delta, and are involutions."""
+    exp, log = ctx.log_tables()
+    n = len(exp)
+    a, b, c, lam, delta = node
+    ai, lami = exp[-log[a] % n], exp[(-log[lam] - 2 * log[index_of((ctx.q,))[0]]) % n]
+    return (ai, b, c, lami, delta), (ai, exp[-log[b] % n], c, lami, delta)
+
+
+def _cond_inv_a(ctx: FieldCtx, node: tuple[int, ...]) -> bool:
+    exp, log = ctx.log_tables()
+    return exp[2 * log[node[3]] % len(exp)] in _move_windows(ctx)[0]
+
+
+def _defect_index(ctx: FieldCtx, node: tuple[int, ...]) -> int:
+    """Plain-lex index of ``inv_ab_defect`` at a quintuple of indices:
+    delta ((b/lam)^dbar - (lam/b)^dbar) - (a b)^{-dbar} (lam^{2 dbar} - 1)
+    ((a b q c/lam)^dbar - 1) ((a b q/(c lam))^dbar - 1)."""
+    exp, log = ctx.log_tables()
+    n, p, dbar = len(exp), ctx.p, ctx.dbar
+    la, lb, lc, ll = (log[i] for i in node[:4])
+    bl = dbar * (lb - ll)
+    abq = dbar * (la + lb + log[index_of((ctx.q,))[0]] - ll)
+    lhs = index_sub(exp[bl % n], exp[-bl % n], p)
+    lhs = exp[(log[node[4]] + log[lhs]) % n] if node[4] and lhs else 0
+    # the three factors less 1, which has index p
+    ks = (2 * dbar * ll, abq + dbar * lc, abq - dbar * lc)
+    f1, f2, f3 = (index_sub(exp[k % n], p, p) for k in ks)
+    rhs = exp[(log[f1] + log[f2] + log[f3] - dbar * (la + lb)) % n] if f1 and f2 and f3 else 0
+    return index_sub(lhs, rhs, p)
 
 
 def inv_ab_defect(p: Params5) -> Fq2:
     """The polynomial whose zeros are the ab-inversion move's delta condition;
     it is also the delta-carrying factor of the descent scalar at w_{0,dbar-1}."""
-    ctx = p.ctx
-    dbar = ctx.dbar
-    a, b, c, lam = p.quadruple.astuple()
-    bl = (b / lam) ** dbar
-    abq = (a * b * ctx.q / lam) ** dbar
-    cd = c ** dbar
-    return p.delta * (bl - bl.inv()) - (
-        (a * b) ** (-dbar)
-        * (lam ** (2 * dbar) - ctx.one)
-        * (abq * cd - ctx.one)
-        * (abq * cd.inv() - ctx.one)
-    )
+    return p.ctx.from_index(_defect_index(p.ctx, index_of(p.astuple())))
 
 
-def _cond_inv_ab(p: Params5) -> bool:
-    ctx = p.ctx
-    dbar = ctx.dbar
-    excluded = {ctx.qpow(2 * (dbar - i + 1)) for i in range(dbar - 1)}
-    return (p.b / p.lam) ** 2 not in excluded and inv_ab_defect(p).is_zero()
-
-
-def sim_related(p1: Params5, p2: Params5) -> bool:
-    """The one-step relation: orbit equivalence or one of the two inversion moves.
-
-    The inversion branches compare quintuples literally (not up to sign).
-    NeedsExtension can only escape from the orbit branch.
-    """
-    t2 = p2.astuple()
-    for cand, cond in zip(_move_inv(p1), (_cond_inv_a, _cond_inv_ab)):
-        if cond(p1) and cand.astuple() == t2:
-            return True
-    return simeq_z2s4(p1, p2)
+def _cond_inv_ab(ctx: FieldCtx, node: tuple[int, ...]) -> bool:
+    exp, log = ctx.log_tables()
+    b_lam = exp[2 * (log[node[1]] - log[node[3]]) % len(exp)]
+    return b_lam not in _move_windows(ctx)[1] and _defect_index(ctx, node) == 0
 
 
 def simeq_closure(params: Params5, cap: int = 10_000) -> OrbitSet:
@@ -306,38 +318,25 @@ def simeq_closure(params: Params5, cap: int = 10_000) -> OrbitSet:
     sends X back to the current node.  Stops at a fixpoint; raises
     CapExceeded if the member count passes the cap.
     """
-    start = canon_sign(params.astuple())
-    members: list[Quint] = [start]
-    index: dict[tuple, int] = {param_key(start): 0}
-    edges: list[tuple[int, str, int]] = []
-    frontier = deque([0])
+    ctx = params.ctx
+    p = ctx.p
+    # every move keeps delta_shift, so an image's delta depends on its a/lam alone
+    shift = index_of((delta_shift(params),))[0]
+    delta_of = lru_cache(maxsize=None)(lambda k: index_sub(shift, corner_index(ctx, k), p))
 
-    def intern(c: Quint, src: int, label: str):
-        k = param_key(c)
-        if k not in index:
-            if len(members) >= cap:
-                raise CapExceeded(f"closure exceeded cap={cap} nodes")
-            index[k] = len(members)
-            members.append(c)
-            frontier.append(index[k])
-        edges.append((src, label, index[k]))
-
-    while frontier:
-        i = frontier.popleft()
-        cur = Params5(*members[i])
-        shift = delta_shift(cur)
-        quad = cur.quadruple.astuple()
-        for row in table1.ROWS:
-            intern(canon_sign(orbit_image(row, quad, shift)), i, f"s4:{row[0]}")
-        for cand, cond, label in zip(_move_inv(cur), (_cond_inv_a, _cond_inv_ab),
+    def moves(_, node: tuple[int, ...]):
+        for label, img in _row_images(ctx, node[:4], delta_of):
+            yield "s4:" + label, img
+        for cand, cond, label in zip(_move_inv(ctx, node), (_cond_inv_a, _cond_inv_ab),
                                      ("inv-a", "inv-ab")):
-            img = canon_sign(cand.astuple())
-            if cond(cur):
-                intern(img, i, label)
-            if cond(cand):
-                # reverse edge: cand ~ cur since the move is an involution
-                intern(img, i, label + ":rev")
-    return _orbit_set(members, edges)
+            img = sign_index(cand, p)
+            if cond(ctx, node):
+                yield label, img
+            if cond(ctx, cand):
+                # reverse edge: cand ~ node since the move is an involution
+                yield label + ":rev", img
+
+    return _explore(ctx, sign_index(index_of(params.astuple()), p), moves, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -650,7 +649,6 @@ def classify_sample(ctx: FieldCtx, seed: int, count: int, cap: int = 10_000) -> 
     rejected = []
     errors = []
     closures: dict[tuple, dict] = {}  # class key -> record
-    sample_class: dict[int, tuple] = {}
     for idx, p5 in enumerate(samples):
         if not irr_W_criterion(p5):
             rejected.append({"index": idx, "params": p5.to_json(), "reason": "reducible"})
@@ -660,15 +658,14 @@ def classify_sample(ctx: FieldCtx, seed: int, count: int, cap: int = 10_000) -> 
         except CapExceeded as exc:
             errors.append({"index": idx, "params": p5.to_json(), "error": str(exc)})
             continue
+        keys = orb.member_keys()
         key = param_key(orb.members[0])
-        rec = closures.setdefault(
-            key,
-            {"representative": orb.members[0], "member_keys": orb.member_keys(),
-             "size": orb.size, "samples": []},
-        )
+        if key not in closures:
+            closures[key] = {"representative": orb.members[0], "member_keys": keys,
+                             "size": orb.size, "samples": []}
+        rec = closures[key]
         rec["samples"].append(idx)
-        sample_class[idx] = key
-        if rec["member_keys"] != orb.member_keys():
+        if rec["member_keys"] != keys:
             errors.append({
                 "index": idx,
                 "params": p5.to_json(),

@@ -21,7 +21,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import chain
 from math import gcd
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -63,9 +63,6 @@ class Fq2:
 
     def is_zero(self) -> bool:
         return self.x0 == 0 and self.x1 == 0
-
-    def in_base_field(self) -> bool:
-        return self.x1 == 0
 
     @property
     def key(self) -> tuple[int, int]:
@@ -315,6 +312,16 @@ def _log_tables(p: int, t: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
                 log[i] = k
             return tuple(exp), tuple(log)
     raise InvariantViolation(f"F_{{{p}^2}} has no generator")
+
+
+def index_of(xs: Iterable[Fq2]) -> tuple[int, ...]:
+    """The plain-lex indices x0*p + x1 of some elements, in order."""
+    return tuple(x.x0 * x.ctx.p + x.x1 for x in xs)
+
+
+def index_sub(i: int, j: int, p: int) -> int:
+    """Plain-lex index of the difference of the elements of indices i and j."""
+    return (i // p - j // p) % p * p + (i - j) % p
 
 
 def mul_parts(x0, x1, y0, y1, p: int, t: int, op=np.multiply, subtract_from=None):

@@ -36,6 +36,14 @@ class FMat:
     # -- constructors -----------------------------------------------------
 
     @classmethod
+    def _of_parts(cls, ctx: FieldCtx, parts) -> "FMat":
+        """The matrix of components in [0, p), as ``mul_parts`` leaves them, not reduced again."""
+        m = cls.__new__(cls)
+        m.ctx, m.arr = ctx, np.stack(parts, axis=-1)
+        m.arr.setflags(write=False)
+        return m
+
+    @classmethod
     def zeros(cls, ctx: FieldCtx, rows: int, cols: int) -> "FMat":
         return cls(ctx, np.zeros((rows, cols, 2), dtype=np.int64))
 
@@ -100,7 +108,7 @@ class FMat:
             raise DimensionMismatch(f"{self.shape} @ {other.shape}")
         a, b = self.arr, other.arr
         c = mul_parts(a[..., 0], a[..., 1], b[..., 0], b[..., 1], self.ctx.p, self.ctx.t, np.matmul)
-        return FMat(self.ctx, np.stack(c, axis=-1))
+        return FMat._of_parts(self.ctx, c)
 
     def __add__(self, other: "FMat") -> "FMat":
         return FMat(self.ctx, self.arr + other.arr)
@@ -118,7 +126,7 @@ class FMat:
             return NotImplemented
         a = self.arr
         c = mul_parts(a[..., 0], a[..., 1], s.x0, s.x1, self.ctx.p, self.ctx.t)
-        return FMat(self.ctx, np.stack(c, axis=-1))
+        return FMat._of_parts(self.ctx, c)
 
     __rmul__ = __mul__
 
@@ -237,9 +245,7 @@ def rref(m: FMat) -> tuple[FMat, tuple[int, ...]]:
         a0[r, c:], a1[r, c:] = pivot_step(a0, a1, a0[r], a1[r], c, p, t)
         pivots.append(c)
         r += 1
-    red = np.stack([a0, a1], axis=-1)
-    del a0, a1  # FMat copies red while reducing it; free the components first
-    return FMat(ctx, red), tuple(pivots)
+    return FMat._of_parts(ctx, (a0, a1)), tuple(pivots)
 
 
 def rank(m: FMat) -> int:
@@ -268,7 +274,7 @@ def vstack(mats: Sequence[FMat]) -> FMat:
 def kron(a: FMat, b: FMat) -> FMat:
     x, y = a.arr, b.arr
     c = mul_parts(x[..., 0], x[..., 1], y[..., 0], y[..., 1], a.ctx.p, a.ctx.t, np.kron)
-    return FMat(a.ctx, np.stack(c, axis=-1))
+    return FMat._of_parts(a.ctx, c)
 
 
 # ---------------------------------------------------------------------------

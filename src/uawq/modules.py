@@ -25,13 +25,14 @@ from .algebra import PairRep
 from .errors import (
     BadRange,
     CaseNotApplicable,
+    DivisionByZero,
     InvariantViolation,
     NotAWeight,
     NuOutsideField,
     WeightOutsideField,
     ZeroVector,
 )
-from .field import FieldCtx, Fq2, poly_gcd, poly_roots, poly_trim, quadratic_roots
+from .field import FieldCtx, Fq2, index_of, poly_gcd, poly_roots, poly_trim, quadratic_roots
 from .linalg import FMat, char_poly, hstack, kernel, product_shifted, rank
 
 
@@ -308,11 +309,22 @@ class NuData:
         return self.nu.inv() * ctx.qpow(2 * i) + self.nu * ctx.qpow(-2 * i)
 
 
+def corner_index(ctx: FieldCtx, k: int) -> int:
+    """Plain-lex index of (a/lam)^dbar + (lam/a)^dbar, the a, lam part of the
+    corner invariant, for a/lam of discrete log k: a componentwise sum."""
+    exp, _ = ctx.log_tables()
+    p, n = ctx.p, len(exp)
+    u, v = exp[k * ctx.dbar % n], exp[-k * ctx.dbar % n]
+    return (u // p + v // p) % p * p + (u + v) % p
+
+
 def corner_terms(a: Fq2, lam: Fq2) -> Fq2:
-    """(a/lam)^dbar + (lam/a)^dbar, the a, lam part of the corner invariant."""
-    al = a / lam
-    dbar = al.ctx.dbar
-    return al ** dbar + al ** (-dbar)
+    """``corner_index`` of nonzero field elements."""
+    _, log = a.ctx.log_tables()
+    la, ll = (log[i] for i in index_of((a, lam)))
+    if min(la, ll) < 0:
+        raise DivisionByZero("corner terms of a zero parameter")
+    return a.ctx.from_index(corner_index(a.ctx, la - ll))
 
 
 def delta_shift(params: Params5) -> Fq2:

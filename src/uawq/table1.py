@@ -15,8 +15,12 @@ generator rows and compare against every other row.
 
 from __future__ import annotations
 
+from typing import Sequence
+
+import numpy as np
+
 from .errors import NeedsExtension
-from .field import Fq2
+from .field import FieldCtx, Fq2, index_of
 
 Expo = tuple[int, int, int, int, int, int]
 Row = tuple[str, tuple[int, int, int, int], tuple[Expo, Expo, Expo, Expo]]
@@ -75,48 +79,45 @@ ROWS: tuple[Row, ...] = (
 
 GENERATOR_LABELS = ("(12)", "(23)", "(34)")
 
+EXPONENTS = np.array([entries for _, _, entries in ROWS])  # every row's vectors, (24, 4, 6)
+
 ROW_BY_LABEL = {label: (label, perm, entries) for label, perm, entries in ROWS}
-ROW_BY_PERM = {perm: (label, perm, entries) for label, perm, entries in ROWS}
-
-
-def perm_mul(sigma: tuple[int, ...], tau: tuple[int, ...]) -> tuple[int, ...]:
-    """Composite permutation for applying the sigma row, then the tau row."""
-    return tuple(sigma[tau[i]] for i in range(4))
-
-
-def orbit_sqrt_arg(a: Fq2, b: Fq2, c: Fq2, lam: Fq2) -> Fq2:
-    return a * b * c * lam * a.ctx.q
 
 
 def row_needs_sqrt(row: Row) -> bool:
     return any(e[5] != 0 for e in row[2])
 
 
-def apply_row(row: Row, quad: tuple[Fq2, Fq2, Fq2, Fq2]) -> tuple[Fq2, Fq2, Fq2, Fq2]:
-    """Evaluate a table row at a concrete quadruple of nonzero elements.
-
-    Raises NeedsExtension when the row involves s = sqrt(a b c lam q) and
-    the argument is a non-square in F_{p^2}.  s is the canonical (lex-min)
-    root, as ``field.sqrt`` returns it.
-    """
-    a, b, c, lam = quad
-    ctx = a.ctx
-    p, q = ctx.p, ctx.q
-    exp, log = ctx.log_tables()
-    n = len(exp)
-    logs = [log[x.x0 * p + x.x1] for x in (a, b, c, lam, q)]
+def orbit_logs(ctx: FieldCtx, quad: Sequence[int]) -> list[int]:
+    """The discrete logs of (a, b, c, lam, q, s) at nonzero plain-lex indices
+    of (a, b, c, lam), where s is the canonical (lex-min) root of a b c lam q,
+    as ``field.sqrt`` returns it, or -1 when F_{p^2} holds none."""
+    _, log = ctx.log_tables()
+    logs = [log[i] for i in (*quad, *index_of((ctx.q,)))]
     if min(logs) < 0:
         raise ValueError("parameters a, b, c, lam must be nonzero")
-    ls = 0
-    if row_needs_sqrt(row):
-        total = sum(logs)
-        if total % 2:
-            arg = orbit_sqrt_arg(a, b, c, lam)
-            raise NeedsExtension(f"orbit row {row[0]} needs sqrt of non-square {arg!r}")
-        ls = ctx.root_log(total)
-    la, lb, lc, ll, lq = logs
-    out = []
-    for ea, eb, ec, el, eq, es in row[2]:
-        k = exp[(ea * la + eb * lb + ec * lc + el * ll + eq * lq + es * ls) % n]
-        out.append(Fq2(ctx, k // p, k % p))
-    return tuple(out)
+    total = sum(logs)
+    return logs + [-1 if total % 2 else ctx.root_log(total)]
+
+
+def require_root(ctx: FieldCtx, row: Row, logs: Sequence[int]) -> None:
+    """Raise NeedsExtension when the row involves s and ``orbit_logs`` has none."""
+    if logs[5] < 0 and row_needs_sqrt(row):
+        exp, _ = ctx.log_tables()
+        arg = ctx.from_index(exp[sum(logs[:5]) % len(exp)])
+        raise NeedsExtension(f"orbit row {row[0]} needs sqrt of non-square {arg!r}")
+
+
+def entry_logs(ctx: FieldCtx, expo, logs: Sequence[int]) -> list:
+    """The logs mod p^2 - 1 of monomials with exponent vectors ``expo`` at ``orbit_logs``."""
+    return (np.asarray(expo) @ logs % (ctx.p * ctx.p - 1)).tolist()
+
+
+def apply_row(row: Row, quad: tuple[Fq2, Fq2, Fq2, Fq2]) -> tuple[Fq2, Fq2, Fq2, Fq2]:
+    """Evaluate a table row at a concrete quadruple of nonzero elements; raises
+    NeedsExtension when the row involves s = sqrt(a b c lam q) and the argument
+    is a non-square in F_{p^2}."""
+    ctx = quad[0].ctx
+    logs = orbit_logs(ctx, index_of(quad))
+    require_root(ctx, row, logs)
+    return tuple(ctx.from_index(ctx.log_tables()[0][k]) for k in entry_logs(ctx, row[2], logs))

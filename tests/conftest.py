@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from uawq.field import ctx_new
-from uawq.modules import Params5
+from uawq.classify import _cond_inv_a, _cond_inv_ab, _move_inv, canon_sign, param_key, s4_orbit
+from uawq.field import ctx_new, index_of
+from uawq.modules import Params5, delta_shift
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -51,3 +52,42 @@ def force_nu(quad, nu):
     dbar = quad.ctx.dbar
     al = quad.a / quad.lam
     return Params5(*quad.astuple(), nu ** dbar + nu ** (-dbar) - al ** dbar - al ** (-dbar))
+
+
+# The one-step relation whose equivalence closure ``classify.simeq_closure``
+# computes, written on parameter tuples: the reference the closure is checked
+# against.
+
+
+def approx_equiv(p1, p2):
+    """Whether the sign-class of p2 lies in the 24-row orbit of p1."""
+    return param_key(canon_sign(p2.astuple())) in s4_orbit(p1).member_keys()
+
+
+def simeq_z2s4(p1, p2):
+    """Quadruple orbits match and the corner invariant is preserved."""
+    return delta_shift(p1) == delta_shift(p2) and approx_equiv(p1.quadruple, p2.quadruple)
+
+
+def sim_related(p1, p2):
+    """The one-step relation: orbit equivalence or one of the two inversion moves.
+
+    The inversion branches compare quintuples literally (not up to sign).
+    NeedsExtension can only escape from the orbit branch.
+    """
+    ctx, node = p1.ctx, index_of(p1.astuple())
+    for cand, cond in zip(_move_inv(ctx, node), (_cond_inv_a, _cond_inv_ab)):
+        if cond(ctx, node) and cand == index_of(p2.astuple()):
+            return True
+    return simeq_z2s4(p1, p2)
+
+
+def move_images(p5):
+    """``classify._move_inv`` of a quintuple, as quintuples."""
+    return tuple(Params5(*map(p5.ctx.from_index, node))
+                 for node in _move_inv(p5.ctx, index_of(p5.astuple())))
+
+
+def cond_inv_ab(p5):
+    """``classify._cond_inv_ab`` at a quintuple."""
+    return _cond_inv_ab(p5.ctx, index_of(p5.astuple()))

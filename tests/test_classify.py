@@ -1,14 +1,16 @@
+import collections
 import itertools
 import json
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uawq import classify, errors, table1
 from uawq.classify import (
     Target,
-    approx_equiv,
     burnside_irreducible,
     burnside_irreducible_many,
     canon_sign,
@@ -26,15 +28,15 @@ from uawq.classify import (
     sample_quadruple,
     sample_quintuple,
     sample_triple,
-    sim_related,
     simeq_closure,
-    simeq_z2s4,
     solve_feasible,
     z2cubed_orbit,
 )
-from uawq.field import Fq2, ctx_new
+from uawq.field import Fq2, ctx_new, is_square, sqrt
 from uawq.linalg import FMat, hstack, rank
 from uawq.modules import Params4, Params5, SeqData, build_Vn, build_W
+
+from conftest import approx_equiv, cond_inv_ab, move_images, sim_related, simeq_z2s4
 
 
 class TestFeasible:
@@ -181,7 +183,7 @@ class TestS4Orbit:
 
         probe = None
         for x in ctx13.elements():
-            if x.is_zero() or x.in_base_field():
+            if x.x1 == 0:
                 continue
             if not is_square(x * ctx13.q):
                 probe = x
@@ -205,13 +207,15 @@ class TestTableGolden:
         # applying the sigma row then the tau row must match the row of the
         # composite permutation, on sign-classes
         gens = [table1.ROW_BY_LABEL[g] for g in table1.GENERATOR_LABELS]
+        row_by_perm = {row[1]: row for row in table1.ROWS}
         for _ in range(8):
             quad = sample_quadruple(ctx13, rng).astuple()
             for label, perm, entries in table1.ROWS:
                 mid = table1.apply_row((label, perm, entries), quad)
                 for g in gens:
                     got = canon_sign(table1.apply_row(g, mid))
-                    composite = table1.ROW_BY_PERM[table1.perm_mul(perm, g[1])]
+                    # the sigma row, then the tau row: the permutation i -> sigma[tau[i]]
+                    composite = row_by_perm[tuple(perm[g[1][i]] for i in range(4))]
                     want = canon_sign(table1.apply_row(composite, quad))
                     assert got == want, (label, g[0])
 
@@ -312,10 +316,8 @@ class TestSimRelated:
             assert sim_related(p5, partner)
             # breaking (iii)(b) by bumping delta kills that branch, though the
             # pair may still be orbit-equivalent; check the branch predicate
-            from uawq.classify import _cond_inv_ab
-
             bumped = Params5(a, b, c, lam, delta + ctx.one)
-            assert not _cond_inv_ab(bumped)
+            assert not cond_inv_ab(bumped)
             return
         pytest.fail("no branch-(iii) instance found")
 
@@ -324,8 +326,6 @@ class TestSimeqClosure:
     @pytest.mark.parametrize("p,d", [(13, 3), (29, 28)])
     def test_every_move_keeps_delta_shift(self, p, d, rng):
         # the 24 orbit rows, and both inversion moves forward and reverse
-        from uawq.classify import _move_inv
-
         ctx = ctx_new(p, d)
         for _ in range(10):
             p5 = sample_quintuple(ctx, rng)
@@ -333,9 +333,9 @@ class TestSimeqClosure:
             quad = p5.quadruple.astuple()
             for row in table1.ROWS:
                 assert delta_shift(Params5(*orbit_image(row, quad, shift))) == shift, row[0]
-            for k, img in enumerate(_move_inv(p5)):
+            for k, img in enumerate(move_images(p5)):
                 assert delta_shift(img) == shift
-                assert _move_inv(img)[k] == p5
+                assert move_images(img)[k] == p5
 
     def test_contains_start(self, ctx13, rng):
         p5 = sample_quintuple(ctx13, rng)
@@ -374,8 +374,6 @@ class TestSimeqClosure:
         # conditions hold at x but fail at the image p, so x is reachable
         # from p only through the reverse edge; the closure must still find
         # it (the generated relation is an equivalence)
-        from uawq.classify import _cond_inv_ab, _move_inv
-
         ctx = ctx13
         found = 0
         for _ in range(500):
@@ -384,10 +382,10 @@ class TestSimeqClosure:
             a = rand_nonzero(ctx, rng)
             c = ctx.qpow(2) / (a * b / lam * ctx.q)
             x = Params5(a, b, c, lam, rand_nonzero(ctx, rng))
-            if not _cond_inv_ab(x):
+            if not cond_inv_ab(x):
                 continue
-            p = _move_inv(x)[1]
-            if _cond_inv_ab(p):
+            p = move_images(x)[1]
+            if cond_inv_ab(p):
                 continue
             closure = simeq_closure(p)
             assert param_key(canon_sign(x.astuple())) in closure.member_keys()
@@ -406,6 +404,202 @@ class TestSimeqClosure:
             for member in simeq_closure(p5).members:
                 assert irr_W_criterion(Params5(*member))
             done += 1
+
+
+# ---------------------------------------------------------------------------
+# The 24-row orbit and the equivalence closure as they were written on Fq2
+# objects, before they moved to plain-lex indices and discrete logs: the
+# references the index code is checked against.  They keep their own sign
+# rule, row evaluation by powers, corner terms, inversion moves and side
+# conditions, so none of the index code is shared.
+
+
+def ref_canon_sign(t):
+    p = t[0].ctx.p
+    for x in t[:4]:
+        if x.x0 or x.x1:
+            if x.key < ((-x.x0) % p, (-x.x1) % p):
+                return t
+            return (-t[0], -t[1], -t[2], -t[3], *t[4:])
+    return t
+
+
+def ref_apply_row(row, quad):
+    """The row evaluated by powering each base, with s the canonical root."""
+    a, b, c, lam = quad
+    ctx = a.ctx
+    s = None
+    if table1.row_needs_sqrt(row):
+        arg = a * b * c * lam * ctx.q
+        if not is_square(arg):
+            raise errors.NeedsExtension(f"orbit row {row[0]} needs sqrt of non-square {arg!r}")
+        s = sqrt(arg)
+    out = []
+    for expo in row[2]:
+        val = ctx.one
+        for base, e in zip((a, b, c, lam, ctx.q, s), expo):
+            if e:
+                val = val * base ** e
+        out.append(val)
+    return tuple(out)
+
+
+def ref_corner(a, lam):
+    al = a / lam
+    return al ** a.ctx.dbar + al ** (-a.ctx.dbar)
+
+
+def ref_move_inv(p):
+    a, lam = p.a.inv(), p.lam.inv() * p.ctx.qpow(-2)
+    return Params5(a, p.b, p.c, lam, p.delta), Params5(a, p.b.inv(), p.c, lam, p.delta)
+
+
+def ref_cond_inv_a(p):
+    return p.lam * p.lam in {p.ctx.qpow(2 * i) for i in range(p.ctx.dbar - 1)}
+
+
+def ref_cond_inv_ab(p):
+    ctx = p.ctx
+    dbar = ctx.dbar
+    a, b, c, lam = p.quadruple.astuple()
+    excluded = {ctx.qpow(2 * (dbar - i + 1)) for i in range(dbar - 1)}
+    bl = (b / lam) ** dbar
+    abq = (a * b * ctx.q / lam) ** dbar
+    cd = c ** dbar
+    defect = p.delta * (bl - bl.inv()) - (
+        (a * b) ** (-dbar)
+        * (lam ** (2 * dbar) - ctx.one)
+        * (abq * cd - ctx.one)
+        * (abq * cd.inv() - ctx.one)
+    )
+    return (b / lam) ** 2 not in excluded and defect.is_zero()
+
+
+def ref_orbit_set(members, edges):
+    order = sorted(range(len(members)), key=lambda i: param_key(members[i]))
+    renum = {old: new for new, old in enumerate(order)}
+    return classify.OrbitSet(
+        members=tuple(members[i] for i in order),
+        edges=tuple(sorted((renum[s], lab, renum[t]) for s, lab, t in edges)),
+    )
+
+
+def ref_s4_orbit(params):
+    quad = params.astuple()
+    images, members, edges = {}, [], []
+
+    def intern(c):
+        k = param_key(c)
+        if k not in images:
+            images[k] = len(members)
+            members.append(c)
+        return images[k]
+
+    src = intern(ref_canon_sign(quad))
+    for row in table1.ROWS:
+        edges.append((src, row[0], intern(ref_canon_sign(ref_apply_row(row, quad)))))
+    return ref_orbit_set(members, edges)
+
+
+def ref_closure(params, cap=10_000):
+    start = ref_canon_sign(params.astuple())
+    members = [start]
+    index = {param_key(start): 0}
+    edges = []
+    frontier = collections.deque([0])
+
+    def intern(c, src, label):
+        k = param_key(c)
+        if k not in index:
+            if len(members) >= cap:
+                raise errors.CapExceeded(f"closure exceeded cap={cap} nodes")
+            index[k] = len(members)
+            members.append(c)
+            frontier.append(index[k])
+        edges.append((src, label, index[k]))
+
+    while frontier:
+        i = frontier.popleft()
+        cur = Params5(*members[i])
+        shift = cur.delta + ref_corner(cur.a, cur.lam)
+        quad = cur.quadruple.astuple()
+        for row in table1.ROWS:
+            img = ref_apply_row(row, quad)
+            intern(ref_canon_sign((*img, shift - ref_corner(img[0], img[3]))), i, f"s4:{row[0]}")
+        for cand, cond, label in zip(ref_move_inv(cur), (ref_cond_inv_a, ref_cond_inv_ab),
+                                     ("inv-a", "inv-ab")):
+            img = ref_canon_sign(cand.astuple())
+            if cond(cur):
+                intern(img, i, label)
+            if cond(cand):
+                intern(img, i, label + ":rev")
+    return ref_orbit_set(members, edges)
+
+
+def outcome(f, *args):
+    """The JSON of an orbit, or the type and message of the error it raised."""
+    try:
+        return json.dumps(f(*args).to_json())
+    except (errors.NeedsExtension, errors.CapExceeded) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def uniform_quintuple(ctx, rng):
+    """Uniform nonzero a, b, c, lam and uniform delta: a b c lam q is a
+    non-square about half the time."""
+    pp = ctx.p * ctx.p
+    return Params5(*(ctx.from_index(rng.randrange(1, pp)) for _ in range(4)),
+                   ctx.from_index(rng.randrange(pp)))
+
+
+@pytest.mark.parametrize("p,d", [(7, 3), (13, 3), (13, 6), (29, 28), (37, 9)])
+class TestAgainstFq2Reference:
+    def test_closure_matches(self, p, d):
+        # seeded sample_quintuple draws and uniform draws (some need a field
+        # extension), with no cap and caps of 2 and 1 (a cap of 1 is reached
+        # before a missing root is): same JSON, or the same error and message
+        ctx, rng = ctx_new(p, d), random.Random(p * 1000 + d)
+        kinds = set()
+        for k in range(24):
+            p5 = sample_quintuple(ctx, rng) if k < 12 else uniform_quintuple(ctx, rng)
+            for cap in (10_000, 2, 1):
+                got = outcome(simeq_closure, p5, cap)
+                assert got == outcome(ref_closure, p5, cap), (p5.astuple(), cap)
+                kinds.add(got[0] if isinstance(got, tuple) else "orbit")
+        assert kinds == {"orbit", "NeedsExtension", "CapExceeded"}
+
+    def test_s4_orbit_matches(self, p, d):
+        ctx, rng = ctx_new(p, d), random.Random(p * 1000 + d + 1)
+        kinds = set()
+        for k in range(24):
+            p5 = sample_quintuple(ctx, rng) if k < 12 else uniform_quintuple(ctx, rng)
+            got = outcome(s4_orbit, p5.quadruple)
+            assert got == outcome(ref_s4_orbit, p5.quadruple), p5.astuple()
+            kinds.add(got[0] if isinstance(got, tuple) else "orbit")
+        assert kinds == {"orbit", "NeedsExtension"}
+
+
+@pytest.mark.parametrize("p,d", [(3, 8), (13, 3), (61, 3)])
+@settings(max_examples=300, deadline=None, database=None)
+@given(data=st.data())
+def test_sign_rule_and_key_match_the_fq2_definition(p, d, data):
+    # arbitrary 4- and 5-tuples, zero entries (leading ones too) drawn often:
+    # the index sign rule is the lex-min of (a, b, c, lam) and its flip with
+    # a fifth entry kept, and index tuples order as param_key does
+    ctx = ctx_new(p, d)
+    entry = st.one_of(st.just(0), st.integers(0, p * p - 1))
+    t1, t2 = (tuple(data.draw(st.lists(entry, min_size=k, max_size=k)))
+              for k in data.draw(st.sampled_from([(4, 4), (4, 5), (5, 5)])))
+    x1 = tuple(map(ctx.from_index, t1))
+    flipped = tuple(-x for x in x1[:4]) + x1[4:]
+    want = min(x1, flipped, key=lambda t: param_key(t[:4]))
+    assert classify.sign_index(t1, p) == classify.index_of(want)
+    got = canon_sign(x1)
+    assert param_key(got) == param_key(want) and got[4:] == x1[4:]
+    assert (got is x1) == (param_key(want) == param_key(x1))
+    x2 = tuple(map(ctx.from_index, t2))
+    assert (t1 < t2) == (param_key(x1) < param_key(x2))
+    assert (t1 == t2) == (param_key(x1) == param_key(x2))
 
 
 class TestIrrVn:

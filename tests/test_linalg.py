@@ -257,3 +257,29 @@ def test_rref_rank_kernel_match_full_sweep(p, d):
         assert (m @ k).is_zero(), name
         assert k.ncols == m.ncols - len(piv), name
         assert np.array_equal(m.arr, before), name
+
+
+@pytest.mark.parametrize("p,d", [(13, 3), (97, 8)])
+def test_internal_products_are_reduced_entrywise_products(p, d):
+    # @, scalar *, kron and rref wrap their components without reducing them
+    # a second time: every entry lies in [0, p) of a read-only int64 array,
+    # and equals the entry-by-entry Fq2 product (for rref, the full sweep);
+    # an array from outside is still reduced
+    ctx, rng = ctx_new(p, d), random.Random(p)
+    for _ in range(4):
+        a, b = rand_mat(ctx, rng, 3, 4), rand_mat(ctx, rng, 4, 2)
+        s = ctx.from_index(rng.randrange(p * p))
+        cases = [
+            (a @ b, [[sum((a.entry(i, k) * b.entry(k, j) for k in range(4)), ctx.zero)
+                      for j in range(2)] for i in range(3)]),
+            (a * s, [[a.entry(i, j) * s for j in range(4)] for i in range(3)]),
+            (kron(a, b), [[a.entry(i // 4, j // 2) * b.entry(i % 4, j % 2) for j in range(8)]
+                          for i in range(12)]),
+            (rref(a)[0], ref_rref(a)[0]),
+        ]
+        for got, want in cases:
+            assert got.arr.dtype == np.int64 and not got.arr.flags.writeable
+            assert 0 <= got.arr.min() and got.arr.max() < p
+            assert got == (want if isinstance(want, FMat) else FMat.from_entries(ctx, want))
+    outside = np.array([[[p + 3, -1]]])
+    assert FMat(ctx, outside).arr.tolist() == [[[3, p - 1]]]

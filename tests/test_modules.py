@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from conftest import force_nu
+from conftest import cond_inv_ab, force_nu, sim_related
 
 from uawq import errors
 from uawq.algebra import verify_rep
@@ -692,8 +692,6 @@ class TestHomToMarginalVector:
             delta = ctx.el(3)
             p5 = Params5(a, b, c, lam, delta)
             partner = Params5(a.inv(), b, c, lam.inv() * ctx.qpow(-2), delta)
-            from uawq.classify import sim_related
-
             assert sim_related(p5, partner)
             rep = build_W(p5)
             wi = basis_vec(ctx, ctx.dbar, i)
@@ -705,8 +703,6 @@ class TestHomToMarginalVector:
         # branch (iii) partner: the generator lands on the full bridge vector
         ctx = ctx13
         dbar = ctx.dbar
-        from uawq.classify import _cond_inv_ab, sim_related
-
         done = 0
         for _ in range(500):
             quad = sample_quadruple(ctx, rng)
@@ -722,7 +718,7 @@ class TestHomToMarginalVector:
                 * ((a * b / (c * lam)) ** dbar * ctx.qpow(dbar) - ctx.one)
             )
             p5 = Params5(a, b, c, lam, num / denom)
-            if not _cond_inv_ab(p5):
+            if not cond_inv_ab(p5):
                 continue
             partner = Params5(a.inv(), b.inv(), c, lam.inv() * ctx.qpow(-2), p5.delta)
             assert sim_related(p5, partner)
