@@ -32,7 +32,6 @@ from .classify import (
     s4_orbit,
     simeq_closure,
     solve_feasible,
-    z2cubed_orbit,
 )
 from .field import FieldCtx, Fq2, chebyshev_T, ctx_new, is_square, poly_roots, sqrt
 from .linalg import FMat

@@ -11,13 +11,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 from typing import Sequence
 
 import numpy as np
 
 from . import table1
 from .algebra import PairRep
-from .errors import BadRange, CapExceeded, DimensionMismatch, InvariantViolation, NoSolutionsInField
+from .errors import (BadRange, CapExceeded, DimensionMismatch, DivisionByZero, InvariantViolation,
+                     NoSolutionsInField)
 from .field import FieldCtx, Fq2, index_of, index_sub, mul_parts, poly_roots, quadratic_roots
 from .linalg import FMat, check_int64, kernel, kron, pivot_step, rank, vstack
 from .modules import Params4, Params5, SeqData, build_W, corner_index, corner_terms, delta_shift
@@ -206,16 +208,6 @@ def _explore(ctx: FieldCtx, start: tuple[int, ...], moves, cap: int = 10_000) ->
     )
 
 
-def z2cubed_orbit(a: Fq2, b: Fq2, c: Fq2) -> set[tuple[Fq2, Fq2, Fq2]]:
-    """All triples obtained by independently inverting each coordinate."""
-    out = set()
-    for ea in (a, a.inv()):
-        for eb in (b, b.inv()):
-            for ec in (c, c.inv()):
-                out.add((ea, eb, ec))
-    return out
-
-
 def _row_images(ctx: FieldCtx, quad: tuple[int, ...], delta_of=None):
     """(label, sign class) of the 24 row images of a quadruple, in row order,
     from one product of ``table1.EXPONENTS`` with its logs.  With
@@ -249,17 +241,17 @@ def orbit_image(row: table1.Row, quad: tuple, shift: Fq2) -> tuple:
     return (*img, shift - corner_terms(img[0], img[3]))
 
 
-def _q2_window(ctx: FieldCtx) -> set[Fq2]:
-    """{q^{2i} : 0 <= i <= dbar-2}: all powers of q^2 except q^{-2}."""
-    return {ctx.qpow(2 * i) for i in range(ctx.dbar - 1)}
+def _q_log(ctx: FieldCtx) -> int:
+    return ctx.log_tables()[1][index_of((ctx.q,))[0]]
 
 
 @lru_cache(maxsize=None)
 def _move_windows(ctx: FieldCtx) -> tuple[frozenset[int], frozenset[int]]:
-    """The indices of the a-inversion window, ``_q2_window``, and of the values
-    of (b/lam)^2 that exclude the ab-inversion, q^{2(dbar-i+1)} for i < dbar-1."""
-    excluded = {ctx.qpow(2 * (ctx.dbar - i + 1)) for i in range(ctx.dbar - 1)}
-    return frozenset(index_of(_q2_window(ctx))), frozenset(index_of(excluded))
+    """For i < dbar-1, the logs of q^{2i}, the window of the a-inversion and the
+    W criterion, and of q^{2(dbar-i+1)}, the (b/lam)^2 that exclude the ab-inversion."""
+    n, lq, dbar = len(ctx.log_tables()[0]), _q_log(ctx), ctx.dbar
+    return (frozenset(2 * i * lq % n for i in range(dbar - 1)),
+            frozenset(2 * (dbar - i + 1) * lq % n for i in range(dbar - 1)))
 
 
 def _move_inv(ctx: FieldCtx, node: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -268,13 +260,13 @@ def _move_inv(ctx: FieldCtx, node: tuple[int, ...]) -> tuple[tuple[int, ...], tu
     exp, log = ctx.log_tables()
     n = len(exp)
     a, b, c, lam, delta = node
-    ai, lami = exp[-log[a] % n], exp[(-log[lam] - 2 * log[index_of((ctx.q,))[0]]) % n]
+    ai, lami = exp[-log[a] % n], exp[(-log[lam] - 2 * _q_log(ctx)) % n]
     return (ai, b, c, lami, delta), (ai, exp[-log[b] % n], c, lami, delta)
 
 
 def _cond_inv_a(ctx: FieldCtx, node: tuple[int, ...]) -> bool:
     exp, log = ctx.log_tables()
-    return exp[2 * log[node[3]] % len(exp)] in _move_windows(ctx)[0]
+    return 2 * log[node[3]] % len(exp) in _move_windows(ctx)[0]
 
 
 def _defect_index(ctx: FieldCtx, node: tuple[int, ...]) -> int:
@@ -285,7 +277,7 @@ def _defect_index(ctx: FieldCtx, node: tuple[int, ...]) -> int:
     n, p, dbar = len(exp), ctx.p, ctx.dbar
     la, lb, lc, ll = (log[i] for i in node[:4])
     bl = dbar * (lb - ll)
-    abq = dbar * (la + lb + log[index_of((ctx.q,))[0]] - ll)
+    abq = dbar * (la + lb + _q_log(ctx) - ll)
     lhs = index_sub(exp[bl % n], exp[-bl % n], p)
     lhs = exp[(log[node[4]] + log[lhs]) % n] if node[4] and lhs else 0
     # the three factors less 1, which has index p
@@ -303,8 +295,8 @@ def inv_ab_defect(p: Params5) -> Fq2:
 
 def _cond_inv_ab(ctx: FieldCtx, node: tuple[int, ...]) -> bool:
     exp, log = ctx.log_tables()
-    b_lam = exp[2 * (log[node[1]] - log[node[3]]) % len(exp)]
-    return b_lam not in _move_windows(ctx)[1] and _defect_index(ctx, node) == 0
+    return (2 * (log[node[1]] - log[node[3]]) % len(exp) not in _move_windows(ctx)[1]
+            and _defect_index(ctx, node) == 0)
 
 
 def simeq_closure(params: Params5, cap: int = 10_000) -> OrbitSet:
@@ -344,57 +336,55 @@ def simeq_closure(params: Params5, cap: int = 10_000) -> OrbitSet:
 
 
 def irr_Vn_criterion(a: Fq2, b: Fq2, c: Fq2, n: int) -> bool:
-    """Parameter test for irreducibility of the (n+1)-dimensional family."""
+    """Parameter test for irreducibility of the (n+1)-dimensional family: no
+    product of a^+-1, b^+-1 and c^+-1 is one of q^{n-2i+1}, 1 <= i <= n.  Those
+    powers are closed under inversion, so log a keeps its sign."""
     ctx = a.ctx
     if not 0 <= n <= ctx.dbar - 2:
         raise BadRange(f"n={n} outside [0, {ctx.dbar - 2}]")
-    forbidden = {ctx.qpow(n - 2 * i + 1) for i in range(1, n + 1)}
-    if not forbidden:
-        return True
-    for ta, tb, tc in z2cubed_orbit(a, b, c):
-        if ta * tb * tc in forbidden:
-            return False
-    return True
+    exp, log = ctx.log_tables()
+    la, lb, lc = (log[i] for i in index_of((a, b, c)))
+    if n and min(la, lb, lc) < 0:
+        raise DivisionByZero("inverse of zero in F_{p^2}")
+    forbidden = {(n - 2 * i + 1) * _q_log(ctx) % len(exp) for i in range(1, n + 1)}
+    return all((la + sb * lb + sc * lc) % len(exp) not in forbidden
+               for sb in (1, -1) for sc in (1, -1))
+
+
+# The W criterion as data, on exponent vectors of (a, b, c, lam, q): its six
+# window monomials and, per condition, a monomial x and the three window
+# monomials it excludes when delta_shift is x^dbar + x^-dbar.  As q^dbar = +-1,
+# that sets delta to 0 at x = a/lam, (a^dbar - a^-dbar)(lam^dbar - lam^-dbar)
+# at x = a lam, and q^dbar ((b c^+-1)^dbar + (b c^+-1)^-dbar) at x = b c^+-1 q.
+W_MONOMIALS = (
+    (0, 0, 0, 2, 0),  # lam^2
+    (-1, -1, -1, 1, -1),  # lam/(a b c q)
+    (-1, -1, 1, 1, -1),  # c lam/(a b q)
+    (1, -1, -1, 1, -1),  # a lam/(b c q)
+    (1, -1, 1, 1, -1),  # a c lam/(b q)
+    (0, -2, 0, 0, -2),  # 1/(b q)^2
+)
+W_CONDITIONS = (
+    ((1, 0, 0, -1, 0), (0, 1, 2)),
+    ((1, 0, 0, 1, 0), (0, 3, 4)),
+    ((0, 1, 1, 0, 1), (3, 1, 5)),
+    ((0, 1, -1, 0, 1), (4, 5, 2)),
+)
 
 
 def irr_W_criterion(params: Params5) -> bool:
-    """Parameter test for irreducibility of the dbar-dimensional family.
-
-    The conjunction of four conditions, each "a delta-condition holds or
-    three window memberships are all excluded".
-    """
+    """Parameter test for irreducibility of the dbar-dimensional family: for
+    each of ``W_CONDITIONS``, delta_shift is not x^dbar + x^-dbar, or the
+    three monomials lie outside the window of ``_move_windows``."""
     ctx = params.ctx
-    dbar = ctx.dbar
-    a, b, c, lam = params.quadruple.astuple()
-    delta = params.delta
-    window = _q2_window(ctx)
-    q, qi = ctx.q, ctx.q.inv()
-    ai, bi, ci, lami = a.inv(), b.inv(), c.inv(), lam.inv()
-    lam2 = lam * lam
-    ad, lamd = a ** dbar, lam ** dbar
-    shift = delta_shift(params)
-
-    def excl(*vals: Fq2) -> bool:
-        return all(v not in window for v in vals)
-
-    if delta != ctx.zero:
-        c1 = True
-    else:
-        c1 = excl(lam2, ai * bi * ci * lam * qi, ai * bi * c * lam * qi)
-    if delta != (ad - ad.inv()) * (lamd - lamd.inv()):
-        c2 = True
-    else:
-        c2 = excl(lam2, a * bi * ci * lam * qi, a * bi * c * lam * qi)
-    bd, cd, qd = b ** dbar, c ** dbar, ctx.qpow(dbar)
-    if shift != (bd * cd + bd.inv() * cd.inv()) * qd:
-        c3 = True
-    else:
-        c3 = excl(a * bi * ci * lam * qi, ai * bi * ci * lam * qi, bi * bi * qi * qi)
-    if shift != (bd * cd.inv() + bd.inv() * cd) * qd:
-        c4 = True
-    else:
-        c4 = excl(a * bi * c * lam * qi, bi * bi * qi * qi, ai * bi * c * lam * qi)
-    return c1 and c2 and c3 and c4
+    exp, log = ctx.log_tables()
+    *quad, delta = index_of(params.astuple())
+    logs = (*(log[i] for i in quad), _q_log(ctx))
+    window = _move_windows(ctx)[0]
+    inside = [sum(map(mul, m, logs)) % len(exp) in window for m in W_MONOMIALS]
+    corner = corner_index(ctx, logs[0] - logs[3])
+    return all(delta != index_sub(corner_index(ctx, sum(map(mul, x, logs))), corner, ctx.p)
+               or not any(inside[j] for j in js) for x, js in W_CONDITIONS)
 
 
 def burnside_irreducible(rep: PairRep) -> bool:
@@ -676,11 +666,8 @@ def classify_sample(ctx: FieldCtx, seed: int, count: int, cap: int = 10_000) -> 
     class_keys = sorted(closures)
     reps = {k: build_W(Params5(*closures[k]["representative"])) for k in class_keys}
     for k in class_keys:
-        rec = closures[k]
-        base_idx = rec["samples"][0]
-        base_rep = build_W(samples[base_idx])
-        for idx in rec["samples"]:
-            s = intertwiner(base_rep, build_W(samples[idx]))
+        for idx in closures[k]["samples"]:
+            s = intertwiner(reps[k], build_W(samples[idx]))
             if s is None or rank(s) != s.nrows:
                 errors.append({
                     "index": idx,

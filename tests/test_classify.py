@@ -1,7 +1,9 @@
+import ast
 import collections
 import itertools
 import json
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,7 +32,6 @@ from uawq.classify import (
     sample_triple,
     simeq_closure,
     solve_feasible,
-    z2cubed_orbit,
 )
 from uawq.field import Fq2, ctx_new, is_square, sqrt
 from uawq.linalg import FMat, hstack, rank
@@ -114,26 +115,6 @@ class TestSolveFeasible:
                 for s in solve_feasible(feasible_target(p4))
             }
             assert sols == s4_orbit(p4).member_keys()
-
-
-class TestZ2Cubed:
-    def test_all_ones_fixed(self, ctx13):
-        assert z2cubed_orbit(ctx13.one, ctx13.one, ctx13.one) == {
-            (ctx13.one, ctx13.one, ctx13.one)
-        }
-
-    def test_generic_eight(self, ctx13):
-        trips = z2cubed_orbit(ctx13.el(2), ctx13.el(3), ctx13.el(5))
-        assert len(trips) == 8
-
-    def test_matches_enumeration(self, ctx13, rng):
-        a, b, c = sample_triple(ctx13, rng)
-        want = set()
-        for ea in (1, -1):
-            for eb in (1, -1):
-                for ec in (1, -1):
-                    want.add((a ** ea, b ** eb, c ** ec))
-        assert z2cubed_orbit(a, b, c) == want
 
 
 def test_canon_sign_is_the_lex_min_of_a_quad_and_its_flip(ctx13):
@@ -629,7 +610,7 @@ class TestIrrVn:
         a, b, c = sample_triple(ctx13, rng)
         n = 1
         val = irr_Vn_criterion(a, b, c, n)
-        for ta, tb, tc in z2cubed_orbit(a, b, c):
+        for ta, tb, tc in itertools.product((a, a.inv()), (b, b.inv()), (c, c.inv())):
             assert irr_Vn_criterion(ta, tb, tc, n) == val
 
 
@@ -653,6 +634,172 @@ class TestIrrW:
         shift = delta_shift(p5)
         for row in table1.ROWS[:6]:
             assert irr_W_criterion(Params5(*orbit_image(row, p5.quadruple.astuple(), shift))) == val
+
+
+# ---------------------------------------------------------------------------
+# Both irreducibility criteria as they were written on Fq2 objects, before
+# they moved to discrete logs and tables: the references the log code is
+# checked against.  They keep their own window, forbidden powers, inversions
+# and corner terms, so none of the log code is shared.
+
+
+def ref_irr_Vn_criterion(a, b, c, n):
+    ctx = a.ctx
+    if not 0 <= n <= ctx.dbar - 2:
+        raise errors.BadRange(f"n={n} outside [0, {ctx.dbar - 2}]")
+    forbidden = {ctx.qpow(n - 2 * i + 1) for i in range(1, n + 1)}
+    if not forbidden:
+        return True
+    for ta, tb, tc in itertools.product((a, a.inv()), (b, b.inv()), (c, c.inv())):
+        if ta * tb * tc in forbidden:
+            return False
+    return True
+
+
+def ref_irr_W_criterion(params):
+    ctx = params.ctx
+    dbar = ctx.dbar
+    a, b, c, lam = params.quadruple.astuple()
+    delta = params.delta
+    window = {ctx.qpow(2 * i) for i in range(dbar - 1)}
+    q, qi = ctx.q, ctx.q.inv()
+    ai, bi, ci, lami = a.inv(), b.inv(), c.inv(), lam.inv()
+    lam2 = lam * lam
+    ad, lamd = a ** dbar, lam ** dbar
+    shift = delta + ref_corner(a, lam)
+
+    def excl(*vals):
+        return all(v not in window for v in vals)
+
+    if delta != ctx.zero:
+        c1 = True
+    else:
+        c1 = excl(lam2, ai * bi * ci * lam * qi, ai * bi * c * lam * qi)
+    if delta != (ad - ad.inv()) * (lamd - lamd.inv()):
+        c2 = True
+    else:
+        c2 = excl(lam2, a * bi * ci * lam * qi, a * bi * c * lam * qi)
+    bd, cd, qd = b ** dbar, c ** dbar, ctx.qpow(dbar)
+    if shift != (bd * cd + bd.inv() * cd.inv()) * qd:
+        c3 = True
+    else:
+        c3 = excl(a * bi * ci * lam * qi, ai * bi * ci * lam * qi, bi * bi * qi * qi)
+    if shift != (bd * cd.inv() + bd.inv() * cd) * qd:
+        c4 = True
+    else:
+        c4 = excl(a * bi * c * lam * qi, bi * bi * qi * qi, ai * bi * c * lam * qi)
+    return c1 and c2 and c3 and c4
+
+
+def ref_w_deltas(a, b, c, lam):
+    """The values of delta at which the four conditions of
+    ``ref_irr_W_criterion`` bind, in its order."""
+    ctx = a.ctx
+    dbar = ctx.dbar
+    ad, lamd, bd, cd, qd = a ** dbar, lam ** dbar, b ** dbar, c ** dbar, ctx.qpow(dbar)
+    corner = ref_corner(a, lam)
+    return (ctx.zero, (ad - ad.inv()) * (lamd - lamd.inv()),
+            (bd * cd + bd.inv() * cd.inv()) * qd - corner,
+            (bd * cd.inv() + bd.inv() * cd) * qd - corner)
+
+
+def verdict(f, *args):
+    """The result of a criterion, or the name of the error it raised."""
+    try:
+        return f(*args)
+    except errors.DivisionByZero:
+        return "DivisionByZero"
+
+
+@pytest.mark.parametrize("p,d", [(5, 3), (5, 8), (7, 3), (7, 6)])
+def test_criteria_match_the_fq2_references_on_complete_grids(p, d):
+    # every (a, b, c, lam, delta) of (F_p^x)^4 x F_p, and every (a, b, c, n)
+    # of F_p^3 x [0, dbar - 2], where a zero has no inverse from n = 1 on;
+    # d = 8 and 6 have q^dbar = -1
+    ctx = ctx_new(p, d)
+    els = [ctx.el(x) for x in range(p)]
+    w_verdicts, vn_verdicts = set(), set()
+    for a, b, c, lam in itertools.product(els[1:], repeat=4):
+        for delta in els:
+            p5 = Params5(a, b, c, lam, delta)
+            got = irr_W_criterion(p5)
+            assert got == ref_irr_W_criterion(p5), p5.astuple()
+            w_verdicts.add(got)
+    for a, b, c in itertools.product(els, repeat=3):
+        for n in range(ctx.dbar - 1):
+            got = verdict(irr_Vn_criterion, a, b, c, n)
+            assert got == verdict(ref_irr_Vn_criterion, a, b, c, n), (a, b, c, n)
+            vn_verdicts.add(got)
+    assert w_verdicts == {False, True}
+    assert vn_verdicts == {False, True, "DivisionByZero"}
+
+
+@pytest.mark.parametrize("p,d", [(13, 6), (29, 28), (37, 9), (61, 62)])
+def test_criteria_match_the_fq2_references_on_seeded_draws(p, d):
+    # Uniform draws and their delta = 0, lam = 1 variants, which are
+    # reducible.  Then variants in which one window monomial of the W
+    # criterion is a power q^k of q: c solved for each a^+-1 c^+-1 lam/(b q),
+    # lam = q^k, b = q^k, each at every delta that binds a condition.  For
+    # Vn, every n at (a, b, c) and at (a, b, q^k a^+-1 b^+-1).
+    ctx, rng = ctx_new(p, d), random.Random(p * 1000 + d)
+    w_verdicts, vn_verdicts = set(), set()
+    for _ in range(40):
+        p5 = uniform_quintuple(ctx, rng)
+        a, b, c, lam = p5.quadruple.astuple()
+        qk = ctx.qpow(rng.randrange(d))
+        quads = [(a, b, (qk * b / (a ** sa * lam)) ** sc, lam) for sa in (1, -1) for sc in (1, -1)]
+        quads += [(a, b, c, qk), (a, qk, c, lam)]
+        cases = [p5, Params5(a, b, c, ctx.one, ctx.zero)]
+        cases += [Params5(*quad, delta) for quad in quads for delta in ref_w_deltas(*quad)]
+        for case in cases:
+            got = irr_W_criterion(case)
+            assert got == ref_irr_W_criterion(case), case.astuple()
+            w_verdicts.add(got)
+        for triple in ((a, b, c), (a, b, qk * a ** rng.choice((1, -1)) * b ** rng.choice((1, -1)))):
+            for n in range(ctx.dbar - 1):
+                got = irr_Vn_criterion(*triple, n)
+                assert got == ref_irr_Vn_criterion(*triple, n), (triple, n)
+                vn_verdicts.add(got)
+    assert w_verdicts == vn_verdicts == {False, True}
+
+
+def test_criteria_and_oracles_reach_disjoint_names():
+    # An oracle may never call or reuse criterion logic.  From classify.py's
+    # source, follow each side's references through the module-level
+    # functions and tables of classify.py, and collect what they reach there
+    # or import from uawq: the two sets share only the error types.
+    tree = ast.parse(Path(classify.__file__).read_text())
+    for node in ast.walk(tree):  # type annotations are not logic
+        if isinstance(node, ast.arg):
+            node.annotation = None
+        elif isinstance(node, ast.FunctionDef):
+            node.returns = None
+    local = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            local[node.name] = node
+        elif isinstance(node, ast.Assign):
+            local.update((t.id, node) for t in node.targets if isinstance(t, ast.Name))
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1]
+    imported = {alias.asname or alias.name for node in imports for alias in node.names}
+    error_types = {alias.name for node in imports if node.module == "errors"
+                   for alias in node.names}
+
+    def reach(roots):
+        seen, todo = set(), list(roots)
+        while todo:
+            name = todo.pop()
+            if name not in seen:
+                seen.add(name)
+                if name in local:
+                    todo += [n.id for n in ast.walk(local[name]) if isinstance(n, ast.Name)]
+        return (seen & (set(local) | imported)) - error_types
+
+    criteria = reach(["irr_W_criterion", "irr_Vn_criterion"])
+    oracles = reach(["burnside_irreducible", "burnside_irreducible_many", "intertwiner"])
+    assert {"corner_index", "_move_windows", "W_CONDITIONS"} <= criteria
+    assert {"pivot_step", "mul_parts", "kernel"} <= oracles
+    assert criteria.isdisjoint(oracles), criteria & oracles
 
 
 def ref_span_dim(rep):
@@ -866,6 +1013,25 @@ class TestClassifySample:
                 return
         pytest.fail("no seed produced a reducible sample")
 
+    def test_samples_are_checked_against_the_representative(self, ctx13, monkeypatch):
+        # closures whose representative has its delta moved by one, so that
+        # its module has another corner invariant and matches no sample:
+        # checking the samples against each other cannot notice, checking
+        # each against the representative's module does, once per sample
+        real = classify.simeq_closure
+
+        def moved(p5, cap=10_000):
+            orb = real(p5, cap)
+            first = orb.members[0]
+            return classify.OrbitSet(((*first[:4], first[4] + 1), *orb.members[1:]), orb.edges)
+
+        assert classify_sample(ctx13, 3, 15)["errors"] == []
+        monkeypatch.setattr(classify, "simeq_closure", moved)
+        report = classify_sample(ctx13, 3, 15)
+        missing = [e["index"] for e in report["errors"]
+                   if e["error"] == "missing within-class isomorphism"]
+        assert missing == [i for c in report["classes"] for i in c["sample_indices"]] != []
+
 
 class TestVnClassification:
     def test_sign_class_bijection_sample(self, ctx13, rng):
@@ -878,13 +1044,14 @@ class TestVnClassification:
             if not irr_Vn_criterion(a, b, c, n):
                 continue
             rep = build_Vn(a, b, c, n)
-            for ta, tb, tc in z2cubed_orbit(a, b, c):
+            inversions = set(itertools.product((a, a.inv()), (b, b.inv()), (c, c.inv())))
+            for ta, tb, tc in inversions:
                 s = intertwiner(rep, build_Vn(ta, tb, tc, n))
                 assert s is not None and rank(s) == rep.n
             a2, b2, c2 = sample_triple(ctx13, rng)
             if not irr_Vn_criterion(a2, b2, c2, n):
                 continue
-            if (a2, b2, c2) in z2cubed_orbit(a, b, c):
+            if (a2, b2, c2) in inversions:
                 continue
             # distinct irreducible sign classes are never isomorphic
             assert intertwiner(rep, build_Vn(a2, b2, c2, n)) is None

@@ -193,6 +193,23 @@ def test_feasible_case_rejects_a_corrupted_target(monkeypatch, ctx13):
     assert t.first == (quads[0].astuple(), "read-off target not feasible")
 
 
+def test_feasible_case_reports_an_infeasible_solver_output(monkeypatch, ctx13):
+    # solve_feasible checks each output with classify.feasible and raises on
+    # a failure; feasible_case records it as the case's failure
+    p4 = sample_quadruple(ctx13, random.Random(5))
+    real, calls = classify.feasible, []
+
+    def reject_first(params, target):
+        calls.append(params)
+        return len(calls) > 1 and real(params, target)
+
+    monkeypatch.setattr(classify, "feasible", reject_first)
+    t = suite.Tally()
+    assert suite.feasible_case(p4, t) is False
+    assert (t.failures, t.first) == (1, (p4.astuple(), "solver output not feasible"))
+    assert len(calls) == 1
+
+
 def run_optimized(code: str) -> list[str]:
     """Run ``code`` under ``python -O``; its stdout lines, the first being __debug__."""
     src = str(Path(uawq.__file__).resolve().parent.parent)
