@@ -12,7 +12,6 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
-from typing import Sequence
 
 import numpy as np
 
@@ -202,9 +201,14 @@ def _explore(ctx: FieldCtx, start: tuple[int, ...], moves, cap: int = 10_000) ->
             edges.append((i, label, index[img]))
     order = sorted(range(len(members)), key=members.__getitem__)
     renum = {old: new for new, old in enumerate(order)}
+    # (source, label) is unique, so edges sort by source and the label's rank
+    rank = {lab: k for k, lab in enumerate(sorted({lab for _, lab, _ in edges}))}
+    width = len(rank)
+    out = [(renum[s], lab, renum[t]) for s, lab, t in edges]
+    out.sort(key=lambda e: e[0] * width + rank[e[1]])
     return OrbitSet(
         members=tuple(tuple(map(ctx.from_index, members[i])) for i in order),
-        edges=tuple(sorted((renum[s], lab, renum[t]) for s, lab, t in edges)),
+        edges=tuple(out),
     )
 
 
@@ -387,6 +391,22 @@ def irr_W_criterion(params: Params5) -> bool:
                or not any(inside[j] for j in js) for x, js in W_CONDITIONS)
 
 
+def irr_W_criterion_many(ctx: FieldCtx, logs: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """``irr_W_criterion`` of many cases at once: ``logs`` holds one row of
+    logs of (a, b, c, lam, q) per case, ``delta`` the plain-lex indices of
+    their deltas; one boolean verdict per case."""
+    n = len(ctx.log_tables()[0])
+    window = np.zeros(n, dtype=bool)
+    window[list(_move_windows(ctx)[0])] = True
+    inside = window[logs @ np.array(W_MONOMIALS).T % n]
+    corner = corner_index(ctx, logs[:, 0] - logs[:, 3])
+    verdict = np.ones(len(logs), dtype=bool)
+    for x, js in W_CONDITIONS:
+        verdict &= ((delta != index_sub(corner_index(ctx, logs @ np.array(x)), corner, ctx.p))
+                    | ~inside[:, list(js)].any(1))
+    return verdict
+
+
 def burnside_irreducible(rep: PairRep) -> bool:
     """Spanning oracle: words in {I, A, B} span the full matrix algebra.
 
@@ -451,9 +471,10 @@ def burnside_irreducible(rep: PairRep) -> bool:
 LOCKSTEP_BYTES = 1 << 23
 
 
-def burnside_irreducible_many(reps: Sequence[PairRep]) -> list[bool]:
-    """``burnside_irreducible`` of each module, run in lockstep on a leading
-    case axis; all modules share one dimension and the field of the first.
+def burnside_irreducible_many(ctx: FieldCtx, gens: np.ndarray) -> list[bool]:
+    """``burnside_irreducible`` of each module of a generator array of shape
+    (cases, 2, 2, n, n), A then B, each as its two components, run in
+    lockstep on the leading case axis.
 
     Every case keeps an echelon basis of shape (n^2, n^2) and a stack of the
     basis rows whose products with A and B are still to be inserted.  Each
@@ -465,27 +486,25 @@ def burnside_irreducible_many(reps: Sequence[PairRep]) -> list[bool]:
     argument and its int64 bound, n^2*(1+t)*p^2, carry over, and each
     verdict is the single-module one.
     """
-    if not reps:
+    if gens.ndim != 5 or gens.shape[1:3] != (2, 2) or gens.shape[3] != gens.shape[4]:
+        raise DimensionMismatch(f"generator array of shape {gens.shape}, want (cases, 2, 2, n, n)")
+    cases, n = len(gens), gens.shape[-1]
+    if not cases:
         return []
-    n = reps[0].n
-    if any(rep.n != n for rep in reps):
-        raise DimensionMismatch(f"modules of dimensions {sorted({rep.n for rep in reps})}")
     if n < 1:
         raise InvariantViolation(f"spanning oracle on a module of dimension {n}")
-    p, t = reps[0].ctx.p, reps[0].ctx.t
+    p, t = ctx.p, ctx.t
     nn = n * n
     check_int64(nn * (1 + t) * p * p, "spanning oracle reduction")
     group = max(1, LOCKSTEP_BYTES // (16 * nn * nn))
-    if len(reps) > group:
-        return [verdict for k in range(0, len(reps), group)
-                for verdict in burnside_irreducible_many(reps[k:k + group])]
+    if cases > group:
+        return [verdict for k in range(0, cases, group)
+                for verdict in burnside_irreducible_many(ctx, gens[k:k + group])]
 
-    cases = len(reps)
     verdict = np.zeros(cases, dtype=bool)
     # per live case: its index, generators (A or B, component, n, n), basis
     # components, pivot columns, basis size, and the stack of rows to visit
     order = np.arange(cases)
-    gens = np.moveaxis(np.array([(rep.A.arr, rep.B.arr) for rep in reps]), -1, 2)
     basis0 = np.zeros((cases, nn, nn), dtype=np.int64)
     basis1 = np.zeros((cases, nn, nn), dtype=np.int64)
     basis0[:, 0] = np.eye(n, dtype=np.int64).ravel()

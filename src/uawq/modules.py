@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Sequence
+
+import numpy as np
 
 from .algebra import PairRep
 from .errors import (
@@ -125,29 +126,35 @@ class SeqData:
         return self.omega, self.omega_star, self.omega_eps
 
 
-def _pair_reps(s: SeqData, dim: int, corners: Sequence[Fq2 | None]) -> list[PairRep]:
-    """theta / ones on A's diagonal and subdiagonal, theta_star / varphi on
-    B's diagonal and superdiagonal; one module per entry of ``corners``,
-    which goes to A[0, dim-1] unless it is None.  The modules share B."""
-    ctx = s.ctx
-    amat = FMat.zeros(ctx, dim, dim).arr.copy()
-    bmat = amat.copy()
-    for i in range(dim):
-        th, ts = s.theta(i), s.theta_star(i)
-        amat[i, i] = (th.x0, th.x1)
-        bmat[i, i] = (ts.x0, ts.x1)
-        if i + 1 < dim:
-            amat[i + 1, i, 0] = 1
-        if i >= 1:
-            ph = s.varphi(i)
-            bmat[i - 1, i] = (ph.x0, ph.x1)
-    bfmat = FMat(ctx, bmat)
-    out = []
-    for corner in corners:
-        if corner is not None:
-            amat[0, dim - 1] = (corner.x0, corner.x1)
-        out.append(PairRep(ctx, FMat(ctx, amat), bfmat, *s.scalars()))
-    return out
+def fill_gens(gens: np.ndarray, s: SeqData, corners=None) -> None:
+    """Write the module of ``s`` into every case of ``gens``, a C-contiguous
+    zero generator array of shape (cases, 2, 2, n, n): A then B, each as its
+    two components.  theta / ones go on A's diagonal and subdiagonal,
+    theta_star / varphi on B's diagonal and superdiagonal, and ``corners``,
+    the components of one entry per case (shape (cases, 2)), to A[0, n-1]
+    unless None."""
+    if not gens.flags.c_contiguous:
+        raise InvariantViolation("fill_gens writes through a reshaped view of a C-contiguous array")
+    n = gens.shape[-1]
+    seqs = (*map(s.theta, range(n)), *map(s.theta_star, range(n)), *map(s.varphi, range(1, n)))
+    parts = np.array([(x.x0, x.x1) for x in seqs], dtype=np.int64).T
+    # rows of n*n entries: the diagonal is every (n+1)-th from 0, the
+    # subdiagonal from n and the superdiagonal from 1
+    flat = gens.reshape(len(gens), 2, 2, n * n)
+    flat[:, 0, :, ::n + 1] = parts[:, :n]
+    flat[:, 0, 0, n::n + 1] = 1
+    flat[:, 1, :, ::n + 1] = parts[:, n:2 * n]
+    flat[:, 1, :, 1::n + 1] = parts[:, 2 * n:]
+    if corners is not None:
+        flat[:, 0, :, n - 1] = corners
+
+
+def _pair_rep(s: SeqData, n: int, corner: Fq2 | None = None) -> PairRep:
+    """The one module of ``fill_gens`` as matrices."""
+    gens = np.zeros((1, 2, 2, n, n), dtype=np.int64)
+    fill_gens(gens, s, None if corner is None else [(corner.x0, corner.x1)])
+    amat, bmat = (FMat(s.ctx, np.ascontiguousarray(g)) for g in gens[0].transpose(0, 2, 3, 1))
+    return PairRep(s.ctx, amat, bmat, *s.scalars())
 
 
 def build_Vn(a: Fq2, b: Fq2, c: Fq2, n: int) -> PairRep:
@@ -155,18 +162,12 @@ def build_Vn(a: Fq2, b: Fq2, c: Fq2, n: int) -> PairRep:
     ctx = a.ctx
     if not 0 <= n <= ctx.dbar - 2:
         raise BadRange(f"n={n} outside [0, {ctx.dbar - 2}]")
-    return _pair_reps(SeqData(Params4(a, b, c, ctx.qpow(n))), n + 1, [None])[0]
+    return _pair_rep(SeqData(Params4(a, b, c, ctx.qpow(n))), n + 1)
 
 
 def build_W(params: Params5) -> PairRep:
     """The dbar-dimensional cyclic quotient with corner entry delta."""
-    return build_W_corners(params.quadruple, [params.delta])[0]
-
-
-def build_W_corners(quad: Params4, deltas: Sequence[Fq2]) -> list[PairRep]:
-    """``build_W`` of the quadruple at each corner entry delta.  The modules
-    differ only in that entry, so the sequences are evaluated once."""
-    return _pair_reps(SeqData(quad), quad.ctx.dbar, deltas)
+    return _pair_rep(SeqData(params.quadruple), params.ctx.dbar, params.delta)
 
 
 def dump_module(rep: PairRep, params: Params4, n: int | None = None) -> dict:
@@ -309,10 +310,13 @@ class NuData:
         return self.nu.inv() * ctx.qpow(2 * i) + self.nu * ctx.qpow(-2 * i)
 
 
-def corner_index(ctx: FieldCtx, k: int) -> int:
+def corner_index(ctx: FieldCtx, k):
     """Plain-lex index of (a/lam)^dbar + (lam/a)^dbar, the a, lam part of the
-    corner invariant, for a/lam of discrete log k: a componentwise sum."""
+    corner invariant, for a/lam of discrete log k: a componentwise sum.
+    Elementwise on an integer array ``k``."""
     exp, _ = ctx.log_tables()
+    if isinstance(k, np.ndarray):
+        exp = np.asarray(exp)
     p, n = ctx.p, len(exp)
     u, v = exp[k * ctx.dbar % n], exp[-k * ctx.dbar % n]
     return (u // p + v // p) % p * p + (u + v) % p

@@ -17,8 +17,9 @@ from __future__ import annotations
 import json
 import random
 from functools import partial
-from itertools import product
 from typing import Callable, NamedTuple
+
+import numpy as np
 
 from . import table1
 from .algebra import PairRep, central_elements_check, vee, verify_rep
@@ -34,6 +35,7 @@ from .classify import (
     inv_ab_defect,
     irr_Vn_criterion,
     irr_W_criterion,
+    irr_W_criterion_many,
     orbit_image,
     param_key,
     rand_nonzero,
@@ -45,7 +47,9 @@ from .classify import (
     solve_feasible,
 )
 from .errors import InvariantViolation, NeedsExtension, NuOutsideField
-from .field import FieldCtx, chebyshev_T, ctx_new, poly_eval, poly_from_roots, poly_roots, sqrt
+from .field import (
+    FieldCtx, chebyshev_T, ctx_new, index_of, poly_eval, poly_from_roots, poly_roots, sqrt,
+)
 from .linalg import (
     FMat, char_poly, hstack, is_scalar_matrix, kernel, krylov_span_dim, product_shifted, rank,
 )
@@ -57,11 +61,11 @@ from .modules import (
     SeqData,
     build_Vn,
     build_W,
-    build_W_corners,
     check_W_universal,
     closed_form_case,
     delta_shift,
     e_vector,
+    fill_gens,
     is_marginal_weight,
     marginal_matrix_e,
     marginal_test_e,
@@ -622,42 +626,57 @@ def check_irr_w(ctx, rng, n, exhaustive=False):
 def _grid_chunk(args: tuple[int, int, int], slice_cases: Callable) -> list[tuple]:
     """The mismatching cases of one a-value, in grid order.
 
-    ``slice_cases(ctx, a, b)`` lists the (case, criterion verdict, module)
-    triples of one b-value.  Each slice is judged by the batch oracle, one
-    batch per module dimension, so memory stays at one slice.
+    ``slice_cases(ctx, a, b)`` returns the cases of one b-value as rows of
+    an integer array, their criterion verdicts, and per module dimension the
+    positions of its cases and their generator array.  Each generator array
+    goes to the batch oracle whole, so memory stays at one slice's arrays.
     """
     p, d, a_val = args
     ctx = ctx_new(p, d)
     mism = []
     for b in range(1, p):
-        cases, crit, reps = zip(*slice_cases(ctx, a_val, b))
-        orac = [False] * len(reps)
-        for dim in {rep.n for rep in reps}:
-            same = [i for i, rep in enumerate(reps) if rep.n == dim]
-            for i, verdict in zip(same, burnside_irreducible_many([reps[i] for i in same])):
-                orac[i] = verdict
-        mism += [case for case, c, o in zip(cases, crit, orac) if c != o]
+        cases, crit, groups = slice_cases(ctx, a_val, b)
+        orac = np.zeros(len(cases), dtype=bool)
+        for at, gens in groups:
+            orac[at] = burnside_irreducible_many(ctx, gens)
+        mism += map(tuple, cases[crit != orac].tolist())
     return mism
 
 
-def _w_slice(ctx: FieldCtx, a_val: int, b: int) -> list[tuple]:
-    p = ctx.p
-    deltas = [ctx.el(delta) for delta in range(p)]
-    out = []
-    for c, lam in product(range(1, p), range(1, p)):
-        quad = Params4(ctx.el(a_val), ctx.el(b), ctx.el(c), ctx.el(lam))
-        for delta, rep in enumerate(build_W_corners(quad, deltas)):
-            p5 = Params5(*quad.astuple(), deltas[delta])
-            out.append(((a_val, b, c, lam, delta), irr_W_criterion(p5), rep))
-    return out
+def _slice_cases(*axes) -> np.ndarray:
+    """The grid of the given value ranges in product order, one row per case."""
+    return np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, len(axes))
 
 
-def _vn_slice(ctx: FieldCtx, a_val: int, b: int) -> list[tuple]:
-    out = []
-    for c, n in product(range(1, ctx.p), range(min(2, ctx.dbar - 1))):
-        ta, tb, tc = ctx.el(a_val), ctx.el(b), ctx.el(c)
-        out.append(((a_val, b, c, n), irr_Vn_criterion(ta, tb, tc, n), build_Vn(ta, tb, tc, n)))
-    return out
+def _w_slice(ctx: FieldCtx, a_val: int, b: int) -> tuple:
+    p, n = ctx.p, ctx.dbar
+    _, log = ctx.log_tables()
+    cases = _slice_cases([a_val], [b], range(1, p), range(1, p), range(p))
+    index = np.array(index_of(map(ctx.el, range(p))))  # of each entry value, in F_p
+    lq = log[index_of((ctx.q,))[0]]
+    logs = np.column_stack([np.array(log)[index[cases[:, :4]]], np.full(len(cases), lq)])
+    crit = irr_W_criterion_many(ctx, logs, index[cases[:, 4]])
+    # one SeqData per (c, lam), repeated over the p values of delta
+    gens = np.zeros((len(cases), 2, 2, n, n), dtype=np.int64)
+    deltas = [(x.x0, x.x1) for x in map(ctx.el, range(p))]
+    for k, case in enumerate(cases[::p, :4].tolist()):
+        fill_gens(gens[k * p:(k + 1) * p], SeqData(Params4(*map(ctx.el, case))), deltas)
+    return cases, crit, [(slice(None), gens)]
+
+
+def _vn_slice(ctx: FieldCtx, a_val: int, b: int) -> tuple:
+    p, dims = ctx.p, min(2, ctx.dbar - 1)
+    cases = _slice_cases([a_val], [b], range(1, p), range(dims))
+    crit = np.array([irr_Vn_criterion(*map(ctx.el, case[:3]), case[3])
+                     for case in cases.tolist()], dtype=bool)
+    groups = []
+    for n in range(dims):
+        at = slice(n, None, dims)
+        gens = np.zeros((p - 1, 2, 2, n + 1, n + 1), dtype=np.int64)
+        for k, case in enumerate(cases[at, :3].tolist()):
+            fill_gens(gens[k:k + 1], SeqData(Params4(*map(ctx.el, case), ctx.qpow(n))))
+        groups.append((at, gens))
+    return cases, crit, groups
 
 
 def w_grid_chunk(args: tuple[int, int, int]) -> list[tuple]:

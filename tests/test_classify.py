@@ -23,6 +23,7 @@ from uawq.classify import (
     intertwiner,
     irr_Vn_criterion,
     irr_W_criterion,
+    irr_W_criterion_many,
     orbit_image,
     param_key,
     rand_nonzero,
@@ -763,6 +764,24 @@ def test_criteria_match_the_fq2_references_on_seeded_draws(p, d):
     assert w_verdicts == vn_verdicts == {False, True}
 
 
+@pytest.mark.parametrize("p,d,a_values", [(7, 3, range(1, 7)), (13, 3, [5]), (7, 6, range(1, 7))])
+def test_batch_w_criterion_matches_the_scalar_one(p, d, a_values):
+    # every case of the exhaustive W sweep at p = 7 and of its p = 13, a = 5
+    # chunk, one array of logs per a-value; d = 6 has q^dbar = -1
+    ctx = ctx_new(p, d)
+    _, log = ctx.log_tables()
+    lq = log[ctx.q.x0 * p + ctx.q.x1]
+    for a in a_values:
+        cases = [Params5(*map(ctx.el, (a, *rest)))
+                 for rest in itertools.product(range(1, p), range(1, p), range(1, p), range(p))]
+        logs = np.array([[log[x.x0 * p + x.x1] for x in case.quadruple.astuple()] + [lq]
+                         for case in cases])
+        deltas = np.array([case.delta.x0 * p + case.delta.x1 for case in cases])
+        got = irr_W_criterion_many(ctx, logs, deltas).tolist()
+        assert got == [irr_W_criterion(case) for case in cases]
+        assert set(got) == {False, True}
+
+
 def test_criteria_and_oracles_reach_disjoint_names():
     # An oracle may never call or reuse criterion logic.  From classify.py's
     # source, follow each side's references through the module-level
@@ -795,11 +814,16 @@ def test_criteria_and_oracles_reach_disjoint_names():
                     todo += [n.id for n in ast.walk(local[name]) if isinstance(n, ast.Name)]
         return (seen & (set(local) | imported)) - error_types
 
-    criteria = reach(["irr_W_criterion", "irr_Vn_criterion"])
+    criteria = reach(["irr_W_criterion", "irr_W_criterion_many", "irr_Vn_criterion"])
     oracles = reach(["burnside_irreducible", "burnside_irreducible_many", "intertwiner"])
     assert {"corner_index", "_move_windows", "W_CONDITIONS"} <= criteria
     assert {"pivot_step", "mul_parts", "kernel"} <= oracles
     assert criteria.isdisjoint(oracles), criteria & oracles
+
+
+def gens_of(reps):
+    """The generator array of some modules of one dimension."""
+    return np.moveaxis(np.array([(rep.A.arr, rep.B.arr) for rep in reps]), -1, 2)
 
 
 def ref_span_dim(rep):
@@ -887,11 +911,12 @@ class TestBurnside:
         dims = [ref_span_dim(rep) for rep in reps]
         full = [dim == 9 for dim in dims]
         assert [burnside_irreducible(rep) for rep in reps] == full
-        per_b = [burnside_irreducible_many(reps[k:k + 252]) for k in range(0, len(reps), 252)]
+        per_b = [burnside_irreducible_many(ctx, gens_of(reps[k:k + 252]))
+                 for k in range(0, len(reps), 252)]
         assert [v for verdicts in per_b for v in verdicts] == full
-        assert burnside_irreducible_many(reps) == full
+        assert burnside_irreducible_many(ctx, gens_of(reps)) == full
         monkeypatch.setattr(classify, "LOCKSTEP_BYTES", 100 * 16 * 9 * 9)
-        assert burnside_irreducible_many(reps) == full
+        assert burnside_irreducible_many(ctx, gens_of(reps)) == full
         assert {5, 6, 7, 9} <= set(dims)
 
     @pytest.mark.parametrize("p,d,count", [(13, 3, 40), (29, 28, 3)])
@@ -905,7 +930,7 @@ class TestBurnside:
             reps += [build_W(params) for params in (p5, Params5(p5.a, p5.b, p5.c, ctx.one, ctx.zero))]
         full = [ref_span_dim(rep) == rep.n ** 2 for rep in reps]
         assert [burnside_irreducible(rep) for rep in reps] == full
-        assert burnside_irreducible_many(reps) == full
+        assert burnside_irreducible_many(ctx, gens_of(reps)) == full
         assert set(full) == {False, True}
 
     @pytest.mark.parametrize("n", [0, 1])
@@ -916,14 +941,16 @@ class TestBurnside:
         reps += [build_Vn(ctx13.el(2), ctx13.el(3), ctx13.el(c), n) for c in range(1, 13)]
         full = [ref_span_dim(rep) == rep.n ** 2 for rep in reps]
         assert [burnside_irreducible(rep) for rep in reps] == full
-        assert burnside_irreducible_many(reps) == full
+        assert burnside_irreducible_many(ctx13, gens_of(reps)) == full
         assert set(full) == ({True} if n == 0 else {False, True})
 
     def test_batch_of_nothing_and_of_mixed_dimensions(self, ctx13):
-        assert burnside_irreducible_many([]) == []
-        reps = [build_Vn(ctx13.el(2), ctx13.el(3), ctx13.el(4), n) for n in (0, 1)]
-        with pytest.raises(errors.DimensionMismatch):
-            burnside_irreducible_many(reps)
+        assert burnside_irreducible_many(ctx13, np.zeros((0, 2, 2, 3, 3), dtype=np.int64)) == []
+        # an array holds one dimension: rows and columns of another shape,
+        # or anything but A and B in two components each, is refused
+        for shape in ((1, 2, 2, 1, 2), (1, 3, 2, 2, 2), (1, 2, 1, 2, 2), (2, 2, 2, 2)):
+            with pytest.raises(errors.DimensionMismatch):
+                burnside_irreducible_many(ctx13, np.zeros(shape, dtype=np.int64))
 
 
 class TestIntertwiner:

@@ -1,9 +1,10 @@
 import random
 
+import numpy as np
 import pytest
 from conftest import cond_inv_ab, force_nu, sim_related
 
-from uawq import errors
+from uawq import errors, suite
 from uawq.algebra import verify_rep
 from uawq.classify import irr_W_criterion, sample_quadruple, sample_quintuple
 from uawq.field import poly_from_roots
@@ -17,12 +18,12 @@ from uawq.modules import (
     SeqData,
     build_Vn,
     build_W,
-    build_W_corners,
     check_verma_universal,
     check_W_universal,
     closed_form_case,
     dump_module,
     e_vector,
+    fill_gens,
     is_marginal_weight,
     marginal_matrix_e,
     marginal_test_e,
@@ -119,14 +120,23 @@ class TestBuildW:
         assert rep.A.entry(0, ctx13.dbar - 1) == p5.delta
 
     def test_corners_match_one_build_each(self, ctx13, rng):
-        # every delta of one quadruple: later corners must not leak into
-        # earlier modules, which share all of A's other entries
+        # every delta of one quadruple from one fill, then a W grid slice, one
+        # fill per (c, lam): later corners must not leak into earlier cases,
+        # which share all of A's other entries
         quad = sample_quadruple(ctx13, rng)
-        deltas = [ctx13.el(x) for x in range(13)]
-        reps = build_W_corners(quad, deltas)
-        for delta, rep in zip(deltas, reps):
-            assert rep.A.entry(0, ctx13.dbar - 1) == delta
-            assert rep.dump() == build_W(Params5(*quad.astuple(), delta)).dump()
+        n = ctx13.dbar
+        gens = np.zeros((13, 2, 2, n, n), dtype=np.int64)
+        fill_gens(gens, SeqData(quad), [(x, 0) for x in range(13)])
+        strided = np.zeros((2, 2, n, n, 2), dtype=np.int64).transpose(0, 4, 1, 2, 3)
+        with pytest.raises(errors.InvariantViolation):
+            fill_gens(strided, SeqData(quad))
+        cases = [Params5(*quad.astuple(), ctx13.el(x)) for x in range(13)]
+        grid, _, [(_, grid_gens)] = suite._w_slice(ctx13, 2, 5)
+        cases += [Params5(*map(ctx13.el, case)) for case in grid.tolist()]
+        for p5, row in zip(cases, np.concatenate([gens, grid_gens]), strict=True):
+            rep = build_W(p5)
+            assert rep.A.entry(0, n - 1) == p5.delta
+            assert np.array_equal(np.moveaxis(row, 1, -1), np.stack([rep.A.arr, rep.B.arr]))
 
     def test_charpoly_A_delta_zero(self, ctx13, rng):
         p5 = Params5(*sample_quadruple(ctx13, rng).astuple(), ctx13.zero)

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from conftest import force_nu
 
@@ -260,6 +261,7 @@ def test_nudata_invariant_holds_under_optimize():
 # n^2*(1+t)*p^2; each guard must fire before anything is allocated or reduced.
 HUGE_P_GUARDS = """
 from types import SimpleNamespace
+import numpy as np
 from uawq.classify import burnside_irreducible, burnside_irreducible_many
 from uawq.errors import UawqError
 from uawq.field import ctx_new
@@ -270,7 +272,7 @@ m = FMat.identity(ctx_new(13, 3), 2)
 m.ctx = huge
 rep = SimpleNamespace(ctx=huge, n=2, A=m, B=m)
 for call in (lambda: rref(m), lambda: burnside_irreducible(rep),
-             lambda: burnside_irreducible_many([rep])):
+             lambda: burnside_irreducible_many(huge, np.zeros((1, 2, 2, 2, 2), dtype=np.int64))):
     try:
         call()
     except UawqError as exc:
@@ -294,15 +296,17 @@ def test_grid_chunks_report_flipped_cases_in_grid_order(monkeypatch):
     w_flips = {(1, 1, 1, 1, 0), (1, 2, 1, 3, 4), (1, 2, 4, 3, 0), (1, 2, 4, 3, 1),
                (1, 4, 4, 4, 4)}
     vn_flips = {(1, 1, 1, 0), (1, 2, 1, 1), (1, 2, 3, 0), (1, 2, 3, 1), (1, 4, 4, 1)}
-    irr_w, irr_vn = suite.irr_W_criterion, suite.irr_Vn_criterion
+    irr_w, irr_vn = suite.irr_W_criterion_many, suite.irr_Vn_criterion
 
-    def flipped_w(p5):
-        return irr_w(p5) != (tuple(x.x0 for x in p5.astuple()) in w_flips)
+    def flipped_w(ctx, logs, delta):
+        exp = np.array(ctx.log_tables()[0])
+        cases = np.column_stack([exp[logs[:, :4]], delta]) // ctx.p  # entries (x, 0) of F_p
+        return irr_w(ctx, logs, delta) != [tuple(case) in w_flips for case in cases.tolist()]
 
     def flipped_vn(a, b, c, n):
         return irr_vn(a, b, c, n) != ((a.x0, b.x0, c.x0, n) in vn_flips)
 
-    monkeypatch.setattr(suite, "irr_W_criterion", flipped_w)
+    monkeypatch.setattr(suite, "irr_W_criterion_many", flipped_w)
     monkeypatch.setattr(suite, "irr_Vn_criterion", flipped_vn)
     assert suite.w_grid_chunk((5, 3, 1)) == sorted(w_flips)
     assert suite.vn_grid_chunk((5, 3, 1)) == sorted(vn_flips)
