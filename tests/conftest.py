@@ -54,9 +54,10 @@ def force_nu(quad, nu):
     return Params5(*quad.astuple(), nu ** dbar + nu ** (-dbar) - al ** dbar - al ** (-dbar))
 
 
-# The one-step relation whose equivalence closure ``classify.simeq_closure``
-# computes, written on parameter tuples: the reference the closure is checked
-# against.
+# Predicates on production code: the one-step relation whose equivalence
+# closure ``classify.simeq_closure`` computes, read off the production
+# ``s4_orbit``, ``_move_inv`` and ``_cond_inv_*`` on parameter tuples.  The
+# tests that use them exercise those functions; they are not references.
 
 
 def approx_equiv(p1, p2):

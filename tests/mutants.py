@@ -1,0 +1,166 @@
+"""Mutation check: every recorded mutant of ``src/uawq`` must fail a test.
+
+Run from anywhere, with no arguments:
+
+    python tests/mutants.py
+
+A mutant is data: the file under ``src/uawq`` it changes, a text that occurs
+there exactly once, the text that replaces it, and the test files that must
+notice.  The named test files are first run once on an unmutated copy of
+``src/`` and must pass.  Then each mutant is applied to a fresh temporary copy
+of ``src/``, never in place, and ``pytest -x -q`` runs its test files against
+that copy.  A mutant is killed when a test fails and survives when all pass.
+The exit status is nonzero if any mutant survives or cannot be applied.
+
+pytest is not collecting this file: its name does not match ``test_*.py``.
+"""
+
+import itertools
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+CLASSIFY = ("tests/test_classify.py",)
+
+W_MONOMIALS = (  # the six rows of classify.W_MONOMIALS, as written there
+    "(0, 0, 0, 2, 0),  # lam^2",
+    "(-1, -1, -1, 1, -1),  # lam/(a b c q)",
+    "(-1, -1, 1, 1, -1),  # c lam/(a b q)",
+    "(1, -1, -1, 1, -1),  # a lam/(b c q)",
+    "(1, -1, 1, 1, -1),  # a c lam/(b q)",
+    "(0, -2, 0, 0, -2),  # 1/(b q)^2",
+)
+W_CONDITIONS = (  # the four rows of classify.W_CONDITIONS, as written there
+    "((1, 0, 0, -1, 0), (0, 1, 2)),",
+    "((1, 0, 0, 1, 0), (0, 3, 4)),",
+    "((0, 1, 1, 0, 1), (3, 1, 5)),",
+    "((0, 1, -1, 0, 1), (4, 5, 2)),",
+)
+VN_PATTERNS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+
+
+def bump_exponent(row: str, k: int) -> str:
+    """``row`` with the k-th entry of its exponent tuple increased by one."""
+    vec, comment = row.split(")", 1)
+    entries = vec.strip("(").split(", ")
+    entries[k] = str(int(entries[k]) + 1)
+    return "(" + ", ".join(entries) + ")" + comment
+
+
+def swap_triples(i: int, j: int) -> str:
+    """The W_CONDITIONS rows with the window triples of conditions i and j swapped."""
+    rows = list(W_CONDITIONS)
+    (xi, ti), (xj, tj) = (rows[k][:-2].rsplit(", (", 1) for k in (i, j))
+    rows[i], rows[j] = f"{xi}, ({tj}),", f"{xj}, ({ti}),"
+    return "\n    ".join(rows)
+
+
+MUTANTS = [
+    Mutant("sign rule reversed", "classify.py",
+           "if x <= index_sub(0, x, p):", "if x >= index_sub(0, x, p):", CLASSIFY),
+    Mutant("row exponent EXPONENTS[9, 2, 0] += 1", "table1.py",
+           "EXPONENTS = np.array([entries for _, _, entries in ROWS])  # every row's vectors, (24, 4, 6)",
+           "EXPONENTS = np.array([entries for _, _, entries in ROWS])\nEXPONENTS[9, 2, 0] += 1",
+           CLASSIFY),
+    Mutant("closure delta not adjusted", "classify.py",
+           "(lambda k: index_sub(shift, corner_index(ctx, k), p))",
+           "(lambda k: index_of((params.delta,))[0])", CLASSIFY),
+    Mutant("ab-inversion defect dropped", "classify.py",
+           "\n            and _defect_index(ctx, node) == 0)", ")", CLASSIFY),
+    Mutant("ab-inversion condition always false", "classify.py",
+           "return (2 * (log[node[1]] - log[node[3]])", "return False and (2 * (log[node[1]] - log[node[3]])",
+           CLASSIFY),
+    Mutant("a-inversion condition always false", "classify.py",
+           "return 2 * log[node[3]] % len(exp) in _move_windows(ctx)[0]", "return False", CLASSIFY),
+    Mutant("_of_parts components swapped", "linalg.py",
+           "np.stack(parts, axis=-1)", "np.stack(parts[::-1], axis=-1)", ("tests/test_linalg.py",)),
+    *(Mutant(f"W_MONOMIALS[{i}][{k}] += 1", "classify.py", row, bump_exponent(row, k), CLASSIFY)
+      for i, row in enumerate(W_MONOMIALS) for k in range(5)),
+    *(Mutant(f"W_CONDITIONS triples {i} and {j} swapped", "classify.py",
+             "\n    ".join(W_CONDITIONS), swap_triples(i, j), CLASSIFY)
+      for i, j in itertools.combinations(range(4), 2)),
+    *(Mutant(f"Vn sign pattern {drop} dropped", "classify.py",
+             "for sb in (1, -1) for sc in (1, -1))",
+             f"for sb, sc in {tuple(s for s in VN_PATTERNS if s != drop)})", CLASSIFY)
+      for drop in VN_PATTERNS),
+    Mutant("Vn zero check also at n = 0", "classify.py",
+           "if n and min(la, lb, lc) < 0:", "if min(la, lb, lc) < 0:", CLASSIFY),
+    Mutant("Vn zero check never fires", "classify.py",
+           "if n and min(la, lb, lc) < 0:", "if n and min(la, lb, lc) < -1:", CLASSIFY),
+]
+
+
+def run_tests(src: Path, tests) -> subprocess.CompletedProcess:
+    """pytest -x -q on ``tests`` with ``uawq`` imported from ``src``."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                           *tests], cwd=ROOT, env=env, capture_output=True, text=True)
+
+
+def copy_src(tmp: str) -> Path:
+    src = Path(tmp) / "src"
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    return src
+
+
+def first_failure(out: str) -> str:
+    return next((line for line in out.splitlines() if line.startswith(("FAILED", "ERROR"))),
+                out.strip().splitlines()[-1] if out.strip() else "no output")
+
+
+def main() -> int:
+    tests = sorted({t for m in MUTANTS for t in m.tests})
+    with tempfile.TemporaryDirectory() as tmp:
+        src = copy_src(tmp)
+        where = subprocess.run([sys.executable, "-c", "import uawq; print(uawq.__file__)"],
+                               env=dict(os.environ, PYTHONPATH=str(src)),
+                               capture_output=True, text=True).stdout.strip()
+        if not where.startswith(str(src)):
+            print(f"uawq is imported from {where or 'nowhere'}, not from the copy at {src}")
+            return 2
+        proc = run_tests(src, tests)
+        if proc.returncode != 0:
+            print(f"the unmutated tests fail: {first_failure(proc.stdout)}")
+            return 2
+    print(f"baseline: {' '.join(tests)} pass unmutated")
+    bad = 0
+    for m in MUTANTS:
+        with tempfile.TemporaryDirectory() as tmp:
+            src = copy_src(tmp)
+            path = src / "uawq" / m.file
+            text = path.read_text()
+            if text.count(m.old) != 1:
+                print(f"NOT APPLIED  {m.name}: the text occurs {text.count(m.old)} times in {m.file}")
+                bad += 1
+                continue
+            path.write_text(text.replace(m.old, m.new))
+            proc = run_tests(src, m.tests)
+        if proc.returncode == 1:
+            print(f"killed    {m.name}: {first_failure(proc.stdout)}")
+        elif proc.returncode == 0:
+            print(f"SURVIVED  {m.name}")
+            bad += 1
+        else:
+            print(f"ERROR     {m.name}: pytest exit {proc.returncode}, {first_failure(proc.stdout)}")
+            bad += 1
+    print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} mutants killed")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

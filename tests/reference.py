@@ -1,0 +1,347 @@
+"""The independent references the tests compare production code against.
+
+Each is written once here, on ``Fq2`` objects or on plain component arrays,
+the way the production code was written before it moved to discrete logs,
+plain-lex indices and shared elimination steps.  So none of that code is
+shared: no log tables (powers are ``ref_pow``, never ``**``; squareness is
+Euler's test or a scan of the squares, square roots the least root found by
+that scan), no index arithmetic, and no ``rref``, ``kernel``, ``rank``,
+``mul_parts`` or ``pivot_step``.  ``test_classify.py`` checks this on the
+source.
+
+pytest does not collect this file: its name does not match ``test_*.py``.
+"""
+
+import collections
+import itertools
+from functools import lru_cache
+
+import numpy as np
+
+from uawq import errors, table1
+from uawq.classify import OrbitSet, param_key
+from uawq.field import Fq2
+from uawq.linalg import FMat
+from uawq.modules import Params5
+
+# ---------------------------------------------------------------------------
+# the field
+
+
+def ref_pow(x, e):
+    """Square-and-multiply with Fq2 products and the norm inverse."""
+    base = x.inv() if e < 0 else x
+    e = abs(e)
+    acc = x.ctx.one
+    while e:
+        if e & 1:
+            acc = acc * base
+        e >>= 1
+        if e:
+            base = base * base
+    return acc
+
+
+def euler_is_square(x):
+    p = x.ctx.p
+    return x.is_zero() or ref_pow(x, (p * p - 1) // 2) == x.ctx.one
+
+
+@lru_cache(maxsize=None)
+def least_roots(ctx):
+    """Square -> its lex-least square root, by scanning the field in lex order."""
+    out = {}
+    for y in ctx.elements():
+        out.setdefault((y * y).key, y)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the 24-row orbit and the equivalence closure, with their own sign rule, row
+# evaluation by powers, corner terms, inversion moves and side conditions
+
+
+def ref_canon_sign(t):
+    p = t[0].ctx.p
+    for x in t[:4]:
+        if x.x0 or x.x1:
+            if x.key < ((-x.x0) % p, (-x.x1) % p):
+                return t
+            return (-t[0], -t[1], -t[2], -t[3], *t[4:])
+    return t
+
+
+def ref_apply_row(row, quad):
+    """The row evaluated by powering each base, with s the lex-least root."""
+    a, b, c, lam = quad
+    ctx = a.ctx
+    s = None
+    if table1.row_needs_sqrt(row):
+        arg = a * b * c * lam * ctx.q
+        s = least_roots(ctx).get(arg.key)
+        if s is None:
+            raise errors.NeedsExtension(f"orbit row {row[0]} needs sqrt of non-square {arg!r}")
+    out = []
+    for expo in row[2]:
+        val = ctx.one
+        for base, e in zip((a, b, c, lam, ctx.q, s), expo):
+            if e:
+                val = val * ref_pow(base, e)
+        out.append(val)
+    return tuple(out)
+
+
+def ref_corner(a, lam):
+    x = ref_pow(a / lam, a.ctx.dbar)
+    return x + x.inv()
+
+
+def ref_move_inv(p):
+    a, lam = p.a.inv(), p.lam.inv() * p.ctx.qpow(-2)
+    return Params5(a, p.b, p.c, lam, p.delta), Params5(a, p.b.inv(), p.c, lam, p.delta)
+
+
+def ref_cond_inv_a(p):
+    return p.lam * p.lam in {p.ctx.qpow(2 * i) for i in range(p.ctx.dbar - 1)}
+
+
+def ref_inv_ab_terms(a, b, c, lam):
+    """(k, r) such that the ab-inversion defect at delta is delta k - r."""
+    ctx = a.ctx
+    dbar = ctx.dbar
+    bl = ref_pow(b / lam, dbar)
+    abq = ref_pow(a * b * ctx.q / lam, dbar)
+    cd = ref_pow(c, dbar)
+    return bl - bl.inv(), (ref_pow(a * b, -dbar) * (ref_pow(lam, 2 * dbar) - ctx.one)
+                           * (abq * cd - ctx.one) * (abq * cd.inv() - ctx.one))
+
+
+def ref_cond_inv_ab(p):
+    ctx = p.ctx
+    dbar = ctx.dbar
+    a, b, c, lam = p.quadruple.astuple()
+    excluded = {ctx.qpow(2 * (dbar - i + 1)) for i in range(dbar - 1)}
+    k, r = ref_inv_ab_terms(a, b, c, lam)
+    return (b / lam) * (b / lam) not in excluded and (p.delta * k - r).is_zero()
+
+
+def ref_orbit_set(members, edges):
+    order = sorted(range(len(members)), key=lambda i: param_key(members[i]))
+    renum = {old: new for new, old in enumerate(order)}
+    return OrbitSet(
+        members=tuple(members[i] for i in order),
+        edges=tuple(sorted((renum[s], lab, renum[t]) for s, lab, t in edges)),
+    )
+
+
+def ref_s4_orbit(params):
+    quad = params.astuple()
+    images, members, edges = {}, [], []
+
+    def intern(c):
+        k = param_key(c)
+        if k not in images:
+            images[k] = len(members)
+            members.append(c)
+        return images[k]
+
+    src = intern(ref_canon_sign(quad))
+    for row in table1.ROWS:
+        edges.append((src, row[0], intern(ref_canon_sign(ref_apply_row(row, quad)))))
+    return ref_orbit_set(members, edges)
+
+
+def ref_closure(params, cap=10_000):
+    start = ref_canon_sign(params.astuple())
+    members = [start]
+    index = {param_key(start): 0}
+    edges = []
+    frontier = collections.deque([0])
+
+    def intern(c, src, label):
+        k = param_key(c)
+        if k not in index:
+            if len(members) >= cap:
+                raise errors.CapExceeded(f"closure exceeded cap={cap} nodes")
+            index[k] = len(members)
+            members.append(c)
+            frontier.append(index[k])
+        edges.append((src, label, index[k]))
+
+    while frontier:
+        i = frontier.popleft()
+        cur = Params5(*members[i])
+        shift = cur.delta + ref_corner(cur.a, cur.lam)
+        quad = cur.quadruple.astuple()
+        for row in table1.ROWS:
+            img = ref_apply_row(row, quad)
+            intern(ref_canon_sign((*img, shift - ref_corner(img[0], img[3]))), i, f"s4:{row[0]}")
+        for cand, cond, label in zip(ref_move_inv(cur), (ref_cond_inv_a, ref_cond_inv_ab),
+                                     ("inv-a", "inv-ab")):
+            img = ref_canon_sign(cand.astuple())
+            if cond(cur):
+                intern(img, i, label)
+            if cond(cand):
+                intern(img, i, label + ":rev")
+    return ref_orbit_set(members, edges)
+
+
+def uniform_quintuple(ctx, rng):
+    """Uniform nonzero a, b, c, lam and uniform delta: a b c lam q is a
+    non-square about half the time."""
+    pp = ctx.p * ctx.p
+    return Params5(*(ctx.from_index(rng.randrange(1, pp)) for _ in range(4)),
+                   ctx.from_index(rng.randrange(pp)))
+
+
+# ---------------------------------------------------------------------------
+# both irreducibility criteria, with their own window, forbidden powers,
+# inversions and corner terms
+
+
+def ref_irr_Vn_criterion(a, b, c, n):
+    ctx = a.ctx
+    if not 0 <= n <= ctx.dbar - 2:
+        raise errors.BadRange(f"n={n} outside [0, {ctx.dbar - 2}]")
+    forbidden = {ctx.qpow(n - 2 * i + 1) for i in range(1, n + 1)}
+    if not forbidden:
+        return True
+    for ta, tb, tc in itertools.product((a, a.inv()), (b, b.inv()), (c, c.inv())):
+        if ta * tb * tc in forbidden:
+            return False
+    return True
+
+
+def ref_irr_W_criterion(params):
+    ctx = params.ctx
+    a, b, c, lam = params.quadruple.astuple()
+    delta = params.delta
+    window = {ctx.qpow(2 * i) for i in range(ctx.dbar - 1)}
+    qi = ctx.q.inv()
+    ai, bi, ci = a.inv(), b.inv(), c.inv()
+    lam2 = lam * lam
+    d0, d1, d2, d3 = ref_w_deltas(a, b, c, lam)
+
+    def excl(*vals):
+        return all(v not in window for v in vals)
+
+    c1 = delta != d0 or excl(lam2, ai * bi * ci * lam * qi, ai * bi * c * lam * qi)
+    c2 = delta != d1 or excl(lam2, a * bi * ci * lam * qi, a * bi * c * lam * qi)
+    c3 = delta != d2 or excl(a * bi * ci * lam * qi, ai * bi * ci * lam * qi, bi * bi * qi * qi)
+    c4 = delta != d3 or excl(a * bi * c * lam * qi, bi * bi * qi * qi, ai * bi * c * lam * qi)
+    return c1 and c2 and c3 and c4
+
+
+def ref_w_deltas(a, b, c, lam):
+    """The values of delta at which the four conditions of
+    ``ref_irr_W_criterion`` bind, in its order."""
+    ctx = a.ctx
+    dbar = ctx.dbar
+    ad, lamd, bd, cd = (ref_pow(x, dbar) for x in (a, lam, b, c))
+    qd = ctx.qpow(dbar)
+    corner = ref_corner(a, lam)
+    return (ctx.zero, (ad - ad.inv()) * (lamd - lamd.inv()),
+            (bd * cd + bd.inv() * cd.inv()) * qd - corner,
+            (bd * cd.inv() + bd.inv() * cd) * qd - corner)
+
+
+# ---------------------------------------------------------------------------
+# linear algebra on component arrays
+
+
+def gens_of(reps):
+    """The generator array of some modules of one dimension."""
+    return np.moveaxis(np.array([(rep.A.arr, rep.B.arr) for rep in reps]), -1, 2)
+
+
+def ref_span_dim(rep):
+    """Dimension of the span the spanning oracle closes, by the vstack closure it
+    replaced: every insert reduces against and updates every basis row."""
+    ctx = rep.ctx
+    n = rep.n
+    p, t = ctx.p, ctx.t
+    nn = n * n
+    a0, a1 = rep.A.arr[..., 0], rep.A.arr[..., 1]
+    b0, b1 = rep.B.arr[..., 0], rep.B.arr[..., 1]
+    basis0 = np.zeros((0, nn), dtype=np.int64)
+    basis1 = np.zeros((0, nn), dtype=np.int64)
+    pivots = []
+    frontier = []
+
+    def insert(m0, m1):
+        nonlocal basis0, basis1
+        v0, v1 = m0.ravel() % p, m1.ravel() % p
+        if pivots:
+            c0, c1 = v0[pivots], v1[pivots]
+            if c0.any() or c1.any():
+                v0 = (v0 - (c0 @ basis0 + t * (c1 @ basis1))) % p
+                v1 = (v1 - (c0 @ basis1 + c1 @ basis0)) % p
+        nz = np.nonzero((v0 != 0) | (v1 != 0))[0]
+        if nz.size == 0:
+            return
+        j = int(nz[0])
+        inv = Fq2(ctx, int(v0[j]), int(v1[j])).inv()
+        w0 = (v0 * inv.x0 + t * (v1 * inv.x1)) % p
+        w1 = (v0 * inv.x1 + v1 * inv.x0) % p
+        if pivots:
+            e0, e1 = basis0[:, j].copy(), basis1[:, j].copy()
+            if e0.any() or e1.any():
+                basis0 = (basis0 - (np.outer(e0, w0) + t * np.outer(e1, w1))) % p
+                basis1 = (basis1 - (np.outer(e0, w1) + np.outer(e1, w0))) % p
+        basis0 = np.vstack([basis0, w0])
+        basis1 = np.vstack([basis1, w1])
+        pivots.append(j)
+        frontier.append((v0.reshape(n, n), v1.reshape(n, n)))
+
+    eye = np.eye(n, dtype=np.int64)
+    insert(eye, np.zeros((n, n), dtype=np.int64))
+    while frontier and len(pivots) < nn:
+        w0, w1 = frontier.pop()
+        for g0, g1 in ((a0, a1), (b0, b1)):
+            insert((g0 @ w0 + t * (g1 @ w1)) % p, (g0 @ w1 + g1 @ w0) % p)
+    return len(pivots)
+
+
+def ref_rref(m):
+    """The full-sweep elimination: every pivot updates every entry of the matrix."""
+    ctx = m.ctx
+    p, t = ctx.p, ctx.t
+    a = m.arr.copy()
+    rows, cols = m.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.nonzero((a[r:, c, 0] != 0) | (a[r:, c, 1] != 0))[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            a[[r, i]] = a[[i, r]]
+        piv = Fq2(ctx, int(a[r, c, 0]), int(a[r, c, 1])).inv()
+        a[r, :, 0], a[r, :, 1] = ((a[r, :, 0] * piv.x0 + t * (a[r, :, 1] * piv.x1)) % p,
+                                  (a[r, :, 0] * piv.x1 + a[r, :, 1] * piv.x0) % p)
+        f0, f1 = a[:, c, 0].copy(), a[:, c, 1].copy()
+        f0[r] = 0
+        f1[r] = 0
+        s0 = np.outer(f0, a[r, :, 0]) + t * np.outer(f1, a[r, :, 1])
+        s1 = np.outer(f0, a[r, :, 1]) + np.outer(f1, a[r, :, 0])
+        a[:, :, 0] = (a[:, :, 0] - s0) % p
+        a[:, :, 1] = (a[:, :, 1] - s1) % p
+        pivots.append(c)
+        r += 1
+    return FMat(ctx, a), tuple(pivots)
+
+
+def ref_kernel(m):
+    """Kernel basis filled entry by entry from ref_rref."""
+    red, pivots = ref_rref(m)
+    free = [c for c in range(m.ncols) if c not in pivots]
+    basis = np.zeros((m.ncols, len(free), 2), dtype=np.int64)
+    for k, fc in enumerate(free):
+        basis[fc, k, 0] = 1
+        for r, pc in enumerate(pivots):
+            basis[pc, k, 0] = (-red.arr[r, fc, 0]) % m.ctx.p
+            basis[pc, k, 1] = (-red.arr[r, fc, 1]) % m.ctx.p
+    return FMat(m.ctx, basis)

@@ -12,8 +12,8 @@ from uawq.algebra import (
     verify_rep,
 )
 from uawq.classify import sample_quintuple
-from uawq.linalg import FMat, is_scalar_matrix, product_shifted
-from uawq.modules import Params5, SeqData, build_Vn, build_W
+from uawq.linalg import FMat, is_scalar_matrix
+from uawq.modules import Params5, build_Vn, build_W
 
 
 def one_by_one(ctx, theta, theta_star, omega, omega_star, omega_eps):
@@ -56,13 +56,6 @@ class TestDeriveC:
 
 
 class TestAlphaBeta:
-    def test_scalar_on_built_module(self, ctx13, rng):
-        for _ in range(10):
-            p5 = sample_quintuple(ctx13, rng)
-            rep = build_W(p5)
-            assert is_scalar_matrix(alpha_matrix(rep)) == rep.omega
-            assert is_scalar_matrix(beta_matrix(rep)) == rep.omega_star
-
     def test_one_by_one_scalar_identity(self, ctx13):
         ctx = ctx13
         rep = build_Vn(ctx.el(2), ctx.el(3), ctx.el(4), 0)
@@ -86,13 +79,6 @@ class TestAlphaBeta:
 
 
 class TestVerifyRep:
-    def test_built_reps_pass(self, ctx13, ctx37, rng):
-        for ctx in (ctx13, ctx37):
-            for _ in range(8):
-                p5 = sample_quintuple(ctx, rng)
-                report = verify_rep(build_W(p5))
-                assert report.ok and not report.failures
-
     def test_perturbation_fails(self, ctx13, rng):
         p5 = sample_quintuple(ctx13, rng)
         rep = build_W(p5)
@@ -145,20 +131,6 @@ class TestVee:
 
 
 class TestCentralElements:
-    def test_module_reps_central(self, ctx13, rng):
-        for _ in range(6):
-            p5 = sample_quintuple(ctx13, rng)
-            rep = build_W(p5)
-            mu = ctx13.from_index(rng.randrange(1, 13 * 13))
-            assert central_elements_check(rep, mu).ok
-
-    def test_corner_product_scalar(self, ctx13, rng):
-        p5 = sample_quintuple(ctx13, rng)
-        rep = build_W(p5)
-        s = SeqData(p5.quadruple)
-        prod = product_shifted(rep.A, [s.theta(i) for i in range(ctx13.dbar)])
-        assert is_scalar_matrix(prod) == p5.delta
-
     def test_one_by_one_trivially_central(self, ctx13):
         rep = build_Vn(ctx13.el(2), ctx13.el(3), ctx13.el(4), 0)
         assert central_elements_check(rep, ctx13.el(5)).ok
@@ -167,25 +139,3 @@ class TestCentralElements:
         rep = build_Vn(ctx13.el(2), ctx13.el(3), ctx13.el(4), 0)
         with pytest.raises(ValueError):
             central_elements_check(rep, ctx13.zero)
-
-
-def test_weight_shift_containment(ctx13, rng):
-    # two-sided shifted product of B composed with A keeps each weight space
-    from uawq.linalg import hstack, rank
-    from uawq.modules import weight_spaces
-
-    ctx = ctx13
-    q2 = ctx.q * ctx.q
-    for _ in range(6):
-        p5 = sample_quintuple(ctx, rng)
-        rep = build_W(p5)
-        for mu, basis in weight_spaces(rep):
-            up = mu * q2 + mu.inv() / q2
-            dn = mu / q2 + mu.inv() * q2
-            image = (
-                (rep.B - FMat.scalar(ctx, rep.n, up))
-                @ (rep.B - FMat.scalar(ctx, rep.n, dn))
-                @ rep.A
-                @ basis
-            )
-            assert rank(hstack([basis, image])) == basis.ncols

@@ -1,5 +1,4 @@
 import ast
-import collections
 import itertools
 import json
 import random
@@ -34,11 +33,22 @@ from uawq.classify import (
     simeq_closure,
     solve_feasible,
 )
-from uawq.field import Fq2, ctx_new, is_square, sqrt
+from uawq.field import ctx_new, is_square, sqrt
 from uawq.linalg import FMat, hstack, rank
 from uawq.modules import Params4, Params5, SeqData, build_Vn, build_W
 
 from conftest import approx_equiv, cond_inv_ab, move_images, sim_related, simeq_z2s4
+from reference import (
+    gens_of,
+    ref_closure,
+    ref_inv_ab_terms,
+    ref_irr_Vn_criterion,
+    ref_irr_W_criterion,
+    ref_s4_orbit,
+    ref_span_dim,
+    ref_w_deltas,
+    uniform_quintuple,
+)
 
 
 class TestFeasible:
@@ -85,27 +95,6 @@ class TestFeasible:
 
 
 class TestSolveFeasible:
-    def test_contains_input(self, ctx13, rng):
-        for _ in range(10):
-            p4 = sample_quadruple(ctx13, rng)
-            sols = solve_feasible(feasible_target(p4))
-            keys = {param_key(canon_sign(s.astuple())) for s in sols}
-            assert param_key(canon_sign(p4.astuple())) in keys
-
-    def test_all_outputs_feasible(self, ctx13, rng):
-        p4 = sample_quadruple(ctx13, rng)
-        tgt = feasible_target(p4)
-        for sol in solve_feasible(tgt):
-            assert feasible(sol, tgt)
-
-    def test_outputs_inside_orbit(self, ctx13, rng):
-        for _ in range(6):
-            p4 = sample_quadruple(ctx13, rng)
-            tgt = feasible_target(p4)
-            orbit_keys = s4_orbit(p4).member_keys()
-            for sol in solve_feasible(tgt):
-                assert param_key(canon_sign(sol.astuple())) in orbit_keys
-
     def test_solver_equals_computable_orbit(self, ctx13, rng):
         # when the whole orbit lives in F_{p^2}, the solver recovers exactly
         # the sign-classes of the orbit
@@ -161,8 +150,6 @@ class TestS4Orbit:
 
     def test_needs_extension(self, ctx13):
         # find a quadruple whose orbit square-root argument is a non-square
-        from uawq.field import is_square
-
         probe = None
         for x in ctx13.elements():
             if x.x1 == 0:
@@ -176,8 +163,6 @@ class TestS4Orbit:
 
     def test_ones_orbit_example(self, ctx13):
         # a b c lam q = 3 and sqrt(3) = 4 exists, so the orbit is computable
-        from uawq.field import sqrt
-
         assert sqrt(ctx13.el(3)) == ctx13.el(4)
         orbit = s4_orbit(Params4(*[ctx13.one] * 4))
         assert orbit.size >= 1
@@ -278,21 +263,11 @@ class TestSimRelated:
         for _ in range(200):
             quad = sample_quadruple(ctx, rng)
             a, b, c, lam = quad.astuple()
-            bl = (b / lam) ** 2
             excluded = {ctx.qpow(2 * (dbar - i + 1)) for i in range(dbar - 1)}
-            if bl in excluded:
+            k, r = ref_inv_ab_terms(a, b, c, lam)
+            if (b / lam) ** 2 in excluded or k.is_zero():
                 continue
-            blp = (b / lam) ** dbar
-            denom = blp - blp.inv()
-            if denom.is_zero():
-                continue
-            num = (
-                (a * b) ** (-dbar)
-                * (lam ** (2 * dbar) - ctx.one)
-                * ((a * b * c / lam) ** dbar * ctx.qpow(dbar) - ctx.one)
-                * ((a * b / (c * lam)) ** dbar * ctx.qpow(dbar) - ctx.one)
-            )
-            delta = num / denom
+            delta = r / k
             p5 = Params5(a, b, c, lam, delta)
             partner = Params5(a.inv(), b.inv(), c, lam.inv() * ctx.qpow(-2), delta)
             assert sim_related(p5, partner)
@@ -333,19 +308,6 @@ class TestSimeqClosure:
             touched.add(t)
         assert touched == set(range(orbit.size))
 
-    def test_members_isomorphic(self, ctx13, rng):
-        done = 0
-        while done < 2:
-            p5 = sample_quintuple(ctx13, rng)
-            if not irr_W_criterion(p5):
-                continue
-            rep = build_W(p5)
-            orbit = simeq_closure(p5)
-            for member in list(orbit.members)[:: max(1, orbit.size // 5)]:
-                s = intertwiner(rep, build_W(Params5(*member)))
-                assert s is not None and rank(s) == rep.n
-            done += 1
-
     def test_cap_exceeded(self, ctx13, rng):
         p5 = sample_quintuple(ctx13, rng)
         with pytest.raises(errors.CapExceeded):
@@ -377,146 +339,6 @@ class TestSimeqClosure:
                 break
         assert found >= 2
 
-    def test_pm_closed_under_closure(self, ctx13, rng):
-        done = 0
-        while done < 3:
-            p5 = sample_quintuple(ctx13, rng)
-            if not irr_W_criterion(p5):
-                continue
-            for member in simeq_closure(p5).members:
-                assert irr_W_criterion(Params5(*member))
-            done += 1
-
-
-# ---------------------------------------------------------------------------
-# The 24-row orbit and the equivalence closure as they were written on Fq2
-# objects, before they moved to plain-lex indices and discrete logs: the
-# references the index code is checked against.  They keep their own sign
-# rule, row evaluation by powers, corner terms, inversion moves and side
-# conditions, so none of the index code is shared.
-
-
-def ref_canon_sign(t):
-    p = t[0].ctx.p
-    for x in t[:4]:
-        if x.x0 or x.x1:
-            if x.key < ((-x.x0) % p, (-x.x1) % p):
-                return t
-            return (-t[0], -t[1], -t[2], -t[3], *t[4:])
-    return t
-
-
-def ref_apply_row(row, quad):
-    """The row evaluated by powering each base, with s the canonical root."""
-    a, b, c, lam = quad
-    ctx = a.ctx
-    s = None
-    if table1.row_needs_sqrt(row):
-        arg = a * b * c * lam * ctx.q
-        if not is_square(arg):
-            raise errors.NeedsExtension(f"orbit row {row[0]} needs sqrt of non-square {arg!r}")
-        s = sqrt(arg)
-    out = []
-    for expo in row[2]:
-        val = ctx.one
-        for base, e in zip((a, b, c, lam, ctx.q, s), expo):
-            if e:
-                val = val * base ** e
-        out.append(val)
-    return tuple(out)
-
-
-def ref_corner(a, lam):
-    al = a / lam
-    return al ** a.ctx.dbar + al ** (-a.ctx.dbar)
-
-
-def ref_move_inv(p):
-    a, lam = p.a.inv(), p.lam.inv() * p.ctx.qpow(-2)
-    return Params5(a, p.b, p.c, lam, p.delta), Params5(a, p.b.inv(), p.c, lam, p.delta)
-
-
-def ref_cond_inv_a(p):
-    return p.lam * p.lam in {p.ctx.qpow(2 * i) for i in range(p.ctx.dbar - 1)}
-
-
-def ref_cond_inv_ab(p):
-    ctx = p.ctx
-    dbar = ctx.dbar
-    a, b, c, lam = p.quadruple.astuple()
-    excluded = {ctx.qpow(2 * (dbar - i + 1)) for i in range(dbar - 1)}
-    bl = (b / lam) ** dbar
-    abq = (a * b * ctx.q / lam) ** dbar
-    cd = c ** dbar
-    defect = p.delta * (bl - bl.inv()) - (
-        (a * b) ** (-dbar)
-        * (lam ** (2 * dbar) - ctx.one)
-        * (abq * cd - ctx.one)
-        * (abq * cd.inv() - ctx.one)
-    )
-    return (b / lam) ** 2 not in excluded and defect.is_zero()
-
-
-def ref_orbit_set(members, edges):
-    order = sorted(range(len(members)), key=lambda i: param_key(members[i]))
-    renum = {old: new for new, old in enumerate(order)}
-    return classify.OrbitSet(
-        members=tuple(members[i] for i in order),
-        edges=tuple(sorted((renum[s], lab, renum[t]) for s, lab, t in edges)),
-    )
-
-
-def ref_s4_orbit(params):
-    quad = params.astuple()
-    images, members, edges = {}, [], []
-
-    def intern(c):
-        k = param_key(c)
-        if k not in images:
-            images[k] = len(members)
-            members.append(c)
-        return images[k]
-
-    src = intern(ref_canon_sign(quad))
-    for row in table1.ROWS:
-        edges.append((src, row[0], intern(ref_canon_sign(ref_apply_row(row, quad)))))
-    return ref_orbit_set(members, edges)
-
-
-def ref_closure(params, cap=10_000):
-    start = ref_canon_sign(params.astuple())
-    members = [start]
-    index = {param_key(start): 0}
-    edges = []
-    frontier = collections.deque([0])
-
-    def intern(c, src, label):
-        k = param_key(c)
-        if k not in index:
-            if len(members) >= cap:
-                raise errors.CapExceeded(f"closure exceeded cap={cap} nodes")
-            index[k] = len(members)
-            members.append(c)
-            frontier.append(index[k])
-        edges.append((src, label, index[k]))
-
-    while frontier:
-        i = frontier.popleft()
-        cur = Params5(*members[i])
-        shift = cur.delta + ref_corner(cur.a, cur.lam)
-        quad = cur.quadruple.astuple()
-        for row in table1.ROWS:
-            img = ref_apply_row(row, quad)
-            intern(ref_canon_sign((*img, shift - ref_corner(img[0], img[3]))), i, f"s4:{row[0]}")
-        for cand, cond, label in zip(ref_move_inv(cur), (ref_cond_inv_a, ref_cond_inv_ab),
-                                     ("inv-a", "inv-ab")):
-            img = ref_canon_sign(cand.astuple())
-            if cond(cur):
-                intern(img, i, label)
-            if cond(cand):
-                intern(img, i, label + ":rev")
-    return ref_orbit_set(members, edges)
-
 
 def outcome(f, *args):
     """The JSON of an orbit, or the type and message of the error it raised."""
@@ -524,14 +346,6 @@ def outcome(f, *args):
         return json.dumps(f(*args).to_json())
     except (errors.NeedsExtension, errors.CapExceeded) as exc:
         return type(exc).__name__, str(exc)
-
-
-def uniform_quintuple(ctx, rng):
-    """Uniform nonzero a, b, c, lam and uniform delta: a b c lam q is a
-    non-square about half the time."""
-    pp = ctx.p * ctx.p
-    return Params5(*(ctx.from_index(rng.randrange(1, pp)) for _ in range(4)),
-                   ctx.from_index(rng.randrange(pp)))
 
 
 @pytest.mark.parametrize("p,d", [(7, 3), (13, 3), (13, 6), (29, 28), (37, 9)])
@@ -599,14 +413,6 @@ class TestIrrVn:
         with pytest.raises(errors.BadRange):
             irr_Vn_criterion(ctx13.one, ctx13.one, ctx13.one, ctx13.dbar - 1)
 
-    def test_agreement_with_oracle(self, ctx13, rng):
-        for _ in range(150):
-            a, b, c = sample_triple(ctx13, rng)
-            n = rng.randrange(0, ctx13.dbar - 1)
-            assert irr_Vn_criterion(a, b, c, n) == burnside_irreducible(
-                build_Vn(a, b, c, n)
-            )
-
     def test_sign_orbit_invariance(self, ctx13, rng):
         a, b, c = sample_triple(ctx13, rng)
         n = 1
@@ -622,12 +428,6 @@ class TestIrrW:
         assert not irr_W_criterion(p5)
         assert not burnside_irreducible(build_W(p5))
 
-    def test_agreement_with_oracle(self, ctx13, ctx37, rng):
-        for ctx in (ctx13, ctx37):
-            for _ in range(100):
-                p5 = sample_quintuple(ctx, rng)
-                assert irr_W_criterion(p5) == burnside_irreducible(build_W(p5))
-
     def test_equivalence_invariance(self, ctx13, rng):
         # the criterion is a class function for the orbit equivalence
         p5 = sample_quintuple(ctx13, rng)
@@ -635,73 +435,6 @@ class TestIrrW:
         shift = delta_shift(p5)
         for row in table1.ROWS[:6]:
             assert irr_W_criterion(Params5(*orbit_image(row, p5.quadruple.astuple(), shift))) == val
-
-
-# ---------------------------------------------------------------------------
-# Both irreducibility criteria as they were written on Fq2 objects, before
-# they moved to discrete logs and tables: the references the log code is
-# checked against.  They keep their own window, forbidden powers, inversions
-# and corner terms, so none of the log code is shared.
-
-
-def ref_irr_Vn_criterion(a, b, c, n):
-    ctx = a.ctx
-    if not 0 <= n <= ctx.dbar - 2:
-        raise errors.BadRange(f"n={n} outside [0, {ctx.dbar - 2}]")
-    forbidden = {ctx.qpow(n - 2 * i + 1) for i in range(1, n + 1)}
-    if not forbidden:
-        return True
-    for ta, tb, tc in itertools.product((a, a.inv()), (b, b.inv()), (c, c.inv())):
-        if ta * tb * tc in forbidden:
-            return False
-    return True
-
-
-def ref_irr_W_criterion(params):
-    ctx = params.ctx
-    dbar = ctx.dbar
-    a, b, c, lam = params.quadruple.astuple()
-    delta = params.delta
-    window = {ctx.qpow(2 * i) for i in range(dbar - 1)}
-    q, qi = ctx.q, ctx.q.inv()
-    ai, bi, ci, lami = a.inv(), b.inv(), c.inv(), lam.inv()
-    lam2 = lam * lam
-    ad, lamd = a ** dbar, lam ** dbar
-    shift = delta + ref_corner(a, lam)
-
-    def excl(*vals):
-        return all(v not in window for v in vals)
-
-    if delta != ctx.zero:
-        c1 = True
-    else:
-        c1 = excl(lam2, ai * bi * ci * lam * qi, ai * bi * c * lam * qi)
-    if delta != (ad - ad.inv()) * (lamd - lamd.inv()):
-        c2 = True
-    else:
-        c2 = excl(lam2, a * bi * ci * lam * qi, a * bi * c * lam * qi)
-    bd, cd, qd = b ** dbar, c ** dbar, ctx.qpow(dbar)
-    if shift != (bd * cd + bd.inv() * cd.inv()) * qd:
-        c3 = True
-    else:
-        c3 = excl(a * bi * ci * lam * qi, ai * bi * ci * lam * qi, bi * bi * qi * qi)
-    if shift != (bd * cd.inv() + bd.inv() * cd) * qd:
-        c4 = True
-    else:
-        c4 = excl(a * bi * c * lam * qi, bi * bi * qi * qi, ai * bi * c * lam * qi)
-    return c1 and c2 and c3 and c4
-
-
-def ref_w_deltas(a, b, c, lam):
-    """The values of delta at which the four conditions of
-    ``ref_irr_W_criterion`` bind, in its order."""
-    ctx = a.ctx
-    dbar = ctx.dbar
-    ad, lamd, bd, cd, qd = a ** dbar, lam ** dbar, b ** dbar, c ** dbar, ctx.qpow(dbar)
-    corner = ref_corner(a, lam)
-    return (ctx.zero, (ad - ad.inv()) * (lamd - lamd.inv()),
-            (bd * cd + bd.inv() * cd.inv()) * qd - corner,
-            (bd * cd.inv() + bd.inv() * cd) * qd - corner)
 
 
 def verdict(f, *args):
@@ -821,57 +554,28 @@ def test_criteria_and_oracles_reach_disjoint_names():
     assert criteria.isdisjoint(oracles), criteria & oracles
 
 
-def gens_of(reps):
-    """The generator array of some modules of one dimension."""
-    return np.moveaxis(np.array([(rep.A.arr, rep.B.arr) for rep in reps]), -1, 2)
-
-
-def ref_span_dim(rep):
-    """Dimension of the span the spanning oracle closes, by the vstack closure it
-    replaced: every insert reduces against and updates every basis row."""
-    ctx = rep.ctx
-    n = rep.n
-    p, t = ctx.p, ctx.t
-    nn = n * n
-    a0, a1 = rep.A.arr[..., 0], rep.A.arr[..., 1]
-    b0, b1 = rep.B.arr[..., 0], rep.B.arr[..., 1]
-    basis0 = np.zeros((0, nn), dtype=np.int64)
-    basis1 = np.zeros((0, nn), dtype=np.int64)
-    pivots = []
-    frontier = []
-
-    def insert(m0, m1):
-        nonlocal basis0, basis1
-        v0, v1 = m0.ravel() % p, m1.ravel() % p
-        if pivots:
-            c0, c1 = v0[pivots], v1[pivots]
-            if c0.any() or c1.any():
-                v0 = (v0 - (c0 @ basis0 + t * (c1 @ basis1))) % p
-                v1 = (v1 - (c0 @ basis1 + c1 @ basis0)) % p
-        nz = np.nonzero((v0 != 0) | (v1 != 0))[0]
-        if nz.size == 0:
-            return
-        j = int(nz[0])
-        inv = Fq2(ctx, int(v0[j]), int(v1[j])).inv()
-        w0 = (v0 * inv.x0 + t * (v1 * inv.x1)) % p
-        w1 = (v0 * inv.x1 + v1 * inv.x0) % p
-        if pivots:
-            e0, e1 = basis0[:, j].copy(), basis1[:, j].copy()
-            if e0.any() or e1.any():
-                basis0 = (basis0 - (np.outer(e0, w0) + t * np.outer(e1, w1))) % p
-                basis1 = (basis1 - (np.outer(e0, w1) + np.outer(e1, w0))) % p
-        basis0 = np.vstack([basis0, w0])
-        basis1 = np.vstack([basis1, w1])
-        pivots.append(j)
-        frontier.append((v0.reshape(n, n), v1.reshape(n, n)))
-
-    eye = np.eye(n, dtype=np.int64)
-    insert(eye, np.zeros((n, n), dtype=np.int64))
-    while frontier and len(pivots) < nn:
-        w0, w1 = frontier.pop()
-        for g0, g1 in ((a0, a1), (b0, b1)):
-            insert((g0 @ w0 + t * (g1 @ w1)) % p, (g0 @ w1 + g1 @ w0) % p)
-    return len(pivots)
+def test_references_reach_no_log_index_or_elimination_code():
+    # The references in reference.py must not share what they check: every
+    # name, attribute and imported name of its source stays clear of the log
+    # tables (also behind sqrt, is_square and ** on Fq2), index arithmetic,
+    # the log-table row action, the shared elimination code and any private
+    # name of uawq.
+    tree = ast.parse((Path(__file__).parent / "reference.py").read_text())
+    names, members = set(), set()  # bare names; attributes and imported names
+    for node in ast.walk(tree):
+        assert not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)), node.lineno
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            members.add(node.attr)
+        elif isinstance(node, ast.alias):
+            members.add(node.name)
+    forbidden = {"log_tables", "root_log", "is_square", "sqrt", "index_of", "index_sub",
+                 "sign_index", "corner_index", "EXPONENTS", "orbit_logs", "entry_logs",
+                 "mul_parts", "pivot_step", "rref", "kernel", "rank"}
+    assert {"ref_pow", "ROWS", "param_key"} <= names | members
+    assert not (names | members) & forbidden, (names | members) & forbidden
+    assert not [name for name in members if name.startswith("_")]
 
 
 class TestBurnside:
@@ -997,18 +701,6 @@ class TestIntertwiner:
                 assert col.entry(r, 0).is_zero()
             done += 1
 
-    def test_distinct_classes_none(self, ctx13, rng):
-        done = 0
-        while done < 3:
-            pa = sample_quintuple(ctx13, rng)
-            pb = sample_quintuple(ctx13, rng)
-            if not (irr_W_criterion(pa) and irr_W_criterion(pb)):
-                continue
-            if param_key(canon_sign(pb.astuple())) in simeq_closure(pa).member_keys():
-                continue
-            assert intertwiner(build_W(pa), build_W(pb)) is None
-            done += 1
-
     def test_dimension_mismatch(self, ctx13, rng):
         p5 = sample_quintuple(ctx13, rng)
         rep = build_W(p5)
@@ -1018,11 +710,6 @@ class TestIntertwiner:
 
 
 class TestClassifySample:
-    def test_deterministic(self, ctx13):
-        r1 = classify_sample(ctx13, 7, 12)
-        r2 = classify_sample(ctx13, 7, 12)
-        assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
-
     def test_no_errors_and_valid(self, ctx13):
         report = classify_sample(ctx13, 3, 15)
         assert report["errors"] == []

@@ -2,9 +2,10 @@ import random
 
 import numpy as np
 import pytest
+from reference import ref_kernel, ref_rref
 
 from uawq.errors import DimensionMismatch
-from uawq.field import Fq2, ctx_new, poly_from_roots
+from uawq.field import ctx_new, poly_from_roots
 from uawq.linalg import (
     FMat,
     char_poly,
@@ -177,51 +178,6 @@ def test_commutator_and_krylov(ctx13, rng):
     assert commutator(m, m).is_zero()
     v = rand_mat(ctx13, rng, 3, 1)
     assert 0 <= krylov_span_dim(m, v) <= 3
-
-
-def ref_rref(m):
-    """The full-sweep elimination: every pivot updates every entry of the matrix."""
-    ctx = m.ctx
-    p, t = ctx.p, ctx.t
-    a = m.arr.copy()
-    rows, cols = m.shape
-    pivots = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.nonzero((a[r:, c, 0] != 0) | (a[r:, c, 1] != 0))[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        piv = Fq2(ctx, int(a[r, c, 0]), int(a[r, c, 1])).inv()
-        a[r, :, 0], a[r, :, 1] = ((a[r, :, 0] * piv.x0 + t * (a[r, :, 1] * piv.x1)) % p,
-                                  (a[r, :, 0] * piv.x1 + a[r, :, 1] * piv.x0) % p)
-        f0, f1 = a[:, c, 0].copy(), a[:, c, 1].copy()
-        f0[r] = 0
-        f1[r] = 0
-        s0 = np.outer(f0, a[r, :, 0]) + t * np.outer(f1, a[r, :, 1])
-        s1 = np.outer(f0, a[r, :, 1]) + np.outer(f1, a[r, :, 0])
-        a[:, :, 0] = (a[:, :, 0] - s0) % p
-        a[:, :, 1] = (a[:, :, 1] - s1) % p
-        pivots.append(c)
-        r += 1
-    return FMat(ctx, a), tuple(pivots)
-
-
-def ref_kernel(m):
-    """Kernel basis filled entry by entry from ref_rref."""
-    red, pivots = ref_rref(m)
-    free = [c for c in range(m.ncols) if c not in pivots]
-    basis = np.zeros((m.ncols, len(free), 2), dtype=np.int64)
-    for k, fc in enumerate(free):
-        basis[fc, k, 0] = 1
-        for r, pc in enumerate(pivots):
-            basis[pc, k, 0] = (-red.arr[r, fc, 0]) % m.ctx.p
-            basis[pc, k, 1] = (-red.arr[r, fc, 1]) % m.ctx.p
-    return FMat(m.ctx, basis)
 
 
 def sparse_mat(ctx, rng, r, c, density):

@@ -310,3 +310,36 @@ def test_grid_chunks_report_flipped_cases_in_grid_order(monkeypatch):
     monkeypatch.setattr(suite, "irr_Vn_criterion", flipped_vn)
     assert suite.w_grid_chunk((5, 3, 1)) == sorted(w_flips)
     assert suite.vn_grid_chunk((5, 3, 1)) == sorted(vn_flips)
+
+
+# Suite checks at unit-test sizes: (check, p, d, its count n, the cases it
+# counts).  The periodicity, weight-ladder and irr-w checks make a fixed
+# number of draws (max(n // 4, 2), max(n // 4, 2) and n) and count none.
+SUITE_BODIES = [
+    ("relation-verify", 13, 3, 8, 16),
+    ("relation-verify", 37, 6, 8, 16),
+    ("relation-verify", 97, 8, 3, 6),
+    ("charpoly-corner", 13, 3, 12, 6),
+    ("charpoly-corner", 37, 6, 12, 6),
+    ("charpoly-corner", 97, 8, 6, 3),
+    ("sequence-periodicity", 13, 3, 40, 0),
+    ("sequence-periodicity", 13, 6, 8, 0),
+    ("weight-ladder", 13, 3, 24, 0),
+    ("ladder-eigvec", 13, 3, 20, 5),
+    ("ladder-eigvec", 37, 6, 20, 5),
+    ("marginal-membership", 13, 3, 100, 25),
+    ("closure-pm-closed", 13, 3, 24, 3),
+    ("closure-iso", 13, 3, 32, 2),
+    ("irr-vn-agreement", 13, 3, 150, 150),
+    ("irr-w-agreement", 13, 3, 100, 0),
+    ("irr-w-agreement", 37, 6, 100, 0),
+    ("irr-w-agreement", 97, 8, 3, 0),
+]
+
+
+@pytest.mark.parametrize("name,p,d,n,cases", SUITE_BODIES)
+def test_suite_check_passes(name, p, d, n, cases):
+    check = {**dict(suite.CHECKS), "irr-vn-agreement": suite.check_irr_vn,
+             "irr-w-agreement": suite.check_irr_w}[name]
+    tally, detail = check(ctx_new(p, d), random.Random(20240801), n)
+    assert (tally.failures, tally.cases) == (0, cases), tally.result(name, detail)
