@@ -79,6 +79,13 @@ class TestAlphaBeta:
 
 
 class TestVerifyRep:
+    def test_built_reps_pass(self, ctx13, ctx37, rng):
+        for ctx in (ctx13, ctx37):
+            for _ in range(8):
+                p5 = sample_quintuple(ctx, rng)
+                report = verify_rep(build_W(p5))
+                assert report.ok and not report.failures
+
     def test_perturbation_fails(self, ctx13, rng):
         p5 = sample_quintuple(ctx13, rng)
         rep = build_W(p5)

@@ -6,6 +6,7 @@ from conftest import cond_inv_ab, force_nu, sim_related
 from reference import ref_inv_ab_terms
 
 from uawq import errors, suite
+from uawq.algebra import verify_rep
 from uawq.classify import irr_W_criterion, sample_quadruple, sample_quintuple
 from uawq.field import poly_from_roots
 from uawq.linalg import FMat, char_poly, hstack, product_shifted, rank
@@ -87,6 +88,11 @@ class TestBuildVn:
 
 
 class TestBuildW:
+    def test_verify_passes(self, ctx13, ctx37, rng):
+        for ctx in (ctx13, ctx37):
+            for _ in range(8):
+                assert verify_rep(build_W(sample_quintuple(ctx, rng))).ok
+
     def test_corner_entry(self, ctx13, rng):
         p5 = sample_quintuple(ctx13, rng)
         rep = build_W(p5)
@@ -117,6 +123,24 @@ class TestBuildW:
         s = SeqData(p5.quadruple)
         want = poly_from_roots(ctx13, [s.theta(i) for i in range(ctx13.dbar)])
         assert char_poly(rep.A) == want
+
+    def test_charpoly_A_general(self, ctx13, ctx37, rng):
+        for ctx in (ctx13, ctx37):
+            for _ in range(6):
+                p5 = sample_quintuple(ctx, rng)
+                rep = build_W(p5)
+                s = SeqData(p5.quadruple)
+                want = poly_from_roots(ctx, [s.theta(i) for i in range(ctx.dbar)])
+                want[0] = want[0] - p5.delta
+                assert char_poly(rep.A) == want
+
+    def test_charpoly_B(self, ctx13, rng):
+        for _ in range(6):
+            p5 = sample_quintuple(ctx13, rng)
+            rep = build_W(p5)
+            s = SeqData(p5.quadruple)
+            want = poly_from_roots(ctx13, [s.theta_star(i) for i in range(ctx13.dbar)])
+            assert char_poly(rep.B) == want
 
     def test_dump_schema(self, ctx13, rng):
         import json
