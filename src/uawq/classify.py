@@ -20,7 +20,7 @@ from .algebra import PairRep
 from .errors import (BadRange, CapExceeded, DimensionMismatch, DivisionByZero, InvariantViolation,
                      NoSolutionsInField)
 from .field import FieldCtx, Fq2, index_of, index_sub, mul_parts, poly_roots, quadratic_roots
-from .linalg import FMat, check_int64, kernel, kron, pivot_step, rank, vstack
+from .linalg import FMat, check_int64, kernel, pivot_step, rank, rref
 from .modules import Params4, Params5, SeqData, build_W, corner_index, corner_terms, delta_shift
 
 # ---------------------------------------------------------------------------
@@ -407,6 +407,24 @@ def irr_W_criterion_many(ctx: FieldCtx, logs: np.ndarray, delta: np.ndarray) -> 
     return verdict
 
 
+def _echelon_insert(basis0, basis1, pivots, size: int, v0, v1, p: int, t: int) -> bool:
+    """Reduce row v against the first ``size`` rows of a reduced echelon basis
+    and store what is left as row ``size`` by one ``pivot_step``; whether any was."""
+    c0, c1 = v0[pivots[:size]], v1[pivots[:size]]
+    used = np.flatnonzero(c0 | c1)
+    if used.size:
+        v0, v1 = mul_parts(c0[used], c1[used], basis0[used], basis1[used], p, t, np.matmul,
+                           subtract_from=(v0, v1))
+    nz = np.flatnonzero(v0 | v1)
+    if nz.size == 0:
+        return False
+    j = int(nz[0])
+    w0, w1 = pivot_step(basis0[:size], basis1[:size], v0, v1, j, p, t)
+    basis0[size, j:], basis1[size, j:] = w0, w1
+    pivots[size] = j
+    return True
+
+
 def burnside_irreducible(rep: PairRep) -> bool:
     """Spanning oracle: words in {I, A, B} span the full matrix algebra.
 
@@ -440,20 +458,9 @@ def burnside_irreducible(rep: PairRep) -> bool:
 
     def insert(v0: np.ndarray, v1: np.ndarray) -> None:
         nonlocal size
-        c0, c1 = v0[pivots[:size]], v1[pivots[:size]]
-        used = np.flatnonzero(c0 | c1)
-        if used.size:
-            v0, v1 = mul_parts(c0[used], c1[used], basis0[used], basis1[used], p, t, np.matmul,
-                               subtract_from=(v0, v1))
-        nz = np.flatnonzero(v0 | v1)
-        if nz.size == 0:
-            return
-        j = int(nz[0])
-        w0, w1 = pivot_step(basis0[:size], basis1[:size], v0, v1, j, p, t)
-        basis0[size, j:], basis1[size, j:] = w0, w1
-        pivots[size] = j
-        stack.append(size)
-        size += 1
+        if _echelon_insert(basis0, basis1, pivots, size, v0, v1, p, t):
+            stack.append(size)
+            size += 1
 
     insert(np.eye(n, dtype=np.int64).ravel(), np.zeros(nn, dtype=np.int64))
     while stack and size < nn:
@@ -564,27 +571,60 @@ def intertwiner(rep_x: PairRep, rep_y: PairRep) -> FMat | None:
     scalars differ.  When the solution space contains an invertible element
     the search prefers one (between irreducibles any nonzero solution is
     already invertible).
+
+    The solutions come from spinning (Parker's Meat-Axe; Holt, Eick and
+    O'Brien, Handbook of Computational Group Theory, ch. 7): spinning e_0 under
+    A_x then B_x breadth-first, and the next e_s outside the span whenever
+    the queue runs dry, gives a basis P = [b_0 ... b_{n-1}] of seeds and
+    products g b_j, j < k.  So S b_k = T_k U for the images U of the m seeds,
+    T_k an identity block or g_Y T_j, and S intertwines iff
+    sum_l C_g[l, k] T_l U = g_Y T_k U with C_g = P^-1 g_X P: (2n^2, m n)
+    equations, not (2n^2, n^2) on the entries of S; S = [T_k U]_k P^-1.  The
+    candidates, the kernel basis of that larger system (1 in its own free
+    column, 0 in the others, elsewhere nonzero only in earlier columns), are
+    the reduced echelon form of the solutions with their entries reversed.
     """
     if rep_x.n != rep_y.n:
         raise DimensionMismatch(f"{rep_x.n} vs {rep_y.n}")
     if rep_x.scalars() != rep_y.scalars():
         return None
-    ctx = rep_x.ctx
-    n = rep_x.n
-    ident = FMat.identity(ctx, n)
-    blocks = [
-        kron(ident, rep_x.A.transpose()) - kron(rep_y.A, ident),
-        kron(ident, rep_x.B.transpose()) - kron(rep_y.B, ident),
-    ]
-    null = kernel(vstack(blocks))
-    k = null.ncols
+    ctx, n = rep_x.ctx, rep_x.n
+    p, t = ctx.p, ctx.t
+    check_int64(n * n * (1 + t) * p * p, "intertwiner products")
+
+    def mm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return np.stack(mul_parts(x[..., 0], x[..., 1], y[..., 0], y[..., 1], p, t, np.matmul), -1)
+    gx, gy = (rep_x.A.arr, rep_x.B.arr), (rep_y.A.arr, rep_y.B.arr)
+    eye = np.eye(n, dtype=np.int64)[..., None] * np.array([1, 0])
+    ech, pivots = np.zeros((2, n, n), dtype=np.int64), np.zeros(n, dtype=np.intp)
+    pmat, origin = np.zeros((n, n, 2), dtype=np.int64), []  # b_k; its seed's number or (g, j)
+    m = e = head = 0
+    while len(origin) < n:
+        if head < len(origin):
+            new, head = [(mm(g, pmat[:, head]), (i, head)) for i, g in enumerate(gx)], head + 1
+        else:
+            new, e = [(eye[e], m)], e + 1
+        for v, how in new:
+            if _echelon_insert(ech[0], ech[1], pivots, len(origin), v[:, 0], v[:, 1], p, t):
+                pmat[:, len(origin)] = v
+                origin.append(how)
+                m += isinstance(how, int)
+    tk = np.zeros((n, n, m * n, 2), dtype=np.int64)  # tk[k] is T_k
+    for k, how in enumerate(origin):
+        if isinstance(how, tuple):
+            tk[k] = mm(gy[how[0]], tk[how[1]])
+        else:
+            tk[k, :, how * n:(how + 1) * n] = eye
+    pinv = rref(FMat(ctx, np.concatenate([pmat, eye], axis=1)))[0].arr[:, n:]
+    rel = [mm(mm(mm(pinv, g), pmat).transpose(1, 0, 2), tk.reshape(n, n * m * n, 2))
+           .reshape(tk.shape) - mm(h, tk) for g, h in zip(gx, gy)]
+    null = kernel(FMat(ctx, np.concatenate(rel).reshape(2 * n * n, m * n, 2))).arr
+    k = null.shape[1]
     if k == 0:
         return None
-
-    def reshape(col: int) -> FMat:
-        return FMat(ctx, null.arr[:, col, :].reshape(n, n, 2))
-
-    cands = [reshape(j) for j in range(k)]
+    sols = mm(mm(tk, null).transpose(2, 1, 0, 3), pinv).reshape(k, n * n, 2)
+    red = rref(FMat(ctx, sols[:, ::-1]))[0].arr[::-1, ::-1]
+    cands = [FMat(ctx, row.reshape(n, n, 2)) for row in red]
     for s in cands:
         if rank(s) == n:
             return s

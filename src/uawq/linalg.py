@@ -21,14 +21,14 @@ from .field import FieldCtx, Fq2, mul_parts, poly_add, poly_scale
 
 
 class FMat:
-    """Immutable matrix over F_{p^2}."""
+    """Immutable matrix over F_{p^2}, stored C-contiguous whatever its input's strides."""
 
     __slots__ = ("ctx", "arr")
 
     def __init__(self, ctx: FieldCtx, arr: np.ndarray):
         if arr.ndim != 3 or arr.shape[2] != 2:
             raise InvariantViolation(f"matrix array of shape {arr.shape}, want (rows, cols, 2)")
-        a = np.asarray(arr, dtype=np.int64) % ctx.p
+        a = np.ascontiguousarray(arr, dtype=np.int64) % ctx.p
         a.setflags(write=False)
         self.ctx = ctx
         self.arr = a

@@ -562,7 +562,7 @@ def check_orbit_closure(ctx, rng, n):
 def check_equiv_intertwiner(ctx, rng, n):
     t = Tally()
     for _ in range(max(n // 8, 2)):
-        equiv_case(sample_quintuple(ctx, rng), table1.ROWS[:8], t)
+        t.cases += equiv_case(sample_quintuple(ctx, rng), table1.ROWS[:8], t)
     return t, "orbit neighbors are isomorphic"
 
 

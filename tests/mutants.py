@@ -87,6 +87,15 @@ MUTANTS = [
            CLASSIFY),
     Mutant("a-inversion condition always false", "classify.py",
            "return 2 * log[node[3]] % len(exp) in _move_windows(ctx)[0]", "return False", CLASSIFY),
+    Mutant("intertwiner with the A relation block in place of B's", "classify.py",
+           "for g, h in zip(gx, gy)]", "for g, h in zip(gx[:1] * 2, gy[:1] * 2)]",
+           CLASSIFY),
+    Mutant("intertwiner basis without the column reversal", "classify.py",
+           "rref(FMat(ctx, sols[:, ::-1]))[0].arr[::-1, ::-1]", "rref(FMat(ctx, sols))[0].arr[::-1]",
+           CLASSIFY),
+    Mutant("intertwiner returns S P in place of S", "classify.py",
+           "sols = mm(mm(tk, null).transpose(2, 1, 0, 3), pinv)",
+           "sols = mm(tk, null).transpose(2, 1, 0, 3)", CLASSIFY),
     Mutant("_of_parts components swapped", "linalg.py",
            "np.stack(parts, axis=-1)", "np.stack(parts[::-1], axis=-1)", ("tests/test_linalg.py",)),
     *(Mutant(f"W_MONOMIALS[{i}][{k}] += 1", "classify.py", row, bump_exponent(row, k), CLASSIFY)

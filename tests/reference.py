@@ -345,3 +345,32 @@ def ref_kernel(m):
             basis[pc, k, 0] = (-red.arr[r, fc, 0]) % m.ctx.p
             basis[pc, k, 1] = (-red.arr[r, fc, 1]) % m.ctx.p
     return FMat(m.ctx, basis)
+
+
+def ref_intertwiner(rep_x, rep_y):
+    """The intertwiner read off the dense Kronecker system on all n^2 entries
+    of S, row-major: kron(I, g_X^T) - kron(g_Y, I) for g = A, B, stacked and
+    built per component (I has no sqrt(t) part).  Its candidates are the
+    ref_kernel columns; the first of full rank is returned, else the first
+    of full rank among cands[0] + c cands[j], j = 1, 2, ..., for the first
+    256 nonzero c in plain-lex order, else cands[0]."""
+    if rep_x.scalars() != rep_y.scalars():
+        return None
+    ctx, n = rep_x.ctx, rep_x.n
+    t = ctx.t
+    eye = np.eye(n, dtype=np.int64)
+    system = np.concatenate([
+        np.stack([np.kron(eye, gx.arr[..., c].T) - np.kron(gy.arr[..., c], eye) for c in (0, 1)],
+                 axis=-1)
+        for gx, gy in ((rep_x.A, rep_y.A), (rep_x.B, rep_y.B))])
+    null = ref_kernel(FMat(ctx, system))
+    cands = [FMat(ctx, null.arr[:, j].reshape(n, n, 2)) for j in range(null.ncols)]
+    coeffs = list(itertools.islice((c for c in ctx.elements() if not c.is_zero()), 256))
+
+    def combo(j, c):
+        a, b = cands[0].arr, cands[j].arr
+        return FMat(ctx, np.stack([a[..., 0] + c.x0 * b[..., 0] + t * c.x1 * b[..., 1],
+                                   a[..., 1] + c.x0 * b[..., 1] + c.x1 * b[..., 0]], axis=-1))
+
+    tries = itertools.chain(cands, (combo(j, c) for j in range(1, len(cands)) for c in coeffs))
+    return next((s for s in tries if len(ref_rref(s)[1]) == n), cands[0] if cands else None)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uawq import classify, errors, table1
+from uawq.algebra import PairRep
 from uawq.classify import (
     Target,
     burnside_irreducible,
@@ -34,13 +35,14 @@ from uawq.classify import (
     solve_feasible,
 )
 from uawq.field import ctx_new, is_square, sqrt
-from uawq.linalg import FMat, hstack, rank
+from uawq.linalg import FMat, hstack, rank, rref
 from uawq.modules import Params4, Params5, SeqData, build_Vn, build_W
 
 from conftest import approx_equiv, cond_inv_ab, move_images, sim_related, simeq_z2s4
 from reference import (
     gens_of,
     ref_closure,
+    ref_intertwiner,
     ref_inv_ab_terms,
     ref_irr_Vn_criterion,
     ref_irr_W_criterion,
@@ -701,12 +703,87 @@ class TestIntertwiner:
                 assert col.entry(r, 0).is_zero()
             done += 1
 
+    def test_zero_dimensional_modules_have_no_nonzero_map(self, ctx13):
+        z = FMat.zeros(ctx13, 0, 0)
+        rep = PairRep(ctx13, z, z, ctx13.zero, ctx13.zero, ctx13.zero)
+        assert intertwiner(rep, rep) is None
+
     def test_dimension_mismatch(self, ctx13, rng):
         p5 = sample_quintuple(ctx13, rng)
         rep = build_W(p5)
         v0 = build_Vn(ctx13.el(2), ctx13.el(3), ctx13.el(4), 0)
         with pytest.raises(errors.DimensionMismatch):
             intertwiner(rep, v0)
+
+
+def w_pairs(ctx, rng, count):
+    """Seeded W modules against themselves, an orbit image (both ways) and an
+    unrelated module."""
+    for _ in range(count):
+        p5 = sample_quintuple(ctx, rng)
+        x = build_W(p5)
+        row = table1.ROWS[rng.randrange(len(table1.ROWS))]
+        y = build_W(Params5(*orbit_image(row, p5.quadruple.astuple(), delta_shift(p5))))
+        yield from ((x, x), (x, y), (y, x), (x, build_W(sample_quintuple(ctx, rng))))
+
+
+def vn_pairs(ctx, rng, count):
+    """Vn modules of every degree against the modules of their eight inversions."""
+    for _ in range(count):
+        a, b, c = sample_triple(ctx, rng)
+        for n in range(ctx.dbar - 1):
+            for inv in itertools.product((a, a.inv()), (b, b.inv()), (c, c.inv())):
+                yield build_Vn(a, b, c, n), build_Vn(*inv, n)
+
+
+def synthetic_pairs(ctx, rng, count):
+    """Modules with zero central scalars: zero generators (spun from n seeds),
+    scalar ones, random ones and block sums that repeat a random block (so
+    Hom has dimension at least 4), each against itself, a conjugate by a
+    random invertible matrix both ways, and a random module."""
+    p = ctx.p
+
+    def rand(n):
+        return FMat(ctx, np.array([[[rng.randrange(p), rng.randrange(p)] for _ in range(n)]
+                                   for _ in range(n)]))
+
+    def twice(m):
+        a = np.zeros((2 * m.nrows, 2 * m.nrows, 2), dtype=np.int64)
+        a[:m.nrows, :m.nrows] = a[m.nrows:, m.nrows:] = m.arr
+        return FMat(ctx, a)
+
+    def rep(a, b):
+        return PairRep(ctx, a, b, ctx.zero, ctx.zero, ctx.zero)
+
+    for _ in range(count):
+        n = rng.randrange(1, 4)
+        s, u = rand(1).entry(0, 0), rand(1).entry(0, 0)
+        block = (rand(2), rand(2))
+        for x in (rep(FMat.zeros(ctx, n, n), FMat.zeros(ctx, n, n)),
+                  rep(FMat.scalar(ctx, n, s), FMat.scalar(ctx, n, u)),
+                  rep(rand(n), rand(n)), rep(*map(twice, block))):
+            m = x.n
+            g = rand(m)
+            while rank(g) < m:
+                g = rand(m)
+            ginv = FMat(ctx, rref(hstack([g, FMat.identity(ctx, m)]))[0].arr[:, m:])
+            y = rep(g @ x.A @ ginv, g @ x.B @ ginv)
+            yield from ((x, x), (x, y), (y, x), (x, rep(rand(m), rand(m))))
+
+
+INTERTWINER_FAMILIES = [(w_pairs, 7, 3, 4), (w_pairs, 13, 3, 6), (w_pairs, 13, 6, 3),
+                        (w_pairs, 29, 28, 1), (vn_pairs, 13, 3, 2), (vn_pairs, 13, 6, 1),
+                        (synthetic_pairs, 7, 3, 4), (synthetic_pairs, 13, 3, 2)]
+
+
+@pytest.mark.parametrize("pairs,p,d,count", INTERTWINER_FAMILIES,
+                         ids=[f"{f.__name__}-{p}-{d}" for f, p, d, _ in INTERTWINER_FAMILIES])
+def test_intertwiner_matches_the_kronecker_reference(pairs, p, d, count):
+    # The spin solve returns the very matrix, or None, that the dense
+    # Kronecker system's kernel basis and the same candidate rule give.
+    for x, y in pairs(ctx_new(p, d), random.Random(p * d + count), count):
+        s, r = intertwiner(x, y), ref_intertwiner(x, y)
+        assert (s is None and r is None) or (s is not None and r is not None and s == r)
 
 
 class TestClassifySample:

@@ -51,6 +51,16 @@ def test_matmul_agrees_with_schoolbook(ctx13, rng):
                 assert c.entry(i, j) == acc
 
 
+def test_views_are_stored_c_contiguous(ctx13, rng):
+    # transposes, reversed columns and column slices are strided views of
+    # their source; the matrix keeps its entries in row-major order
+    m = rand_mat(ctx13, rng, 3, 4)
+    for view, want in ((m.transpose(), m.arr.transpose(1, 0, 2)),
+                       (FMat(ctx13, m.arr[:, ::-1]), m.arr[:, ::-1]), (m.col(2), m.arr[:, 2:3])):
+        assert view.arr.flags.c_contiguous
+        assert np.array_equal(view.arr, want)
+
+
 def test_matmul_shape_guard(ctx13, rng):
     with pytest.raises(DimensionMismatch):
         rand_mat(ctx13, rng, 2, 3) @ rand_mat(ctx13, rng, 2, 3)

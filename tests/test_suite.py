@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from uawq.classify import (Target, classify_sample, delta_shift, feasible_target
 from uawq.cli import main
 from uawq.errors import NuOutsideField
 from uawq.field import ctx_new
-from uawq.linalg import FMat, kron, rref, vstack
+from uawq.linalg import FMat, kron, rank, rref, vstack
 from uawq.modules import Params5, build_W, nu_of
 from uawq.suite import report_bytes, run_suite
 
@@ -113,7 +114,8 @@ def image_pair(ctx, rng):
 
 
 def intertwiner_system(rep_x, rep_y):
-    """The stacked Kronecker system whose kernel intertwiner reads."""
+    """The stacked Kronecker system on the row-major entries of S; its kernel
+    basis is the one intertwiner takes its candidates from."""
     ident = FMat.identity(rep_x.ctx, rep_x.n)
     return vstack([kron(ident, rep_x.A.transpose()) - kron(rep_y.A, ident),
                    kron(ident, rep_x.B.transpose()) - kron(rep_y.B, ident)])
@@ -163,6 +165,26 @@ def test_intertwiner_systems_reduce_golden_at_41():
         red, piv = rref(m)
         got.append(sha([red.arr.tolist(), list(piv)]))  # the to_json() nesting
     assert got == RREF_41_SHA256
+
+
+# Recorded with the Kronecker solve: SHA-256 of intertwiner on the image_pair
+# draw from random.Random(31) at (61, 62), dbar 31, whose solve peaked at
+# 112.8 MiB of traced memory.
+INTERTWINER_61_SHA256 = "31588dbce4512e981a3ab0cb5227ea6b64d29b7cd8631567cc3ac6ec786b5647"
+
+
+def test_intertwiner_is_golden_and_small_at_dbar_31():
+    ctx = ctx_new(61, 62)
+    x, y = image_pair(ctx, random.Random(31))
+    tracemalloc.start()
+    try:
+        s = intertwiner(x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sha(s.to_json()) == INTERTWINER_61_SHA256
+    assert s @ x.A == y.A @ s and s @ x.B == y.B @ s and rank(s) == ctx.dbar == 31
+    assert peak < 16 * 2**20
 
 
 @pytest.mark.parametrize("params", sorted(IRR_29_STDOUT))
@@ -262,7 +284,7 @@ def test_nudata_invariant_holds_under_optimize():
 HUGE_P_GUARDS = """
 from types import SimpleNamespace
 import numpy as np
-from uawq.classify import burnside_irreducible, burnside_irreducible_many
+from uawq.classify import burnside_irreducible, burnside_irreducible_many, intertwiner
 from uawq.errors import UawqError
 from uawq.field import ctx_new
 from uawq.linalg import FMat, rref
@@ -270,9 +292,10 @@ from uawq.modules import build_W
 huge = SimpleNamespace(p=2**31 - 1, t=7)
 m = FMat.identity(ctx_new(13, 3), 2)
 m.ctx = huge
-rep = SimpleNamespace(ctx=huge, n=2, A=m, B=m)
+rep = SimpleNamespace(ctx=huge, n=2, A=m, B=m, scalars=lambda: ())
 for call in (lambda: rref(m), lambda: burnside_irreducible(rep),
-             lambda: burnside_irreducible_many(huge, np.zeros((1, 2, 2, 2, 2), dtype=np.int64))):
+             lambda: burnside_irreducible_many(huge, np.zeros((1, 2, 2, 2, 2), dtype=np.int64)),
+             lambda: intertwiner(rep, rep)):
     try:
         call()
     except UawqError as exc:
@@ -283,10 +306,11 @@ for call in (lambda: rref(m), lambda: burnside_irreducible(rep),
 
 
 def test_int64_guards_hold_under_optimize():
-    rref_line, oracle_line, batch_line = run_optimized(HUGE_P_GUARDS)
+    rref_line, oracle_line, batch_line, intertwiner_line = run_optimized(HUGE_P_GUARDS)
     assert rref_line.startswith("InvariantViolation rref row update sums up to")
     assert oracle_line.startswith("InvariantViolation spanning oracle reduction sums up to")
     assert batch_line.startswith("InvariantViolation spanning oracle reduction sums up to")
+    assert intertwiner_line.startswith("InvariantViolation intertwiner products sums up to")
 
 
 def test_grid_chunks_report_flipped_cases_in_grid_order(monkeypatch):
@@ -328,6 +352,8 @@ SUITE_BODIES = [
     ("ladder-eigvec", 13, 3, 20, 5),
     ("ladder-eigvec", 37, 6, 20, 5),
     ("marginal-membership", 13, 3, 100, 25),
+    ("equiv-intertwiner", 13, 3, 16, 16),
+    ("equiv-intertwiner", 37, 6, 16, 16),
     ("closure-pm-closed", 13, 3, 24, 3),
     ("closure-iso", 13, 3, 32, 2),
     ("irr-vn-agreement", 13, 3, 150, 150),
