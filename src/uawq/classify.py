@@ -138,22 +138,30 @@ def solve_feasible(target: Target) -> list[Params4]:
 # are sums of logs mod p^2 - 1, sums and differences are componentwise.
 
 
-def sign_index(t: tuple[int, ...], p: int) -> tuple[int, ...]:
-    """The sign class of a tuple of plain-lex indices: the lexicographic
-    minimum of (a, b, c, lam) and its global sign flip, followed by delta, if
-    any, which keeps its sign; ``t`` itself when no flip is needed.  The two
-    agree up to the first nonzero entry x and differ there: x against 0 - x."""
-    x = t[0] or t[1] or t[2] or t[3]
-    if x <= index_sub(0, x, p):
-        return t
-    return tuple([index_sub(0, y, p) for y in t[:4]]) + t[4:]
+@lru_cache(maxsize=None)
+def _negation(p: int) -> np.ndarray:
+    """Read-only: the plain-lex index of minus the element of each index."""
+    neg = index_sub(0, np.arange(p * p), p)
+    neg.setflags(write=False)
+    return neg
+
+
+def sign_index(t: np.ndarray, p: int) -> np.ndarray:
+    """The sign classes of the rows of plain-lex indices of an array (..., k):
+    the lexicographic minimum of (a, b, c, lam) and its global sign flip, then
+    delta, if any, which keeps its sign.  The two differ first at the first
+    nonzero entry, so the sign of that difference outweighs the rest."""
+    head = t[..., :4]
+    flipped = _negation(p)[head]
+    flip = np.sign(head - flipped) @ np.array([8, 4, 2, 1]) > 0
+    return np.concatenate([np.where(flip[..., None], flipped, head), t[..., 4:]], -1)
 
 
 def canon_sign(t: tuple) -> tuple:
     """``sign_index`` of a tuple of field elements."""
-    idx = index_of(t)
-    out = sign_index(idx, t[0].ctx.p)
-    return t if out is idx else (*map(t[0].ctx.from_index, out[:4]), *t[4:])
+    idx = list(index_of(t))
+    out = sign_index(np.array(idx), t[0].ctx.p).tolist()
+    return t if out == idx else (*map(t[0].ctx.from_index, out[:4]), *t[4:])
 
 
 def param_key(t: tuple) -> tuple:
@@ -183,59 +191,93 @@ class OrbitSet:
         }
 
 
-def _explore(ctx: FieldCtx, start: tuple[int, ...], moves, cap: int = 10_000) -> OrbitSet:
-    """Breadth-first search from a sign class, where ``moves(i, node)`` yields
-    (label, sign class) for the i-th node found; raises CapExceeded if the node
-    count passes the cap.  Nodes become field elements only in the OrbitSet,
-    sorted by index, with the edges renumbered to match and sorted."""
-    members = [start]
-    index = {start: 0}
-    edges: list[tuple[int, str, int]] = []
-    for i, node in enumerate(members):  # the list grows as the search goes
-        for label, img in moves(i, node):
-            if img not in index:
-                if len(members) >= cap:
-                    raise CapExceeded(f"closure exceeded cap={cap} nodes")
-                index[img] = len(members)
-                members.append(img)
-            edges.append((i, label, index[img]))
-    order = sorted(range(len(members)), key=members.__getitem__)
-    renum = {old: new for new, old in enumerate(order)}
+def _intern(members: np.ndarray, cand: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each candidate row's id: a member's position, or for a new row the next
+    id in order of first occurrence; and the new rows.  A lexsort matches
+    rows exactly for every p."""
+    rows = np.concatenate([members, cand])
+    order = np.lexsort(rows.T[::-1])  # stable: equal rows keep their order
+    srt = rows[order]
+    head = np.ones(len(rows), dtype=bool)
+    head[1:] = (srt[1:] != srt[:-1]).any(1)
+    firsts = order[head]  # each distinct row's first position
+    group = (np.cumsum(head) - 1)[np.argsort(order)]
+    m = len(members)
+    new = np.sort(firsts[firsts >= m])
+    ids = np.where(firsts < m, firsts, m + np.searchsorted(new, firsts))
+    return ids[group[m:]], rows[new]
+
+
+def _explore(ctx: FieldCtx, start: np.ndarray, moves, labels: tuple[str, ...],
+             cap: int = 10_000) -> OrbitSet:
+    """Level-synchronous breadth-first search from a sign class, a row of
+    plain-lex indices.  ``moves(depth, nodes)`` is None to stop, or for the
+    (m, w) nodes of a level: their (m, len(labels), w) candidates, the mask
+    of those that apply, and None or (node, move, raise_error) for the first
+    move that cannot be made.  The masked candidates' sign classes, in
+    (node, move) order, are edges; those not yet known are the next level,
+    numbered by first occurrence, as a node-by-node search numbers them.
+    Those before the stop are admitted first: CapExceeded if they pass the
+    cap, then the stop's error.  The OrbitSet holds field elements sorted by
+    index."""
+    members = level = start[None]
+    edges = []
+    while len(level) and (expansion := moves(len(edges), level)) is not None:
+        images, mask, stop = expansion
+        if stop is not None:
+            mask[stop[0], stop[1]:] = mask[stop[0] + 1:] = False
+        node, mv = np.nonzero(mask)
+        ids, level = _intern(members, sign_index(images[node, mv], ctx.p))
+        if len(members) + len(level) > cap:
+            raise CapExceeded(f"closure exceeded cap={cap} nodes")
+        if stop is not None:
+            stop[2]()
+        edges.append((node + len(members) - len(mask), mv, ids))
+        members = np.concatenate([members, level])
+    order = np.lexsort(members.T[::-1])
+    renum = np.argsort(order)
     # (source, label) is unique, so edges sort by source and the label's rank
-    rank = {lab: k for k, lab in enumerate(sorted({lab for _, lab, _ in edges}))}
-    width = len(rank)
-    out = [(renum[s], lab, renum[t]) for s, lab, t in edges]
-    out.sort(key=lambda e: e[0] * width + rank[e[1]])
+    rank = np.argsort(sorted(range(len(labels)), key=labels.__getitem__))
+    src, move, tgt = map(np.concatenate, zip(*edges))
+    src, tgt = renum[src], renum[tgt]
+    by = np.argsort(src * len(labels) + rank[move])
     return OrbitSet(
-        members=tuple(tuple(map(ctx.from_index, members[i])) for i in order),
-        edges=tuple(out),
+        members=tuple(tuple(map(ctx.from_index, m)) for m in members[order].tolist()),
+        edges=tuple(zip(src[by].tolist(), np.array(labels, dtype=object)[move[by]].tolist(),
+                        tgt[by].tolist())),
     )
 
 
-def _row_images(ctx: FieldCtx, quad: tuple[int, ...], delta_of=None):
-    """(label, sign class) of the 24 row images of a quadruple, in row order,
-    from one product of ``table1.EXPONENTS`` with its logs.  With
-    ``delta_of``, an image with a/lam = g^k gets delta_of(k) as its delta.
-    Lazy, so NeedsExtension comes at the first row that needs a missing s."""
-    exp, _ = ctx.log_tables()
-    logs = table1.orbit_logs(ctx, quad)
-    for row, (la, lb, lc, ll) in zip(table1.ROWS, table1.entry_logs(ctx, table1.EXPONENTS, logs)):
-        table1.require_root(ctx, row, logs)
-        img = (exp[la], exp[lb], exp[lc], exp[ll])
-        if delta_of is not None:
-            img += (delta_of(la - ll),)
-        yield row[0], sign_index(img, ctx.p)
+def _row_images(ctx: FieldCtx, quads: np.ndarray, shift: int | None = None):
+    """The 24 row images, in row order, of the rows of an (m, 4) array of
+    plain-lex indices, by one product of ``table1.EXPONENTS`` with their logs;
+    given the index ``shift`` of a delta_shift, with the deltas that keep it.
+    As ``moves`` returns them: every row applies, up to a missing s."""
+    logs = table1.orbit_logs(ctx, quads)
+    ent = table1.entry_logs(ctx, table1.EXPONENTS, logs)
+    images = ctx.log_arrays()[0][ent]
+    if shift is not None:
+        delta = index_sub(shift, corner_index(ctx, ent[..., 0] - ent[..., 3]), ctx.p)
+        images = np.concatenate([images, delta[..., None]], -1)
+    mask = np.ones(images.shape[:2], dtype=bool)
+    for i in np.flatnonzero(logs[:, 5] < 0)[:1]:
+        k = next(k for k, row in enumerate(table1.ROWS) if table1.row_needs_sqrt(row))
+        return images, mask, (i, k, lambda: table1.require_root(ctx, table1.ROWS[k], logs[i]))
+    return images, mask, None
 
 
 def s4_orbit(params: Params4) -> OrbitSet:
-    """Sign-classes of the 24 row images of the quadruple.
+    """Sign-classes of the 24 row images of the quadruple: the search of
+    ``_explore`` stopped after its first level.
 
     Raises NeedsExtension when sqrt(a b c lam q) is missing from F_{p^2}.
     """
-    quad = index_of(params.astuple())
+    ctx = params.ctx
+    quad = np.array(index_of(params.astuple()))
     # the search expands the quadruple itself, node 0, and none of its images
-    return _explore(params.ctx, sign_index(quad, params.ctx.p),
-                    lambda i, _: () if i else _row_images(params.ctx, quad))
+    return _explore(ctx, sign_index(quad, ctx.p),
+                    lambda depth, _: None if depth else _row_images(ctx, quad[None]),
+                    tuple(table1.ROW_BY_LABEL))
 
 
 def orbit_image(row: table1.Row, quad: tuple, shift: Fq2) -> tuple:
@@ -250,57 +292,68 @@ def _q_log(ctx: FieldCtx) -> int:
 
 
 @lru_cache(maxsize=None)
-def _move_windows(ctx: FieldCtx) -> tuple[frozenset[int], frozenset[int]]:
-    """For i < dbar-1, the logs of q^{2i}, the window of the a-inversion and the
-    W criterion, and of q^{2(dbar-i+1)}, the (b/lam)^2 that exclude the ab-inversion."""
-    n, lq, dbar = len(ctx.log_tables()[0]), _q_log(ctx), ctx.dbar
-    return (frozenset(2 * i * lq % n for i in range(dbar - 1)),
-            frozenset(2 * (dbar - i + 1) * lq % n for i in range(dbar - 1)))
+def _move_windows(ctx: FieldCtx) -> np.ndarray:
+    """Two read-only masks over logs mod p^2 - 1, the rows of one array: for
+    i < dbar-1, the logs of q^{2i}, the window of the a-inversion and the W
+    criterion, and of q^{2(dbar-i+1)}, the (b/lam)^2 that exclude the
+    ab-inversion."""
+    n, lq, i = len(ctx.log_tables()[0]), _q_log(ctx), np.arange(ctx.dbar - 1)
+    windows = np.zeros((2, n), dtype=bool)
+    windows[0, 2 * i * lq % n] = windows[1, 2 * (ctx.dbar - i + 1) * lq % n] = True
+    windows.setflags(write=False)
+    return windows
 
 
-def _move_inv(ctx: FieldCtx, node: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The a-inversion and ab-inversion images of a quintuple of indices: both
-    send a to 1/a and lam to 1/(lam q^2), keep c and delta, and are involutions."""
-    exp, log = ctx.log_tables()
+def _move_inv(ctx: FieldCtx, nodes: np.ndarray) -> np.ndarray:
+    """The a-inversion and ab-inversion images of rows of quintuples of
+    indices, stacked as (2, ..., 5): both send a to 1/a and lam to
+    1/(lam q^2), keep c and delta, and are involutions."""
+    exp, log = ctx.log_arrays()
     n = len(exp)
-    a, b, c, lam, delta = node
-    ai, lami = exp[-log[a] % n], exp[(-log[lam] - 2 * _q_log(ctx)) % n]
-    return (ai, b, c, lami, delta), (ai, exp[-log[b] % n], c, lami, delta)
+    out = np.stack([nodes, nodes])
+    lg = log[out[0]]
+    out[..., 0] = exp[-lg[..., 0] % n]
+    out[..., 3] = exp[(-lg[..., 3] - 2 * _q_log(ctx)) % n]
+    out[1, ..., 1] = exp[-lg[..., 1] % n]
+    return out
 
 
-def _cond_inv_a(ctx: FieldCtx, node: tuple[int, ...]) -> bool:
-    exp, log = ctx.log_tables()
-    return 2 * log[node[3]] % len(exp) in _move_windows(ctx)[0]
+def _cond_inv_a(ctx: FieldCtx, nodes: np.ndarray) -> np.ndarray:
+    exp, log = ctx.log_arrays()
+    return _move_windows(ctx)[0][2 * log[nodes[..., 3]] % len(exp)]
 
 
-def _defect_index(ctx: FieldCtx, node: tuple[int, ...]) -> int:
-    """Plain-lex index of ``inv_ab_defect`` at a quintuple of indices:
+def _defect_index(ctx: FieldCtx, nodes: np.ndarray) -> np.ndarray:
+    """Plain-lex index of ``inv_ab_defect`` at rows of quintuples of indices:
     delta ((b/lam)^dbar - (lam/b)^dbar) - (a b)^{-dbar} (lam^{2 dbar} - 1)
     ((a b q c/lam)^dbar - 1) ((a b q/(c lam))^dbar - 1)."""
-    exp, log = ctx.log_tables()
+    exp, log = ctx.log_arrays()
     n, p, dbar = len(exp), ctx.p, ctx.dbar
-    la, lb, lc, ll = (log[i] for i in node[:4])
+    la, lb, lc, ll, ld = np.moveaxis(log[nodes], -1, 0)
     bl = dbar * (lb - ll)
     abq = dbar * (la + lb + _q_log(ctx) - ll)
     lhs = index_sub(exp[bl % n], exp[-bl % n], p)
-    lhs = exp[(log[node[4]] + log[lhs]) % n] if node[4] and lhs else 0
-    # the three factors less 1, which has index p
-    ks = (2 * dbar * ll, abq + dbar * lc, abq - dbar * lc)
-    f1, f2, f3 = (index_sub(exp[k % n], p, p) for k in ks)
-    rhs = exp[(log[f1] + log[f2] + log[f3] - dbar * (la + lb)) % n] if f1 and f2 and f3 else 0
+    lhs = np.where((ld >= 0) & (lhs != 0), exp[(ld + log[lhs]) % n], 0)
+    # the three factors less 1: an index less p, as 1 has index p
+    fs = (exp[np.stack([2 * dbar * ll, abq + dbar * lc, abq - dbar * lc]) % n] - p) % (p * p)
+    rhs = np.where((fs != 0).all(0), exp[(log[fs].sum(0) - dbar * (la + lb)) % n], 0)
     return index_sub(lhs, rhs, p)
 
 
 def inv_ab_defect(p: Params5) -> Fq2:
     """The polynomial whose zeros are the ab-inversion move's delta condition;
     it is also the delta-carrying factor of the descent scalar at w_{0,dbar-1}."""
-    return p.ctx.from_index(_defect_index(p.ctx, index_of(p.astuple())))
+    return p.ctx.from_index(int(_defect_index(p.ctx, np.array(index_of(p.astuple())))))
 
 
-def _cond_inv_ab(ctx: FieldCtx, node: tuple[int, ...]) -> bool:
-    exp, log = ctx.log_tables()
-    return (2 * (log[node[1]] - log[node[3]]) % len(exp) not in _move_windows(ctx)[1]
-            and _defect_index(ctx, node) == 0)
+def _cond_inv_ab(ctx: FieldCtx, nodes: np.ndarray) -> np.ndarray:
+    exp, log = ctx.log_arrays()
+    return (~_move_windows(ctx)[1][2 * (log[nodes[..., 1]] - log[nodes[..., 3]]) % len(exp)]
+            & (_defect_index(ctx, nodes) == 0))
+
+
+CLOSURE_LABELS = (*(f"s4:{label}" for label in table1.ROW_BY_LABEL), "inv-a", "inv-a:rev",
+                  "inv-ab", "inv-ab:rev")
 
 
 def simeq_closure(params: Params5, cap: int = 10_000) -> OrbitSet:
@@ -311,28 +364,26 @@ def simeq_closure(params: Params5, cap: int = 10_000) -> OrbitSet:
     holds, (3) the ab-inversion move where its side conditions hold.  The
     one-step relation is directional, so moves are also applied in reverse:
     a candidate X is admitted when the conditions hold at X and the move
-    sends X back to the current node.  Stops at a fixpoint; raises
-    CapExceeded if the member count passes the cap.
+    sends X back to the current node.  ``_explore`` makes the 28 moves of a
+    whole level at once, up to a fixpoint.  Raises CapExceeded if the member
+    count passes the cap, else NeedsExtension at the first node, in search
+    order, whose rows need a missing root.
     """
     ctx = params.ctx
-    p = ctx.p
     # every move keeps delta_shift, so an image's delta depends on its a/lam alone
     shift = index_of((delta_shift(params),))[0]
-    delta_of = lru_cache(maxsize=None)(lambda k: index_sub(shift, corner_index(ctx, k), p))
 
-    def moves(_, node: tuple[int, ...]):
-        for label, img in _row_images(ctx, node[:4], delta_of):
-            yield "s4:" + label, img
-        for cand, cond, label in zip(_move_inv(ctx, node), (_cond_inv_a, _cond_inv_ab),
-                                     ("inv-a", "inv-ab")):
-            img = sign_index(cand, p)
-            if cond(ctx, node):
-                yield label, img
-            if cond(ctx, cand):
-                # reverse edge: cand ~ node since the move is an involution
-                yield label + ":rev", img
+    def moves(depth, nodes):
+        rows, mask, stop = _row_images(ctx, nodes[:, :4], shift)
+        inv = np.concatenate([nodes[None], _move_inv(ctx, nodes)])
+        # each inversion where its conditions hold at the node, then in
+        # reverse where they hold at the image: image ~ node by involution
+        conds = np.concatenate([_cond_inv_a(ctx, inv[:2]), _cond_inv_ab(ctx, inv[::2])])
+        return (np.concatenate([rows, inv[[1, 1, 2, 2]].swapaxes(0, 1)], 1),
+                np.concatenate([mask, conds.T], 1), stop)
 
-    return _explore(ctx, sign_index(index_of(params.astuple()), p), moves, cap)
+    start = sign_index(np.array(index_of(params.astuple())), ctx.p)
+    return _explore(ctx, start, moves, CLOSURE_LABELS, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +436,7 @@ def irr_W_criterion(params: Params5) -> bool:
     *quad, delta = index_of(params.astuple())
     logs = (*(log[i] for i in quad), _q_log(ctx))
     window = _move_windows(ctx)[0]
-    inside = [sum(map(mul, m, logs)) % len(exp) in window for m in W_MONOMIALS]
+    inside = [window[sum(map(mul, m, logs)) % len(exp)] for m in W_MONOMIALS]
     corner = corner_index(ctx, logs[0] - logs[3])
     return all(delta != index_sub(corner_index(ctx, sum(map(mul, x, logs))), corner, ctx.p)
                or not any(inside[j] for j in js) for x, js in W_CONDITIONS)
@@ -395,10 +446,7 @@ def irr_W_criterion_many(ctx: FieldCtx, logs: np.ndarray, delta: np.ndarray) -> 
     """``irr_W_criterion`` of many cases at once: ``logs`` holds one row of
     logs of (a, b, c, lam, q) per case, ``delta`` the plain-lex indices of
     their deltas; one boolean verdict per case."""
-    n = len(ctx.log_tables()[0])
-    window = np.zeros(n, dtype=bool)
-    window[list(_move_windows(ctx)[0])] = True
-    inside = window[logs @ np.array(W_MONOMIALS).T % n]
+    inside = _move_windows(ctx)[0][logs @ np.array(W_MONOMIALS).T % len(ctx.log_tables()[0])]
     corner = corner_index(ctx, logs[:, 0] - logs[:, 3])
     verdict = np.ones(len(logs), dtype=bool)
     for x, js in W_CONDITIONS:

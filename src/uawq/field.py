@@ -183,7 +183,7 @@ class FieldCtx:
     validated inputs.
     """
 
-    __slots__ = ("p", "t", "d", "dbar", "q", "_qpows", "_all", "_logs")
+    __slots__ = ("p", "t", "d", "dbar", "q", "_qpows", "_all", "_logs", "_arrays")
 
     def __init__(self, p: int, t: int, d: int, q_pair: tuple[int, int]):
         self.p = p
@@ -194,6 +194,7 @@ class FieldCtx:
         self._qpows: list[Fq2] | None = None
         self._all: np.ndarray | None = None
         self._logs: tuple[tuple[int, ...], tuple[int, ...]] | None = None
+        self._arrays: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- element constructors ---------------------------------------------
 
@@ -248,15 +249,24 @@ class FieldCtx:
             self._logs = _log_tables(self.p, self.t)
         return self._logs
 
-    def root_log(self, k: int) -> int:
+    def log_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """``log_tables`` as int64 arrays, built on first use; views of
+        immutable bytes, so read-only."""
+        if self._arrays is None:
+            self._arrays = tuple(np.frombuffer(np.array(t, dtype=np.int64).tobytes(), dtype=np.int64)
+                                 for t in self.log_tables())
+        return self._arrays
+
+    def root_log(self, k):
         """The log of the canonical (lex-least) square root of g^k, k even.
+        Elementwise on an integer array ``k``.
 
         The roots are g^(k/2) and g^(k/2 + (p^2-1)/2) = -g^(k/2).
         """
-        exp, _ = self.log_tables()
+        exp = self.log_arrays()[0] if isinstance(k, np.ndarray) else self.log_tables()[0]
         half = len(exp) // 2
         r = k // 2 % half
-        return r + half if exp[r + half] < exp[r] else r
+        return r + half * (exp[r + half] < exp[r])
 
     # pickling: drop lazily built caches so contexts ship cheaply to workers
 

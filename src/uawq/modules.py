@@ -314,9 +314,7 @@ def corner_index(ctx: FieldCtx, k):
     """Plain-lex index of (a/lam)^dbar + (lam/a)^dbar, the a, lam part of the
     corner invariant, for a/lam of discrete log k: a componentwise sum.
     Elementwise on an integer array ``k``."""
-    exp, _ = ctx.log_tables()
-    if isinstance(k, np.ndarray):
-        exp = np.asarray(exp)
+    exp = ctx.log_arrays()[0] if isinstance(k, np.ndarray) else ctx.log_tables()[0]
     p, n = ctx.p, len(exp)
     u, v = exp[k * ctx.dbar % n], exp[-k * ctx.dbar % n]
     return (u // p + v // p) % p * p + (u + v) % p

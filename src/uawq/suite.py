@@ -550,6 +550,7 @@ def check_orbit_closure(ctx, rng, n):
     for _ in range(max(n // 8, 2)):
         p4 = sample_quadruple(ctx, rng)
         orb = s4_orbit(p4)
+        t.cases += 1
         t.check(orb.size <= 24, p4.astuple(), "more than 24 sign-classes")
         keys = orb.member_keys()
         for member in orb.members:
@@ -591,6 +592,7 @@ def check_classify_determinism(ctx, rng, n):
     count = max(n // 8, 4)
     report, same = classify_rerun(ctx, seed, count)
     t = Tally()
+    t.cases = 2  # the report and its rerun, compared byte for byte
     t.check(same, seed, "same seed, different report")
     t.check(not report["errors"], next(iter(report["errors"]), None), "classification errors")
     return t, f"count={count}, {len(report['classes'])} classes, byte-identical rerun"
@@ -650,11 +652,11 @@ def _slice_cases(*axes) -> np.ndarray:
 
 def _w_slice(ctx: FieldCtx, a_val: int, b: int) -> tuple:
     p, n = ctx.p, ctx.dbar
-    _, log = ctx.log_tables()
+    log = ctx.log_arrays()[1]
     cases = _slice_cases([a_val], [b], range(1, p), range(1, p), range(p))
     index = np.array(index_of(map(ctx.el, range(p))))  # of each entry value, in F_p
     lq = log[index_of((ctx.q,))[0]]
-    logs = np.column_stack([np.array(log)[index[cases[:, :4]]], np.full(len(cases), lq)])
+    logs = np.column_stack([log[index[cases[:, :4]]], np.full(len(cases), lq)])
     crit = irr_W_criterion_many(ctx, logs, index[cases[:, 4]])
     # one SeqData per (c, lam), repeated over the p values of delta
     gens = np.zeros((len(cases), 2, 2, n, n), dtype=np.int64)

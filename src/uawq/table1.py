@@ -15,8 +15,6 @@ generator rows and compare against every other row.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from .errors import NeedsExtension
@@ -88,29 +86,34 @@ def row_needs_sqrt(row: Row) -> bool:
     return any(e[5] != 0 for e in row[2])
 
 
-def orbit_logs(ctx: FieldCtx, quad: Sequence[int]) -> list[int]:
+def orbit_logs(ctx: FieldCtx, quads) -> np.ndarray:
     """The discrete logs of (a, b, c, lam, q, s) at nonzero plain-lex indices
     of (a, b, c, lam), where s is the canonical (lex-min) root of a b c lam q,
-    as ``field.sqrt`` returns it, or -1 when F_{p^2} holds none."""
-    _, log = ctx.log_tables()
-    logs = [log[i] for i in (*quad, *index_of((ctx.q,)))]
-    if min(logs) < 0:
+    as ``field.sqrt`` returns it, or -1 when F_{p^2} holds none.  Elementwise
+    on the rows of an integer array of shape (..., 4)."""
+    log = ctx.log_arrays()[1]
+    logs = np.empty(np.shape(quads)[:-1] + (6,), dtype=np.int64)
+    logs[..., :4] = log[np.asarray(quads)]
+    if (logs[..., :4] < 0).any():
         raise ValueError("parameters a, b, c, lam must be nonzero")
-    total = sum(logs)
-    return logs + [-1 if total % 2 else ctx.root_log(total)]
+    logs[..., 4] = log[index_of((ctx.q,))[0]]
+    total = logs[..., :5].sum(-1)
+    logs[..., 5] = np.where(total % 2, -1, ctx.root_log(total))
+    return logs
 
 
-def require_root(ctx: FieldCtx, row: Row, logs: Sequence[int]) -> None:
+def require_root(ctx: FieldCtx, row: Row, logs) -> None:
     """Raise NeedsExtension when the row involves s and ``orbit_logs`` has none."""
     if logs[5] < 0 and row_needs_sqrt(row):
         exp, _ = ctx.log_tables()
-        arg = ctx.from_index(exp[sum(logs[:5]) % len(exp)])
+        arg = ctx.from_index(exp[int(logs[:5].sum()) % len(exp)])
         raise NeedsExtension(f"orbit row {row[0]} needs sqrt of non-square {arg!r}")
 
 
-def entry_logs(ctx: FieldCtx, expo, logs: Sequence[int]) -> list:
-    """The logs mod p^2 - 1 of monomials with exponent vectors ``expo`` at ``orbit_logs``."""
-    return (np.asarray(expo) @ logs % (ctx.p * ctx.p - 1)).tolist()
+def entry_logs(ctx: FieldCtx, expo, logs: np.ndarray) -> np.ndarray:
+    """The logs mod p^2 - 1 of monomials with exponent vectors ``expo`` at rows
+    of ``orbit_logs``, of shape logs.shape[:-1] + expo.shape[:-1]."""
+    return np.inner(logs, expo) % (ctx.p * ctx.p - 1)
 
 
 def apply_row(row: Row, quad: tuple[Fq2, Fq2, Fq2, Fq2]) -> tuple[Fq2, Fq2, Fq2, Fq2]:
@@ -120,4 +123,4 @@ def apply_row(row: Row, quad: tuple[Fq2, Fq2, Fq2, Fq2]) -> tuple[Fq2, Fq2, Fq2,
     ctx = quad[0].ctx
     logs = orbit_logs(ctx, index_of(quad))
     require_root(ctx, row, logs)
-    return tuple(ctx.from_index(ctx.log_tables()[0][k]) for k in entry_logs(ctx, row[2], logs))
+    return tuple(map(ctx.from_index, ctx.log_arrays()[0][entry_logs(ctx, row[2], logs)].tolist()))

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from uawq.classify import _cond_inv_a, _cond_inv_ab, _move_inv, canon_sign, param_key, s4_orbit
@@ -76,9 +77,9 @@ def sim_related(p1, p2):
     The inversion branches compare quintuples literally (not up to sign).
     NeedsExtension can only escape from the orbit branch.
     """
-    ctx, node = p1.ctx, index_of(p1.astuple())
+    ctx, node = p1.ctx, np.array(index_of(p1.astuple()))
     for cand, cond in zip(_move_inv(ctx, node), (_cond_inv_a, _cond_inv_ab)):
-        if cond(ctx, node) and cand == index_of(p2.astuple()):
+        if cond(ctx, node) and cand.tolist() == list(index_of(p2.astuple())):
             return True
     return simeq_z2s4(p1, p2)
 
@@ -86,9 +87,9 @@ def sim_related(p1, p2):
 def move_images(p5):
     """``classify._move_inv`` of a quintuple, as quintuples."""
     return tuple(Params5(*map(p5.ctx.from_index, node))
-                 for node in _move_inv(p5.ctx, index_of(p5.astuple())))
+                 for node in _move_inv(p5.ctx, np.array(index_of(p5.astuple()))).tolist())
 
 
 def cond_inv_ab(p5):
     """``classify._cond_inv_ab`` at a quintuple."""
-    return _cond_inv_ab(p5.ctx, index_of(p5.astuple()))
+    return bool(_cond_inv_ab(p5.ctx, np.array(index_of(p5.astuple()))))

@@ -72,21 +72,31 @@ def swap_triples(i: int, j: int) -> str:
 
 MUTANTS = [
     Mutant("sign rule reversed", "classify.py",
-           "if x <= index_sub(0, x, p):", "if x >= index_sub(0, x, p):", CLASSIFY),
+           "flip = np.sign(head - flipped) @ np.array([8, 4, 2, 1]) > 0",
+           "flip = np.sign(head - flipped) @ np.array([8, 4, 2, 1]) < 0", CLASSIFY),
     Mutant("row exponent EXPONENTS[9, 2, 0] += 1", "table1.py",
            "EXPONENTS = np.array([entries for _, _, entries in ROWS])  # every row's vectors, (24, 4, 6)",
            "EXPONENTS = np.array([entries for _, _, entries in ROWS])\nEXPONENTS[9, 2, 0] += 1",
            CLASSIFY),
     Mutant("closure delta not adjusted", "classify.py",
-           "(lambda k: index_sub(shift, corner_index(ctx, k), p))",
-           "(lambda k: index_of((params.delta,))[0])", CLASSIFY),
+           "corner_index(ctx, ent[..., 0] - ent[..., 3])",
+           "corner_index(ctx, np.repeat(logs[:, :1] - logs[:, 3:4], 24, 1))", CLASSIFY),
     Mutant("ab-inversion defect dropped", "classify.py",
-           "\n            and _defect_index(ctx, node) == 0)", ")", CLASSIFY),
+           "\n            & (_defect_index(ctx, nodes) == 0))", ")", CLASSIFY),
     Mutant("ab-inversion condition always false", "classify.py",
-           "return (2 * (log[node[1]] - log[node[3]])", "return False and (2 * (log[node[1]] - log[node[3]])",
-           CLASSIFY),
+           "return (~_move_windows(ctx)[1]", "return False & (~_move_windows(ctx)[1]", CLASSIFY),
     Mutant("a-inversion condition always false", "classify.py",
-           "return 2 * log[node[3]] % len(exp) in _move_windows(ctx)[0]", "return False", CLASSIFY),
+           "return _move_windows(ctx)[0][2 * log[nodes[..., 3]] % len(exp)]",
+           "return np.zeros(nodes.shape[:-1], dtype=bool)", CLASSIFY),
+    Mutant("reverse inversion edges masked off", "classify.py",
+           "np.concatenate([mask, conds.T], 1)",
+           "np.concatenate([mask, conds.T & np.array([True, False, True, False])], 1)", CLASSIFY),
+    Mutant("cap test off by one", "classify.py",
+           "if len(members) + len(level) > cap:", "if len(members) + len(level) >= cap:", CLASSIFY),
+    Mutant("search stops after the first level", "classify.py",
+           "        members = np.concatenate([members, level])\n",
+           "        members = np.concatenate([members, level])\n        level = level[:0]\n",
+           CLASSIFY),
     Mutant("intertwiner with the A relation block in place of B's", "classify.py",
            "for g, h in zip(gx, gy)]", "for g, h in zip(gx[:1] * 2, gy[:1] * 2)]",
            CLASSIFY),

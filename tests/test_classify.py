@@ -315,6 +315,26 @@ class TestSimeqClosure:
         with pytest.raises(errors.CapExceeded):
             simeq_closure(p5, cap=2)
 
+    @pytest.mark.parametrize("p,d", [(13, 3), (29, 28)])
+    def test_caps_at_and_below_the_size(self, p, d):
+        # a cap of the closure's size s returns the closure; s - 1 raises, and
+        # so does a cap inside level 1, among the start's own images
+        ctx, rng = ctx_new(p, d), random.Random(p * 100 + d)
+        inside = 0
+        for _ in range(8):
+            p5 = sample_quintuple(ctx, rng)
+            full = simeq_closure(p5)
+            assert simeq_closure(p5, cap=full.size) == full
+            with pytest.raises(errors.CapExceeded):
+                simeq_closure(p5, cap=full.size - 1)
+            start = full.members.index(canon_sign(p5.astuple()))
+            level1 = {t for s, _, t in full.edges if s == start} - {start}
+            for cap in {1 + len(level1) // 2, len(level1)} - {0, 1}:
+                with pytest.raises(errors.CapExceeded):
+                    simeq_closure(p5, cap=cap)
+                inside += 1
+        assert inside >= 8
+
     def test_reverse_move_reaches_backward_only_members(self, ctx13, rng):
         # the ab-inversion move is directional: with b^2/lam^2 = q^4 its side
         # conditions hold at x but fail at the image p, so x is reachable
@@ -377,6 +397,18 @@ class TestAgainstFq2Reference:
         assert kinds == {"orbit", "NeedsExtension"}
 
 
+def test_closures_match_the_fq2_reference_where_a_five_entry_key_overflows():
+    # from p = 79 on, p^10 >= 2^63: five plain-lex indices do not fit one
+    # base-p^2 int64 key, so the search must tell members apart otherwise
+    ctx, rng = ctx_new(101, 3), random.Random(101)
+    assert 101 ** 10 >= 2 ** 63
+    for _ in range(4):
+        p5 = sample_quintuple(ctx, rng)
+        got = outcome(simeq_closure, p5)
+        assert got == outcome(ref_closure, p5) and isinstance(got, str), p5.astuple()
+        assert outcome(s4_orbit, p5.quadruple) == outcome(ref_s4_orbit, p5.quadruple)
+
+
 @pytest.mark.parametrize("p,d", [(3, 8), (13, 3), (61, 3)])
 @settings(max_examples=300, deadline=None, database=None)
 @given(data=st.data())
@@ -391,7 +423,7 @@ def test_sign_rule_and_key_match_the_fq2_definition(p, d, data):
     x1 = tuple(map(ctx.from_index, t1))
     flipped = tuple(-x for x in x1[:4]) + x1[4:]
     want = min(x1, flipped, key=lambda t: param_key(t[:4]))
-    assert classify.sign_index(t1, p) == classify.index_of(want)
+    assert classify.sign_index(np.array(t1), p).tolist() == list(classify.index_of(want))
     got = canon_sign(x1)
     assert param_key(got) == param_key(want) and got[4:] == x1[4:]
     assert (got is x1) == (param_key(want) == param_key(x1))
@@ -584,27 +616,6 @@ class TestBurnside:
     def test_one_dimensional(self, ctx13):
         rep = build_Vn(ctx13.el(2), ctx13.el(3), ctx13.el(4), 0)
         assert burnside_irreducible(rep)
-
-    def test_vs_equivalent_definition(self, ctx13, rng):
-        # brute-force oracle: span of all words up to length n^2 in A, B
-        for _ in range(12):
-            p5 = sample_quintuple(ctx13, rng)
-            rep = build_W(p5)
-            n = rep.n
-            mats = [FMat.identity(ctx13, n)]
-            frontier = [FMat.identity(ctx13, n)]
-            for _round in range(n * n):
-                nxt = []
-                for w in frontier:
-                    nxt.append(rep.A @ w)
-                    nxt.append(rep.B @ w)
-                mats.extend(nxt)
-                frontier = nxt
-                if len(mats) > 4000:
-                    break
-            stacked = hstack([FMat(ctx13, m.arr.reshape(n * n, 1, 2)) for m in mats])
-            full = rank(stacked) == n * n
-            assert burnside_irreducible(rep) == full
 
     def test_matches_vstack_closure_on_a_p7_chunk(self, monkeypatch):
         # every case of the a=1 chunk of the exhaustive W sweep at p=7: one

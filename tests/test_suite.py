@@ -352,10 +352,13 @@ SUITE_BODIES = [
     ("ladder-eigvec", 13, 3, 20, 5),
     ("ladder-eigvec", 37, 6, 20, 5),
     ("marginal-membership", 13, 3, 100, 25),
+    ("orbit-closure", 13, 3, 16, 2),
+    ("orbit-closure", 37, 6, 24, 3),
     ("equiv-intertwiner", 13, 3, 16, 16),
     ("equiv-intertwiner", 37, 6, 16, 16),
     ("closure-pm-closed", 13, 3, 24, 3),
     ("closure-iso", 13, 3, 32, 2),
+    ("classify-determinism", 13, 3, 8, 2),
     ("irr-vn-agreement", 13, 3, 150, 150),
     ("irr-w-agreement", 13, 3, 100, 0),
     ("irr-w-agreement", 37, 6, 100, 0),
