@@ -33,16 +33,6 @@ class PairRep:
     def scalars(self) -> tuple[Fq2, Fq2, Fq2]:
         return self.omega, self.omega_star, self.omega_eps
 
-    def dump(self) -> dict:
-        return {
-            "n": self.n,
-            "A": self.A.to_json(),
-            "B": self.B.to_json(),
-            "omega": self.omega.to_json(),
-            "omega_star": self.omega_star.to_json(),
-            "omega_eps": self.omega_eps.to_json(),
-        }
-
 
 class RepReport(NamedTuple):
     """Outcome of verify_rep; failures list mismatching entries."""

@@ -11,7 +11,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import mul
 
 import numpy as np
 
@@ -255,7 +254,7 @@ def _row_images(ctx: FieldCtx, quads: np.ndarray, shift: int | None = None):
     As ``moves`` returns them: every row applies, up to a missing s."""
     logs = table1.orbit_logs(ctx, quads)
     ent = table1.entry_logs(ctx, table1.EXPONENTS, logs)
-    images = ctx.log_arrays()[0][ent]
+    images = ctx.log_tables()[0][ent]
     if shift is not None:
         delta = index_sub(shift, corner_index(ctx, ent[..., 0] - ent[..., 3]), ctx.p)
         images = np.concatenate([images, delta[..., None]], -1)
@@ -287,17 +286,14 @@ def orbit_image(row: table1.Row, quad: tuple, shift: Fq2) -> tuple:
     return (*img, shift - corner_terms(img[0], img[3]))
 
 
-def _q_log(ctx: FieldCtx) -> int:
-    return ctx.log_tables()[1][index_of((ctx.q,))[0]]
-
-
 @lru_cache(maxsize=None)
 def _move_windows(ctx: FieldCtx) -> np.ndarray:
     """Two read-only masks over logs mod p^2 - 1, the rows of one array: for
     i < dbar-1, the logs of q^{2i}, the window of the a-inversion and the W
     criterion, and of q^{2(dbar-i+1)}, the (b/lam)^2 that exclude the
     ab-inversion."""
-    n, lq, i = len(ctx.log_tables()[0]), _q_log(ctx), np.arange(ctx.dbar - 1)
+    lq = table1.param_logs(ctx, [ctx.p] * 4)[4]  # at a = b = c = lam = 1
+    n, i = len(ctx.log_tables()[0]), np.arange(ctx.dbar - 1)
     windows = np.zeros((2, n), dtype=bool)
     windows[0, 2 * i * lq % n] = windows[1, 2 * (ctx.dbar - i + 1) * lq % n] = True
     windows.setflags(write=False)
@@ -308,18 +304,18 @@ def _move_inv(ctx: FieldCtx, nodes: np.ndarray) -> np.ndarray:
     """The a-inversion and ab-inversion images of rows of quintuples of
     indices, stacked as (2, ..., 5): both send a to 1/a and lam to
     1/(lam q^2), keep c and delta, and are involutions."""
-    exp, log = ctx.log_arrays()
+    exp = ctx.log_tables()[0]
     n = len(exp)
     out = np.stack([nodes, nodes])
-    lg = log[out[0]]
+    lg = table1.param_logs(ctx, nodes[..., :4])
     out[..., 0] = exp[-lg[..., 0] % n]
-    out[..., 3] = exp[(-lg[..., 3] - 2 * _q_log(ctx)) % n]
+    out[..., 3] = exp[(-lg[..., 3] - 2 * lg[..., 4]) % n]
     out[1, ..., 1] = exp[-lg[..., 1] % n]
     return out
 
 
 def _cond_inv_a(ctx: FieldCtx, nodes: np.ndarray) -> np.ndarray:
-    exp, log = ctx.log_arrays()
+    exp, log = ctx.log_tables()
     return _move_windows(ctx)[0][2 * log[nodes[..., 3]] % len(exp)]
 
 
@@ -327,11 +323,12 @@ def _defect_index(ctx: FieldCtx, nodes: np.ndarray) -> np.ndarray:
     """Plain-lex index of ``inv_ab_defect`` at rows of quintuples of indices:
     delta ((b/lam)^dbar - (lam/b)^dbar) - (a b)^{-dbar} (lam^{2 dbar} - 1)
     ((a b q c/lam)^dbar - 1) ((a b q/(c lam))^dbar - 1)."""
-    exp, log = ctx.log_arrays()
+    exp, log = ctx.log_tables()
     n, p, dbar = len(exp), ctx.p, ctx.dbar
-    la, lb, lc, ll, ld = np.moveaxis(log[nodes], -1, 0)
+    la, lb, lc, ll, lq = np.moveaxis(table1.param_logs(ctx, nodes[..., :4]), -1, 0)
+    ld = log[nodes[..., 4]]
     bl = dbar * (lb - ll)
-    abq = dbar * (la + lb + _q_log(ctx) - ll)
+    abq = dbar * (la + lb + lq - ll)
     lhs = index_sub(exp[bl % n], exp[-bl % n], p)
     lhs = np.where((ld >= 0) & (lhs != 0), exp[(ld + log[lhs]) % n], 0)
     # the three factors less 1: an index less p, as 1 has index p
@@ -343,11 +340,11 @@ def _defect_index(ctx: FieldCtx, nodes: np.ndarray) -> np.ndarray:
 def inv_ab_defect(p: Params5) -> Fq2:
     """The polynomial whose zeros are the ab-inversion move's delta condition;
     it is also the delta-carrying factor of the descent scalar at w_{0,dbar-1}."""
-    return p.ctx.from_index(int(_defect_index(p.ctx, np.array(index_of(p.astuple())))))
+    return p.ctx.from_index(_defect_index(p.ctx, np.array(index_of(p.astuple()))))
 
 
 def _cond_inv_ab(ctx: FieldCtx, nodes: np.ndarray) -> np.ndarray:
-    exp, log = ctx.log_arrays()
+    exp, log = ctx.log_tables()
     return (~_move_windows(ctx)[1][2 * (log[nodes[..., 1]] - log[nodes[..., 3]]) % len(exp)]
             & (_defect_index(ctx, nodes) == 0))
 
@@ -391,18 +388,18 @@ def simeq_closure(params: Params5, cap: int = 10_000) -> OrbitSet:
 
 
 def irr_Vn_criterion(a: Fq2, b: Fq2, c: Fq2, n: int) -> bool:
-    """Parameter test for irreducibility of the (n+1)-dimensional family: no
-    product of a^+-1, b^+-1 and c^+-1 is one of q^{n-2i+1}, 1 <= i <= n.  Those
-    powers are closed under inversion, so log a keeps its sign."""
+    """Parameter test for irreducibility of the (n+1)-dimensional family at
+    lam = q^n: no product of a^+-1, b^+-1 and c^+-1 is a q^{n-2i+1}, 1 <= i <= n.
+    Those powers are closed under inversion, so log a keeps its sign."""
     ctx = a.ctx
     if not 0 <= n <= ctx.dbar - 2:
         raise BadRange(f"n={n} outside [0, {ctx.dbar - 2}]")
-    exp, log = ctx.log_tables()
-    la, lb, lc = (log[i] for i in index_of((a, b, c)))
+    la, lb, lc, _, lq = table1.param_logs(ctx, index_of((a, b, c, ctx.qpow(n)))).tolist()
     if n and min(la, lb, lc) < 0:
         raise DivisionByZero("inverse of zero in F_{p^2}")
-    forbidden = {(n - 2 * i + 1) * _q_log(ctx) % len(exp) for i in range(1, n + 1)}
-    return all((la + sb * lb + sc * lc) % len(exp) not in forbidden
+    order = len(ctx.log_tables()[0])
+    forbidden = {(n - 2 * i + 1) * lq % order for i in range(1, n + 1)}
+    return all((la + sb * lb + sc * lc) % order not in forbidden
                for sb in (1, -1) for sc in (1, -1))
 
 
@@ -426,33 +423,30 @@ W_CONDITIONS = (
     ((0, 1, -1, 0, 1), (4, 5, 2)),
 )
 
+# The same as arrays: window monomials, each x, and the monomials x excludes.
+_W_EXPONENTS = np.array(W_MONOMIALS)
+_W_BINDING = np.array([x for x, _ in W_CONDITIONS])
+_W_INCIDENCE = np.array([[j in js for j in range(len(W_MONOMIALS))] for _, js in W_CONDITIONS])
+
 
 def irr_W_criterion(params: Params5) -> bool:
     """Parameter test for irreducibility of the dbar-dimensional family: for
     each of ``W_CONDITIONS``, delta_shift is not x^dbar + x^-dbar, or the
-    three monomials lie outside the window of ``_move_windows``."""
-    ctx = params.ctx
-    exp, log = ctx.log_tables()
+    three monomials lie outside the window of ``_move_windows``.  One row of
+    ``irr_W_criterion_many``."""
     *quad, delta = index_of(params.astuple())
-    logs = (*(log[i] for i in quad), _q_log(ctx))
-    window = _move_windows(ctx)[0]
-    inside = [window[sum(map(mul, m, logs)) % len(exp)] for m in W_MONOMIALS]
-    corner = corner_index(ctx, logs[0] - logs[3])
-    return all(delta != index_sub(corner_index(ctx, sum(map(mul, x, logs))), corner, ctx.p)
-               or not any(inside[j] for j in js) for x, js in W_CONDITIONS)
+    logs = table1.param_logs(params.ctx, [quad])
+    return bool(irr_W_criterion_many(params.ctx, logs, np.array([delta]))[0])
 
 
 def irr_W_criterion_many(ctx: FieldCtx, logs: np.ndarray, delta: np.ndarray) -> np.ndarray:
     """``irr_W_criterion`` of many cases at once: ``logs`` holds one row of
-    logs of (a, b, c, lam, q) per case, ``delta`` the plain-lex indices of
-    their deltas; one boolean verdict per case."""
-    inside = _move_windows(ctx)[0][logs @ np.array(W_MONOMIALS).T % len(ctx.log_tables()[0])]
-    corner = corner_index(ctx, logs[:, 0] - logs[:, 3])
-    verdict = np.ones(len(logs), dtype=bool)
-    for x, js in W_CONDITIONS:
-        verdict &= ((delta != index_sub(corner_index(ctx, logs @ np.array(x)), corner, ctx.p))
-                    | ~inside[:, list(js)].any(1))
-    return verdict
+    logs of (a, b, c, lam, q) per case (``table1.param_logs``), ``delta``
+    the plain-lex indices of their deltas; one boolean verdict per case."""
+    inside = _move_windows(ctx)[0][logs @ _W_EXPONENTS.T % len(ctx.log_tables()[0])]
+    corner = corner_index(ctx, logs[:, :1] - logs[:, 3:4])
+    binds = delta[:, None] == index_sub(corner_index(ctx, logs @ _W_BINDING.T), corner, ctx.p)
+    return ~(binds & (inside @ _W_INCIDENCE.T)).any(1)
 
 
 def _echelon_insert(basis0, basis1, pivots, size: int, v0, v1, p: int, t: int) -> bool:
@@ -743,11 +737,13 @@ def classify_sample(ctx: FieldCtx, seed: int, count: int, cap: int = 10_000) -> 
         raise BadRange("count must be >= 1")
     rng = random.Random(seed)
     samples = [sample_quintuple(ctx, rng) for _ in range(count)]
+    quints = np.array([index_of(p5.astuple()) for p5 in samples])
+    irreducible = irr_W_criterion_many(ctx, table1.param_logs(ctx, quints[:, :4]), quints[:, 4])
     rejected = []
     errors = []
     closures: dict[tuple, dict] = {}  # class key -> record
     for idx, p5 in enumerate(samples):
-        if not irr_W_criterion(p5):
+        if not irreducible[idx]:
             rejected.append({"index": idx, "params": p5.to_json(), "reason": "reducible"})
             continue
         try:

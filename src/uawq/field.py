@@ -12,8 +12,10 @@ and d/2 for even d.
 Powers, square roots and orders are read off discrete-log tables of the
 cyclic group F_{p^2}^*, built once per (p, t) from the canonical generator
 (Lidl & Niederreiter, *Finite Fields*; K. Huber, "Some comments on
-Zech's logarithms", IEEE Trans. IT, 1990).  Elements are addressed in
-the tables by their plain-lex index x0*p + x1, which is monotone in ``key``.
+Zech's logarithms", IEEE Trans. IT, 1990), as read-only int64 arrays.
+Elements are addressed in them by their plain-lex index x0*p + x1, which is
+monotone in ``key``.  Scalar readers take Python ints off them, so every
+``Fq2`` holds plain ints.
 """
 
 from __future__ import annotations
@@ -145,8 +147,7 @@ class Fq2:
                 raise DivisionByZero("inverse of zero in F_{p^2}")
             return ctx.one if e == 0 else ctx.zero
         exp, log = ctx.log_tables()
-        k = exp[log[self.x0 * ctx.p + self.x1] * e % len(exp)]
-        return Fq2(ctx, k // ctx.p, k % ctx.p)
+        return ctx.from_index(exp.item(log.item(self.x0 * ctx.p + self.x1) * e % len(exp)))
 
     # -- comparisons / hashing -------------------------------------------
 
@@ -183,7 +184,7 @@ class FieldCtx:
     validated inputs.
     """
 
-    __slots__ = ("p", "t", "d", "dbar", "q", "_qpows", "_all", "_logs", "_arrays")
+    __slots__ = ("p", "t", "d", "dbar", "q", "_qpows", "_all")
 
     def __init__(self, p: int, t: int, d: int, q_pair: tuple[int, int]):
         self.p = p
@@ -193,8 +194,6 @@ class FieldCtx:
         self.q = Fq2(self, q_pair[0], q_pair[1])
         self._qpows: list[Fq2] | None = None
         self._all: np.ndarray | None = None
-        self._logs: tuple[tuple[int, ...], tuple[int, ...]] | None = None
-        self._arrays: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- element constructors ---------------------------------------------
 
@@ -210,8 +209,8 @@ class FieldCtx:
         return Fq2(self, 1)
 
     def from_index(self, k: int) -> Fq2:
-        """Element of plain-lex rank k: (k // p, k % p)."""
-        return Fq2(self, k // self.p, k % self.p)
+        """Element of plain-lex rank k, also a numpy integer: (k // p, k % p)."""
+        return Fq2(self, *divmod(int(k), self.p))
 
     def from_json(self, pair: Sequence[int]) -> Fq2:
         x0, x1 = pair
@@ -241,32 +240,23 @@ class FieldCtx:
             self._qpows = pows
         return self._qpows[k % self.d]
 
-    def log_tables(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(exp, log) of the canonical generator g: exp[k] is the plain-lex
-        index of g^k for 0 <= k < p^2 - 1, and log[i] is the discrete log of
-        the element of index i (log[0] = -1: zero has none)."""
-        if self._logs is None:
-            self._logs = _log_tables(self.p, self.t)
-        return self._logs
-
-    def log_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """``log_tables`` as int64 arrays, built on first use; views of
-        immutable bytes, so read-only."""
-        if self._arrays is None:
-            self._arrays = tuple(np.frombuffer(np.array(t, dtype=np.int64).tobytes(), dtype=np.int64)
-                                 for t in self.log_tables())
-        return self._arrays
+    def log_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """(exp, log) of the canonical generator g, read-only int64 arrays:
+        exp[k] is the plain-lex index of g^k for 0 <= k < p^2 - 1, and log[i]
+        is the discrete log of the element of index i (log[0] = -1: zero has
+        none)."""
+        return _log_tables(self.p, self.t)
 
     def root_log(self, k):
-        """The log of the canonical (lex-least) square root of g^k, k even.
-        Elementwise on an integer array ``k``.
+        """The log of the canonical (lex-least) square root of g^k, k even;
+        elementwise on an integer array ``k``.
 
         The roots are g^(k/2) and g^(k/2 + (p^2-1)/2) = -g^(k/2).
         """
-        exp = self.log_arrays()[0] if isinstance(k, np.ndarray) else self.log_tables()[0]
+        exp, log = self.log_tables()
         half = len(exp) // 2
         r = k // 2 % half
-        return r + half * (exp[r + half] < exp[r])
+        return log[np.minimum(exp[r], exp[r + half])]
 
     # pickling: drop lazily built caches so contexts ship cheaply to workers
 
@@ -299,14 +289,14 @@ def _least_nonresidue(p: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _log_tables(p: int, t: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _log_tables(p: int, t: int) -> tuple[np.ndarray, np.ndarray]:
     """Discrete-log tables of F_p(sqrt(t))^* for its canonical generator, the
     element of least plain-lex index with order p^2 - 1.
 
     Candidates are walked in index order; a candidate whose powers return to
-    1 early has smaller order and is skipped.  Immutable tuples of plain
-    ints, so the tables hold no context and are shared by every context with
-    this (p, t).
+    1 early has smaller order and is skipped.  log is the inverse permutation
+    of exp.  Read-only arrays that hold no context, so this cache is their
+    one copy, shared by every context with this (p, t).
     """
     n = p * p - 1
     for g in range(1, p * p):
@@ -317,10 +307,12 @@ def _log_tables(p: int, t: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
             exp.append(x0 * p + x1)
             x0, x1 = (x0 * g0 + t * x1 * g1) % p, (x0 * g1 + x1 * g0) % p
         if len(exp) == n:
-            log = [-1] * (p * p)
-            for k, i in enumerate(exp):
-                log[i] = k
-            return tuple(exp), tuple(log)
+            exp = np.array(exp, dtype=np.int64)
+            log = np.full(p * p, -1, dtype=np.int64)
+            log[exp] = np.arange(n)
+            for table in (exp, log):
+                table.setflags(write=False)
+            return exp, log
     raise InvariantViolation(f"F_{{{p}^2}} has no generator")
 
 
@@ -374,7 +366,7 @@ def ctx_new(p: int, d: int) -> FieldCtx:
     # the prime field first, then x1 != 0; g^k has order n / gcd(k, n)
     candidates = chain(range(p, p * p, p), (i for i in range(p * p) if i % p))
     for i in candidates:
-        if n // gcd(log[i], n) == d:
+        if n // gcd(log.item(i), n) == d:
             return FieldCtx(p, t, d, divmod(i, p))
     # unreachable: d | p^2-1 guarantees an element of order d
     raise DOrderUnavailable(f"no element of order {d} found")
@@ -389,7 +381,7 @@ def is_square(x: Fq2) -> bool:
     if x.is_zero():
         return True
     _, log = x.ctx.log_tables()
-    return log[x.x0 * x.ctx.p + x.x1] % 2 == 0
+    return log.item(x.x0 * x.ctx.p + x.x1) % 2 == 0
 
 
 def sqrt(x: Fq2) -> Fq2:
@@ -403,7 +395,7 @@ def sqrt(x: Fq2) -> Fq2:
     if x.is_zero():
         return ctx.zero
     exp, log = ctx.log_tables()
-    return ctx.from_index(exp[ctx.root_log(log[x.x0 * ctx.p + x.x1])])
+    return ctx.from_index(exp[ctx.root_log(log.item(x.x0 * ctx.p + x.x1))])
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +514,7 @@ def poly_roots(ctx: FieldCtx, coeffs: Sequence[Fq2]) -> list[Fq2]:
     hits = np.nonzero((acc0 == 0) & (acc1 == 0))[0]
     out: list[Fq2] = []
     for k in hits:
-        root = ctx.from_index(int(k))
+        root = ctx.from_index(k)
         g = f
         while True:
             g, rem = poly_divmod_linear(g, root)

@@ -314,7 +314,7 @@ def corner_index(ctx: FieldCtx, k):
     """Plain-lex index of (a/lam)^dbar + (lam/a)^dbar, the a, lam part of the
     corner invariant, for a/lam of discrete log k: a componentwise sum.
     Elementwise on an integer array ``k``."""
-    exp = ctx.log_arrays()[0] if isinstance(k, np.ndarray) else ctx.log_tables()[0]
+    exp = ctx.log_tables()[0]
     p, n = ctx.p, len(exp)
     u, v = exp[k * ctx.dbar % n], exp[-k * ctx.dbar % n]
     return (u // p + v // p) % p * p + (u + v) % p
@@ -323,7 +323,7 @@ def corner_index(ctx: FieldCtx, k):
 def corner_terms(a: Fq2, lam: Fq2) -> Fq2:
     """``corner_index`` of nonzero field elements."""
     _, log = a.ctx.log_tables()
-    la, ll = (log[i] for i in index_of((a, lam)))
+    la, ll = map(log.item, index_of((a, lam)))
     if min(la, ll) < 0:
         raise DivisionByZero("corner terms of a zero parameter")
     return a.ctx.from_index(corner_index(a.ctx, la - ll))
@@ -351,10 +351,9 @@ def nu_of(params: Params5) -> NuData:
     inv = pow(dbar // g, -1, step)
     roots = []
     for y in quadratic_roots(ctx.one, -rhs, ctx.one):
-        ly = log[y.x0 * ctx.p + y.x1]
+        ly = log.item(y.x0 * ctx.p + y.x1)
         if ly % g == 0:
-            k0 = ly // g * inv % step
-            roots += [exp[k0 + j * step] for j in range(g)]
+            roots += exp[ly // g * inv % step::step].tolist()
     if not roots:
         raise NuOutsideField("no spectral scalar nu in F_{p^2}")
     return NuData(ctx.from_index(min(roots)), rhs)

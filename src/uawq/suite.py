@@ -354,6 +354,7 @@ def descent_delta_case(p5: Params5, t: Tally) -> None:
 
 
 def check_field_arithmetic(ctx, rng, n):
+    """A case is one drawn element: n for the identities, 64 Chebyshev points."""
     t = Tally()
     q = ctx.q
     t.check(all(q ** k != ctx.one for k in range(1, ctx.d)), q, "q has premature order")
@@ -366,6 +367,7 @@ def check_field_arithmetic(ctx, rng, n):
         t.check(r * r == sq and r == sqrt(sq), x, "sqrt not a stable root")
     # T_n(x + 1/x) = x^n + x^-n on 64 sampled points, n up to 2*dbar
     pts = [rand_nonzero(ctx, rng) for _ in range(64)]
+    t.cases += n + len(pts)
     for deg in range(2 * ctx.dbar + 1):
         coeffs = chebyshev_T(ctx, deg)
         for x in pts:
@@ -375,8 +377,10 @@ def check_field_arithmetic(ctx, rng, n):
 
 
 def check_poly_roots(ctx, rng, n):
+    """A case is one drawn list of roots and its product polynomial."""
     t = Tally()
     for _ in range(max(n // 2, 4)):
+        t.cases += 1
         k = rng.randrange(1, 5)
         roots = [rand_nonzero(ctx, rng) for _ in range(k)]
         f = poly_from_roots(ctx, roots)
@@ -393,8 +397,10 @@ def check_relation_verify(ctx, rng, n):
 
 
 def check_vee_involution(ctx, rng, n):
+    """A case is one drawn cyclic module."""
     t = Tally()
     for _ in range(n):
+        t.cases += 1
         p5, rep = _sample_w(ctx, rng)
         t.check(vee(vee(rep)) == rep, p5.astuple(), "double twist is not identity")
         t.check(verify_rep(vee(rep)).ok == verify_rep(rep).ok, p5.astuple(),
@@ -403,9 +409,11 @@ def check_vee_involution(ctx, rng, n):
 
 
 def check_weight_ladder(ctx, rng, n):
+    """A case is one drawn cyclic module, with all its weight spaces."""
     t = Tally()
     q2 = ctx.q * ctx.q
     for _ in range(max(n // 4, 2)):
+        t.cases += 1
         p5, rep = _sample_w(ctx, rng)
         for mu, basis in weight_spaces(rep):
             up = mu * q2 + mu.inv() / q2
@@ -419,9 +427,11 @@ def check_weight_ladder(ctx, rng, n):
 
 
 def check_periodicity(ctx, rng, n):
+    """A case is one drawn quadruple's three sequences."""
     t = Tally()
     dbar = ctx.dbar
     for _ in range(max(n // 4, 2)):
+        t.cases += 1
         s = SeqData(sample_quadruple(ctx, rng))
         for i in range(3 * dbar + 1):
             t.check(s.theta(i) == s.theta(i + dbar)
@@ -469,6 +479,7 @@ def check_marginal_membership(ctx, rng, n):
 
 
 def check_bridge_vectors(ctx, rng, n):
+    """A case is one drawn cyclic module, with all its bridging vectors."""
     t = Tally()
     q, qi = ctx.q, ctx.q.inv()
     dbar = ctx.dbar
@@ -477,6 +488,7 @@ def check_bridge_vectors(ctx, rng, n):
         return FMat.scalar(ctx, rep.n, x)
 
     for _ in range(max(n // 4, 2)):
+        t.cases += 1
         p5, rep = _sample_w(ctx, rng)
         a, b, c, lam, delta = p5.astuple()
         s = SeqData(p5.quadruple)
@@ -539,8 +551,10 @@ def check_krylov_span(ctx, rng, n):
 
 
 def check_feasible_roundtrip(ctx, rng, n):
+    """A case is one drawn quadruple, solved from its read-off target."""
     t = Tally()
-    skipped = sum(feasible_case(sample_quadruple(ctx, rng), t) for _ in range(max(n // 2, 4)))
+    t.cases = max(n // 2, 4)
+    skipped = sum(feasible_case(sample_quadruple(ctx, rng), t) for _ in range(t.cases))
     return t, f"solver round-trips ({skipped} orbit skips)"
 
 
@@ -570,8 +584,11 @@ def check_equiv_intertwiner(ctx, rng, n):
 def check_closure_pm(ctx, rng, n):
     t = Tally()
     for p5 in _irreducible_draws(ctx, rng, n, t, max(n // 8, 2)):
-        for member in simeq_closure(p5).members:
-            t.check(irr_W_criterion(Params5(*member)), (p5.astuple(), member), "class leaves PM")
+        members = simeq_closure(p5).members
+        idx = np.array([index_of(m) for m in members])
+        crit = irr_W_criterion_many(ctx, table1.param_logs(ctx, idx[:, :4]), idx[:, 4])
+        for member, ok in zip(members, crit):
+            t.check(ok, (p5.astuple(), member), "class leaves PM")
     return t, f"{t.cases} closures stay irreducible"
 
 
@@ -613,8 +630,10 @@ def check_irr_vn(ctx, rng, n, exhaustive=False):
 
 
 def check_irr_w(ctx, rng, n, exhaustive=False):
+    """A case is one drawn quintuple; the exhaustive grid adds none."""
     t = Tally()
     for _ in range(n):
+        t.cases += 1
         p5 = sample_quintuple(ctx, rng)
         crit = irr_W_criterion(p5)
         orac = burnside_irreducible(build_W(p5))
@@ -652,12 +671,9 @@ def _slice_cases(*axes) -> np.ndarray:
 
 def _w_slice(ctx: FieldCtx, a_val: int, b: int) -> tuple:
     p, n = ctx.p, ctx.dbar
-    log = ctx.log_arrays()[1]
     cases = _slice_cases([a_val], [b], range(1, p), range(1, p), range(p))
-    index = np.array(index_of(map(ctx.el, range(p))))  # of each entry value, in F_p
-    lq = log[index_of((ctx.q,))[0]]
-    logs = np.column_stack([log[index[cases[:, :4]]], np.full(len(cases), lq)])
-    crit = irr_W_criterion_many(ctx, logs, index[cases[:, 4]])
+    index = cases * p  # plain-lex indices, as every entry lies in F_p
+    crit = irr_W_criterion_many(ctx, table1.param_logs(ctx, index[:, :4]), index[:, 4])
     # one SeqData per (c, lam), repeated over the p values of delta
     gens = np.zeros((len(cases), 2, 2, n, n), dtype=np.int64)
     deltas = [(x.x0, x.x1) for x in map(ctx.el, range(p))]

@@ -86,27 +86,33 @@ def row_needs_sqrt(row: Row) -> bool:
     return any(e[5] != 0 for e in row[2])
 
 
-def orbit_logs(ctx: FieldCtx, quads) -> np.ndarray:
-    """The discrete logs of (a, b, c, lam, q, s) at nonzero plain-lex indices
-    of (a, b, c, lam), where s is the canonical (lex-min) root of a b c lam q,
-    as ``field.sqrt`` returns it, or -1 when F_{p^2} holds none.  Elementwise
-    on the rows of an integer array of shape (..., 4)."""
-    log = ctx.log_arrays()[1]
-    logs = np.empty(np.shape(quads)[:-1] + (6,), dtype=np.int64)
+def param_logs(ctx: FieldCtx, quads) -> np.ndarray:
+    """The discrete logs of (a, b, c, lam, q) at plain-lex indices of
+    (a, b, c, lam), -1 at a zero entry; the one place that looks up the log
+    of q.  Elementwise on the rows of an integer array of shape (..., 4)."""
+    log = ctx.log_tables()[1]
+    logs = np.empty(np.shape(quads)[:-1] + (5,), dtype=np.int64)
     logs[..., :4] = log[np.asarray(quads)]
+    logs[..., 4] = log[ctx.q.x0 * ctx.p + ctx.q.x1]
+    return logs
+
+
+def orbit_logs(ctx: FieldCtx, quads) -> np.ndarray:
+    """``param_logs`` at nonzero plain-lex indices of (a, b, c, lam), then
+    the log of s, the canonical (lex-min) root of a b c lam q as ``field.sqrt``
+    returns it, or -1 when F_{p^2} holds none: shape (..., 6)."""
+    logs = param_logs(ctx, quads)
     if (logs[..., :4] < 0).any():
         raise ValueError("parameters a, b, c, lam must be nonzero")
-    logs[..., 4] = log[index_of((ctx.q,))[0]]
-    total = logs[..., :5].sum(-1)
-    logs[..., 5] = np.where(total % 2, -1, ctx.root_log(total))
-    return logs
+    total = logs.sum(-1)
+    return np.concatenate([logs, np.where(total % 2, -1, ctx.root_log(total))[..., None]], -1)
 
 
 def require_root(ctx: FieldCtx, row: Row, logs) -> None:
     """Raise NeedsExtension when the row involves s and ``orbit_logs`` has none."""
     if logs[5] < 0 and row_needs_sqrt(row):
         exp, _ = ctx.log_tables()
-        arg = ctx.from_index(exp[int(logs[:5].sum()) % len(exp)])
+        arg = ctx.from_index(exp[logs[:5].sum() % len(exp)])
         raise NeedsExtension(f"orbit row {row[0]} needs sqrt of non-square {arg!r}")
 
 
@@ -123,4 +129,4 @@ def apply_row(row: Row, quad: tuple[Fq2, Fq2, Fq2, Fq2]) -> tuple[Fq2, Fq2, Fq2,
     ctx = quad[0].ctx
     logs = orbit_logs(ctx, index_of(quad))
     require_root(ctx, row, logs)
-    return tuple(map(ctx.from_index, ctx.log_arrays()[0][entry_logs(ctx, row[2], logs)].tolist()))
+    return tuple(map(ctx.from_index, ctx.log_tables()[0][entry_logs(ctx, row[2], logs)].tolist()))

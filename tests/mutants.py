@@ -36,6 +36,7 @@ class Mutant(NamedTuple):
 
 
 CLASSIFY = ("tests/test_classify.py",)
+FIELD = ("tests/test_field.py",)
 
 W_MONOMIALS = (  # the six rows of classify.W_MONOMIALS, as written there
     "(0, 0, 0, 2, 0),  # lam^2",
@@ -108,6 +109,17 @@ MUTANTS = [
            "sols = mm(tk, null).transpose(2, 1, 0, 3)", CLASSIFY),
     Mutant("_of_parts components swapped", "linalg.py",
            "np.stack(parts, axis=-1)", "np.stack(parts[::-1], axis=-1)", ("tests/test_linalg.py",)),
+    Mutant("W incidence entry [0, 3] flipped", "classify.py",
+           "_W_INCIDENCE = np.array([[j in js for j in range(len(W_MONOMIALS))] for _, js in W_CONDITIONS])",
+           "_W_INCIDENCE = np.array([[j in js for j in range(len(W_MONOMIALS))] for _, js in W_CONDITIONS])"
+           "\n_W_INCIDENCE[0, 3] ^= True", CLASSIFY),
+    Mutant("W binding value without the a/lam corner term", "classify.py",
+           "index_sub(corner_index(ctx, logs @ _W_BINDING.T), corner, ctx.p)",
+           "corner_index(ctx, logs @ _W_BINDING.T)", CLASSIFY),
+    Mutant("root_log chooses the lex-larger root", "field.py",
+           "np.minimum(exp[r], exp[r + half])", "np.maximum(exp[r], exp[r + half])", FIELD),
+    Mutant("from_index without its int", "field.py",
+           "divmod(int(k), self.p)", "divmod(k, self.p)", FIELD),
     *(Mutant(f"W_MONOMIALS[{i}][{k}] += 1", "classify.py", row, bump_exponent(row, k), CLASSIFY)
       for i, row in enumerate(W_MONOMIALS) for k in range(5)),
     *(Mutant(f"W_CONDITIONS triples {i} and {j} swapped", "classify.py",

@@ -34,7 +34,7 @@ from uawq.classify import (
     simeq_closure,
     solve_feasible,
 )
-from uawq.field import ctx_new, is_square, sqrt
+from uawq.field import ctx_new, index_of, is_square, sqrt
 from uawq.linalg import FMat, hstack, rank, rref
 from uawq.modules import Params4, Params5, SeqData, build_Vn, build_W
 
@@ -481,24 +481,24 @@ def verdict(f, *args):
 
 @pytest.mark.parametrize("p,d", [(5, 3), (5, 8), (7, 3), (7, 6)])
 def test_criteria_match_the_fq2_references_on_complete_grids(p, d):
-    # every (a, b, c, lam, delta) of (F_p^x)^4 x F_p, and every (a, b, c, n)
-    # of F_p^3 x [0, dbar - 2], where a zero has no inverse from n = 1 on;
-    # d = 8 and 6 have q^dbar = -1
+    # every (a, b, c, lam, delta) of (F_p^x)^4 x F_p, judged in one batch,
+    # and every (a, b, c, n) of F_p^3 x [0, dbar - 2], where a zero has no
+    # inverse from n = 1 on; d = 8 and 6 have q^dbar = -1
     ctx = ctx_new(p, d)
     els = [ctx.el(x) for x in range(p)]
-    w_verdicts, vn_verdicts = set(), set()
-    for a, b, c, lam in itertools.product(els[1:], repeat=4):
-        for delta in els:
-            p5 = Params5(a, b, c, lam, delta)
-            got = irr_W_criterion(p5)
-            assert got == ref_irr_W_criterion(p5), p5.astuple()
-            w_verdicts.add(got)
+    cases = [Params5(*quad, delta) for quad in itertools.product(els[1:], repeat=4)
+             for delta in els]
+    index = np.array([index_of(case.astuple()) for case in cases])
+    w_verdicts = irr_W_criterion_many(ctx, table1.param_logs(ctx, index[:, :4]), index[:, 4])
+    for case, got in zip(cases, w_verdicts.tolist()):
+        assert got == ref_irr_W_criterion(case), case.astuple()
+    vn_verdicts = set()
     for a, b, c in itertools.product(els, repeat=3):
         for n in range(ctx.dbar - 1):
             got = verdict(irr_Vn_criterion, a, b, c, n)
             assert got == verdict(ref_irr_Vn_criterion, a, b, c, n), (a, b, c, n)
             vn_verdicts.add(got)
-    assert w_verdicts == {False, True}
+    assert set(w_verdicts.tolist()) == {False, True}
     assert vn_verdicts == {False, True, "DivisionByZero"}
 
 
@@ -529,24 +529,6 @@ def test_criteria_match_the_fq2_references_on_seeded_draws(p, d):
                 assert got == ref_irr_Vn_criterion(*triple, n), (triple, n)
                 vn_verdicts.add(got)
     assert w_verdicts == vn_verdicts == {False, True}
-
-
-@pytest.mark.parametrize("p,d,a_values", [(7, 3, range(1, 7)), (13, 3, [5]), (7, 6, range(1, 7))])
-def test_batch_w_criterion_matches_the_scalar_one(p, d, a_values):
-    # every case of the exhaustive W sweep at p = 7 and of its p = 13, a = 5
-    # chunk, one array of logs per a-value; d = 6 has q^dbar = -1
-    ctx = ctx_new(p, d)
-    _, log = ctx.log_tables()
-    lq = log[ctx.q.x0 * p + ctx.q.x1]
-    for a in a_values:
-        cases = [Params5(*map(ctx.el, (a, *rest)))
-                 for rest in itertools.product(range(1, p), range(1, p), range(1, p), range(p))]
-        logs = np.array([[log[x.x0 * p + x.x1] for x in case.quadruple.astuple()] + [lq]
-                         for case in cases])
-        deltas = np.array([case.delta.x0 * p + case.delta.x1 for case in cases])
-        got = irr_W_criterion_many(ctx, logs, deltas).tolist()
-        assert got == [irr_W_criterion(case) for case in cases]
-        assert set(got) == {False, True}
 
 
 def test_criteria_and_oracles_reach_disjoint_names():

@@ -23,7 +23,8 @@ from uawq.field import (
     quadratic_roots,
     sqrt,
 )
-from uawq.modules import nu_of
+from uawq.modules import delta_shift, nu_of
+from uawq.classify import sample_quadruple, simeq_closure
 
 
 def brute_order(x, cap):
@@ -335,8 +336,9 @@ class TestLogCore:
 
 
 def test_contexts_sharing_tables_keep_their_own_ctx(ctx13, ctx13d6):
-    # (13, 3) and (13, 6) share p and t, hence the log tables
+    # (13, 3) and (13, 6) share p and t, hence the log tables, read-only
     assert ctx13.log_tables() is ctx13d6.log_tables()
+    assert not any(table.flags.writeable for table in ctx13.log_tables())
     for ctx in (ctx13, ctx13d6):
         x = ctx.el(5, 7)
         quad = Params4(ctx.el(2), ctx.el(3, 1), x, ctx.el(1, 4))
@@ -348,6 +350,21 @@ def test_contexts_sharing_tables_keep_their_own_ctx(ctx13, ctx13d6):
                 pass
         assert len(results) > 4
         assert all(r.ctx is ctx for r in results)
+
+
+def test_field_elements_hold_python_ints(ctx13):
+    # The log tables are numpy arrays; no numpy integer read off them may
+    # reach an Fq2, on any path that builds one from a lookup.
+    x = ctx13.el(5, 7)
+    # a sampled quadruple has every orbit row in the field
+    p5 = force_nu(sample_quadruple(ctx13, random.Random(3)), x)
+    results = [x ** 5, x ** -7, x ** 2 ** 70, sqrt(x * x), nu_of(p5).nu, delta_shift(p5),
+               ctx13.from_index(np.int64(100))]
+    for row in table1.ROWS:
+        results += table1.apply_row(row, p5.quadruple.astuple())
+    results += [y for member in simeq_closure(p5).members for y in member]
+    assert len(results) > 7 + 24
+    assert all(type(y.x0) is int and type(y.x1) is int for y in results)
 
 
 def test_pickled_context_gives_equal_results(ctx13d6):

@@ -337,21 +337,25 @@ def test_grid_chunks_report_flipped_cases_in_grid_order(monkeypatch):
 
 
 # Suite checks at unit-test sizes: (check, p, d, its count n, the cases it
-# counts).  The periodicity, weight-ladder and irr-w checks make a fixed
-# number of draws (max(n // 4, 2), max(n // 4, 2) and n) and count none.
+# counts).
 SUITE_BODIES = [
+    ("field-arithmetic", 13, 3, 8, 72),
+    ("poly-roots", 13, 3, 8, 4),
     ("relation-verify", 13, 3, 8, 16),
     ("relation-verify", 37, 6, 8, 16),
     ("relation-verify", 97, 8, 3, 6),
+    ("vee-involution", 13, 3, 4, 4),
     ("charpoly-corner", 13, 3, 12, 6),
     ("charpoly-corner", 37, 6, 12, 6),
     ("charpoly-corner", 97, 8, 6, 3),
-    ("sequence-periodicity", 13, 3, 40, 0),
-    ("sequence-periodicity", 13, 6, 8, 0),
-    ("weight-ladder", 13, 3, 24, 0),
+    ("sequence-periodicity", 13, 3, 40, 10),
+    ("sequence-periodicity", 13, 6, 8, 2),
+    ("weight-ladder", 13, 3, 24, 6),
     ("ladder-eigvec", 13, 3, 20, 5),
     ("ladder-eigvec", 37, 6, 20, 5),
     ("marginal-membership", 13, 3, 100, 25),
+    ("bridge-vectors", 13, 3, 8, 2),
+    ("feasible-roundtrip", 13, 3, 8, 4),
     ("orbit-closure", 13, 3, 16, 2),
     ("orbit-closure", 37, 6, 24, 3),
     ("equiv-intertwiner", 13, 3, 16, 16),
@@ -360,9 +364,9 @@ SUITE_BODIES = [
     ("closure-iso", 13, 3, 32, 2),
     ("classify-determinism", 13, 3, 8, 2),
     ("irr-vn-agreement", 13, 3, 150, 150),
-    ("irr-w-agreement", 13, 3, 100, 0),
-    ("irr-w-agreement", 37, 6, 100, 0),
-    ("irr-w-agreement", 97, 8, 3, 0),
+    ("irr-w-agreement", 13, 3, 100, 100),
+    ("irr-w-agreement", 37, 6, 100, 100),
+    ("irr-w-agreement", 97, 8, 3, 3),
 ]
 
 
