@@ -2,7 +2,7 @@
 
 Two independent routes exist for every classification question: the
 parameter-side criteria (membership conditions read off the tuple) and the
-module-side oracles (Burnside spanning test, intertwiner solve).  The
+module-side oracles (Norton's spin test, intertwiner solve).  The
 acceptance suite sweeps both routes against each other.
 """
 
@@ -19,7 +19,7 @@ from .algebra import PairRep
 from .errors import (BadRange, CapExceeded, DimensionMismatch, DivisionByZero, InvariantViolation,
                      NoSolutionsInField)
 from .field import FieldCtx, Fq2, index_of, index_sub, mul_parts, poly_roots, quadratic_roots
-from .linalg import FMat, check_int64, kernel, pivot_step, rank, rref
+from .linalg import FMat, _inverses, check_int64, kernel, pivot_step, rank, rref
 from .modules import Params4, Params5, SeqData, build_W, corner_index, corner_terms, delta_shift
 
 # ---------------------------------------------------------------------------
@@ -467,100 +467,53 @@ def _echelon_insert(basis0, basis1, pivots, size: int, v0, v1, p: int, t: int) -
     return True
 
 
-def burnside_irreducible(rep: PairRep) -> bool:
-    """Spanning oracle: words in {I, A, B} span the full matrix algebra.
-
-    True iff the span reaches dimension n^2: absolute irreducibility,
-    unchanged under extension of the base field.
-
-    The echelon basis fills preallocated rows.  A new word is reduced only
-    against the basis rows whose pivot it touches, and becomes a basis row
-    by one ``pivot_step``; a reduction sums at most n^2 products of
-    (1+t)*p^2 each, so n^2*(1+t)*p^2 must fit in int64.  Each new basis row
-    is pushed on a stack; each step pops the top row and inserts its
-    products with A and B.  A popped row may have been cleared by pivots
-    inserted after it: it is then the word inserted there plus multiples of
-    later rows.  Every row is pushed once and popped once, before the stack
-    empties.  So, from the last row back, the products of each inserted word
-    with A and B lie in the span (those of the popped row were inserted,
-    those of the later rows by induction): the span closes on the algebra.
-    """
-    ctx = rep.ctx
-    n = rep.n
-    if n < 1:
-        raise InvariantViolation(f"spanning oracle on a module of dimension {n}")
-    p, t = ctx.p, ctx.t
-    nn = n * n
-    check_int64(nn * (1 + t) * p * p, "spanning oracle reduction")
-    basis0 = np.zeros((nn, nn), dtype=np.int64)
-    basis1 = np.zeros((nn, nn), dtype=np.int64)
-    pivots = np.zeros(nn, dtype=np.intp)
-    size = 0
-    stack: list[int] = []
-
-    def insert(v0: np.ndarray, v1: np.ndarray) -> None:
-        nonlocal size
-        if _echelon_insert(basis0, basis1, pivots, size, v0, v1, p, t):
-            stack.append(size)
-            size += 1
-
-    insert(np.eye(n, dtype=np.int64).ravel(), np.zeros(nn, dtype=np.int64))
-    while stack and size < nn:
-        top = stack.pop()
-        # copies: the A-product's pivot may clear the row before B reads it
-        w0, w1 = basis0[top].reshape(n, n).copy(), basis1[top].reshape(n, n).copy()
-        for g in (rep.A.arr, rep.B.arr):
-            m0, m1 = mul_parts(g[..., 0], g[..., 1], w0, w1, p, t, np.matmul)
-            insert(m0.ravel(), m1.ravel())
-    return size == nn
-
-
-# Bases of the cases run in lockstep at once, in bytes; larger batches run
+# Bases of the cases spun in lockstep at once, in bytes; larger batches spin
 # in groups, so that high-dimensional modules cannot exhaust memory.
 LOCKSTEP_BYTES = 1 << 23
 
 
-def burnside_irreducible_many(ctx: FieldCtx, gens: np.ndarray) -> list[bool]:
-    """``burnside_irreducible`` of each module of a generator array of shape
-    (cases, 2, 2, n, n), A then B, each as its two components, run in
-    lockstep on the leading case axis.
-
-    Every case keeps an echelon basis of shape (n^2, n^2) and a stack of the
-    basis rows whose products with A and B are still to be inserted.  Each
-    step pops the top row of every live case, multiplies it by A and by B
-    for all of them at once, and reduces and pivots as the single oracle
-    does, on the union of the rows that any case touches.  A case stops when
-    its stack is empty or its span reaches n^2, and leaves the arrays.  Each
-    case visits its rows in the single oracle's order, so its closure
-    argument and its int64 bound, n^2*(1+t)*p^2, carry over, and each
-    verdict is the single-module one.
-    """
+def _batch_shape(ctx: FieldCtx, gens: np.ndarray, power: int) -> tuple[int, int]:
+    """Cases and n of a generator array (cases, 2, 2, n, n); a nonempty batch
+    needs n >= 1 and n**power * (1+t)*p^2 in int64, checked before allocating."""
     if gens.ndim != 5 or gens.shape[1:3] != (2, 2) or gens.shape[3] != gens.shape[4]:
         raise DimensionMismatch(f"generator array of shape {gens.shape}, want (cases, 2, 2, n, n)")
     cases, n = len(gens), gens.shape[-1]
-    if not cases:
-        return []
-    if n < 1:
+    if cases and n < 1:
         raise InvariantViolation(f"spanning oracle on a module of dimension {n}")
-    p, t = ctx.p, ctx.t
-    nn = n * n
-    check_int64(nn * (1 + t) * p * p, "spanning oracle reduction")
-    group = max(1, LOCKSTEP_BYTES // (16 * nn * nn))
-    if cases > group:
-        return [verdict for k in range(0, cases, group)
-                for verdict in burnside_irreducible_many(ctx, gens[k:k + group])]
+    if cases:
+        check_int64(n ** power * (1 + ctx.t) * ctx.p ** 2, "spanning oracle reduction")
+    return cases, n
 
-    verdict = np.zeros(cases, dtype=bool)
+
+def _spin_many(ctx: FieldCtx, gens: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+    """The dimension of the span of each case's seed X (cases, 2, n, m) under
+    X -> A X and X -> B X, in lockstep on the cases.  Each case keeps an
+    echelon basis of rows of length n m and a stack of the rows whose products
+    are still to be inserted; a new row is reduced against the rows whose
+    pivot it touches (at most n m products of (1+t)*p^2) and pivoted by
+    ``pivot_step``.  Each step pops every live case's top row and inserts its
+    products.  A popped row cleared by later pivots is the row inserted there
+    plus multiples of later rows, and every row is pushed and popped once, so
+    from the last row back the products of each row lie in the span: it is the
+    closure of the seed.  A case leaves when its stack is empty or span full.
+    """
+    cases, n, m = len(gens), gens.shape[-1], seeds.shape[-1]
+    p, t, full = ctx.p, ctx.t, n * m
+    group = max(1, LOCKSTEP_BYTES // (16 * full * full))
+    if cases > group:
+        return np.concatenate([_spin_many(ctx, gens[k:k + group], seeds[k:k + group])
+                               for k in range(0, cases, group)])
+
+    dims = np.zeros(cases, dtype=np.intp)
     # per live case: its index, generators (A or B, component, n, n), basis
     # components, pivot columns, basis size, and the stack of rows to visit
     order = np.arange(cases)
-    basis0 = np.zeros((cases, nn, nn), dtype=np.int64)
-    basis1 = np.zeros((cases, nn, nn), dtype=np.int64)
-    basis0[:, 0] = np.eye(n, dtype=np.int64).ravel()
-    pivots = np.zeros((cases, nn), dtype=np.intp)
-    size = np.ones(cases, dtype=np.intp)
-    stack = np.zeros((cases, nn), dtype=np.intp)
-    depth = np.ones(cases, dtype=np.intp)
+    basis0 = np.zeros((cases, full, full), dtype=np.int64)
+    basis1 = np.zeros((cases, full, full), dtype=np.int64)
+    pivots = np.zeros((cases, full), dtype=np.intp)
+    size = np.zeros(cases, dtype=np.intp)
+    stack = np.zeros((cases, full), dtype=np.intp)
+    depth = np.zeros(cases, dtype=np.intp)
 
     def insert(v0: np.ndarray, v1: np.ndarray) -> None:
         rows = np.arange(len(v0))
@@ -580,18 +533,19 @@ def burnside_irreducible_many(ctx: FieldCtx, gens: np.ndarray) -> list[bool]:
         # a case without gain has j = 0 and a zero row, which pivots nothing
         j = nz.argmax(1)
         w0, w1 = pivot_step(basis0, basis1, v0, v1, j, p, t)
-        at, lo = size[gain], nn - w0.shape[1]
+        at, lo = size[gain], full - w0.shape[1]
         basis0[gain, at, lo:], basis1[gain, at, lo:] = w0[gain], w1[gain]
         pivots[gain, at] = j[gain]
         stack[gain, depth[gain]] = at
         size[gain] += 1
         depth[gain] += 1
 
+    insert(seeds[:, 0].reshape(cases, full), seeds[:, 1].reshape(cases, full))
     while True:
-        done = (depth == 0) | (size == nn)
-        verdict[order[done]] = size[done] == nn
+        done = (depth == 0) | (size == full)
+        dims[order[done]] = size[done]
         if done.all():
-            return verdict.tolist()
+            return dims
         if done.any():
             keep = ~done
             order, gens, basis0, basis1, pivots, size, stack, depth = (
@@ -599,11 +553,89 @@ def burnside_irreducible_many(ctx: FieldCtx, gens: np.ndarray) -> list[bool]:
         rows = np.arange(len(order))
         depth -= 1
         top = stack[rows, depth]
-        w0 = basis0[rows, top].reshape(-1, n, n)
-        w1 = basis1[rows, top].reshape(-1, n, n)
+        w0 = basis0[rows, top].reshape(-1, n, m)
+        w1 = basis1[rows, top].reshape(-1, n, m)
         for g in range(2):
             m0, m1 = mul_parts(gens[:, g, 0], gens[:, g, 1], w0, w1, p, t, np.matmul)
-            insert(m0.reshape(-1, nn), m1.reshape(-1, nn))
+            insert(m0.reshape(-1, full), m1.reshape(-1, full))
+
+
+def burnside_irreducible_many(ctx: FieldCtx, gens: np.ndarray) -> list[bool]:
+    """Whether the identity spins to all n-by-n matrices, absolute irreducibility
+    by Burnside's theorem; the fallback of ``norton_irreducible_many``."""
+    cases, n = _batch_shape(ctx, gens, 2)
+    if not cases:
+        return []
+    eye = np.broadcast_to(np.multiply.outer([1, 0], np.eye(n, dtype=np.int64)), (cases, 2, n, n))
+    return (_spin_many(ctx, gens, eye) == n * n).tolist()
+
+
+def _eigenvectors(ctx: FieldCtx, b0: np.ndarray, b1: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Seeds (cases, 2, n, 1): the null vector of upper triangular b - b[k, k],
+    1 at k and 0 after it, x_i = -(sum_{j>i} b[i, j] x_j) / (b[i, i] - b[k, k])."""
+    p, t, rows = ctx.p, ctx.t, np.arange(len(k))
+    x = np.zeros((len(k), 2, b0.shape[-1], 1), dtype=np.int64)
+    x[rows, 0, k] = 1
+    lam0, lam1 = b0[rows, k, k], b1[rows, k, k]
+    for i in range(int(k.max()) - 1, -1, -1):
+        s0, s1 = mul_parts(b0[:, i:i + 1, i + 1:], b1[:, i:i + 1, i + 1:], x[:, 0, i + 1:],
+                           x[:, 1, i + 1:], p, t, np.matmul)
+        inv = _inverses(p, t)[(b0[:, i, i] - lam0) % p * p + (b1[:, i, i] - lam1) % p]
+        y0, y1 = mul_parts(s0[:, 0], s1[:, 0], inv[:, :1], inv[:, 1:], p, t, subtract_from=(0, 0))
+        below = i < k
+        x[below, 0, i], x[below, 1, i] = y0[below], y1[below]
+    return x
+
+
+def norton_irreducible_many(ctx: FieldCtx, gens: np.ndarray) -> list[bool]:
+    """Absolute irreducibility of each module of a generator array (cases, 2,
+    2, n, n) by Norton's test (Parker, the Meat-Axe, 1984; Holt and Rees,
+    J. Austral. Math. Soc. A 57, 1994), in lockstep on the cases.
+
+    Where B is upper triangular (checked) take lam = B[k, k], the first
+    diagonal value that occurs once: a simple root of B's characteristic
+    polynomial, so B - lam has nullity 1.  Back substitution gives its null
+    vector v, and on R B^T R (R the reversal) at n-1-k the null vector R w of
+    (B - lam)^T.  One ``_spin_many`` call spins v under A and B and R w under
+    R A^T R and R B^T R: the module is absolutely irreducible iff both are full.
+
+    Proof.  For a proper nonzero submodule U, B - lam is singular on U or on
+    the quotient, as its determinant is the product of the two.  In the first
+    case U holds the null line of v, so the spin of v.  In the second the
+    annihilator of U in the dual, proper, nonzero and invariant under A^T and
+    B^T, holds w, as (B - lam)^T acts on it as the dual of B - lam on the
+    quotient; so it holds the spin of w.  Nullity and spans do not change
+    under field extension, so two full spins leave no proper submodule over
+    any extension.  A proper spin of v, or the annihilator of a proper spin
+    of w, is a proper submodule.  So the verdict is Burnside's.
+
+    Other cases go whole to ``burnside_irreducible_many``.  Substitution and
+    spin sum at most n products of (1+t)*p^2: n*(1+t)*p^2 must fit in int64.
+    """
+    cases, n = _batch_shape(ctx, gens, 1)
+    if not cases:
+        return []
+    b0, b1 = gens[:, 1, 0], gens[:, 1, 1]
+    diag = b0[:, range(n), range(n)] * ctx.p + b1[:, range(n), range(n)]
+    simple = (diag[:, :, None] == diag[:, None, :]).sum(2) == 1
+    norton = simple.any(1) & ~np.tril(b0 | b1, -1).any((1, 2))
+    verdict = np.zeros(cases, dtype=bool)
+    if not norton.all():
+        verdict[~norton] = burnside_irreducible_many(ctx, gens[~norton])
+    at = np.flatnonzero(norton)
+    if at.size:
+        k = simple[at].argmax(1)
+        both = np.concatenate([gens[at], gens[at].swapaxes(3, 4)[..., ::-1, ::-1]])
+        seeds = _eigenvectors(ctx, both[:, 1, 0], both[:, 1, 1], np.concatenate([k, n - 1 - k]))
+        full = _spin_many(ctx, both, seeds) == n
+        verdict[at] = full[:at.size] & full[at.size:]
+    return verdict.tolist()
+
+
+def burnside_irreducible(rep: PairRep) -> bool:
+    """Absolute irreducibility of one module, by ``norton_irreducible_many``."""
+    gens = np.moveaxis(np.array([(rep.A.arr, rep.B.arr)]), -1, 2)
+    return norton_irreducible_many(rep.ctx, gens)[0]
 
 
 def intertwiner(rep_x: PairRep, rep_y: PairRep) -> FMat | None:

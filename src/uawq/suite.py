@@ -24,8 +24,6 @@ import numpy as np
 from . import table1
 from .algebra import PairRep, central_elements_check, vee, verify_rep
 from .classify import (
-    burnside_irreducible,
-    burnside_irreducible_many,
     canon_sign,
     classify_sample,
     feasible_quartic,
@@ -36,6 +34,7 @@ from .classify import (
     irr_Vn_criterion,
     irr_W_criterion,
     irr_W_criterion_many,
+    norton_irreducible_many,
     orbit_image,
     param_key,
     rand_nonzero,
@@ -189,15 +188,28 @@ def report_bytes(report: dict) -> bytes:
     return json.dumps(report, sort_keys=True, separators=(",", ":")).encode()
 
 
+def _vn_groups(ctx: FieldCtx, draws: list[tuple]) -> list[tuple[list[int], np.ndarray]]:
+    """Per dimension, the positions of those (a, b, c, n) draws and their generator array."""
+    groups = []
+    for n in sorted({draw[3] for draw in draws}):
+        at = [k for k, draw in enumerate(draws) if draw[3] == n]
+        gens = np.zeros((len(at), 2, 2, n + 1, n + 1), dtype=np.int64)
+        for row, k in enumerate(at):
+            fill_gens(gens[row:row + 1], SeqData(Params4(*draws[k][:3], ctx.qpow(n))))
+        groups.append((at, gens))
+    return groups
+
+
 def irr_vn_samples(ctx: FieldCtx, rng: random.Random, count: int) -> Tally:
-    """Criterion vs oracle on ``count`` seeded truncated modules."""
+    """Criterion vs oracle on ``count`` seeded truncated modules, drawn first."""
     t = Tally()
-    for _ in range(count):
-        a, b, c = sample_triple(ctx, rng)
-        nn = rng.randrange(0, ctx.dbar - 1)
+    draws = [(*sample_triple(ctx, rng), rng.randrange(0, ctx.dbar - 1)) for _ in range(count)]
+    orac = np.zeros(count, dtype=bool)
+    for at, gens in _vn_groups(ctx, draws):
+        orac[at] = norton_irreducible_many(ctx, gens)
+    for (a, b, c, nn), o in zip(draws, orac.tolist()):
         crit = irr_Vn_criterion(a, b, c, nn)
-        orac = burnside_irreducible(build_Vn(a, b, c, nn))
-        t.check(crit == orac, (a, b, c, nn), f"criterion={crit} oracle={orac}")
+        t.check(crit == o, (a, b, c, nn), f"criterion={crit} oracle={o}")
         t.cases += 1
     return t
 
@@ -630,14 +642,17 @@ def check_irr_vn(ctx, rng, n, exhaustive=False):
 
 
 def check_irr_w(ctx, rng, n, exhaustive=False):
-    """A case is one drawn quintuple; the exhaustive grid adds none."""
+    """A case is one quintuple, all drawn first; the exhaustive grid adds none."""
     t = Tally()
-    for _ in range(n):
+    draws = [sample_quintuple(ctx, rng) for _ in range(n)]
+    idx = np.array([index_of(p5.astuple()) for p5 in draws], dtype=np.int64).reshape(-1, 5)
+    crit = irr_W_criterion_many(ctx, table1.param_logs(ctx, idx[:, :4]), idx[:, 4]).tolist()
+    gens = np.zeros((n, 2, 2, ctx.dbar, ctx.dbar), dtype=np.int64)
+    for k, p5 in enumerate(draws):
+        fill_gens(gens[k:k + 1], SeqData(p5.quadruple), [(p5.delta.x0, p5.delta.x1)])
+    for p5, c, o in zip(draws, crit, norton_irreducible_many(ctx, gens)):
         t.cases += 1
-        p5 = sample_quintuple(ctx, rng)
-        crit = irr_W_criterion(p5)
-        orac = burnside_irreducible(build_W(p5))
-        t.check(crit == orac, p5.astuple(), f"criterion={crit} oracle={orac}")
+        t.check(c == o, p5.astuple(), f"criterion={c} oracle={o}")
     return _check_grid(t, w_grid_sweep, ctx, n, exhaustive)
 
 
@@ -650,7 +665,7 @@ def _grid_chunk(args: tuple[int, int, int], slice_cases: Callable) -> list[tuple
     ``slice_cases(ctx, a, b)`` returns the cases of one b-value as rows of
     an integer array, their criterion verdicts, and per module dimension the
     positions of its cases and their generator array.  Each generator array
-    goes to the batch oracle whole, so memory stays at one slice's arrays.
+    goes to the oracle whole, so memory stays at one slice's arrays.
     """
     p, d, a_val = args
     ctx = ctx_new(p, d)
@@ -659,7 +674,7 @@ def _grid_chunk(args: tuple[int, int, int], slice_cases: Callable) -> list[tuple
         cases, crit, groups = slice_cases(ctx, a_val, b)
         orac = np.zeros(len(cases), dtype=bool)
         for at, gens in groups:
-            orac[at] = burnside_irreducible_many(ctx, gens)
+            orac[at] = norton_irreducible_many(ctx, gens)
         mism += map(tuple, cases[crit != orac].tolist())
     return mism
 
@@ -685,16 +700,9 @@ def _w_slice(ctx: FieldCtx, a_val: int, b: int) -> tuple:
 def _vn_slice(ctx: FieldCtx, a_val: int, b: int) -> tuple:
     p, dims = ctx.p, min(2, ctx.dbar - 1)
     cases = _slice_cases([a_val], [b], range(1, p), range(dims))
-    crit = np.array([irr_Vn_criterion(*map(ctx.el, case[:3]), case[3])
-                     for case in cases.tolist()], dtype=bool)
-    groups = []
-    for n in range(dims):
-        at = slice(n, None, dims)
-        gens = np.zeros((p - 1, 2, 2, n + 1, n + 1), dtype=np.int64)
-        for k, case in enumerate(cases[at, :3].tolist()):
-            fill_gens(gens[k:k + 1], SeqData(Params4(*map(ctx.el, case), ctx.qpow(n))))
-        groups.append((at, gens))
-    return cases, crit, groups
+    draws = [(*map(ctx.el, case[:3]), case[3]) for case in cases.tolist()]
+    crit = np.array([irr_Vn_criterion(*draw) for draw in draws], dtype=bool)
+    return cases, crit, _vn_groups(ctx, draws)
 
 
 def w_grid_chunk(args: tuple[int, int, int]) -> list[tuple]:

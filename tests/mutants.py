@@ -107,6 +107,20 @@ MUTANTS = [
     Mutant("intertwiner returns S P in place of S", "classify.py",
            "sols = mm(mm(tk, null).transpose(2, 1, 0, 3), pinv)",
            "sols = mm(tk, null).transpose(2, 1, 0, 3)", CLASSIFY),
+    Mutant("Norton without the triangularity check", "classify.py",
+           "norton = simple.any(1) & ~np.tril(b0 | b1, -1).any((1, 2))", "norton = simple.any(1)",
+           CLASSIFY),
+    Mutant("Norton on a repeated diagonal value", "classify.py",
+           "(diag[:, :, None] == diag[:, None, :]).sum(2) == 1",
+           "(diag[:, :, None] == diag[:, None, :]).sum(2) >= 1", CLASSIFY),
+    Mutant("back substitution step without its minus sign", "classify.py",
+           "p, t, subtract_from=(0, 0))", "p, t)", CLASSIFY),
+    Mutant("Norton without the dual spin", "classify.py",
+           "verdict[at] = full[:at.size] & full[at.size:]", "verdict[at] = full[:at.size]",
+           CLASSIFY),
+    Mutant("Norton without the eigenvector spin", "classify.py",
+           "verdict[at] = full[:at.size] & full[at.size:]", "verdict[at] = full[at.size:]",
+           CLASSIFY),
     Mutant("_of_parts components swapped", "linalg.py",
            "np.stack(parts, axis=-1)", "np.stack(parts[::-1], axis=-1)", ("tests/test_linalg.py",)),
     Mutant("W incidence entry [0, 3] flipped", "classify.py",

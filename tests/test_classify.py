@@ -3,6 +3,7 @@ import itertools
 import json
 import random
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from uawq.classify import (
     irr_Vn_criterion,
     irr_W_criterion,
     irr_W_criterion_many,
+    norton_irreducible_many,
     orbit_image,
     param_key,
     rand_nonzero,
@@ -564,9 +566,13 @@ def test_criteria_and_oracles_reach_disjoint_names():
         return (seen & (set(local) | imported)) - error_types
 
     criteria = reach(["irr_W_criterion", "irr_W_criterion_many", "irr_Vn_criterion"])
-    oracles = reach(["burnside_irreducible", "burnside_irreducible_many", "intertwiner"])
+    norton = reach(["norton_irreducible_many", "_spin_many"])
+    oracles = reach(["burnside_irreducible", "burnside_irreducible_many", "intertwiner",
+                     "norton_irreducible_many", "_spin_many"])
     assert {"corner_index", "_move_windows", "W_CONDITIONS"} <= criteria
     assert {"pivot_step", "mul_parts", "kernel"} <= oracles
+    assert {"pivot_step", "mul_parts"} <= norton
+    assert criteria.isdisjoint(norton), criteria & norton
     assert criteria.isdisjoint(oracles), criteria & oracles
 
 
@@ -594,15 +600,27 @@ def test_references_reach_no_log_index_or_elimination_code():
     assert not [name for name in members if name.startswith("_")]
 
 
+def seeded_w_with_variants(p, d, count, seed):
+    """``count`` seeded W at (p, d), each followed by its delta=0, lam=1
+    variant, which is reducible."""
+    ctx, rng = ctx_new(p, d), random.Random(seed)
+    reps = []
+    for _ in range(count):
+        p5 = sample_quintuple(ctx, rng)
+        reps += [build_W(params) for params in (p5, Params5(p5.a, p5.b, p5.c, ctx.one, ctx.zero))]
+    return ctx, reps
+
+
 class TestBurnside:
     def test_one_dimensional(self, ctx13):
         rep = build_Vn(ctx13.el(2), ctx13.el(3), ctx13.el(4), 0)
         assert burnside_irreducible(rep)
+        assert burnside_irreducible_many(ctx13, gens_of([rep])) == [True]
 
     def test_matches_vstack_closure_on_a_p7_chunk(self, monkeypatch):
         # every case of the a=1 chunk of the exhaustive W sweep at p=7: one
-        # by one, by the batch oracle in per-b slices, as one batch and as
-        # one batch run in lockstep groups of 100 cases
+        # by one, by both batch oracles in per-b slices, as one batch and as
+        # one batch run in lockstep groups of 100 spins
         ctx = ctx_new(7, 3)
         reps = [build_W(Params5(*(ctx.el(x) for x in (1, b, c, lam, delta))))
                 for b, c, lam, delta in itertools.product(range(1, 7), range(1, 7), range(1, 7),
@@ -610,27 +628,33 @@ class TestBurnside:
         dims = [ref_span_dim(rep) for rep in reps]
         full = [dim == 9 for dim in dims]
         assert [burnside_irreducible(rep) for rep in reps] == full
-        per_b = [burnside_irreducible_many(ctx, gens_of(reps[k:k + 252]))
-                 for k in range(0, len(reps), 252)]
-        assert [v for verdicts in per_b for v in verdicts] == full
-        assert burnside_irreducible_many(ctx, gens_of(reps)) == full
+        for oracle in (burnside_irreducible_many, norton_irreducible_many):
+            per_b = [oracle(ctx, gens_of(reps[k:k + 252])) for k in range(0, len(reps), 252)]
+            assert [v for verdicts in per_b for v in verdicts] == full
+            assert oracle(ctx, gens_of(reps)) == full
         monkeypatch.setattr(classify, "LOCKSTEP_BYTES", 100 * 16 * 9 * 9)
         assert burnside_irreducible_many(ctx, gens_of(reps)) == full
+        monkeypatch.setattr(classify, "LOCKSTEP_BYTES", 100 * 16 * 3 * 3)
+        assert norton_irreducible_many(ctx, gens_of(reps)) == full
         assert {5, 6, 7, 9} <= set(dims)
 
     @pytest.mark.parametrize("p,d,count", [(13, 3, 40), (29, 28, 3)])
     def test_matches_vstack_closure_on_seeded_w(self, p, d, count):
-        # each draw and its delta=0, lam=1 variant, which is reducible, one by
-        # one and in one batch, where the variants finish at earlier steps
-        ctx, rng = ctx_new(p, d), random.Random(p)
-        reps = []
-        for _ in range(count):
-            p5 = sample_quintuple(ctx, rng)
-            reps += [build_W(params) for params in (p5, Params5(p5.a, p5.b, p5.c, ctx.one, ctx.zero))]
+        # each draw and its reducible variant, one by one and in one batch,
+        # where the variants finish at earlier steps
+        ctx, reps = seeded_w_with_variants(p, d, count, p)
         full = [ref_span_dim(rep) == rep.n ** 2 for rep in reps]
         assert [burnside_irreducible(rep) for rep in reps] == full
         assert burnside_irreducible_many(ctx, gens_of(reps)) == full
+        assert norton_irreducible_many(ctx, gens_of(reps)) == full
         assert set(full) == {False, True}
+
+    def test_matches_burnside_at_dbar_20(self):
+        ctx, reps = seeded_w_with_variants(41, 40, 3, 41)
+        full = burnside_irreducible_many(ctx, gens_of(reps))
+        assert norton_irreducible_many(ctx, gens_of(reps)) == full
+        assert [burnside_irreducible(rep) for rep in reps] == full
+        assert full == [True, False] * 3
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_matches_vstack_closure_on_vn(self, ctx13, rng, n):
@@ -641,15 +665,46 @@ class TestBurnside:
         full = [ref_span_dim(rep) == rep.n ** 2 for rep in reps]
         assert [burnside_irreducible(rep) for rep in reps] == full
         assert burnside_irreducible_many(ctx13, gens_of(reps)) == full
+        assert norton_irreducible_many(ctx13, gens_of(reps)) == full
         assert set(full) == ({True} if n == 0 else {False, True})
 
+    def test_fallback_to_burnside(self, monkeypatch):
+        # B reversed, which makes it lower triangular, or with one value all
+        # along its diagonal: Norton's test does not apply, and these cases
+        # go whole to the Burnside closure with unchanged verdicts
+        ctx, reps = seeded_w_with_variants(13, 3, 6, 13)
+        gens = gens_of(reps)
+        reversed_ = gens[..., ::-1, ::-1].copy()
+        flat = gens.copy()
+        for i in (1, 2):
+            flat[:, 1, :, i, i] = gens[:, 1, :, 0, 0]
+        flat_full = [ref_span_dim(SimpleNamespace(ctx=ctx, n=3, A=FMat(ctx, np.moveaxis(a, 0, -1)),
+                                                  B=FMat(ctx, np.moveaxis(b, 0, -1)))) == 9
+                     for a, b in flat]
+        full = [ref_span_dim(rep) == 9 for rep in reps]
+        calls = []
+
+        def recorded(ctx, gens):
+            calls.append(len(gens))
+            return burnside_many(ctx, gens)
+        burnside_many = classify.burnside_irreducible_many
+        monkeypatch.setattr(classify, "burnside_irreducible_many", recorded)
+        assert norton_irreducible_many(ctx, gens) == full and calls == []
+        assert norton_irreducible_many(ctx, reversed_) == full and calls == [12]
+        assert norton_irreducible_many(ctx, flat) == flat_full and calls == [12, 12]
+        mixed = np.concatenate([gens[:4], reversed_[4:8], flat[8:]])
+        assert norton_irreducible_many(ctx, mixed) == full[:8] + flat_full[8:]
+        assert calls == [12, 12, 8]
+        assert set(full) == set(flat_full) == {False, True}
+
     def test_batch_of_nothing_and_of_mixed_dimensions(self, ctx13):
-        assert burnside_irreducible_many(ctx13, np.zeros((0, 2, 2, 3, 3), dtype=np.int64)) == []
-        # an array holds one dimension: rows and columns of another shape,
-        # or anything but A and B in two components each, is refused
-        for shape in ((1, 2, 2, 1, 2), (1, 3, 2, 2, 2), (1, 2, 1, 2, 2), (2, 2, 2, 2)):
-            with pytest.raises(errors.DimensionMismatch):
-                burnside_irreducible_many(ctx13, np.zeros(shape, dtype=np.int64))
+        for oracle in (burnside_irreducible_many, norton_irreducible_many):
+            assert oracle(ctx13, np.zeros((0, 2, 2, 3, 3), dtype=np.int64)) == []
+            # an array holds one dimension: rows and columns of another shape,
+            # or anything but A and B in two components each, is refused
+            for shape in ((1, 2, 2, 1, 2), (1, 3, 2, 2, 2), (1, 2, 1, 2, 2), (2, 2, 2, 2)):
+                with pytest.raises(errors.DimensionMismatch):
+                    oracle(ctx13, np.zeros(shape, dtype=np.int64))
 
 
 class TestIntertwiner:
