@@ -2,8 +2,9 @@
 
 Two independent routes exist for every classification question: the
 parameter-side criteria (membership conditions read off the tuple) and the
-module-side oracles (Norton's spin test, intertwiner solve).  The
-acceptance suite sweeps both routes against each other.
+module-side oracles (Norton's spin test; intertwiners by standard bases on
+case arrays, else by a spin solve per case).  The acceptance suite sweeps
+both routes against each other.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, combinations, islice
 
 import numpy as np
 
@@ -20,7 +22,8 @@ from .errors import (BadRange, CapExceeded, DimensionMismatch, DivisionByZero, I
                      NoSolutionsInField)
 from .field import FieldCtx, Fq2, index_of, index_sub, mul_parts, poly_roots, quadratic_roots
 from .linalg import FMat, _inverses, check_int64, kernel, pivot_step, rank, rref
-from .modules import Params4, Params5, SeqData, build_W, corner_index, corner_terms, delta_shift
+from .modules import (Params4, Params5, SeqData, build_W_many, corner_index, corner_terms,
+                      delta_shift)
 
 # ---------------------------------------------------------------------------
 # feasibility
@@ -472,7 +475,7 @@ def _echelon_insert(basis0, basis1, pivots, size: int, v0, v1, p: int, t: int) -
 LOCKSTEP_BYTES = 1 << 23
 
 
-def _batch_shape(ctx: FieldCtx, gens: np.ndarray, power: int) -> tuple[int, int]:
+def _batch_shape(ctx: FieldCtx, gens: np.ndarray, power: int, what: str) -> tuple[int, int]:
     """Cases and n of a generator array (cases, 2, 2, n, n); a nonempty batch
     needs n >= 1 and n**power * (1+t)*p^2 in int64, checked before allocating."""
     if gens.ndim != 5 or gens.shape[1:3] != (2, 2) or gens.shape[3] != gens.shape[4]:
@@ -481,11 +484,11 @@ def _batch_shape(ctx: FieldCtx, gens: np.ndarray, power: int) -> tuple[int, int]
     if cases and n < 1:
         raise InvariantViolation(f"spanning oracle on a module of dimension {n}")
     if cases:
-        check_int64(n ** power * (1 + ctx.t) * ctx.p ** 2, "spanning oracle reduction")
+        check_int64(n ** power * (1 + ctx.t) * ctx.p ** 2, what)
     return cases, n
 
 
-def _spin_many(ctx: FieldCtx, gens: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+def _spin_many(ctx: FieldCtx, gens: np.ndarray, seeds: np.ndarray, lead: int | None = None):
     """The dimension of the span of each case's seed X (cases, 2, n, m) under
     X -> A X and X -> B X, in lockstep on the cases.  Each case keeps an
     echelon basis of rows of length n m and a stack of the rows whose products
@@ -496,24 +499,28 @@ def _spin_many(ctx: FieldCtx, gens: np.ndarray, seeds: np.ndarray) -> np.ndarray
     plus multiples of later rows, and every row is pushed and popped once, so
     from the last row back the products of each row lie in the span: it is the
     closure of the seed.  A case leaves when its stack is empty or span full.
+    Given ``lead``, rows pivot on their first ``lead`` entries only, and each
+    case's final rows (lead, n m) as two components and pivots follow.
     """
     cases, n, m = len(gens), gens.shape[-1], seeds.shape[-1]
     p, t, full = ctx.p, ctx.t, n * m
-    group = max(1, LOCKSTEP_BYTES // (16 * full * full))
+    plain, lead = lead is None, lead or full
+    group = max(1, LOCKSTEP_BYTES // (16 * lead * full))
     if cases > group:
-        return np.concatenate([_spin_many(ctx, gens[k:k + group], seeds[k:k + group])
-                               for k in range(0, cases, group)])
+        parts = [_spin_many(ctx, gens[k:k + group], seeds[k:k + group], None if plain else lead)
+                 for k in range(0, cases, group)]
+        return np.concatenate(parts) if plain else tuple(map(np.concatenate, zip(*parts)))
 
-    dims = np.zeros(cases, dtype=np.intp)
     # per live case: its index, generators (A or B, component, n, n), basis
     # components, pivot columns, basis size, and the stack of rows to visit
     order = np.arange(cases)
-    basis0 = np.zeros((cases, full, full), dtype=np.int64)
-    basis1 = np.zeros((cases, full, full), dtype=np.int64)
-    pivots = np.zeros((cases, full), dtype=np.intp)
+    basis0 = np.zeros((cases, lead, full), dtype=np.int64)
+    basis1 = np.zeros((cases, lead, full), dtype=np.int64)
+    pivots = np.zeros((cases, lead), dtype=np.intp)
     size = np.zeros(cases, dtype=np.intp)
-    stack = np.zeros((cases, full), dtype=np.intp)
+    stack = np.zeros((cases, lead), dtype=np.intp)
     depth = np.zeros(cases, dtype=np.intp)
+    out = [size.copy()] + ([] if plain else [basis0.copy(), basis1.copy(), pivots.copy()])
 
     def insert(v0: np.ndarray, v1: np.ndarray) -> None:
         rows = np.arange(len(v0))
@@ -526,7 +533,7 @@ def _spin_many(ctx: FieldCtx, gens: np.ndarray, seeds: np.ndarray) -> np.ndarray
                                basis1[:, used], p, t, np.matmul,
                                subtract_from=(v0[:, None], v1[:, None]))
             v0, v1 = r0[:, 0], r1[:, 0]
-        nz = (v0 | v1) != 0
+        nz = (v0[:, :lead] | v1[:, :lead]) != 0
         gain = np.flatnonzero(nz.any(1))
         if not gain.size:
             return
@@ -542,11 +549,12 @@ def _spin_many(ctx: FieldCtx, gens: np.ndarray, seeds: np.ndarray) -> np.ndarray
 
     insert(seeds[:, 0].reshape(cases, full), seeds[:, 1].reshape(cases, full))
     while True:
-        done = (depth == 0) | (size == full)
-        dims[order[done]] = size[done]
-        if done.all():
-            return dims
+        done = (depth == 0) | (size == lead)
         if done.any():
+            for res, live in zip(out, (size, basis0, basis1, pivots)):
+                res[order[done]] = live[done]
+            if done.all():
+                return out[0] if plain else tuple(out)
             keep = ~done
             order, gens, basis0, basis1, pivots, size, stack, depth = (
                 x[keep] for x in (order, gens, basis0, basis1, pivots, size, stack, depth))
@@ -563,7 +571,7 @@ def _spin_many(ctx: FieldCtx, gens: np.ndarray, seeds: np.ndarray) -> np.ndarray
 def burnside_irreducible_many(ctx: FieldCtx, gens: np.ndarray) -> list[bool]:
     """Whether the identity spins to all n-by-n matrices, absolute irreducibility
     by Burnside's theorem; the fallback of ``norton_irreducible_many``."""
-    cases, n = _batch_shape(ctx, gens, 2)
+    cases, n = _batch_shape(ctx, gens, 2, "spanning oracle reduction")
     if not cases:
         return []
     eye = np.broadcast_to(np.multiply.outer([1, 0], np.eye(n, dtype=np.int64)), (cases, 2, n, n))
@@ -577,7 +585,7 @@ def _eigenvectors(ctx: FieldCtx, b0: np.ndarray, b1: np.ndarray, k: np.ndarray) 
     x = np.zeros((len(k), 2, b0.shape[-1], 1), dtype=np.int64)
     x[rows, 0, k] = 1
     lam0, lam1 = b0[rows, k, k], b1[rows, k, k]
-    for i in range(int(k.max()) - 1, -1, -1):
+    for i in range(int(k.max(initial=0)) - 1, -1, -1):
         s0, s1 = mul_parts(b0[:, i:i + 1, i + 1:], b1[:, i:i + 1, i + 1:], x[:, 0, i + 1:],
                            x[:, 1, i + 1:], p, t, np.matmul)
         inv = _inverses(p, t)[(b0[:, i, i] - lam0) % p * p + (b1[:, i, i] - lam1) % p]
@@ -585,6 +593,16 @@ def _eigenvectors(ctx: FieldCtx, b0: np.ndarray, b1: np.ndarray, k: np.ndarray) 
         below = i < k
         x[below, 0, i], x[below, 1, i] = y0[below], y1[below]
     return x
+
+
+def _simple_lam(ctx: FieldCtx, gens: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per case of a generator array: B's diagonal as plain-lex indices, the index k of its
+    first value that occurs once, and whether B is upper triangular with one (checked)."""
+    n = gens.shape[-1]
+    diag = gens[:, 1, 0, range(n), range(n)] * ctx.p + gens[:, 1, 1, range(n), range(n)]
+    simple = (diag[:, :, None] == diag[:, None, :]).sum(2) == 1
+    upper = ~np.tril(gens[:, 1, 0] | gens[:, 1, 1], -1).any((1, 2))
+    return diag, simple.argmax(1), simple.any(1) & upper
 
 
 def norton_irreducible_many(ctx: FieldCtx, gens: np.ndarray) -> list[bool]:
@@ -612,19 +630,16 @@ def norton_irreducible_many(ctx: FieldCtx, gens: np.ndarray) -> list[bool]:
     Other cases go whole to ``burnside_irreducible_many``.  Substitution and
     spin sum at most n products of (1+t)*p^2: n*(1+t)*p^2 must fit in int64.
     """
-    cases, n = _batch_shape(ctx, gens, 1)
+    cases, n = _batch_shape(ctx, gens, 1, "spanning oracle reduction")
     if not cases:
         return []
-    b0, b1 = gens[:, 1, 0], gens[:, 1, 1]
-    diag = b0[:, range(n), range(n)] * ctx.p + b1[:, range(n), range(n)]
-    simple = (diag[:, :, None] == diag[:, None, :]).sum(2) == 1
-    norton = simple.any(1) & ~np.tril(b0 | b1, -1).any((1, 2))
+    _, k, norton = _simple_lam(ctx, gens)
     verdict = np.zeros(cases, dtype=bool)
     if not norton.all():
         verdict[~norton] = burnside_irreducible_many(ctx, gens[~norton])
     at = np.flatnonzero(norton)
     if at.size:
-        k = simple[at].argmax(1)
+        k = k[at]
         both = np.concatenate([gens[at], gens[at].swapaxes(3, 4)[..., ::-1, ::-1]])
         seeds = _eigenvectors(ctx, both[:, 1, 0], both[:, 1, 1], np.concatenate([k, n - 1 - k]))
         full = _spin_many(ctx, both, seeds) == n
@@ -638,13 +653,89 @@ def burnside_irreducible(rep: PairRep) -> bool:
     return norton_irreducible_many(rep.ctx, gens)[0]
 
 
-def intertwiner(rep_x: PairRep, rep_y: PairRep) -> FMat | None:
-    """A nonzero S with S A_x = A_y S and S B_x = B_y S, or None.
+def intertwiner_many(ctx: FieldCtx, gx: np.ndarray, gy: np.ndarray) -> list[tuple[FMat | None, bool]]:
+    """Per case of two generator arrays (cases, 2, 2, n, n): a nonzero S with
+    S A_x = A_y S and S B_x = B_y S, or None, and whether S is invertible.
 
-    Requires equal dimensions; returns None immediately when the central
-    scalars differ.  When the solution space contains an invertible element
-    the search prefers one (between irreducibles any nonzero solution is
-    already invertible).
+    By standard bases (Holt, Eick and O'Brien, Handbook of Computational Group
+    Theory, ch. 7) where B_x, B_y are upper triangular, B_x has a simple
+    diagonal value lam (``_simple_lam``) and B_y has lam at most once: the
+    spin of (v_x, v_y) under diag(g_x, g_y), v_x and v_y (or 0) spanning the
+    null lines of B_x - lam and B_y - lam, pivots on x alone.  If full, it
+    ends in rows (e_j, S e_j) of the S with S v_x = v_y; any intertwiner is a
+    multiple of S if S intertwines (checked), else 0.  S has a last nonzero
+    entry of 1 (row-major), as the general solve scales its one candidate, and
+    is invertible iff the spin with the halves swapped is full.  Other cases
+    go one by one to ``_intertwiner_solve``.  n^2*(1+t)*p^2 must fit in int64.
+    """
+    if gx.shape != gy.shape:
+        raise DimensionMismatch(f"generator arrays of shapes {gx.shape} and {gy.shape}")
+    cases, n = _batch_shape(ctx, gx, 2, "intertwiner products")
+    out = [(None, False)] * cases
+    if not cases:
+        return out
+    p, t = ctx.p, ctx.t
+    dx, k, route = _simple_lam(ctx, gx)
+    hit = _simple_lam(ctx, gy)[0] == dx[range(cases), k][:, None]
+    route &= (hit.sum(1) <= 1) & ~np.tril(gy[:, 1, 0] | gy[:, 1, 1], -1).any((1, 2))
+    at = np.flatnonzero(route)
+    full = np.zeros(cases, dtype=bool)
+    if at.size:
+        pair = np.zeros((at.size, 2, 2, 2 * n, 2 * n), dtype=np.int64)
+        pair[..., :n, :n], pair[..., n:, n:] = gx[at], gy[at]
+        seeds = np.zeros((at.size, 2, 2 * n, 1), dtype=np.int64)
+        seeds[:, :, :n] = _eigenvectors(ctx, gx[at, 1, 0], gx[at, 1, 1], k[at])
+        has = np.flatnonzero(hit[at].any(1))
+        seeds[has, :, n:] = _eigenvectors(ctx, gy[at[has], 1, 0], gy[at[has], 1, 1],
+                                          hit[at[has]].argmax(1))
+        dims, rows0, rows1, piv = _spin_many(ctx, np.concatenate([pair, np.roll(pair, n, (3, 4))]),
+                                             np.concatenate([seeds, np.roll(seeds, n, 2)]), n)
+        full[at] = dims[:at.size] == n
+        good = has[full[at[has]]]
+        # S[:, j] = y_j, in the order of the pivots j
+        order = np.argsort(piv[good], 1)[..., None]
+        s0, s1 = (np.take_along_axis(r[good, :, n:], order, 1).swapaxes(1, 2) for r in (rows0, rows1))
+        ax, ay = gx[at[good]], gy[at[good]]
+        sx = mul_parts(s0[:, None], s1[:, None], ax[:, :, 0], ax[:, :, 1], p, t, np.matmul)
+        ys = mul_parts(ay[:, :, 0], ay[:, :, 1], s0[:, None], s1[:, None], p, t, np.matmul)
+        ok = (np.array(sx) == np.array(ys)).all((0, 2, 3, 4))
+        code = (s0 * p + s1).reshape(len(good), n * n)
+        last = n * n - 1 - (code[:, ::-1] != 0).argmax(1)
+        inv = _inverses(p, t)[code[range(len(good)), last]]
+        s0, s1 = mul_parts(s0, s1, inv[:, :1, None], inv[:, 1:, None], p, t)
+        for c, x0, x1, valid, invertible in zip(at[good], s0, s1, ok, dims[at.size + good] == n):
+            if valid:
+                out[c] = FMat(ctx, np.stack([x0, x1], -1)), bool(invertible)
+    for c in np.flatnonzero(~full):
+        out[c] = _intertwiner_solve(ctx, tuple(gx[c].transpose(0, 2, 3, 1)),
+                                    tuple(gy[c].transpose(0, 2, 3, 1)))
+    return out
+
+
+def w_intertwiner_many(ctx: FieldCtx, params: list[Params5], pairs: list) -> list[tuple]:
+    """``intertwiner_many`` on pairs (i, j) of the ``build_W`` modules of some quintuples, in
+    one call on those whose central scalars agree; the rest admit no map: (None, False)."""
+    gens, scalars = build_W_many(ctx, params)
+    same = [k for k, (i, j) in enumerate(pairs) if scalars[i] == scalars[j]]
+    found = dict(zip(same, intertwiner_many(ctx, *gens[np.reshape(pairs, (-1, 2))[same].T])))
+    return [found.get(k, (None, False)) for k in range(len(pairs))]
+
+
+def intertwiner(rep_x: PairRep, rep_y: PairRep) -> FMat | None:
+    """A nonzero S with S A_x = A_y S and S B_x = B_y S, invertible if one is,
+    or None: a batch of one of ``intertwiner_many``, and None at once when the
+    central scalars differ.  Requires equal dimensions."""
+    if rep_x.n != rep_y.n:
+        raise DimensionMismatch(f"{rep_x.n} vs {rep_y.n}")
+    if rep_x.scalars() != rep_y.scalars() or not rep_x.n:
+        return None
+    gens = np.moveaxis(np.array([[(rep.A.arr, rep.B.arr) for rep in (rep_x, rep_y)]]), -1, 3)
+    return intertwiner_many(rep_x.ctx, gens[:, 0], gens[:, 1])[0][0]
+
+
+def _intertwiner_solve(ctx: FieldCtx, gx: tuple, gy: tuple) -> tuple[FMat | None, bool]:
+    """One case of ``intertwiner_many`` by the general solve, from the
+    generators (A, B) of each module as (n, n, 2) arrays.
 
     The solutions come from spinning (Parker's Meat-Axe; Holt, Eick and
     O'Brien, Handbook of Computational Group Theory, ch. 7): spinning e_0 under
@@ -656,19 +747,14 @@ def intertwiner(rep_x: PairRep, rep_y: PairRep) -> FMat | None:
     equations, not (2n^2, n^2) on the entries of S; S = [T_k U]_k P^-1.  The
     candidates, the kernel basis of that larger system (1 in its own free
     column, 0 in the others, elsewhere nonzero only in earlier columns), are
-    the reduced echelon form of the solutions with their entries reversed.
+    the reduced echelon form of the solutions with their entries reversed;
+    the first invertible one is preferred, then one of a bounded pencil scan.
     """
-    if rep_x.n != rep_y.n:
-        raise DimensionMismatch(f"{rep_x.n} vs {rep_y.n}")
-    if rep_x.scalars() != rep_y.scalars():
-        return None
-    ctx, n = rep_x.ctx, rep_x.n
+    n = gx[0].shape[0]
     p, t = ctx.p, ctx.t
-    check_int64(n * n * (1 + t) * p * p, "intertwiner products")
 
     def mm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return np.stack(mul_parts(x[..., 0], x[..., 1], y[..., 0], y[..., 1], p, t, np.matmul), -1)
-    gx, gy = (rep_x.A.arr, rep_x.B.arr), (rep_y.A.arr, rep_y.B.arr)
     eye = np.eye(n, dtype=np.int64)[..., None] * np.array([1, 0])
     ech, pivots = np.zeros((2, n, n), dtype=np.int64), np.zeros(n, dtype=np.intp)
     pmat, origin = np.zeros((n, n, 2), dtype=np.int64), []  # b_k; its seed's number or (g, j)
@@ -695,27 +781,15 @@ def intertwiner(rep_x: PairRep, rep_y: PairRep) -> FMat | None:
     null = kernel(FMat(ctx, np.concatenate(rel).reshape(2 * n * n, m * n, 2))).arr
     k = null.shape[1]
     if k == 0:
-        return None
+        return None, False
     sols = mm(mm(tk, null).transpose(2, 1, 0, 3), pinv).reshape(k, n * n, 2)
     red = rref(FMat(ctx, sols[:, ::-1]))[0].arr[::-1, ::-1]
     cands = [FMat(ctx, row.reshape(n, n, 2)) for row in red]
-    for s in cands:
-        if rank(s) == n:
-            return s
-    if k >= 2:
-        # singular basis elements; scan a bounded set of pencil combinations
-        for j in range(1, k):
-            count = 0
-            for coeff in ctx.elements():
-                if coeff.is_zero():
-                    continue
-                s = cands[0] + cands[j] * coeff
-                if rank(s) == n:
-                    return s
-                count += 1
-                if count >= 256:
-                    break
-    return cands[0]
+    # if every basis element is singular, cands[0] + c cands[j] for the first
+    # 256 nonzero c in plain-lex order, j = 1, 2, ...
+    pencil = (cands[0] + cands[j] * c for j in range(1, k)
+              for c in islice((x for x in ctx.elements() if not x.is_zero()), 256))
+    return next(((s, True) for s in chain(cands, pencil) if rank(s) == n), (cands[0], False))
 
 
 # ---------------------------------------------------------------------------
@@ -797,25 +871,19 @@ def classify_sample(ctx: FieldCtx, seed: int, count: int, cap: int = 10_000) -> 
                 "error": "closure mismatch within one class",
             })
 
-    # cross-validation: intertwiners within and across classes
+    # cross-validation: intertwiners within and across classes, in one call
     class_keys = sorted(closures)
-    reps = {k: build_W(Params5(*closures[k]["representative"])) for k in class_keys}
-    for k in class_keys:
-        for idx in closures[k]["samples"]:
-            s = intertwiner(reps[k], build_W(samples[idx]))
-            if s is None or rank(s) != s.nrows:
-                errors.append({
-                    "index": idx,
-                    "params": samples[idx].to_json(),
-                    "error": "missing within-class isomorphism",
-                })
-    for i, ka in enumerate(class_keys):
-        for kb in class_keys[i + 1:]:
-            if intertwiner(reps[ka], reps[kb]) is not None:
-                errors.append({
-                    "classes": [list(ka), list(kb)],
-                    "error": "unexpected cross-class intertwiner",
-                })
+    reps = [Params5(*closures[k]["representative"]) for k in class_keys]
+    within = [(c, idx) for c, k in enumerate(class_keys) for idx in closures[k]["samples"]]
+    cross = list(combinations(range(len(reps)), 2))
+    found = w_intertwiner_many(ctx, reps + [samples[idx] for _, idx in within],
+                               [(c, len(reps) + w) for w, (c, _) in enumerate(within)] + cross)
+    errors += [{"index": idx, "params": samples[idx].to_json(),
+                "error": "missing within-class isomorphism"}
+               for (_, idx), (_, invertible) in zip(within, found) if not invertible]
+    errors += [{"classes": [list(class_keys[a]), list(class_keys[b])],
+                "error": "unexpected cross-class intertwiner"}
+               for (a, b), (s, _) in zip(cross, found[len(within):]) if s is not None]
 
     classes = [
         {

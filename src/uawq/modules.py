@@ -170,6 +170,18 @@ def build_W(params: Params5) -> PairRep:
     return _pair_rep(SeqData(params.quadruple), params.ctx.dbar, params.delta)
 
 
+def build_W_many(ctx: FieldCtx, params: list[Params5]) -> tuple[np.ndarray, list[tuple]]:
+    """The generator array (cases, 2, 2, dbar, dbar) of the ``build_W`` module
+    of each of some quintuples, and each module's central scalars."""
+    gens = np.zeros((len(params), 2, 2, ctx.dbar, ctx.dbar), dtype=np.int64)
+    scalars = []
+    for k, p5 in enumerate(params):
+        s = SeqData(p5.quadruple)
+        fill_gens(gens[k:k + 1], s, [(p5.delta.x0, p5.delta.x1)])
+        scalars.append(s.scalars())
+    return gens, scalars
+
+
 def dump_module(rep: PairRep, params: Params4, n: int | None = None) -> dict:
     """JSON-serializable module dump with deterministic entry ordering."""
     ctx = rep.ctx

@@ -29,7 +29,6 @@ from .classify import (
     feasible_quartic,
     feasible_sextic,
     feasible_target,
-    intertwiner,
     inv_ab_defect,
     irr_Vn_criterion,
     irr_W_criterion,
@@ -44,6 +43,7 @@ from .classify import (
     sample_triple,
     simeq_closure,
     solve_feasible,
+    w_intertwiner_many,
 )
 from .errors import InvariantViolation, NeedsExtension, NuOutsideField
 from .field import (
@@ -60,6 +60,7 @@ from .modules import (
     SeqData,
     build_Vn,
     build_W,
+    build_W_many,
     check_W_universal,
     closed_form_case,
     delta_shift,
@@ -311,18 +312,17 @@ def equiv_case(p5: Params5, rows, t: Tally) -> int:
     rep = build_W(p5)
     shift = delta_shift(p5)
     quad = p5.quadruple.astuple()
-    seen = set()
+    images = {}  # the first row to each distinct neighbour
     for row in rows:
         img = orbit_image(row, quad, shift)
-        key = param_key(canon_sign(img))
-        if key in seen:
-            continue
-        seen.add(key)
-        s = intertwiner(rep, build_W(Params5(*img)))
-        t.check(s is not None and rank(s) == rep.n, (p5.astuple(), row[0]), "no invertible map")
+        images.setdefault(param_key(canon_sign(img)), (row[0], Params5(*img)))
+    found = w_intertwiner_many(ctx, [p5] + [img for _, img in images.values()],
+                               [(0, k) for k in range(1, len(images) + 1)])
+    for (label, _), (_, invertible) in zip(images.values(), found):
+        t.check(invertible, (p5.astuple(), label), "no invertible map")
     w0 = FMat.column(ctx, [ctx.one] + [ctx.zero] * (ctx.dbar - 1))
     t.check(check_W_universal(rep, w0, p5), p5.astuple(), "w_0 fails universal property")
-    return len(seen)
+    return len(images)
 
 
 def cross_class_pairs(ctx: FieldCtx, rng: random.Random, count: int,
@@ -330,16 +330,19 @@ def cross_class_pairs(ctx: FieldCtx, rng: random.Random, count: int,
     """Up to ``count`` pairs of irreducible quintuples from different closure
     classes admit no intertwiner; ``cases`` is the number of pairs found."""
     t = Tally()
-    pairs = _draws(t, count, max_attempts,
-                   lambda: (sample_quintuple(ctx, rng), sample_quintuple(ctx, rng)))
-    for pa, pb in pairs:
+    pairs = []
+    for pa, pb in _draws(t, count, max_attempts,
+                         lambda: (sample_quintuple(ctx, rng), sample_quintuple(ctx, rng))):
         if not (irr_W_criterion(pa) and irr_W_criterion(pb)):
             continue
         if param_key(canon_sign(pb.astuple())) in simeq_closure(pa).member_keys():
             continue
         t.cases += 1
-        t.check(intertwiner(build_W(pa), build_W(pb)) is None,
-                (pa.astuple(), pb.astuple()), "unexpected cross-class intertwiner")
+        pairs.append((pa, pb))
+    found = w_intertwiner_many(ctx, [p5 for pair in pairs for p5 in pair],
+                               [(2 * k, 2 * k + 1) for k in range(len(pairs))])
+    for (pa, pb), (s, _) in zip(pairs, found):
+        t.check(s is None, (pa.astuple(), pb.astuple()), "unexpected cross-class intertwiner")
     return t
 
 
@@ -607,12 +610,12 @@ def check_closure_pm(ctx, rng, n):
 def check_closure_iso(ctx, rng, n):
     t = Tally()
     for p5 in _irreducible_draws(ctx, rng, n, t, max(n // 16, 1)):
-        rep = build_W(p5)
         members = simeq_closure(p5).members
-        for member in members[:: max(1, len(members) // 6)]:
-            s = intertwiner(rep, build_W(Params5(*member)))
-            t.check(s is not None and rank(s) == rep.n, (p5.astuple(), member),
-                    "class member not isomorphic")
+        sampled = members[:: max(1, len(members) // 6)]
+        found = w_intertwiner_many(ctx, [p5] + [Params5(*m) for m in sampled],
+                                   [(0, k) for k in range(1, len(sampled) + 1)])
+        for member, (_, invertible) in zip(sampled, found):
+            t.check(invertible, (p5.astuple(), member), "class member not isomorphic")
     return t, f"{t.cases} closures, sampled members isomorphic"
 
 
@@ -647,10 +650,7 @@ def check_irr_w(ctx, rng, n, exhaustive=False):
     draws = [sample_quintuple(ctx, rng) for _ in range(n)]
     idx = np.array([index_of(p5.astuple()) for p5 in draws], dtype=np.int64).reshape(-1, 5)
     crit = irr_W_criterion_many(ctx, table1.param_logs(ctx, idx[:, :4]), idx[:, 4]).tolist()
-    gens = np.zeros((n, 2, 2, ctx.dbar, ctx.dbar), dtype=np.int64)
-    for k, p5 in enumerate(draws):
-        fill_gens(gens[k:k + 1], SeqData(p5.quadruple), [(p5.delta.x0, p5.delta.x1)])
-    for p5, c, o in zip(draws, crit, norton_irreducible_many(ctx, gens)):
+    for p5, c, o in zip(draws, crit, norton_irreducible_many(ctx, build_W_many(ctx, draws)[0])):
         t.cases += 1
         t.check(c == o, p5.astuple(), f"criterion={c} oracle={o}")
     return _check_grid(t, w_grid_sweep, ctx, n, exhaustive)

@@ -3,9 +3,11 @@ import random
 import numpy as np
 import pytest
 
-from uawq.classify import _cond_inv_a, _cond_inv_ab, _move_inv, canon_sign, param_key, s4_orbit
+from uawq import table1
+from uawq.classify import (_cond_inv_a, _cond_inv_ab, _move_inv, canon_sign, orbit_image, param_key,
+                          s4_orbit, sample_quintuple)
 from uawq.field import ctx_new, index_of
-from uawq.modules import Params5, delta_shift
+from uawq.modules import Params5, build_W, delta_shift
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -53,6 +55,14 @@ def force_nu(quad, nu):
     dbar = quad.ctx.dbar
     al = quad.a / quad.lam
     return Params5(*quad.astuple(), nu ** dbar + nu ** (-dbar) - al ** dbar - al ** (-dbar))
+
+
+def image_pair(ctx, rng):
+    """A drawn W module and the module of a drawn row image with the delta that
+    keeps it in the same class, as the large_module benchmark pairs them."""
+    p5 = sample_quintuple(ctx, rng)
+    row = table1.ROWS[rng.randrange(len(table1.ROWS))]
+    return build_W(p5), build_W(Params5(*orbit_image(row, p5.quadruple.astuple(), delta_shift(p5))))
 
 
 # Predicates on production code: the one-step relation whose equivalence

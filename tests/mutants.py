@@ -107,9 +107,22 @@ MUTANTS = [
     Mutant("intertwiner returns S P in place of S", "classify.py",
            "sols = mm(mm(tk, null).transpose(2, 1, 0, 3), pinv)",
            "sols = mm(tk, null).transpose(2, 1, 0, 3)", CLASSIFY),
-    Mutant("Norton without the triangularity check", "classify.py",
-           "norton = simple.any(1) & ~np.tril(b0 | b1, -1).any((1, 2))", "norton = simple.any(1)",
+    Mutant("standard basis without the B-relation check", "classify.py",
+           "ok = (np.array(sx) == np.array(ys)).all((0, 2, 3, 4))",
+           "ok = (np.array(sx) == np.array(ys))[:, :, 0].all((0, 2, 3))", CLASSIFY),
+    Mutant("standard basis normalised by the first nonzero entry", "classify.py",
+           "last = n * n - 1 - (code[:, ::-1] != 0).argmax(1)", "last = (code != 0).argmax(1)",
            CLASSIFY),
+    Mutant("standard basis replays Y's words with X's generators", "classify.py",
+           "pair[..., :n, :n], pair[..., n:, n:] = gx[at], gy[at]",
+           "pair[..., :n, :n], pair[..., n:, n:] = gx[at], gx[at]", CLASSIFY),
+    Mutant("standard basis takes Y's eigenvector at X's index", "classify.py",
+           "hit[at[has]].argmax(1))", "k[at[has]])", CLASSIFY),
+    Mutant("standard basis reports every map invertible", "classify.py",
+           "bool(invertible)", "True", CLASSIFY),
+    Mutant("Norton without the triangularity check", "classify.py",
+           "return diag, simple.argmax(1), simple.any(1) & upper",
+           "return diag, simple.argmax(1), simple.any(1)", CLASSIFY),
     Mutant("Norton on a repeated diagonal value", "classify.py",
            "(diag[:, :, None] == diag[:, None, :]).sum(2) == 1",
            "(diag[:, :, None] == diag[:, None, :]).sum(2) >= 1", CLASSIFY),

@@ -40,7 +40,8 @@ from uawq.field import ctx_new, index_of, is_square, sqrt
 from uawq.linalg import FMat, hstack, rank, rref
 from uawq.modules import Params4, Params5, SeqData, build_Vn, build_W
 
-from conftest import approx_equiv, cond_inv_ab, move_images, sim_related, simeq_z2s4
+from conftest import (approx_equiv, cond_inv_ab, image_pair, move_images, sim_related,
+                      simeq_z2s4)
 from reference import (
     gens_of,
     ref_closure,
@@ -568,7 +569,7 @@ def test_criteria_and_oracles_reach_disjoint_names():
     criteria = reach(["irr_W_criterion", "irr_W_criterion_many", "irr_Vn_criterion"])
     norton = reach(["norton_irreducible_many", "_spin_many"])
     oracles = reach(["burnside_irreducible", "burnside_irreducible_many", "intertwiner",
-                     "norton_irreducible_many", "_spin_many"])
+                     "intertwiner_many", "norton_irreducible_many", "_spin_many"])
     assert {"corner_index", "_move_windows", "W_CONDITIONS"} <= criteria
     assert {"pivot_step", "mul_parts", "kernel"} <= oracles
     assert {"pivot_step", "mul_parts"} <= norton
@@ -655,6 +656,14 @@ class TestBurnside:
         assert norton_irreducible_many(ctx, gens_of(reps)) == full
         assert [burnside_irreducible(rep) for rep in reps] == full
         assert full == [True, False] * 3
+
+    def test_matches_burnside_at_dbar_31(self):
+        # two seeded draws; the Burnside closure takes about 1 s per module
+        ctx, rng = ctx_new(61, 62), random.Random(31)
+        draws = [sample_quintuple(ctx, rng) for _ in range(2)]
+        gens = gens_of([build_W(p5) for p5 in draws])
+        full = burnside_irreducible_many(ctx, gens)
+        assert norton_irreducible_many(ctx, gens) == full == [irr_W_criterion(p5) for p5 in draws]
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_matches_vstack_closure_on_vn(self, ctx13, rng, n):
@@ -762,6 +771,109 @@ class TestIntertwiner:
         v0 = build_Vn(ctx13.el(2), ctx13.el(3), ctx13.el(4), 0)
         with pytest.raises(errors.DimensionMismatch):
             intertwiner(rep, v0)
+
+
+def block_sum(x, y):
+    """The direct sum of two modules, with zero central scalars."""
+    def blocks(a, b):
+        out = np.zeros((a.nrows + b.nrows,) * 2 + (2,), dtype=np.int64)
+        out[:a.nrows, :a.nrows], out[a.nrows:, a.nrows:] = a.arr, b.arr
+        return FMat(x.ctx, out)
+    return PairRep(x.ctx, blocks(x.A, y.A), blocks(x.B, y.B), *[x.ctx.zero] * 3)
+
+
+def with_b(rep, b, scalars):
+    """The module with A of ``rep`` and B of the components ``b``."""
+    return PairRep(rep.ctx, rep.A, FMat(rep.ctx, b), *scalars)
+
+
+def intertwiner_kinds(ctx, rng, count):
+    """Pairs of modules by kind.  The first five take the standard-basis
+    route: isomorphic W image pairs; W pairs with the same central scalars
+    and another delta, or with another B superdiagonal (so A_y = A_x and the
+    spun map is the identity, which intertwines A and not B); W pairs whose
+    central scalars differ; and Vn pairs against their b- and c-inversions,
+    the first draw reducible, whose eigenvalue of B sits at the other end of
+    B_y's diagonal.  The last three take the fallback: direct sums of a 1-
+    and a (dbar-1)-dimensional Vn (B's first diagonal value is simple and A
+    keeps e_0's line, so its spin is not full) against the sum the other way
+    round; image pairs conjugated by the reversal (B lower triangular); and a
+    W module against itself with a second copy of lam, B_x's first simple
+    diagonal value, on B_y's diagonal."""
+    kinds = {kind: [] for kind in ("isomorphic", "other delta", "other B", "other scalars", "Vn",
+                                   "sum", "reversed", "repeated")}
+    while len(kinds["Vn"]) < 2 * count:
+        a, b, c = sample_triple(ctx, rng)
+        n = ctx.dbar - 2
+        if kinds["Vn"] or not irr_Vn_criterion(a, b, c, n):
+            kinds["Vn"] += [(build_Vn(a, b, c, n), build_Vn(a, b.inv(), c, n)),
+                            (build_Vn(a, b, c, n), build_Vn(a, b, c.inv(), n))]
+    for _ in range(count):
+        x, y = image_pair(ctx, rng)
+        p5 = sample_quintuple(ctx, rng)
+        w = build_W(p5)
+        kinds["isomorphic"].append((x, y))
+        kinds["other delta"].append((w, build_W(Params5(*p5.quadruple.astuple(), p5.delta + 1))))
+        bumped = w.B.arr.copy()
+        bumped[0, 1, 0] += 1
+        kinds["other B"].append((w, with_b(w, bumped, w.scalars())))
+        kinds["other scalars"].append((x, w))
+        one, rest = (build_Vn(*sample_triple(ctx, rng), n) for n in (0, ctx.dbar - 2))
+        kinds["sum"].append((block_sum(one, rest), block_sum(rest, one)))
+        kinds["reversed"].append(tuple(
+            PairRep(ctx, FMat(ctx, r.A.arr[::-1, ::-1]), FMat(ctx, r.B.arr[::-1, ::-1]), *r.scalars())
+            for r in (x, y)))
+        diag = [x.B.entry(i, i) for i in range(x.n)]
+        k = next(k for k, lam in enumerate(diag) if diag.count(lam) == 1)
+        repeated = x.B.arr.copy()
+        repeated[k - 1, k - 1] = repeated[k, k]
+        kinds["repeated"].append((x, with_b(x, repeated, x.scalars())))
+    return kinds
+
+
+FALLBACK_KINDS = ("sum", "reversed", "repeated")
+
+
+@pytest.mark.parametrize("p,d,count,some", [(13, 3, 3, None),
+                                             (29, 28, 1, ("isomorphic", "other B", "reversed"))],
+                         ids=["13-3-every-kind", "29-28-three-kinds"])
+def test_intertwiner_many_matches_the_reference_on_mixed_batches(monkeypatch, p, d, count, some):
+    # Each dimension's pairs (of every kind, or of ``some`` kinds) go in one
+    # batch; the fallback solve is taken for exactly the pairs of the
+    # fallback kinds, and every map, or None, and its invertibility flag are
+    # those of the dense Kronecker reference.
+    ctx = ctx_new(p, d)
+    kinds = intertwiner_kinds(ctx, random.Random(p + count), count)
+    kinds = {kind: pairs for kind, pairs in kinds.items() if some is None or kind in some}
+    solve, calls = classify._intertwiner_solve, []
+
+    def recorded(ctx, gx, gy):
+        calls.append((gx[0].tobytes(), gy[1].tobytes()))
+        return solve(ctx, gx, gy)
+    monkeypatch.setattr(classify, "_intertwiner_solve", recorded)
+    pairs = [pair for kind in kinds.values() for pair in kind]
+    invertible, singular = 0, 0
+    for n in sorted({x.n for x, _ in pairs}):
+        batch = [(x, y) for x, y in pairs if x.n == n]
+        got = classify.intertwiner_many(ctx, gens_of([x for x, _ in batch]),
+                                        gens_of([y for _, y in batch]))
+        for (x, y), (s, flag) in zip(batch, got):
+            r = ref_intertwiner(x, y)
+            assert (s is None and r is None) or (s is not None and r is not None and s == r)
+            assert flag == (r is not None and rank(r) == n)
+            invertible += flag
+            singular += s is not None and not flag
+    assert calls == [(x.A.arr.tobytes(), y.B.arr.tobytes())
+                     for kind in FALLBACK_KINDS for x, y in kinds.get(kind, ())]
+    assert invertible and (singular or some)
+
+
+def test_intertwiner_many_on_empty_and_mixed_batches(ctx13):
+    empty = np.zeros((0, 2, 2, 3, 3), dtype=np.int64)
+    assert classify.intertwiner_many(ctx13, empty, empty) == []
+    with pytest.raises(errors.DimensionMismatch):
+        classify.intertwiner_many(ctx13, np.zeros((1, 2, 2, 3, 3), dtype=np.int64),
+                                  np.zeros((1, 2, 2, 2, 2), dtype=np.int64))
 
 
 def w_pairs(ctx, rng, count):

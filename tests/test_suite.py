@@ -9,18 +9,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import force_nu
+from conftest import force_nu, image_pair
 
 import uawq
-from uawq import classify, suite, table1
-from uawq.classify import (Target, classify_sample, delta_shift, feasible_target, intertwiner,
-                           orbit_image, sample_quadruple, sample_quintuple, s4_orbit,
-                           simeq_closure)
+from uawq import classify, suite
+from uawq.classify import (Target, classify_sample, feasible_target, intertwiner, sample_quadruple,
+                           sample_quintuple, s4_orbit, simeq_closure)
 from uawq.cli import main
 from uawq.errors import NuOutsideField
 from uawq.field import ctx_new
 from uawq.linalg import FMat, kron, rank, rref, vstack
-from uawq.modules import Params5, build_W, nu_of
+from uawq.modules import nu_of
 from uawq.suite import report_bytes, run_suite
 
 # SHA-256 of the newline-joined run_suite(13, 3, seed, "smoke") lines (seeds 0
@@ -103,14 +102,6 @@ def test_nu_is_golden_at_41():
         except NuOutsideField:
             got.append(None)
     assert got == NU_41
-
-
-def image_pair(ctx, rng):
-    """A drawn W module and the module of a drawn row image with the delta that
-    keeps it in the same class, as the large_module benchmark pairs them."""
-    p5 = sample_quintuple(ctx, rng)
-    row = table1.ROWS[rng.randrange(len(table1.ROWS))]
-    return build_W(p5), build_W(Params5(*orbit_image(row, p5.quadruple.astuple(), delta_shift(p5))))
 
 
 def intertwiner_system(rep_x, rep_y):
@@ -284,7 +275,8 @@ def test_nudata_invariant_holds_under_optimize():
 HUGE_P_GUARDS = """
 from types import SimpleNamespace
 import numpy as np
-from uawq.classify import burnside_irreducible, burnside_irreducible_many, intertwiner
+from uawq.classify import (burnside_irreducible, burnside_irreducible_many, intertwiner,
+                           intertwiner_many)
 from uawq.errors import UawqError
 from uawq.field import ctx_new
 from uawq.linalg import FMat, rref
@@ -295,7 +287,8 @@ m.ctx = huge
 rep = SimpleNamespace(ctx=huge, n=2, A=m, B=m, scalars=lambda: ())
 for call in (lambda: rref(m), lambda: burnside_irreducible(rep),
              lambda: burnside_irreducible_many(huge, np.zeros((1, 2, 2, 2, 2), dtype=np.int64)),
-             lambda: intertwiner(rep, rep)):
+             lambda: intertwiner(rep, rep),
+             lambda: intertwiner_many(huge, *np.zeros((2, 1, 2, 2, 2, 2), dtype=np.int64))):
     try:
         call()
     except UawqError as exc:
@@ -306,11 +299,12 @@ for call in (lambda: rref(m), lambda: burnside_irreducible(rep),
 
 
 def test_int64_guards_hold_under_optimize():
-    rref_line, oracle_line, batch_line, intertwiner_line = run_optimized(HUGE_P_GUARDS)
+    rref_line, oracle_line, batch_line, intertwiner_line, many_line = run_optimized(HUGE_P_GUARDS)
     assert rref_line.startswith("InvariantViolation rref row update sums up to")
     assert oracle_line.startswith("InvariantViolation spanning oracle reduction sums up to")
     assert batch_line.startswith("InvariantViolation spanning oracle reduction sums up to")
     assert intertwiner_line.startswith("InvariantViolation intertwiner products sums up to")
+    assert many_line.startswith("InvariantViolation intertwiner products sums up to")
 
 
 def test_grid_chunks_report_flipped_cases_in_grid_order(monkeypatch):
