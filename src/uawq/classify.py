@@ -499,17 +499,17 @@ def _spin_many(ctx: FieldCtx, gens: np.ndarray, seeds: np.ndarray, lead: int | N
     plus multiples of later rows, and every row is pushed and popped once, so
     from the last row back the products of each row lie in the span: it is the
     closure of the seed.  A case leaves when its stack is empty or span full.
-    Given ``lead``, rows pivot on their first ``lead`` entries only, and each
-    case's final rows (lead, n m) as two components and pivots follow.
+    Given ``lead``, rows pivot on their first ``lead`` entries only.  Per case:
+    the dimension, the final rows (lead, n m) as two components, their pivots.
     """
     cases, n, m = len(gens), gens.shape[-1], seeds.shape[-1]
     p, t, full = ctx.p, ctx.t, n * m
-    plain, lead = lead is None, lead or full
+    lead = lead or full
     group = max(1, LOCKSTEP_BYTES // (16 * lead * full))
     if cases > group:
-        parts = [_spin_many(ctx, gens[k:k + group], seeds[k:k + group], None if plain else lead)
+        parts = [_spin_many(ctx, gens[k:k + group], seeds[k:k + group], lead)
                  for k in range(0, cases, group)]
-        return np.concatenate(parts) if plain else tuple(map(np.concatenate, zip(*parts)))
+        return tuple(map(np.concatenate, zip(*parts)))
 
     # per live case: its index, generators (A or B, component, n, n), basis
     # components, pivot columns, basis size, and the stack of rows to visit
@@ -520,7 +520,7 @@ def _spin_many(ctx: FieldCtx, gens: np.ndarray, seeds: np.ndarray, lead: int | N
     size = np.zeros(cases, dtype=np.intp)
     stack = np.zeros((cases, lead), dtype=np.intp)
     depth = np.zeros(cases, dtype=np.intp)
-    out = [size.copy()] + ([] if plain else [basis0.copy(), basis1.copy(), pivots.copy()])
+    out = [size.copy(), basis0.copy(), basis1.copy(), pivots.copy()]
 
     def insert(v0: np.ndarray, v1: np.ndarray) -> None:
         rows = np.arange(len(v0))
@@ -554,7 +554,7 @@ def _spin_many(ctx: FieldCtx, gens: np.ndarray, seeds: np.ndarray, lead: int | N
             for res, live in zip(out, (size, basis0, basis1, pivots)):
                 res[order[done]] = live[done]
             if done.all():
-                return out[0] if plain else tuple(out)
+                return tuple(out)
             keep = ~done
             order, gens, basis0, basis1, pivots, size, stack, depth = (
                 x[keep] for x in (order, gens, basis0, basis1, pivots, size, stack, depth))
@@ -575,7 +575,7 @@ def burnside_irreducible_many(ctx: FieldCtx, gens: np.ndarray) -> list[bool]:
     if not cases:
         return []
     eye = np.broadcast_to(np.multiply.outer([1, 0], np.eye(n, dtype=np.int64)), (cases, 2, n, n))
-    return (_spin_many(ctx, gens, eye) == n * n).tolist()
+    return (_spin_many(ctx, gens, eye)[0] == n * n).tolist()
 
 
 def _eigenvectors(ctx: FieldCtx, b0: np.ndarray, b1: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -595,14 +595,13 @@ def _eigenvectors(ctx: FieldCtx, b0: np.ndarray, b1: np.ndarray, k: np.ndarray) 
     return x
 
 
-def _simple_lam(ctx: FieldCtx, gens: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _simple_lam(ctx: FieldCtx, gens: np.ndarray) -> tuple[np.ndarray, ...]:
     """Per case of a generator array: B's diagonal as plain-lex indices, the index k of its
-    first value that occurs once, and whether B is upper triangular with one (checked)."""
-    n = gens.shape[-1]
-    diag = gens[:, 1, 0, range(n), range(n)] * ctx.p + gens[:, 1, 1, range(n), range(n)]
+    first value that occurs once, whether there is one, and whether B is upper triangular."""
+    diag = (np.diagonal(gens[:, 1], 0, 2, 3) * [[ctx.p], [1]]).sum(1)
     simple = (diag[:, :, None] == diag[:, None, :]).sum(2) == 1
     upper = ~np.tril(gens[:, 1, 0] | gens[:, 1, 1], -1).any((1, 2))
-    return diag, simple.argmax(1), simple.any(1) & upper
+    return diag, simple.argmax(1), simple.any(1), upper
 
 
 def norton_irreducible_many(ctx: FieldCtx, gens: np.ndarray) -> list[bool]:
@@ -633,7 +632,8 @@ def norton_irreducible_many(ctx: FieldCtx, gens: np.ndarray) -> list[bool]:
     cases, n = _batch_shape(ctx, gens, 1, "spanning oracle reduction")
     if not cases:
         return []
-    _, k, norton = _simple_lam(ctx, gens)
+    _, k, simple, upper = _simple_lam(ctx, gens)
+    norton = simple & upper
     verdict = np.zeros(cases, dtype=bool)
     if not norton.all():
         verdict[~norton] = burnside_irreducible_many(ctx, gens[~norton])
@@ -642,7 +642,7 @@ def norton_irreducible_many(ctx: FieldCtx, gens: np.ndarray) -> list[bool]:
         k = k[at]
         both = np.concatenate([gens[at], gens[at].swapaxes(3, 4)[..., ::-1, ::-1]])
         seeds = _eigenvectors(ctx, both[:, 1, 0], both[:, 1, 1], np.concatenate([k, n - 1 - k]))
-        full = _spin_many(ctx, both, seeds) == n
+        full = _spin_many(ctx, both, seeds)[0] == n
         verdict[at] = full[:at.size] & full[at.size:]
     return verdict.tolist()
 
@@ -675,9 +675,9 @@ def intertwiner_many(ctx: FieldCtx, gx: np.ndarray, gy: np.ndarray) -> list[tupl
     if not cases:
         return out
     p, t = ctx.p, ctx.t
-    dx, k, route = _simple_lam(ctx, gx)
-    hit = _simple_lam(ctx, gy)[0] == dx[range(cases), k][:, None]
-    route &= (hit.sum(1) <= 1) & ~np.tril(gy[:, 1, 0] | gy[:, 1, 1], -1).any((1, 2))
+    (dx, k, simple, upper), (dy, _, _, upper_y) = _simple_lam(ctx, gx), _simple_lam(ctx, gy)
+    hit = dy == dx[range(cases), k][:, None]
+    route = simple & upper & upper_y & (hit.sum(1) <= 1)
     at = np.flatnonzero(route)
     full = np.zeros(cases, dtype=bool)
     if at.size:
@@ -717,7 +717,7 @@ def w_intertwiner_many(ctx: FieldCtx, params: list[Params5], pairs: list) -> lis
     one call on those whose central scalars agree; the rest admit no map: (None, False)."""
     gens, scalars = build_W_many(ctx, params)
     same = [k for k, (i, j) in enumerate(pairs) if scalars[i] == scalars[j]]
-    found = dict(zip(same, intertwiner_many(ctx, *gens[np.reshape(pairs, (-1, 2))[same].T])))
+    found = dict(zip(same, intertwiner_many(ctx, *gens[np.intp(pairs).reshape(-1, 2)[same].T])))
     return [found.get(k, (None, False)) for k in range(len(pairs))]
 
 

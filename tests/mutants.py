@@ -121,8 +121,9 @@ MUTANTS = [
     Mutant("standard basis reports every map invertible", "classify.py",
            "bool(invertible)", "True", CLASSIFY),
     Mutant("Norton without the triangularity check", "classify.py",
-           "return diag, simple.argmax(1), simple.any(1) & upper",
-           "return diag, simple.argmax(1), simple.any(1)", CLASSIFY),
+           "norton = simple & upper", "norton = simple", CLASSIFY),
+    Mutant("standard basis without the triangularity check on B_y", "classify.py",
+           "route = simple & upper & upper_y &", "route = simple & upper &", CLASSIFY),
     Mutant("Norton on a repeated diagonal value", "classify.py",
            "(diag[:, :, None] == diag[:, None, :]).sum(2) == 1",
            "(diag[:, :, None] == diag[:, None, :]).sum(2) >= 1", CLASSIFY),

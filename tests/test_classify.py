@@ -874,6 +874,13 @@ def test_intertwiner_many_on_empty_and_mixed_batches(ctx13):
     with pytest.raises(errors.DimensionMismatch):
         classify.intertwiner_many(ctx13, np.zeros((1, 2, 2, 3, 3), dtype=np.int64),
                                   np.zeros((1, 2, 2, 2, 2), dtype=np.int64))
+    # no pairs, and pairs whose central scalars all differ, reach no solve
+    p5 = sample_quintuple(ctx13, random.Random(0))
+    other = next(q for q in (sample_quintuple(ctx13, random.Random(s)) for s in range(1, 50))
+                 if build_W(q).scalars() != build_W(p5).scalars())
+    assert classify.w_intertwiner_many(ctx13, [], []) == []
+    assert classify.w_intertwiner_many(ctx13, [p5], []) == []
+    assert classify.w_intertwiner_many(ctx13, [p5, other], [(0, 1)]) == [(None, False)]
 
 
 def w_pairs(ctx, rng, count):
@@ -963,6 +970,12 @@ class TestClassifySample:
                 assert report["rejected"][0]["reason"] == "reducible"
                 return
         pytest.fail("no seed produced a reducible sample")
+
+    def test_a_lone_reducible_sample(self):
+        # the one draw of seed 84 at (7, 3) is reducible: no class, no pair to check
+        report = classify_sample(ctx_new(7, 3), 84, 1)
+        assert report["classes"] == [] and report["errors"] == []
+        assert [r["reason"] for r in report["rejected"]] == ["reducible"]
 
     def test_samples_are_checked_against_the_representative(self, ctx13, monkeypatch):
         # closures whose representative has its delta moved by one, so that

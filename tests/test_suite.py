@@ -370,3 +370,9 @@ def test_suite_check_passes(name, p, d, n, cases):
              "irr-w-agreement": suite.check_irr_w}[name]
     tally, detail = check(ctx_new(p, d), random.Random(20240801), n)
     assert (tally.failures, tally.cases) == (0, cases), tally.result(name, detail)
+
+
+def test_cross_class_pairs_without_a_pair(ctx13):
+    # a draw budget of 0 finds no pair, and no pair has nothing to check
+    tally = suite.cross_class_pairs(ctx13, random.Random(0), 3, 0)
+    assert (tally.cases, tally.failures) == (0, 0)
