@@ -10,7 +10,7 @@ both routes against each other.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, combinations, islice
 
@@ -119,7 +119,7 @@ def solve_feasible(target: Target) -> list[Params4]:
                 r = (phi + kl * (mu * lam * q - mui * lami * qi)) / (lam - lami)
             for c in quadratic_roots(ctx.one, -r, ctx.one):
                 cand = Params4(kappa * lam, mu * lam, c, lam)
-                key = param_key(cand.astuple())
+                key = index_of(cand.astuple())
                 if key in seen:
                     continue
                 seen.add(key)
@@ -128,16 +128,17 @@ def solve_feasible(target: Target) -> list[Params4]:
                 out.append(cand)
     if not out:
         raise NoSolutionsInField("no feasible quadruple exists inside F_{p^2}")
-    out.sort(key=lambda pr: param_key(pr.astuple()))
+    out.sort(key=lambda pr: index_of(pr.astuple()))
     return out
 
 
 # ---------------------------------------------------------------------------
 # sign classes and orbits
 #
-# Orbits and closures run on tuples of plain-lex indices x0*p + x1, which sort
-# as ``param_key`` does, and on discrete logs: products, inverses and powers
-# are sums of logs mod p^2 - 1, sums and differences are componentwise.
+# Parameter tuples are keyed by their plain-lex indices x0*p + x1, which sort
+# as the entries' ``key``s do.  Orbits and closures run on rows of them and on
+# discrete logs: products, inverses and powers are sums of logs mod p^2 - 1,
+# sums and differences are componentwise.
 
 
 @lru_cache(maxsize=None)
@@ -159,31 +160,31 @@ def sign_index(t: np.ndarray, p: int) -> np.ndarray:
     return np.concatenate([np.where(flip[..., None], flipped, head), t[..., 4:]], -1)
 
 
-def canon_sign(t: tuple) -> tuple:
-    """``sign_index`` of a tuple of field elements."""
-    idx = list(index_of(t))
-    out = sign_index(np.array(idx), t[0].ctx.p).tolist()
-    return t if out == idx else (*map(t[0].ctx.from_index, out[:4]), *t[4:])
-
-
-def param_key(t: tuple) -> tuple:
-    """The plain-lex key of a parameter tuple: its entries' keys in order."""
-    return tuple(x.key for x in t)
+def sign_key(t: tuple) -> tuple[int, ...]:
+    """The sign class of a tuple of field elements: ``sign_index`` of its indices."""
+    return tuple(sign_index(np.array(index_of(t)), t[0].ctx.p).tolist())
 
 
 @dataclass(frozen=True)
 class OrbitSet:
     """Sign-class members of an orbit plus the generating move per edge."""
 
-    members: tuple[tuple, ...]  # canonical sign-class tuples, sorted by key
+    members: tuple[tuple, ...]  # canonical sign-class tuples, sorted by index
     edges: tuple[tuple[int, str, int], ...]  # (source index, move label, target index)
+    # the members' plain-lex indices, a row each: as the search holds them, or from members
+    rows: np.ndarray = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.rows is None:
+            object.__setattr__(self, "rows", np.array([index_of(m) for m in self.members]))
 
     @property
     def size(self) -> int:
         return len(self.members)
 
-    def member_keys(self) -> set[tuple]:
-        return {param_key(m) for m in self.members}
+    def member_keys(self) -> set[tuple[int, ...]]:
+        """The members' ``sign_key``s."""
+        return set(map(tuple, self.rows.tolist()))
 
     def to_json(self) -> dict:
         return {
@@ -220,8 +221,8 @@ def _explore(ctx: FieldCtx, start: np.ndarray, moves, labels: tuple[str, ...],
     (node, move) order, are edges; those not yet known are the next level,
     numbered by first occurrence, as a node-by-node search numbers them.
     Those before the stop are admitted first: CapExceeded if they pass the
-    cap, then the stop's error.  The OrbitSet holds field elements sorted by
-    index."""
+    cap, then the stop's error.  The OrbitSet holds the members sorted by
+    index, as field elements and as rows."""
     members = level = start[None]
     edges = []
     while len(level) and (expansion := moves(len(edges), level)) is not None:
@@ -237,6 +238,7 @@ def _explore(ctx: FieldCtx, start: np.ndarray, moves, labels: tuple[str, ...],
         edges.append((node + len(members) - len(mask), mv, ids))
         members = np.concatenate([members, level])
     order = np.lexsort(members.T[::-1])
+    rows = members[order]
     renum = np.argsort(order)
     # (source, label) is unique, so edges sort by source and the label's rank
     rank = np.argsort(sorted(range(len(labels)), key=labels.__getitem__))
@@ -244,9 +246,10 @@ def _explore(ctx: FieldCtx, start: np.ndarray, moves, labels: tuple[str, ...],
     src, tgt = renum[src], renum[tgt]
     by = np.argsort(src * len(labels) + rank[move])
     return OrbitSet(
-        members=tuple(tuple(map(ctx.from_index, m)) for m in members[order].tolist()),
+        members=tuple(tuple(map(ctx.from_index, m)) for m in rows.tolist()),
         edges=tuple(zip(src[by].tolist(), np.array(labels, dtype=object)[move[by]].tolist(),
                         tgt[by].tolist())),
+        rows=rows,
     )
 
 
@@ -323,9 +326,10 @@ def _cond_inv_a(ctx: FieldCtx, nodes: np.ndarray) -> np.ndarray:
 
 
 def _defect_index(ctx: FieldCtx, nodes: np.ndarray) -> np.ndarray:
-    """Plain-lex index of ``inv_ab_defect`` at rows of quintuples of indices:
+    """Plain-lex index of the ab-inversion defect at rows of quintuples of indices,
     delta ((b/lam)^dbar - (lam/b)^dbar) - (a b)^{-dbar} (lam^{2 dbar} - 1)
-    ((a b q c/lam)^dbar - 1) ((a b q/(c lam))^dbar - 1)."""
+    ((a b q c/lam)^dbar - 1) ((a b q/(c lam))^dbar - 1): its zeros are the
+    move's delta condition, and it is a factor of the descent scalar at w_{0,dbar-1}."""
     exp, log = ctx.log_tables()
     n, p, dbar = len(exp), ctx.p, ctx.dbar
     la, lb, lc, ll, lq = np.moveaxis(table1.param_logs(ctx, nodes[..., :4]), -1, 0)
@@ -338,12 +342,6 @@ def _defect_index(ctx: FieldCtx, nodes: np.ndarray) -> np.ndarray:
     fs = (exp[np.stack([2 * dbar * ll, abq + dbar * lc, abq - dbar * lc]) % n] - p) % (p * p)
     rhs = np.where((fs != 0).all(0), exp[(log[fs].sum(0) - dbar * (la + lb)) % n], 0)
     return index_sub(lhs, rhs, p)
-
-
-def inv_ab_defect(p: Params5) -> Fq2:
-    """The polynomial whose zeros are the ab-inversion move's delta condition;
-    it is also the delta-carrying factor of the descent scalar at w_{0,dbar-1}."""
-    return p.ctx.from_index(_defect_index(p.ctx, np.array(index_of(p.astuple()))))
 
 
 def _cond_inv_ab(ctx: FieldCtx, nodes: np.ndarray) -> np.ndarray:
@@ -437,15 +435,13 @@ def irr_W_criterion(params: Params5) -> bool:
     each of ``W_CONDITIONS``, delta_shift is not x^dbar + x^-dbar, or the
     three monomials lie outside the window of ``_move_windows``.  One row of
     ``irr_W_criterion_many``."""
-    *quad, delta = index_of(params.astuple())
-    logs = table1.param_logs(params.ctx, [quad])
-    return bool(irr_W_criterion_many(params.ctx, logs, np.array([delta]))[0])
+    return bool(irr_W_criterion_many(params.ctx, np.array([index_of(params.astuple())]))[0])
 
 
-def irr_W_criterion_many(ctx: FieldCtx, logs: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    """``irr_W_criterion`` of many cases at once: ``logs`` holds one row of
-    logs of (a, b, c, lam, q) per case (``table1.param_logs``), ``delta``
-    the plain-lex indices of their deltas; one boolean verdict per case."""
+def irr_W_criterion_many(ctx: FieldCtx, index: np.ndarray) -> np.ndarray:
+    """``irr_W_criterion`` of many cases at once, given as rows (cases, 5) of
+    the plain-lex indices of (a, b, c, lam, delta); one boolean verdict per case."""
+    logs, delta = table1.param_logs(ctx, index[:, :4]), index[:, 4]
     inside = _move_windows(ctx)[0][logs @ _W_EXPONENTS.T % len(ctx.log_tables()[0])]
     corner = corner_index(ctx, logs[:, :1] - logs[:, 3:4])
     binds = delta[:, None] == index_sub(corner_index(ctx, logs @ _W_BINDING.T), corner, ctx.p)
@@ -843,8 +839,7 @@ def classify_sample(ctx: FieldCtx, seed: int, count: int, cap: int = 10_000) -> 
         raise BadRange("count must be >= 1")
     rng = random.Random(seed)
     samples = [sample_quintuple(ctx, rng) for _ in range(count)]
-    quints = np.array([index_of(p5.astuple()) for p5 in samples])
-    irreducible = irr_W_criterion_many(ctx, table1.param_logs(ctx, quints[:, :4]), quints[:, 4])
+    irreducible = irr_W_criterion_many(ctx, np.array([index_of(p5.astuple()) for p5 in samples]))
     rejected = []
     errors = []
     closures: dict[tuple, dict] = {}  # class key -> record
@@ -858,7 +853,7 @@ def classify_sample(ctx: FieldCtx, seed: int, count: int, cap: int = 10_000) -> 
             errors.append({"index": idx, "params": p5.to_json(), "error": str(exc)})
             continue
         keys = orb.member_keys()
-        key = param_key(orb.members[0])
+        key = index_of(orb.members[0])
         if key not in closures:
             closures[key] = {"representative": orb.members[0], "member_keys": keys,
                              "size": orb.size, "samples": []}
@@ -881,19 +876,19 @@ def classify_sample(ctx: FieldCtx, seed: int, count: int, cap: int = 10_000) -> 
     errors += [{"index": idx, "params": samples[idx].to_json(),
                 "error": "missing within-class isomorphism"}
                for (_, idx), (_, invertible) in zip(within, found) if not invertible]
-    errors += [{"classes": [list(class_keys[a]), list(class_keys[b])],
+    errors += [{"classes": [reps[a].to_json(), reps[b].to_json()],
                 "error": "unexpected cross-class intertwiner"}
                for (a, b), (s, _) in zip(cross, found[len(within):]) if s is not None]
 
     classes = [
         {
-            "representative": [x.to_json() for x in closures[k]["representative"]],
+            "representative": rep.to_json(),
             "members": [samples[i].to_json() for i in closures[k]["samples"]],
             "sample_indices": closures[k]["samples"],
             "size": closures[k]["size"],
             "irreducible": True,
         }
-        for k in class_keys
+        for k, rep in zip(class_keys, reps)
     ]
     return {
         "schema": 1,

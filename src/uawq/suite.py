@@ -24,23 +24,24 @@ import numpy as np
 from . import table1
 from .algebra import PairRep, central_elements_check, vee, verify_rep
 from .classify import (
-    canon_sign,
+    _defect_index,
+    _row_images,
     classify_sample,
     feasible_quartic,
     feasible_sextic,
     feasible_target,
-    inv_ab_defect,
     irr_Vn_criterion,
     irr_W_criterion,
     irr_W_criterion_many,
     norton_irreducible_many,
     orbit_image,
-    param_key,
     rand_nonzero,
     s4_orbit,
     sample_quadruple,
     sample_quintuple,
     sample_triple,
+    sign_index,
+    sign_key,
     simeq_closure,
     solve_feasible,
     w_intertwiner_many,
@@ -293,14 +294,15 @@ def feasible_case(p4: Params4, t: Tally) -> bool:
         sols = solve_feasible(tgt)
     except InvariantViolation:  # the solver checks every output's feasibility
         return t.check(False, wit, "solver output not feasible")
-    keys = {param_key(canon_sign(s.astuple())) for s in sols}
-    if not t.check(param_key(canon_sign(wit)) in keys, wit, "input lost by solver"):
+    own, *keys = map(tuple, sign_index(np.array([index_of(x.astuple()) for x in (p4, *sols)]),
+                                       p4.ctx.p).tolist())
+    if not t.check(own in keys, wit, "input lost by solver"):
         return False
     try:
         orbit_keys = s4_orbit(p4).member_keys()
     except NeedsExtension:
         return True
-    t.check(keys <= orbit_keys, wit, "solver output leaves the orbit")
+    t.check(set(keys) <= orbit_keys, wit, "solver output leaves the orbit")
     return False
 
 
@@ -315,7 +317,7 @@ def equiv_case(p5: Params5, rows, t: Tally) -> int:
     images = {}  # the first row to each distinct neighbour
     for row in rows:
         img = orbit_image(row, quad, shift)
-        images.setdefault(param_key(canon_sign(img)), (row[0], Params5(*img)))
+        images.setdefault(sign_key(img), (row[0], Params5(*img)))
     found = w_intertwiner_many(ctx, [p5] + [img for _, img in images.values()],
                                [(0, k) for k in range(1, len(images) + 1)])
     for (label, _), (_, invertible) in zip(images.values(), found):
@@ -335,7 +337,7 @@ def cross_class_pairs(ctx: FieldCtx, rng: random.Random, count: int,
                          lambda: (sample_quintuple(ctx, rng), sample_quintuple(ctx, rng))):
         if not (irr_W_criterion(pa) and irr_W_criterion(pb)):
             continue
-        if param_key(canon_sign(pb.astuple())) in simeq_closure(pa).member_keys():
+        if sign_key(pb.astuple()) in simeq_closure(pa).member_keys():
             continue
         t.cases += 1
         pairs.append((pa, pb))
@@ -348,8 +350,9 @@ def cross_class_pairs(ctx: FieldCtx, rng: random.Random, count: int,
 
 def descent_delta_case(p5: Params5, t: Tally) -> None:
     """(B - th*_{dbar-2})(B - th*_{dbar-1}) A w_{0,dbar-1} is w_0 times the
-    closed-form descent scalar, whose last factor is ``inv_ab_defect``: the
-    ab-inversion move's delta condition holds exactly where it vanishes."""
+    closed-form descent scalar, whose last factor is the ab-inversion defect
+    (``_defect_index``): the move's delta condition holds exactly where it
+    vanishes."""
     ctx = p5.ctx
     dbar = ctx.dbar
     q, qi = ctx.q, ctx.q.inv()
@@ -360,8 +363,8 @@ def descent_delta_case(p5: Params5, t: Tally) -> None:
     pref = ctx.qpow(-dbar * (dbar - 1) // 2) * (q * q - qi * qi)
     for i in range(1, dbar):
         pref = pref * (ctx.qpow(i) - ctx.qpow(-i))
-    want = w_ij(p5, 0, 0) * (pref * (s.theta_star(0) - s.theta_star(dbar - 1))
-                             * inv_ab_defect(p5))
+    defect = ctx.from_index(_defect_index(ctx, np.array(index_of(p5.astuple()))))
+    want = w_ij(p5, 0, 0) * (pref * (s.theta_star(0) - s.theta_star(dbar - 1)) * defect)
     t.check(lhs == want, p5.astuple(), "descent scalar mismatch")
 
 
@@ -574,18 +577,21 @@ def check_feasible_roundtrip(ctx, rng, n):
 
 
 def check_orbit_closure(ctx, rng, n):
+    """A case is one drawn quadruple; its members' generator images are judged in member order."""
     t = Tally()
-    gens = [table1.ROW_BY_LABEL[g] for g in table1.GENERATOR_LABELS]
+    gens = [list(table1.ROW_BY_LABEL).index(g) for g in table1.GENERATOR_LABELS]
     for _ in range(max(n // 8, 2)):
         p4 = sample_quadruple(ctx, rng)
         orb = s4_orbit(p4)
         t.cases += 1
         t.check(orb.size <= 24, p4.astuple(), "more than 24 sign-classes")
+        images, _, stop = _row_images(ctx, orb.rows)
+        if stop is not None:
+            stop[2]()  # a generator row needs a root that F_{p^2} lacks
         keys = orb.member_keys()
-        for member in orb.members:
-            for g in gens:
-                img = canon_sign(table1.apply_row(g, member))
-                t.check(param_key(img) in keys, (p4.astuple(), g[0]), "generator escapes orbit")
+        for k, img in enumerate(sign_index(images[:, gens], ctx.p).reshape(-1, 4).tolist()):
+            t.check(tuple(img) in keys, (p4.astuple(), table1.GENERATOR_LABELS[k % len(gens)]),
+                    "generator escapes orbit")
     return t, "generator-stable, size <= 24"
 
 
@@ -599,10 +605,8 @@ def check_equiv_intertwiner(ctx, rng, n):
 def check_closure_pm(ctx, rng, n):
     t = Tally()
     for p5 in _irreducible_draws(ctx, rng, n, t, max(n // 8, 2)):
-        members = simeq_closure(p5).members
-        idx = np.array([index_of(m) for m in members])
-        crit = irr_W_criterion_many(ctx, table1.param_logs(ctx, idx[:, :4]), idx[:, 4])
-        for member, ok in zip(members, crit):
+        closure = simeq_closure(p5)
+        for member, ok in zip(closure.members, irr_W_criterion_many(ctx, closure.rows)):
             t.check(ok, (p5.astuple(), member), "class leaves PM")
     return t, f"{t.cases} closures stay irreducible"
 
@@ -649,7 +653,7 @@ def check_irr_w(ctx, rng, n, exhaustive=False):
     t = Tally()
     draws = [sample_quintuple(ctx, rng) for _ in range(n)]
     idx = np.array([index_of(p5.astuple()) for p5 in draws], dtype=np.int64).reshape(-1, 5)
-    crit = irr_W_criterion_many(ctx, table1.param_logs(ctx, idx[:, :4]), idx[:, 4]).tolist()
+    crit = irr_W_criterion_many(ctx, idx).tolist()
     for p5, c, o in zip(draws, crit, norton_irreducible_many(ctx, build_W_many(ctx, draws)[0])):
         t.cases += 1
         t.check(c == o, p5.astuple(), f"criterion={c} oracle={o}")
@@ -687,8 +691,7 @@ def _slice_cases(*axes) -> np.ndarray:
 def _w_slice(ctx: FieldCtx, a_val: int, b: int) -> tuple:
     p, n = ctx.p, ctx.dbar
     cases = _slice_cases([a_val], [b], range(1, p), range(1, p), range(p))
-    index = cases * p  # plain-lex indices, as every entry lies in F_p
-    crit = irr_W_criterion_many(ctx, table1.param_logs(ctx, index[:, :4]), index[:, 4])
+    crit = irr_W_criterion_many(ctx, cases * p)  # plain-lex indices: every entry lies in F_p
     # one SeqData per (c, lam), repeated over the p values of delta
     gens = np.zeros((len(cases), 2, 2, n, n), dtype=np.int64)
     deltas = [(x.x0, x.x1) for x in map(ctx.el, range(p))]

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from uawq import table1
-from uawq.classify import (_cond_inv_a, _cond_inv_ab, _move_inv, canon_sign, orbit_image, param_key,
-                          s4_orbit, sample_quintuple)
+from uawq.classify import (_cond_inv_a, _cond_inv_ab, _move_inv, orbit_image, s4_orbit,
+                          sample_quintuple, sign_key)
 from uawq.field import ctx_new, index_of
 from uawq.modules import Params5, build_W, delta_shift
 
@@ -73,7 +73,7 @@ def image_pair(ctx, rng):
 
 def approx_equiv(p1, p2):
     """Whether the sign-class of p2 lies in the 24-row orbit of p1."""
-    return param_key(canon_sign(p2.astuple())) in s4_orbit(p1).member_keys()
+    return sign_key(p2.astuple()) in s4_orbit(p1).member_keys()
 
 
 def simeq_z2s4(p1, p2):

@@ -37,6 +37,7 @@ class Mutant(NamedTuple):
 
 CLASSIFY = ("tests/test_classify.py",)
 FIELD = ("tests/test_field.py",)
+SUITE = ("tests/test_suite.py",)
 
 W_MONOMIALS = (  # the six rows of classify.W_MONOMIALS, as written there
     "(0, 0, 0, 2, 0),  # lam^2",
@@ -161,6 +162,15 @@ MUTANTS = [
            "if n and min(la, lb, lc) < 0:", "if min(la, lb, lc) < 0:", CLASSIFY),
     Mutant("Vn zero check never fires", "classify.py",
            "if n and min(la, lb, lc) < 0:", "if n and min(la, lb, lc) < -1:", CLASSIFY),
+    Mutant("sign_key without sign_index", "classify.py",
+           "return tuple(sign_index(np.array(index_of(t)), t[0].ctx.p).tolist())",
+           "return index_of(t)", CLASSIFY),
+    Mutant("W criterion reads delta from column 3", "classify.py",
+           "index[:, :4]), index[:, 4]", "index[:, :4]), index[:, 3]", CLASSIFY),
+    Mutant("orbit-closure generator rows off by one", "suite.py",
+           "gens = [list(table1.ROW_BY_LABEL).index(g) for g in table1.GENERATOR_LABELS]",
+           "gens = [list(table1.ROW_BY_LABEL).index(g) + 1 for g in table1.GENERATOR_LABELS]",
+           SUITE),
 ]
 
 

@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from uawq import errors, table1
-from uawq.classify import OrbitSet, param_key
+from uawq.classify import OrbitSet
 from uawq.field import Fq2
 from uawq.linalg import FMat
 from uawq.modules import Params5
@@ -59,6 +59,11 @@ def least_roots(ctx):
 # ---------------------------------------------------------------------------
 # the 24-row orbit and the equivalence closure, with their own sign rule, row
 # evaluation by powers, corner terms, inversion moves and side conditions
+
+
+def ref_key(t):
+    """A tuple's entries' plain lexicographic keys, in order."""
+    return tuple(x.key for x in t)
 
 
 def ref_canon_sign(t):
@@ -126,7 +131,7 @@ def ref_cond_inv_ab(p):
 
 
 def ref_orbit_set(members, edges):
-    order = sorted(range(len(members)), key=lambda i: param_key(members[i]))
+    order = sorted(range(len(members)), key=lambda i: ref_key(members[i]))
     renum = {old: new for new, old in enumerate(order)}
     return OrbitSet(
         members=tuple(members[i] for i in order),
@@ -139,7 +144,7 @@ def ref_s4_orbit(params):
     images, members, edges = {}, [], []
 
     def intern(c):
-        k = param_key(c)
+        k = ref_key(c)
         if k not in images:
             images[k] = len(members)
             members.append(c)
@@ -154,12 +159,12 @@ def ref_s4_orbit(params):
 def ref_closure(params, cap=10_000):
     start = ref_canon_sign(params.astuple())
     members = [start]
-    index = {param_key(start): 0}
+    index = {ref_key(start): 0}
     edges = []
     frontier = collections.deque([0])
 
     def intern(c, src, label):
-        k = param_key(c)
+        k = ref_key(c)
         if k not in index:
             if len(members) >= cap:
                 raise errors.CapExceeded(f"closure exceeded cap={cap} nodes")

@@ -16,7 +16,6 @@ from uawq.classify import (
     Target,
     burnside_irreducible,
     burnside_irreducible_many,
-    canon_sign,
     classify_sample,
     delta_shift,
     feasible,
@@ -27,12 +26,12 @@ from uawq.classify import (
     irr_W_criterion_many,
     norton_irreducible_many,
     orbit_image,
-    param_key,
     rand_nonzero,
     s4_orbit,
     sample_quadruple,
     sample_quintuple,
     sample_triple,
+    sign_key,
     simeq_closure,
     solve_feasible,
 )
@@ -105,14 +104,11 @@ class TestSolveFeasible:
         # the sign-classes of the orbit
         for _ in range(10):
             p4 = sample_quadruple(ctx13, rng)
-            sols = {
-                param_key(canon_sign(s.astuple()))
-                for s in solve_feasible(feasible_target(p4))
-            }
+            sols = {sign_key(s.astuple()) for s in solve_feasible(feasible_target(p4))}
             assert sols == s4_orbit(p4).member_keys()
 
 
-def test_canon_sign_is_the_lex_min_of_a_quad_and_its_flip(ctx13):
+def test_sign_key_is_the_lex_min_of_a_quad_and_its_flip(ctx13):
     # coordinates from zero, both signs of a base-field and a sqrt(t) value,
     # and a mixed one, so leading zeros and every sign pattern occur; a fifth
     # entry (zero or not) keeps its sign and leaves the first four as they are
@@ -120,25 +116,21 @@ def test_canon_sign_is_the_lex_min_of_a_quad_and_its_flip(ctx13):
     for quad in itertools.product(vals, repeat=4):
         flipped = tuple(-x for x in quad)
         want = min(quad, flipped, key=lambda q: tuple(x.key for x in q))
-        got = canon_sign(quad)
-        assert param_key(got) == param_key(want)
-        assert (got is quad) == (param_key(want) == param_key(quad))
+        assert sign_key(quad) == index_of(want)
         for delta in (ctx13.zero, ctx13.el(6, 2)):
-            got5 = canon_sign((*quad, delta))
-            assert len(got5) == 5 and got5[4] is delta
-            assert param_key(got5[:4]) == param_key(got)
+            assert sign_key((*quad, delta)) == index_of((*want, delta))
 
 
 class TestS4Orbit:
     def test_identity_row_present(self, ctx13, rng):
         p4 = sample_quadruple(ctx13, rng)
         orbit = s4_orbit(p4)
-        assert param_key(canon_sign(p4.astuple())) in orbit.member_keys()
+        assert sign_key(p4.astuple()) in orbit.member_keys()
 
     def test_row_34_image(self, ctx13, rng):
         p4 = sample_quadruple(ctx13, rng)
         img = Params4(p4.a.inv(), p4.b, p4.c, p4.lam)
-        assert param_key(canon_sign(img.astuple())) in s4_orbit(p4).member_keys()
+        assert sign_key(img.astuple()) in s4_orbit(p4).member_keys()
 
     def test_size_bound(self, ctx13, rng):
         for _ in range(10):
@@ -151,7 +143,7 @@ class TestS4Orbit:
             keys = orbit.member_keys()
             for member in orbit.members:
                 for g in gens:
-                    assert param_key(canon_sign(table1.apply_row(g, member))) in keys
+                    assert sign_key(table1.apply_row(g, member)) in keys
 
     def test_needs_extension(self, ctx13):
         # find a quadruple whose orbit square-root argument is a non-square
@@ -171,7 +163,7 @@ class TestS4Orbit:
         assert sqrt(ctx13.el(3)) == ctx13.el(4)
         orbit = s4_orbit(Params4(*[ctx13.one] * 4))
         assert orbit.size >= 1
-        assert param_key((ctx13.one,) * 4) in orbit.member_keys()
+        assert index_of((ctx13.one,) * 4) in orbit.member_keys()
 
 
 class TestTableGolden:
@@ -185,10 +177,10 @@ class TestTableGolden:
             for label, perm, entries in table1.ROWS:
                 mid = table1.apply_row((label, perm, entries), quad)
                 for g in gens:
-                    got = canon_sign(table1.apply_row(g, mid))
+                    got = sign_key(table1.apply_row(g, mid))
                     # the sigma row, then the tau row: the permutation i -> sigma[tau[i]]
                     composite = row_by_perm[tuple(perm[g[1][i]] for i in range(4))]
-                    want = canon_sign(table1.apply_row(composite, quad))
+                    want = sign_key(table1.apply_row(composite, quad))
                     assert got == want, (label, g[0])
 
     def test_all_perms_present(self):
@@ -302,7 +294,7 @@ class TestSimeqClosure:
     def test_contains_start(self, ctx13, rng):
         p5 = sample_quintuple(ctx13, rng)
         orbit = simeq_closure(p5)
-        assert param_key(canon_sign(p5.astuple())) in orbit.member_keys()
+        assert sign_key(p5.astuple()) in orbit.member_keys()
 
     def test_members_connected(self, ctx13, rng):
         p5 = sample_quintuple(ctx13, rng)
@@ -330,7 +322,7 @@ class TestSimeqClosure:
             assert simeq_closure(p5, cap=full.size) == full
             with pytest.raises(errors.CapExceeded):
                 simeq_closure(p5, cap=full.size - 1)
-            start = full.members.index(canon_sign(p5.astuple()))
+            start = [index_of(m) for m in full.members].index(sign_key(p5.astuple()))
             level1 = {t for s, _, t in full.edges if s == start} - {start}
             for cap in {1 + len(level1) // 2, len(level1)} - {0, 1}:
                 with pytest.raises(errors.CapExceeded):
@@ -357,7 +349,7 @@ class TestSimeqClosure:
             if cond_inv_ab(p):
                 continue
             closure = simeq_closure(p)
-            assert param_key(canon_sign(x.astuple())) in closure.member_keys()
+            assert sign_key(x.astuple()) in closure.member_keys()
             assert any(lab == "inv-ab:rev" for _, lab, _ in closure.edges)
             found += 1
             if found >= 2:
@@ -418,21 +410,20 @@ def test_closures_match_the_fq2_reference_where_a_five_entry_key_overflows():
 def test_sign_rule_and_key_match_the_fq2_definition(p, d, data):
     # arbitrary 4- and 5-tuples, zero entries (leading ones too) drawn often:
     # the index sign rule is the lex-min of (a, b, c, lam) and its flip with
-    # a fifth entry kept, and index tuples order as param_key does
+    # a fifth entry kept, and index tuples order as the entries' keys do
     ctx = ctx_new(p, d)
     entry = st.one_of(st.just(0), st.integers(0, p * p - 1))
     t1, t2 = (tuple(data.draw(st.lists(entry, min_size=k, max_size=k)))
               for k in data.draw(st.sampled_from([(4, 4), (4, 5), (5, 5)])))
     x1 = tuple(map(ctx.from_index, t1))
     flipped = tuple(-x for x in x1[:4]) + x1[4:]
-    want = min(x1, flipped, key=lambda t: param_key(t[:4]))
+    want = min(x1, flipped, key=lambda t: tuple(x.key for x in t[:4]))
     assert classify.sign_index(np.array(t1), p).tolist() == list(classify.index_of(want))
-    got = canon_sign(x1)
-    assert param_key(got) == param_key(want) and got[4:] == x1[4:]
-    assert (got is x1) == (param_key(want) == param_key(x1))
+    assert classify.sign_key(x1) == classify.index_of(want)
     x2 = tuple(map(ctx.from_index, t2))
-    assert (t1 < t2) == (param_key(x1) < param_key(x2))
-    assert (t1 == t2) == (param_key(x1) == param_key(x2))
+    k1, k2 = (tuple(x.key for x in t) for t in (x1, x2))
+    assert (t1 < t2) == (k1 < k2)
+    assert (t1 == t2) == (k1 == k2)
 
 
 class TestIrrVn:
@@ -492,7 +483,7 @@ def test_criteria_match_the_fq2_references_on_complete_grids(p, d):
     cases = [Params5(*quad, delta) for quad in itertools.product(els[1:], repeat=4)
              for delta in els]
     index = np.array([index_of(case.astuple()) for case in cases])
-    w_verdicts = irr_W_criterion_many(ctx, table1.param_logs(ctx, index[:, :4]), index[:, 4])
+    w_verdicts = irr_W_criterion_many(ctx, index)
     for case, got in zip(cases, w_verdicts.tolist()):
         assert got == ref_irr_W_criterion(case), case.astuple()
     vn_verdicts = set()
@@ -596,7 +587,7 @@ def test_references_reach_no_log_index_or_elimination_code():
     forbidden = {"log_tables", "root_log", "is_square", "sqrt", "index_of", "index_sub",
                  "sign_index", "corner_index", "EXPONENTS", "orbit_logs", "entry_logs",
                  "mul_parts", "pivot_step", "rref", "kernel", "rank"}
-    assert {"ref_pow", "ROWS", "param_key"} <= names | members
+    assert {"ref_pow", "ROWS", "ref_key"} <= names | members
     assert not (names | members) & forbidden, (names | members) & forbidden
     assert not [name for name in members if name.startswith("_")]
 
@@ -995,6 +986,29 @@ class TestClassifySample:
         missing = [e["index"] for e in report["errors"]
                    if e["error"] == "missing within-class isomorphism"]
         assert missing == [i for c in report["classes"] for i in c["sample_indices"]] != []
+
+    def test_cross_class_intertwiners_are_reported_by_representative(self, monkeypatch):
+        # an oracle that finds an invertible map for every pair: no sample
+        # misses its class, and each pair of the three classes is reported
+        # once, by both representatives' JSON, in class order
+        monkeypatch.setattr(classify, "w_intertwiner_many",
+                            lambda ctx, params, pairs: [("map", True)] * len(pairs))
+        report = classify_sample(ctx_new(7, 3), 0, 3)
+        reps = ('[[0,1],[2,0],[4,4],[6,6],[3,0]]', '[[0,1],[5,4],[1,2],[3,2],[5,4]]',
+                '[[1,0],[1,3],[1,5],[4,1],[2,4]]')
+        classes = (
+            '{"irreducible":true,"members":[[[3,5],[2,6],[5,3],[4,3],[3,1]]],'
+            f'"representative":{reps[0]},"sample_indices":[1],"size":48}},'
+            '{"irreducible":true,"members":[[[3,6],[0,3],[1,4],[2,3],[4,4]]],'
+            f'"representative":{reps[1]},"sample_indices":[0],"size":48}},'
+            '{"irreducible":true,"members":[[[2,0],[4,5],[4,6],[1,2],[2,4]]],'
+            f'"representative":{reps[2]},"sample_indices":[2],"size":36}}')
+        errors = ",".join(f'{{"classes":[{reps[a]},{reps[b]}],'
+                          '"error":"unexpected cross-class intertwiner"}'
+                          for a, b in itertools.combinations(range(3), 2))
+        assert json.dumps(report, sort_keys=True, separators=(",", ":")) == (
+            f'{{"classes":[{classes}],"count":3,"errors":[{errors}],'
+            '"field":{"d":3,"p":7},"rejected":[],"schema":1,"seed":0}')
 
 
 class TestVnClassification:

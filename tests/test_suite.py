@@ -12,7 +12,7 @@ import pytest
 from conftest import force_nu, image_pair
 
 import uawq
-from uawq import classify, suite
+from uawq import classify, suite, table1
 from uawq.classify import (Target, classify_sample, feasible_target, intertwiner, sample_quadruple,
                            sample_quintuple, s4_orbit, simeq_closure)
 from uawq.cli import main
@@ -316,10 +316,9 @@ def test_grid_chunks_report_flipped_cases_in_grid_order(monkeypatch):
     vn_flips = {(1, 1, 1, 0), (1, 2, 1, 1), (1, 2, 3, 0), (1, 2, 3, 1), (1, 4, 4, 1)}
     irr_w, irr_vn = suite.irr_W_criterion_many, suite.irr_Vn_criterion
 
-    def flipped_w(ctx, logs, delta):
-        exp = np.array(ctx.log_tables()[0])
-        cases = np.column_stack([exp[logs[:, :4]], delta]) // ctx.p  # entries (x, 0) of F_p
-        return irr_w(ctx, logs, delta) != [tuple(case) in w_flips for case in cases.tolist()]
+    def flipped_w(ctx, index):
+        cases = index // ctx.p  # entries (x, 0) of F_p
+        return irr_w(ctx, index) != [tuple(case) in w_flips for case in cases.tolist()]
 
     def flipped_vn(a, b, c, n):
         return irr_vn(a, b, c, n) != ((a.x0, b.x0, c.x0, n) in vn_flips)
@@ -328,6 +327,28 @@ def test_grid_chunks_report_flipped_cases_in_grid_order(monkeypatch):
     monkeypatch.setattr(suite, "irr_Vn_criterion", flipped_vn)
     assert suite.w_grid_chunk((5, 3, 1)) == sorted(w_flips)
     assert suite.vn_grid_chunk((5, 3, 1)) == sorted(vn_flips)
+
+
+def test_orbit_closure_reports_planted_escapes_in_member_order(monkeypatch):
+    # Images outside the orbit (all-zero rows) planted at (member, row) of the
+    # two drawn orbits' row images: those at generator rows fail once each,
+    # and the first failure is the one a loop over members, then generator
+    # rows in order, meets first; (132) is no generator and is not judged.
+    ctx, real = ctx_new(13, 3), suite._row_images
+    labels = [row[0] for row in table1.ROWS]
+    plants = iter([[(1, "(34)"), (0, "(132)"), (2, "(23)")], [(0, "(12)")]])
+
+    def planted(ctx, quads, *shift):
+        images, mask, stop = real(ctx, quads, *shift)
+        for member, label in next(plants):
+            images[member, labels.index(label)] = 0
+        return images, mask, stop
+
+    monkeypatch.setattr(suite, "_row_images", planted)
+    tally, _ = suite.check_orbit_closure(ctx, random.Random(5), 16)
+    p4 = sample_quadruple(ctx, random.Random(5))
+    assert (tally.cases, tally.failures) == (2, 3)
+    assert tally.first == ((p4.astuple(), "(34)"), "generator escapes orbit")
 
 
 # Suite checks at unit-test sizes: (check, p, d, its count n, the cases it
