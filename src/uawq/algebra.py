@@ -2,8 +2,9 @@
 
 A PairRep is a pair of square matrices (A, B) over F_{p^2} together with the
 three scalars by which the central generators act.  The third generator C is
-never stored; it is derived from A, B and the gamma scalar.  verify_rep
-checks the defining relations exactly (no tolerances anywhere).
+never stored; it is derived from A, B and the gamma scalar.  The relations
+are one exact body on arrays of many modules (verify_rep_many), and
+verify_rep, derive_C, alpha_matrix and beta_matrix are batches of one of it.
 """
 
 from __future__ import annotations
@@ -11,8 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .field import FieldCtx, Fq2, chebyshev_T
-from .linalg import FMat, commutator, is_scalar_matrix, mat_poly_eval, product_shifted
+import numpy as np
+
+from .errors import DimensionMismatch
+from .field import FieldCtx, Fq2, chebyshev_T, mul_parts
+from .linalg import (
+    LOCKSTEP_BYTES, FMat, check_int64, commutator, is_scalar_matrix, mat_poly_eval, product_shifted,
+)
 
 
 @dataclass(frozen=True)
@@ -57,46 +63,102 @@ class RepReport(NamedTuple):
         }
 
 
+def stack_gens(reps) -> np.ndarray:
+    """The generator array (cases, 2, 2, n, n) of some modules of one dimension:
+    A then B, each as its two components, as ``modules.fill_gens`` writes it."""
+    return np.moveaxis(np.array([(rep.A.arr, rep.B.arr) for rep in reps]), -1, 2)
+
+
+def _relations(ctx: FieldCtx, gens: np.ndarray, scalars):
+    """Per module of a generator array, given its (omega, omega_star,
+    omega_eps): the components (2, cases, 5, n, n) of alpha, beta, the two
+    C-relations of ``verify_rep`` and C, and those (2, cases, 4, n, n) of the
+    scalar matrices that the first four must equal.  A product sums n terms
+    below (1+t)*p^2, checked to fit in int64 first."""
+    p, t, n = ctx.p, ctx.t, gens.shape[-1]
+    check_int64(max(n, 1) * (1 + t) * p * p, "relation products")
+    sc = np.array([[(x.x0, x.x1) for x in s] for s in scalars], dtype=np.int64)
+    sc = sc.reshape(-1, 3, 2).transpose(2, 0, 1)  # components, cases, scalars
+    q, qi = ctx.q, ctx.q.inv()
+    q2, q2i = q * q, qi * qi
+    d, h = (q2 - q2i).inv(), (q + qi).inv()
+
+    def mm(x, y):
+        return np.stack(mul_parts(*x, *y, p, t, np.matmul))
+
+    def lin(*terms):
+        """The sum of s x over the terms (s, x), s an Fq2 or per-case components (2, cases)."""
+        acc = 0
+        for s, x in terms:
+            s = (s.x0, s.x1) if isinstance(s, Fq2) else s.reshape(s.shape + (1,) * (x.ndim - 2))
+            acc = acc + np.stack(mul_parts(*x, *s, p, t))
+        return acc % p
+
+    x = np.moveaxis(gens % p, 2, 0)  # components, cases, then (A, B)
+    y = x[:, :, ::-1]  # (B, A)
+    xy = mm(x, y)  # (AB, BA)
+    yx = xy[:, :, ::-1]
+    eps = sc[..., 2]
+    # alpha, beta: (Y^2 X - (q^2 + q^-2) Y X Y + X Y^2 + (q^2 - q^-2)^2 X
+    #  + (q - q^-1)^2 omega_eps Y) / ((q - q^-1)(q^2 - q^-2)) at (X, Y) = (A, B), (B, A)
+    k = ((q - qi) * (q2 - q2i)).inv()
+    central = lin((k, mm(y, yx)), (-(q2 + q2i) * k, mm(yx, y)), (k, mm(xy, y)),
+                  ((q2 - q2i) * (q2 - q2i) * k, x), (lin(((q - qi) * (q - qi) * k, eps)), y))
+    # C = omega_eps/(q + q^-1) I - (q A B - q^-1 B A)/(q^2 - q^-2)
+    eye = np.stack([np.eye(n, dtype=np.int64), np.zeros((n, n), dtype=np.int64)])[:, None]
+    c = lin((lin((h, eps)), eye), (-q * d, xy[:, :, 0]), (qi * d, xy[:, :, 1]))
+    # the C-relations, from the products (AC, BC, CA, CB)
+    cc = np.repeat(c[:, :, None], 2, 2)
+    cg = mm(np.concatenate([x, cc], 2), np.concatenate([cc, x], 2))
+    lhs = (x + lin((q * d, cg[:, :, [1, 2]]), (-qi * d, cg[:, :, [3, 0]]))) % p
+    vals = np.concatenate([sc[..., :2], lin((h, sc[..., :2]))], 2)
+    return np.concatenate([central, lhs, c[:, :, None]], 2), vals[..., None, None] * eye[0, 0]
+
+
+def verify_rep_many(ctx: FieldCtx, gens: np.ndarray, scalars) -> np.ndarray:
+    """The verdicts (alpha_ok, beta_ok, c_relation_ok) of ``verify_rep`` on
+    each module of a generator array (cases, 2, 2, n, n), as
+    ``modules.fill_gens`` writes it, given each case's (omega, omega_star,
+    omega_eps); a boolean array (cases, 3).  Large batches run in groups."""
+    if gens.ndim != 5 or gens.shape[1:3] != (2, 2) or gens.shape[3] != gens.shape[4]:
+        raise DimensionMismatch(f"generator array of shape {gens.shape}, want (cases, 2, 2, n, n)")
+    if len(scalars) != len(gens):
+        raise DimensionMismatch(f"{len(scalars)} scalar triples for {len(gens)} cases")
+    cases, n = len(gens), gens.shape[-1]
+    # the body holds about 32 arrays of (2, n, n) int64 per case
+    group = max(1, LOCKSTEP_BYTES // (512 * (n * n or 1)))
+    out = np.zeros((cases, 3), dtype=bool)
+    for k in range(0, cases, group):
+        sides, want = _relations(ctx, gens[k:k + group], scalars[k:k + group])
+        hit = (sides[:, :, :4] == want).all((0, 3, 4))
+        out[k:k + group] = np.stack([hit[:, 0], hit[:, 1], hit[:, 2] & hit[:, 3]], 1)
+    return out
+
+
+def _side(rep: PairRep, k: int) -> FMat:
+    """Side k of ``_relations`` on the one module of ``rep``."""
+    sides = _relations(rep.ctx, stack_gens([rep]), [rep.scalars()])[0]
+    return FMat(rep.ctx, np.moveaxis(sides[:, 0, k], 0, -1))
+
+
 def derive_C(rep: PairRep) -> FMat:
     """C = omega_eps/(q + 1/q) * I - (q A B - 1/q B A)/(q^2 - 1/q^2)."""
-    ctx = rep.ctx
-    q = ctx.q
-    qi = q.inv()
-    n = rep.n
-    lead = FMat.scalar(ctx, n, rep.omega_eps / (q + qi))
-    comm = rep.A @ rep.B * q - rep.B @ rep.A * qi
-    return lead - comm * (q * q - qi * qi).inv()
+    return _side(rep, 4)
 
 
 def alpha_matrix(rep: PairRep) -> FMat:
     """Matrix of the first central generator recovered from A, B and gamma."""
-    return _ab_central(rep, rep.A, rep.B)
+    return _side(rep, 0)
 
 
 def beta_matrix(rep: PairRep) -> FMat:
     """Matrix of the second central generator; the A <-> B mirror of alpha."""
-    return _ab_central(rep, rep.B, rep.A)
-
-
-def _ab_central(rep: PairRep, X: FMat, Y: FMat) -> FMat:
-    # (Y^2 X - (q^2 + q^-2) Y X Y + X Y^2 + (q^2 - q^-2)^2 X
-    #  + (q - q^-1)^2 Y * gamma) / ((q - q^-1)(q^2 - q^-2))
-    ctx = rep.ctx
-    q = ctx.q
-    qi = q.inv()
-    q2, q2i = q * q, qi * qi
-    num = (
-        Y @ Y @ X
-        - Y @ X @ Y * (q2 + q2i)
-        + X @ Y @ Y
-        + X * ((q2 - q2i) * (q2 - q2i))
-        + Y * ((q - qi) * (q - qi) * rep.omega_eps)
-    )
-    return num * ((q - qi) * (q2 - q2i)).inv()
+    return _side(rep, 1)
 
 
 def verify_rep(rep: PairRep) -> RepReport:
-    """Check the defining relations exactly.
+    """Check the defining relations exactly: a batch of one of ``verify_rep_many``
+    that also lists every mismatching entry as (row, column, want, got).
 
     alpha_ok / beta_ok: the two recovered central matrices equal omega*I and
     omega_star*I.  c_relation_ok: with C derived, the two remaining relations
@@ -104,29 +166,12 @@ def verify_rep(rep: PairRep) -> RepReport:
     B-analogue with omega_star.
     """
     ctx = rep.ctx
-    n = rep.n
-    failures: list[tuple[int, int, Fq2, Fq2]] = []
-
-    def compare(got: FMat, want: FMat) -> bool:
-        if got == want:
-            return True
-        diff = (got.arr != want.arr).any(axis=-1)
-        for i, j in zip(*diff.nonzero()):
-            failures.append((int(i), int(j), want.entry(i, j), got.entry(i, j)))
-        return False
-
-    alpha_ok = compare(alpha_matrix(rep), FMat.scalar(ctx, n, rep.omega))
-    beta_ok = compare(beta_matrix(rep), FMat.scalar(ctx, n, rep.omega_star))
-
-    q = ctx.q
-    qi = q.inv()
-    denom = (q * q - qi * qi).inv()
-    C = derive_C(rep)
-    lhs_a = rep.A + (rep.B @ C * q - C @ rep.B * qi) * denom
-    lhs_b = rep.B + (C @ rep.A * q - rep.A @ C * qi) * denom
-    ok_a = compare(lhs_a, FMat.scalar(ctx, n, rep.omega / (q + qi)))
-    ok_b = compare(lhs_b, FMat.scalar(ctx, n, rep.omega_star / (q + qi)))
-    return RepReport(alpha_ok, beta_ok, ok_a and ok_b, failures)
+    got, want = (x[:, 0, :4] for x in _relations(ctx, stack_gens([rep]), [rep.scalars()]))
+    bad = (got != want).any(0)
+    failures = [(i, j, Fq2(ctx, *want[:, s, i, j].tolist()), Fq2(ctx, *got[:, s, i, j].tolist()))
+                for s, i, j in zip(*(k.tolist() for k in bad.nonzero()))]
+    ok = (~bad.any((1, 2))).tolist()
+    return RepReport(ok[0], ok[1], ok[2] and ok[3], failures)
 
 
 def vee(rep: PairRep) -> PairRep:
@@ -188,6 +233,8 @@ __all__ = [
     "alpha_matrix",
     "beta_matrix",
     "verify_rep",
+    "verify_rep_many",
+    "stack_gens",
     "vee",
     "central_elements_check",
     "is_scalar_matrix",

@@ -17,11 +17,11 @@ from itertools import chain, combinations, islice
 import numpy as np
 
 from . import table1
-from .algebra import PairRep
+from .algebra import PairRep, stack_gens
 from .errors import (BadRange, CapExceeded, DimensionMismatch, DivisionByZero, InvariantViolation,
                      NoSolutionsInField)
 from .field import FieldCtx, Fq2, index_of, index_sub, mul_parts, poly_roots, quadratic_roots
-from .linalg import FMat, _inverses, check_int64, kernel, pivot_step, rank, rref
+from .linalg import LOCKSTEP_BYTES, FMat, _inverses, check_int64, kernel, pivot_step, rank, rref
 from .modules import (Params4, Params5, SeqData, build_W_many, corner_index, corner_terms,
                       delta_shift)
 
@@ -466,11 +466,6 @@ def _echelon_insert(basis0, basis1, pivots, size: int, v0, v1, p: int, t: int) -
     return True
 
 
-# Bases of the cases spun in lockstep at once, in bytes; larger batches spin
-# in groups, so that high-dimensional modules cannot exhaust memory.
-LOCKSTEP_BYTES = 1 << 23
-
-
 def _batch_shape(ctx: FieldCtx, gens: np.ndarray, power: int, what: str) -> tuple[int, int]:
     """Cases and n of a generator array (cases, 2, 2, n, n); a nonempty batch
     needs n >= 1 and n**power * (1+t)*p^2 in int64, checked before allocating."""
@@ -645,8 +640,7 @@ def norton_irreducible_many(ctx: FieldCtx, gens: np.ndarray) -> list[bool]:
 
 def burnside_irreducible(rep: PairRep) -> bool:
     """Absolute irreducibility of one module, by ``norton_irreducible_many``."""
-    gens = np.moveaxis(np.array([(rep.A.arr, rep.B.arr)]), -1, 2)
-    return norton_irreducible_many(rep.ctx, gens)[0]
+    return norton_irreducible_many(rep.ctx, stack_gens([rep]))[0]
 
 
 def intertwiner_many(ctx: FieldCtx, gx: np.ndarray, gy: np.ndarray) -> list[tuple[FMat | None, bool]]:
@@ -725,8 +719,7 @@ def intertwiner(rep_x: PairRep, rep_y: PairRep) -> FMat | None:
         raise DimensionMismatch(f"{rep_x.n} vs {rep_y.n}")
     if rep_x.scalars() != rep_y.scalars() or not rep_x.n:
         return None
-    gens = np.moveaxis(np.array([[(rep.A.arr, rep.B.arr) for rep in (rep_x, rep_y)]]), -1, 3)
-    return intertwiner_many(rep_x.ctx, gens[:, 0], gens[:, 1])[0][0]
+    return intertwiner_many(rep_x.ctx, *stack_gens([rep_x, rep_y])[:, None])[0][0]
 
 
 def _intertwiner_solve(ctx: FieldCtx, gx: tuple, gy: tuple) -> tuple[FMat | None, bool]:

@@ -174,6 +174,11 @@ def check_int64(bound: int, what: str) -> None:
         raise InvariantViolation(f"{what} sums up to {bound}, beyond int64")
 
 
+# Case arrays held at once by a lockstep batch, in bytes; larger batches run
+# in groups, so that high-dimensional modules cannot exhaust memory.
+LOCKSTEP_BYTES = 1 << 23
+
+
 @lru_cache(maxsize=None)
 def _inverses(p: int, t: int) -> np.ndarray:
     """The components of 1/x = (x0 - x1 sqrt(t)) / (x0^2 - t x1^2) for every

@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import table1
-from .algebra import PairRep, central_elements_check, vee, verify_rep
+from .algebra import PairRep, central_elements_check, stack_gens, vee, verify_rep_many
 from .classify import (
     _defect_index,
     _row_images,
@@ -34,7 +34,6 @@ from .classify import (
     irr_W_criterion,
     irr_W_criterion_many,
     norton_irreducible_many,
-    orbit_image,
     rand_nonzero,
     s4_orbit,
     sample_quadruple,
@@ -59,7 +58,6 @@ from .modules import (
     Params4,
     Params5,
     SeqData,
-    build_Vn,
     build_W,
     build_W_many,
     check_W_universal,
@@ -133,15 +131,19 @@ def _sample_w(ctx: FieldCtx, rng: random.Random) -> tuple[Params5, PairRep]:
 
 
 def relation_verify(ctx: FieldCtx, rng: random.Random, count: int) -> Tally:
-    """``count`` cyclic and ``count`` truncated builds satisfy the relations."""
+    """``count`` cyclic and ``count`` truncated builds satisfy the relations,
+    drawn first and judged in one call for the cyclic builds and one per
+    dimension for the truncated ones."""
     t = Tally()
-    for _ in range(count):
-        p5 = sample_quintuple(ctx, rng)
-        t.check(verify_rep(build_W(p5)).ok, p5.astuple(), "cyclic quotient fails relations")
-        a, b, c = sample_triple(ctx, rng)
-        nn = rng.randrange(0, ctx.dbar - 1)
-        t.check(verify_rep(build_Vn(a, b, c, nn)).ok, (a, b, c, nn),
-                "truncated quotient fails relations")
+    draws = [(sample_quintuple(ctx, rng), (*sample_triple(ctx, rng), rng.randrange(ctx.dbar - 1)))
+             for _ in range(count)]
+    w_ok = verify_rep_many(ctx, *build_W_many(ctx, [p5 for p5, _ in draws])).all(1)
+    vn_ok = np.zeros(count, dtype=bool)
+    for at, gens, scalars in _vn_groups(ctx, [vn for _, vn in draws]):
+        vn_ok[at] = verify_rep_many(ctx, gens, scalars).all(1)
+    for (p5, vn), w, v in zip(draws, w_ok.tolist(), vn_ok.tolist()):
+        t.check(w, p5.astuple(), "cyclic quotient fails relations")
+        t.check(v, vn, "truncated quotient fails relations")
         t.cases += 2
     return t
 
@@ -190,15 +192,17 @@ def report_bytes(report: dict) -> bytes:
     return json.dumps(report, sort_keys=True, separators=(",", ":")).encode()
 
 
-def _vn_groups(ctx: FieldCtx, draws: list[tuple]) -> list[tuple[list[int], np.ndarray]]:
-    """Per dimension, the positions of those (a, b, c, n) draws and their generator array."""
+def _vn_groups(ctx: FieldCtx, draws: list[tuple]) -> list[tuple[list[int], np.ndarray, list]]:
+    """Per dimension, the positions of those (a, b, c, n) draws, their
+    generator array and their central scalars."""
     groups = []
     for n in sorted({draw[3] for draw in draws}):
         at = [k for k, draw in enumerate(draws) if draw[3] == n]
+        seqs = [SeqData(Params4(*draws[k][:3], ctx.qpow(n))) for k in at]
         gens = np.zeros((len(at), 2, 2, n + 1, n + 1), dtype=np.int64)
-        for row, k in enumerate(at):
-            fill_gens(gens[row:row + 1], SeqData(Params4(*draws[k][:3], ctx.qpow(n))))
-        groups.append((at, gens))
+        for row, s in enumerate(seqs):
+            fill_gens(gens[row:row + 1], s)
+        groups.append((at, gens, [s.scalars() for s in seqs]))
     return groups
 
 
@@ -207,7 +211,7 @@ def irr_vn_samples(ctx: FieldCtx, rng: random.Random, count: int) -> Tally:
     t = Tally()
     draws = [(*sample_triple(ctx, rng), rng.randrange(0, ctx.dbar - 1)) for _ in range(count)]
     orac = np.zeros(count, dtype=bool)
-    for at, gens in _vn_groups(ctx, draws):
+    for at, gens, _ in _vn_groups(ctx, draws):
         orac[at] = norton_irreducible_many(ctx, gens)
     for (a, b, c, nn), o in zip(draws, orac.tolist()):
         crit = irr_Vn_criterion(a, b, c, nn)
@@ -312,12 +316,14 @@ def equiv_case(p5: Params5, rows, t: Tally) -> int:
     number of maps checked."""
     ctx = p5.ctx
     rep = build_W(p5)
-    shift = delta_shift(p5)
-    quad = p5.quadruple.astuple()
+    quad = np.array([index_of(p5.quadruple.astuple())])
+    every, _, stop = _row_images(ctx, quad, index_of((delta_shift(p5),))[0])
+    if stop is not None and any(map(table1.row_needs_sqrt, rows)):
+        stop[2]()  # a requested row needs a root that F_{p^2} lacks
+    picked = every[0, [table1.ROWS.index(row) for row in rows]]
     images = {}  # the first row to each distinct neighbour
-    for row in rows:
-        img = orbit_image(row, quad, shift)
-        images.setdefault(sign_key(img), (row[0], Params5(*img)))
+    for row, key, img in zip(rows, sign_index(picked, ctx.p).tolist(), picked.tolist()):
+        images.setdefault(tuple(key), (row[0], Params5(*map(ctx.from_index, img))))
     found = w_intertwiner_many(ctx, [p5] + [img for _, img in images.values()],
                                [(0, k) for k in range(1, len(images) + 1)])
     for (label, _), (_, invertible) in zip(images.values(), found):
@@ -415,14 +421,18 @@ def check_relation_verify(ctx, rng, n):
 
 
 def check_vee_involution(ctx, rng, n):
-    """A case is one drawn cyclic module."""
+    """A case is one drawn cyclic module; the modules and their twists are
+    judged in one call each."""
     t = Tally()
-    for _ in range(n):
+    draws = [_sample_w(ctx, rng) for _ in range(n)]
+    reps = [rep for _, rep in draws]
+    twists = [vee(rep) for rep in reps]
+    ok, twist_ok = (verify_rep_many(ctx, stack_gens(rs), [r.scalars() for r in rs]).all(1).tolist()
+                    for rs in (reps, twists))
+    for (p5, rep), twist, verdict, twist_verdict in zip(draws, twists, ok, twist_ok):
         t.cases += 1
-        p5, rep = _sample_w(ctx, rng)
-        t.check(vee(vee(rep)) == rep, p5.astuple(), "double twist is not identity")
-        t.check(verify_rep(vee(rep)).ok == verify_rep(rep).ok, p5.astuple(),
-                "twist changes verification")
+        t.check(vee(twist) == rep, p5.astuple(), "double twist is not identity")
+        t.check(twist_verdict == verdict, p5.astuple(), "twist changes verification")
     return t, f"{n} reps"
 
 
@@ -677,7 +687,7 @@ def _grid_chunk(args: tuple[int, int, int], slice_cases: Callable) -> list[tuple
     for b in range(1, p):
         cases, crit, groups = slice_cases(ctx, a_val, b)
         orac = np.zeros(len(cases), dtype=bool)
-        for at, gens in groups:
+        for at, gens, *_ in groups:
             orac[at] = norton_irreducible_many(ctx, gens)
         mism += map(tuple, cases[crit != orac].tolist())
     return mism

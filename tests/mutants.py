@@ -35,6 +35,7 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]
 
 
+ALGEBRA = ("tests/test_algebra.py",)
 CLASSIFY = ("tests/test_classify.py",)
 FIELD = ("tests/test_field.py",)
 SUITE = ("tests/test_suite.py",)
@@ -171,6 +172,12 @@ MUTANTS = [
            "gens = [list(table1.ROW_BY_LABEL).index(g) for g in table1.GENERATOR_LABELS]",
            "gens = [list(table1.ROW_BY_LABEL).index(g) + 1 for g in table1.GENERATOR_LABELS]",
            SUITE),
+    Mutant("relations with (q^2 - q^-2) for the (q^2 + q^-2) coefficient", "algebra.py",
+           "(-(q2 + q2i) * k, mm(yx, y))", "(-(q2 - q2i) * k, mm(yx, y))", ALGEBRA),
+    Mutant("relations without the omega_eps term of alpha and beta", "algebra.py",
+           ", (lin(((q - qi) * (q - qi) * k, eps)), y))", ")", ALGEBRA),
+    Mutant("relations verdict without the B-side C-relation", "algebra.py",
+           "hit[:, 2] & hit[:, 3]", "hit[:, 2]", ALGEBRA),
 ]
 
 

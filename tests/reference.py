@@ -251,6 +251,52 @@ def ref_w_deltas(a, b, c, lam):
 
 
 # ---------------------------------------------------------------------------
+# the defining relations, entry by entry
+
+
+def ref_relations(rep):
+    """The verdicts (alpha_ok, beta_ok, c_relation_ok) of the defining
+    relations, every side evaluated entry by entry on Fq2 values: C from the
+    third relation, alpha and beta by their expanded formulas, and the two
+    C-relations, each against its central scalar times I."""
+    ctx, n = rep.ctx, rep.n
+    one, zero = ctx.one, ctx.zero
+    q = ctx.q
+    qi = q.inv()
+    q2, q2i = q * q, qi * qi
+
+    def entries(m):
+        return [[m.entry(i, j) for j in range(n)] for i in range(n)]
+
+    def mm(x, y):
+        return [[sum((x[i][k] * y[k][j] for k in range(n)), zero) for j in range(n)]
+                for i in range(n)]
+
+    def comb(*terms):
+        return [[sum((s * x[i][j] for s, x in terms), zero) for j in range(n)] for i in range(n)]
+
+    def is_scalar(x, s):
+        return all(x[i][j] == (s if i == j else zero) for i in range(n) for j in range(n))
+
+    def central(x, y):
+        # (Y^2 X - (q^2 + q^-2) Y X Y + X Y^2 + (q^2 - q^-2)^2 X + (q - q^-1)^2 omega_eps Y)
+        #  / ((q - q^-1)(q^2 - q^-2))
+        den = (q - qi) * (q2 - q2i)
+        return comb((one / den, mm(mm(y, y), x)), (-(q2 + q2i) / den, mm(mm(y, x), y)),
+                    (one / den, mm(x, mm(y, y))), ((q2 - q2i) * (q2 - q2i) / den, x),
+                    ((q - qi) * (q - qi) * rep.omega_eps / den, y))
+
+    a, b = entries(rep.A), entries(rep.B)
+    eye = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    d = one / (q2 - q2i)
+    c = comb((rep.omega_eps / (q + qi), eye), (-q * d, mm(a, b)), (qi * d, mm(b, a)))
+    c_a = comb((one, a), (q * d, mm(b, c)), (-qi * d, mm(c, b)))
+    c_b = comb((one, b), (q * d, mm(c, a)), (-qi * d, mm(a, c)))
+    return (is_scalar(central(a, b), rep.omega), is_scalar(central(b, a), rep.omega_star),
+            is_scalar(c_a, rep.omega / (q + qi)) and is_scalar(c_b, rep.omega_star / (q + qi)))
+
+
+# ---------------------------------------------------------------------------
 # linear algebra on component arrays
 
 

@@ -1,17 +1,25 @@
+import dataclasses
 import random
 
+import numpy as np
 import pytest
+from reference import ref_relations
 
+from uawq import algebra
 from uawq.algebra import (
     PairRep,
     alpha_matrix,
     beta_matrix,
     central_elements_check,
     derive_C,
+    stack_gens,
     vee,
     verify_rep,
+    verify_rep_many,
 )
-from uawq.classify import sample_quintuple
+from uawq.classify import sample_quintuple, sample_triple
+from uawq.errors import DimensionMismatch
+from uawq.field import ctx_new
 from uawq.linalg import FMat, is_scalar_matrix
 from uawq.modules import Params5, build_Vn, build_W
 
@@ -116,6 +124,66 @@ class TestVerifyRep:
         blob = json.loads(json.dumps(report.to_json()))
         assert blob["alpha_ok"] and blob["beta_ok"] and blob["c_relation_ok"]
         assert blob["failures"] == []
+
+
+def judged(ctx, reps):
+    return verify_rep_many(ctx, stack_gens(reps), [rep.scalars() for rep in reps]).tolist()
+
+
+def planted(reps, rng):
+    """The modules with one of A, B, omega, omega_star and omega_eps perturbed
+    at each of five drawn positions, and those positions.  A matrix changes
+    on its diagonal: A's corner entry is W's free parameter delta."""
+    ctx, n = reps[0].ctx, reps[0].n
+    at = rng.sample(range(len(reps)), 5)
+    out = list(reps)
+    for k, name in zip(at, ("A", "B", "omega", "omega_star", "omega_eps")):
+        old = getattr(out[k], name)
+        if isinstance(old, FMat):
+            unit = np.zeros((n, n, 2), dtype=np.int64)
+            i = rng.randrange(n)
+            unit[i, i, rng.randrange(2)] = 1
+            new = old + FMat(ctx, unit)
+        else:
+            new = old + ctx.one
+        out[k] = dataclasses.replace(out[k], **{name: new})
+    return out, set(at)
+
+
+class TestVerifyRepMany:
+    @pytest.mark.parametrize("p, d, count", [(13, 3, 10), (37, 6, 10), (29, 28, 6)])
+    def test_matches_the_reference(self, p, d, count, monkeypatch):
+        # W, Vn at every n, and W and top-dimensional Vn with planted
+        # perturbations: every verdict against the entrywise reference, the
+        # failing cases exactly the planted ones, and each case as a batch of one
+        ctx, rng = ctx_new(p, d), random.Random(100 * p + d)
+        w = [build_W(sample_quintuple(ctx, rng)) for _ in range(count)]
+        batches = [(w, set())] + [
+            ([build_Vn(*sample_triple(ctx, rng), n) for _ in range(2)], set())
+            for n in range(ctx.dbar - 1)]
+        top = [build_Vn(*sample_triple(ctx, rng), ctx.dbar - 2) for _ in range(6)]
+        batches += [planted(w, rng), planted(top, rng)]
+        for reps, bad in batches:
+            want = [list(ref_relations(rep)) for rep in reps]
+            assert judged(ctx, reps) == want
+            assert {k for k, verdicts in enumerate(want) if not all(verdicts)} == bad
+            assert [list(verify_rep(rep)[:3]) for rep in reps] == want
+        # in groups of two cases, as a batch too large for memory runs
+        reps = batches[-2][0]
+        monkeypatch.setattr(algebra, "LOCKSTEP_BYTES", 2 * 512 * ctx.dbar ** 2)
+        assert judged(ctx, reps) == [list(ref_relations(rep)) for rep in reps]
+
+    def test_empty_and_zero_dimensional_batches(self, ctx13):
+        ctx = ctx13
+        assert verify_rep_many(ctx, np.zeros((0, 2, 2, 3, 3), dtype=np.int64), []).shape == (0, 3)
+        empty = FMat.zeros(ctx, 0, 0)
+        reps = [PairRep(ctx, empty, empty, *map(ctx.from_index, (k, k + 5, k + 9)))
+                for k in range(3)]
+        assert judged(ctx, reps) == [list(ref_relations(rep)) for rep in reps] == [[True] * 3] * 3
+        with pytest.raises(DimensionMismatch):
+            verify_rep_many(ctx, np.zeros((2, 2, 2, 3, 4), dtype=np.int64), [reps[0].scalars()] * 2)
+        with pytest.raises(DimensionMismatch):
+            verify_rep_many(ctx, np.zeros((2, 2, 2, 3, 3), dtype=np.int64), [reps[0].scalars()])
 
 
 class TestVee:

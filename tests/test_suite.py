@@ -13,13 +13,14 @@ from conftest import force_nu, image_pair
 
 import uawq
 from uawq import classify, suite, table1
+from uawq.algebra import vee
 from uawq.classify import (Target, classify_sample, feasible_target, intertwiner, sample_quadruple,
-                           sample_quintuple, s4_orbit, simeq_closure)
+                           sample_quintuple, sample_triple, s4_orbit, simeq_closure)
 from uawq.cli import main
 from uawq.errors import NuOutsideField
 from uawq.field import ctx_new
 from uawq.linalg import FMat, kron, rank, rref, vstack
-from uawq.modules import nu_of
+from uawq.modules import build_Vn, build_W, nu_of
 from uawq.suite import report_bytes, run_suite
 
 # SHA-256 of the newline-joined run_suite(13, 3, seed, "smoke") lines (seeds 0
@@ -270,11 +271,13 @@ def test_nudata_invariant_holds_under_optimize():
     assert line.startswith("InvariantViolation nu=2 does not solve")
 
 
-# A context whose p and t overflow both accumulation bounds, (1+t)*p^2 and
-# n^2*(1+t)*p^2; each guard must fire before anything is allocated or reduced.
+# A context whose p and t overflow every accumulation bound, (1+t)*p^2,
+# n*(1+t)*p^2 and n^2*(1+t)*p^2; each guard must fire before anything is
+# allocated or reduced.
 HUGE_P_GUARDS = """
 from types import SimpleNamespace
 import numpy as np
+from uawq.algebra import verify_rep_many
 from uawq.classify import (burnside_irreducible, burnside_irreducible_many, intertwiner,
                            intertwiner_many)
 from uawq.errors import UawqError
@@ -282,13 +285,16 @@ from uawq.field import ctx_new
 from uawq.linalg import FMat, rref
 from uawq.modules import build_W
 huge = SimpleNamespace(p=2**31 - 1, t=7)
-m = FMat.identity(ctx_new(13, 3), 2)
+ctx = ctx_new(13, 3)
+m = FMat.identity(ctx, 2)
 m.ctx = huge
 rep = SimpleNamespace(ctx=huge, n=2, A=m, B=m, scalars=lambda: ())
 for call in (lambda: rref(m), lambda: burnside_irreducible(rep),
              lambda: burnside_irreducible_many(huge, np.zeros((1, 2, 2, 2, 2), dtype=np.int64)),
              lambda: intertwiner(rep, rep),
-             lambda: intertwiner_many(huge, *np.zeros((2, 1, 2, 2, 2, 2), dtype=np.int64))):
+             lambda: intertwiner_many(huge, *np.zeros((2, 1, 2, 2, 2, 2), dtype=np.int64)),
+             lambda: verify_rep_many(huge, np.zeros((1, 2, 2, 2, 2), dtype=np.int64),
+                                     [(ctx.one,) * 3])):
     try:
         call()
     except UawqError as exc:
@@ -299,12 +305,14 @@ for call in (lambda: rref(m), lambda: burnside_irreducible(rep),
 
 
 def test_int64_guards_hold_under_optimize():
-    rref_line, oracle_line, batch_line, intertwiner_line, many_line = run_optimized(HUGE_P_GUARDS)
+    (rref_line, oracle_line, batch_line, intertwiner_line, many_line,
+     relations_line) = run_optimized(HUGE_P_GUARDS)
     assert rref_line.startswith("InvariantViolation rref row update sums up to")
     assert oracle_line.startswith("InvariantViolation spanning oracle reduction sums up to")
     assert batch_line.startswith("InvariantViolation spanning oracle reduction sums up to")
     assert intertwiner_line.startswith("InvariantViolation intertwiner products sums up to")
     assert many_line.startswith("InvariantViolation intertwiner products sums up to")
+    assert relations_line.startswith("InvariantViolation relation products sums up to")
 
 
 def test_grid_chunks_report_flipped_cases_in_grid_order(monkeypatch):
@@ -327,6 +335,53 @@ def test_grid_chunks_report_flipped_cases_in_grid_order(monkeypatch):
     monkeypatch.setattr(suite, "irr_Vn_criterion", flipped_vn)
     assert suite.w_grid_chunk((5, 3, 1)) == sorted(w_flips)
     assert suite.vn_grid_chunk((5, 3, 1)) == sorted(vn_flips)
+
+
+def plant_relation_failures(monkeypatch, modules):
+    """``suite.verify_rep_many`` failing every case whose central scalars are
+    those of one of ``modules``."""
+    real, fails = suite.verify_rep_many, {rep.scalars() for rep in modules}
+
+    def planted(ctx, gens, scalars):
+        out = real(ctx, gens, scalars)
+        out[[tuple(s) in fails for s in scalars]] = False
+        return out
+
+    monkeypatch.setattr(suite, "verify_rep_many", planted)
+
+
+@pytest.mark.parametrize("w_first", [False, True])
+def test_relation_verify_reports_planted_failures_in_draw_order(monkeypatch, w_first):
+    # Failing cases planted in both batches, with a Vn failure drawn before a
+    # lower-dimensional one, whose group is judged first: the count and the
+    # first failure are those of judging each draw's W build, then its Vn build.
+    ctx, rng = ctx_new(13, 3), random.Random(5)
+    draws = [(sample_quintuple(ctx, rng), (*sample_triple(ctx, rng), rng.randrange(ctx.dbar - 1)))
+             for _ in range(12)]
+    k1 = next(k for k, (_, vn) in enumerate(draws) if vn[3] == 1)
+    k2 = next(k for k, (_, vn) in enumerate(draws) if k > k1 and vn[3] == 0)
+    w_fail, vn_fail = {k1 + 1, k2} | ({k1} if w_first else set()), {k1, k2}
+    plant_relation_failures(monkeypatch, [build_W(draws[k][0]) for k in w_fail]
+                            + [build_Vn(*draws[k][1]) for k in vn_fail])
+    want = suite.Tally()
+    for k, (p5, vn) in enumerate(draws):
+        want.check(k not in w_fail, p5.astuple(), "cyclic quotient fails relations")
+        want.check(k not in vn_fail, vn, "truncated quotient fails relations")
+    got = suite.relation_verify(ctx, random.Random(5), 12)
+    assert (got.cases, got.failures, got.first) == (24, want.failures, want.first)
+    assert got.first[1].startswith("cyclic" if w_first else "truncated")
+
+
+def test_vee_involution_reports_planted_failures_in_draw_order(monkeypatch):
+    # Modules failing at 2 and 5 and twists at 5 and 7: the verdicts differ at
+    # 2 and 7 only, and 2 is the first failure.
+    ctx, rng = ctx_new(13, 3), random.Random(6)
+    draws = [sample_quintuple(ctx, rng) for _ in range(10)]
+    reps = [build_W(p5) for p5 in draws]
+    plant_relation_failures(monkeypatch, [reps[2], reps[5], vee(reps[5]), vee(reps[7])])
+    got, _ = suite.check_vee_involution(ctx, random.Random(6), 10)
+    assert (got.cases, got.failures) == (10, 2)
+    assert got.first == (draws[2].astuple(), "twist changes verification")
 
 
 def test_orbit_closure_reports_planted_escapes_in_member_order(monkeypatch):
