@@ -65,8 +65,15 @@ class RepReport(NamedTuple):
 
 def stack_gens(reps) -> np.ndarray:
     """The generator array (cases, 2, 2, n, n) of some modules of one dimension:
-    A then B, each as its two components, as ``modules.fill_gens`` writes it."""
+    A then B, each as its two components, as ``modules.build_many`` writes it."""
     return np.moveaxis(np.array([(rep.A.arr, rep.B.arr) for rep in reps]), -1, 2)
+
+
+def gens_shape(gens: np.ndarray) -> tuple[int, int]:
+    """Cases and n of a generator array (cases, 2, 2, n, n)."""
+    if gens.ndim != 5 or gens.shape[1:3] != (2, 2) or gens.shape[3] != gens.shape[4]:
+        raise DimensionMismatch(f"generator array of shape {gens.shape}, want (cases, 2, 2, n, n)")
+    return len(gens), gens.shape[-1]
 
 
 def _relations(ctx: FieldCtx, gens: np.ndarray, scalars):
@@ -118,13 +125,11 @@ def _relations(ctx: FieldCtx, gens: np.ndarray, scalars):
 def verify_rep_many(ctx: FieldCtx, gens: np.ndarray, scalars) -> np.ndarray:
     """The verdicts (alpha_ok, beta_ok, c_relation_ok) of ``verify_rep`` on
     each module of a generator array (cases, 2, 2, n, n), as
-    ``modules.fill_gens`` writes it, given each case's (omega, omega_star,
+    ``modules.build_many`` writes it, given each case's (omega, omega_star,
     omega_eps); a boolean array (cases, 3).  Large batches run in groups."""
-    if gens.ndim != 5 or gens.shape[1:3] != (2, 2) or gens.shape[3] != gens.shape[4]:
-        raise DimensionMismatch(f"generator array of shape {gens.shape}, want (cases, 2, 2, n, n)")
-    if len(scalars) != len(gens):
-        raise DimensionMismatch(f"{len(scalars)} scalar triples for {len(gens)} cases")
-    cases, n = len(gens), gens.shape[-1]
+    cases, n = gens_shape(gens)
+    if len(scalars) != cases:
+        raise DimensionMismatch(f"{len(scalars)} scalar triples for {cases} cases")
     # the body holds about 32 arrays of (2, n, n) int64 per case
     group = max(1, LOCKSTEP_BYTES // (512 * (n * n or 1)))
     out = np.zeros((cases, 3), dtype=bool)
@@ -234,6 +239,7 @@ __all__ = [
     "beta_matrix",
     "verify_rep",
     "verify_rep_many",
+    "gens_shape",
     "stack_gens",
     "vee",
     "central_elements_check",

@@ -17,12 +17,12 @@ from itertools import chain, combinations, islice
 import numpy as np
 
 from . import table1
-from .algebra import PairRep, stack_gens
+from .algebra import PairRep, gens_shape, stack_gens
 from .errors import (BadRange, CapExceeded, DimensionMismatch, DivisionByZero, InvariantViolation,
                      NoSolutionsInField)
 from .field import FieldCtx, Fq2, index_of, index_sub, mul_parts, poly_roots, quadratic_roots
 from .linalg import LOCKSTEP_BYTES, FMat, _inverses, check_int64, kernel, pivot_step, rank, rref
-from .modules import (Params4, Params5, SeqData, build_W_many, corner_index, corner_terms,
+from .modules import (Params4, Params5, SeqData, build_many, corner_index, corner_terms,
                       delta_shift)
 
 # ---------------------------------------------------------------------------
@@ -469,9 +469,7 @@ def _echelon_insert(basis0, basis1, pivots, size: int, v0, v1, p: int, t: int) -
 def _batch_shape(ctx: FieldCtx, gens: np.ndarray, power: int, what: str) -> tuple[int, int]:
     """Cases and n of a generator array (cases, 2, 2, n, n); a nonempty batch
     needs n >= 1 and n**power * (1+t)*p^2 in int64, checked before allocating."""
-    if gens.ndim != 5 or gens.shape[1:3] != (2, 2) or gens.shape[3] != gens.shape[4]:
-        raise DimensionMismatch(f"generator array of shape {gens.shape}, want (cases, 2, 2, n, n)")
-    cases, n = len(gens), gens.shape[-1]
+    cases, n = gens_shape(gens)
     if cases and n < 1:
         raise InvariantViolation(f"spanning oracle on a module of dimension {n}")
     if cases:
@@ -702,10 +700,11 @@ def intertwiner_many(ctx: FieldCtx, gx: np.ndarray, gy: np.ndarray) -> list[tupl
     return out
 
 
-def w_intertwiner_many(ctx: FieldCtx, params: list[Params5], pairs: list) -> list[tuple]:
-    """``intertwiner_many`` on pairs (i, j) of the ``build_W`` modules of some quintuples, in
-    one call on those whose central scalars agree; the rest admit no map: (None, False)."""
-    gens, scalars = build_W_many(ctx, params)
+def w_intertwiner_many(ctx: FieldCtx, index: np.ndarray, pairs: list) -> list[tuple]:
+    """``intertwiner_many`` on pairs (i, j) of the ``build_W`` modules of some rows (m, 5)
+    of plain-lex indices of (a, b, c, lam, delta), in one call on those whose central
+    scalars agree; the rest admit no map: (None, False)."""
+    gens, scalars = build_many(ctx, index, ctx.dbar)
     same = [k for k, (i, j) in enumerate(pairs) if scalars[i] == scalars[j]]
     found = dict(zip(same, intertwiner_many(ctx, *gens[np.intp(pairs).reshape(-1, 2)[same].T])))
     return [found.get(k, (None, False)) for k in range(len(pairs))]
@@ -832,7 +831,8 @@ def classify_sample(ctx: FieldCtx, seed: int, count: int, cap: int = 10_000) -> 
         raise BadRange("count must be >= 1")
     rng = random.Random(seed)
     samples = [sample_quintuple(ctx, rng) for _ in range(count)]
-    irreducible = irr_W_criterion_many(ctx, np.array([index_of(p5.astuple()) for p5 in samples]))
+    index = np.array([index_of(p5.astuple()) for p5 in samples])
+    irreducible = irr_W_criterion_many(ctx, index)
     rejected = []
     errors = []
     closures: dict[tuple, dict] = {}  # class key -> record
@@ -864,7 +864,9 @@ def classify_sample(ctx: FieldCtx, seed: int, count: int, cap: int = 10_000) -> 
     reps = [Params5(*closures[k]["representative"]) for k in class_keys]
     within = [(c, idx) for c, k in enumerate(class_keys) for idx in closures[k]["samples"]]
     cross = list(combinations(range(len(reps)), 2))
-    found = w_intertwiner_many(ctx, reps + [samples[idx] for _, idx in within],
+    rows = np.concatenate([np.array(class_keys, dtype=np.int64).reshape(-1, 5),
+                           index[[idx for _, idx in within]]])
+    found = w_intertwiner_many(ctx, rows,
                                [(c, len(reps) + w) for w, (c, _) in enumerate(within)] + cross)
     errors += [{"index": idx, "params": samples[idx].to_json(),
                 "error": "missing within-class isomorphism"}

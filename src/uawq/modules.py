@@ -7,12 +7,14 @@ Two families are built over a fixed FieldCtx:
 * ``build_W``: the dbar-dimensional cyclic quotient with corner parameter
   delta, for any nonzero (a, b, c, lam) and arbitrary delta.
 
-Both use the standard basis in index order: A acts with the parameter
-sequence theta on the diagonal and ones on the subdiagonal (the W corner
-carries delta), B acts with theta_star on the diagonal and varphi on the
-superdiagonal.  The module also exposes the weight-space and marginal-vector
-machinery and the spectral data (nu, vartheta, the eigenvector ladder and
-its coefficient recurrence / closed forms) used by the classification.
+Both are batches of one of ``build_many``, which writes the modules of many
+rows of parameter indices into one generator array.  Each module uses the
+standard basis in index order: A acts with the parameter sequence theta on
+the diagonal and ones on the subdiagonal (the W corner carries delta), B acts
+with theta_star on the diagonal and varphi on the superdiagonal.  The module
+also exposes the weight-space and marginal-vector machinery and the spectral
+data (nu, vartheta, the eigenvector ladder and its coefficient recurrence /
+closed forms) used by the classification.
 """
 
 from __future__ import annotations
@@ -126,35 +128,37 @@ class SeqData:
         return self.omega, self.omega_star, self.omega_eps
 
 
-def fill_gens(gens: np.ndarray, s: SeqData, corners=None) -> None:
-    """Write the module of ``s`` into every case of ``gens``, a C-contiguous
-    zero generator array of shape (cases, 2, 2, n, n): A then B, each as its
-    two components.  theta / ones go on A's diagonal and subdiagonal,
-    theta_star / varphi on B's diagonal and superdiagonal, and ``corners``,
-    the components of one entry per case (shape (cases, 2)), to A[0, n-1]
-    unless None."""
-    if not gens.flags.c_contiguous:
-        raise InvariantViolation("fill_gens writes through a reshaped view of a C-contiguous array")
-    n = gens.shape[-1]
-    seqs = (*map(s.theta, range(n)), *map(s.theta_star, range(n)), *map(s.varphi, range(1, n)))
-    parts = np.array([(x.x0, x.x1) for x in seqs], dtype=np.int64).T
+def build_many(ctx: FieldCtx, index: np.ndarray, n: int) -> tuple[np.ndarray, list[tuple]]:
+    """The n-dimensional modules of some rows of plain-lex indices of
+    (a, b, c, lam), or of (a, b, c, lam, delta): their generator array
+    (cases, 2, 2, n, n), A then B, each as its two components, and each
+    module's central scalars.  theta and ones go on A's diagonal and
+    subdiagonal, theta_star and varphi on B's diagonal and superdiagonal, and
+    a fifth column to A[0, n-1].  One SeqData per distinct (a, b, c, lam)."""
+    memo: dict[tuple, int] = {}
+    at = [memo.setdefault(tuple(key), len(memo)) for key in index[:, :4].tolist()]
+    seqs = [SeqData(Params4(*map(ctx.from_index, key))) for key in memo]
+    parts = np.array([[(x.x0, x.x1) for x in (*map(s.theta, range(n)), *map(s.theta_star, range(n)),
+                                              *map(s.varphi, range(1, n)))] for s in seqs],
+                     dtype=np.int64).reshape(len(seqs), 3 * n - 1, 2)[at].swapaxes(1, 2)
+    gens = np.zeros((len(at), 2, 2, n, n), dtype=np.int64)
     # rows of n*n entries: the diagonal is every (n+1)-th from 0, the
     # subdiagonal from n and the superdiagonal from 1
-    flat = gens.reshape(len(gens), 2, 2, n * n)
-    flat[:, 0, :, ::n + 1] = parts[:, :n]
+    flat = gens.reshape(len(at), 2, 2, n * n)
+    flat[:, 0, :, ::n + 1] = parts[..., :n]
     flat[:, 0, 0, n::n + 1] = 1
-    flat[:, 1, :, ::n + 1] = parts[:, n:2 * n]
-    flat[:, 1, :, 1::n + 1] = parts[:, 2 * n:]
-    if corners is not None:
-        flat[:, 0, :, n - 1] = corners
+    flat[:, 1, :, ::n + 1] = parts[..., n:2 * n]
+    flat[:, 1, :, 1::n + 1] = parts[..., 2 * n:]
+    if index.shape[1] == 5:
+        flat[:, 0, 0, n - 1], flat[:, 0, 1, n - 1] = divmod(index[:, 4], ctx.p)
+    return gens, [seqs[k].scalars() for k in at]
 
 
-def _pair_rep(s: SeqData, n: int, corner: Fq2 | None = None) -> PairRep:
-    """The one module of ``fill_gens`` as matrices."""
-    gens = np.zeros((1, 2, 2, n, n), dtype=np.int64)
-    fill_gens(gens, s, None if corner is None else [(corner.x0, corner.x1)])
-    amat, bmat = (FMat(s.ctx, np.ascontiguousarray(g)) for g in gens[0].transpose(0, 2, 3, 1))
-    return PairRep(s.ctx, amat, bmat, *s.scalars())
+def _build_one(ctx: FieldCtx, row: tuple[int, ...], n: int) -> PairRep:
+    """The module of one index row of ``build_many``, as matrices."""
+    gens, [scalars] = build_many(ctx, np.array([row]), n)
+    amat, bmat = (FMat(ctx, np.ascontiguousarray(g)) for g in gens[0].transpose(0, 2, 3, 1))
+    return PairRep(ctx, amat, bmat, *scalars)
 
 
 def build_Vn(a: Fq2, b: Fq2, c: Fq2, n: int) -> PairRep:
@@ -162,24 +166,12 @@ def build_Vn(a: Fq2, b: Fq2, c: Fq2, n: int) -> PairRep:
     ctx = a.ctx
     if not 0 <= n <= ctx.dbar - 2:
         raise BadRange(f"n={n} outside [0, {ctx.dbar - 2}]")
-    return _pair_rep(SeqData(Params4(a, b, c, ctx.qpow(n))), n + 1)
+    return _build_one(ctx, index_of((a, b, c, ctx.qpow(n))), n + 1)
 
 
 def build_W(params: Params5) -> PairRep:
     """The dbar-dimensional cyclic quotient with corner entry delta."""
-    return _pair_rep(SeqData(params.quadruple), params.ctx.dbar, params.delta)
-
-
-def build_W_many(ctx: FieldCtx, params: list[Params5]) -> tuple[np.ndarray, list[tuple]]:
-    """The generator array (cases, 2, 2, dbar, dbar) of the ``build_W`` module
-    of each of some quintuples, and each module's central scalars."""
-    gens = np.zeros((len(params), 2, 2, ctx.dbar, ctx.dbar), dtype=np.int64)
-    scalars = []
-    for k, p5 in enumerate(params):
-        s = SeqData(p5.quadruple)
-        fill_gens(gens[k:k + 1], s, [(p5.delta.x0, p5.delta.x1)])
-        scalars.append(s.scalars())
-    return gens, scalars
+    return _build_one(params.ctx, index_of(params.astuple()), params.ctx.dbar)
 
 
 def dump_module(rep: PairRep, params: Params4, n: int | None = None) -> dict:

@@ -58,13 +58,12 @@ from .modules import (
     Params4,
     Params5,
     SeqData,
+    build_many,
     build_W,
-    build_W_many,
     check_W_universal,
     closed_form_case,
     delta_shift,
     e_vector,
-    fill_gens,
     is_marginal_weight,
     marginal_matrix_e,
     marginal_test_e,
@@ -137,7 +136,8 @@ def relation_verify(ctx: FieldCtx, rng: random.Random, count: int) -> Tally:
     t = Tally()
     draws = [(sample_quintuple(ctx, rng), (*sample_triple(ctx, rng), rng.randrange(ctx.dbar - 1)))
              for _ in range(count)]
-    w_ok = verify_rep_many(ctx, *build_W_many(ctx, [p5 for p5, _ in draws])).all(1)
+    index = np.array([index_of(p5.astuple()) for p5, _ in draws], dtype=np.int64).reshape(-1, 5)
+    w_ok = verify_rep_many(ctx, *build_many(ctx, index, ctx.dbar)).all(1)
     vn_ok = np.zeros(count, dtype=bool)
     for at, gens, scalars in _vn_groups(ctx, [vn for _, vn in draws]):
         vn_ok[at] = verify_rep_many(ctx, gens, scalars).all(1)
@@ -198,11 +198,8 @@ def _vn_groups(ctx: FieldCtx, draws: list[tuple]) -> list[tuple[list[int], np.nd
     groups = []
     for n in sorted({draw[3] for draw in draws}):
         at = [k for k, draw in enumerate(draws) if draw[3] == n]
-        seqs = [SeqData(Params4(*draws[k][:3], ctx.qpow(n))) for k in at]
-        gens = np.zeros((len(at), 2, 2, n + 1, n + 1), dtype=np.int64)
-        for row, s in enumerate(seqs):
-            fill_gens(gens[row:row + 1], s)
-        groups.append((at, gens, [s.scalars() for s in seqs]))
+        index = np.array([index_of((*draws[k][:3], ctx.qpow(n))) for k in at])
+        groups.append((at, *build_many(ctx, index, n + 1)))
     return groups
 
 
@@ -322,10 +319,10 @@ def equiv_case(p5: Params5, rows, t: Tally) -> int:
         stop[2]()  # a requested row needs a root that F_{p^2} lacks
     picked = every[0, [table1.ROWS.index(row) for row in rows]]
     images = {}  # the first row to each distinct neighbour
-    for row, key, img in zip(rows, sign_index(picked, ctx.p).tolist(), picked.tolist()):
-        images.setdefault(tuple(key), (row[0], Params5(*map(ctx.from_index, img))))
-    found = w_intertwiner_many(ctx, [p5] + [img for _, img in images.values()],
-                               [(0, k) for k in range(1, len(images) + 1)])
+    for row, key, img in zip(rows, sign_index(picked, ctx.p).tolist(), picked):
+        images.setdefault(tuple(key), (row[0], img))
+    index = np.array([index_of(p5.astuple())] + [img for _, img in images.values()])
+    found = w_intertwiner_many(ctx, index, [(0, k) for k in range(1, len(images) + 1)])
     for (label, _), (_, invertible) in zip(images.values(), found):
         t.check(invertible, (p5.astuple(), label), "no invertible map")
     w0 = FMat.column(ctx, [ctx.one] + [ctx.zero] * (ctx.dbar - 1))
@@ -347,7 +344,8 @@ def cross_class_pairs(ctx: FieldCtx, rng: random.Random, count: int,
             continue
         t.cases += 1
         pairs.append((pa, pb))
-    found = w_intertwiner_many(ctx, [p5 for pair in pairs for p5 in pair],
+    index = np.array([index_of(p5.astuple()) for pair in pairs for p5 in pair], dtype=np.int64)
+    found = w_intertwiner_many(ctx, index.reshape(-1, 5),
                                [(2 * k, 2 * k + 1) for k in range(len(pairs))])
     for (pa, pb), (s, _) in zip(pairs, found):
         t.check(s is None, (pa.astuple(), pb.astuple()), "unexpected cross-class intertwiner")
@@ -624,10 +622,11 @@ def check_closure_pm(ctx, rng, n):
 def check_closure_iso(ctx, rng, n):
     t = Tally()
     for p5 in _irreducible_draws(ctx, rng, n, t, max(n // 16, 1)):
-        members = simeq_closure(p5).members
-        sampled = members[:: max(1, len(members) // 6)]
-        found = w_intertwiner_many(ctx, [p5] + [Params5(*m) for m in sampled],
-                                   [(0, k) for k in range(1, len(sampled) + 1)])
+        closure = simeq_closure(p5)
+        step = max(1, closure.size // 6)
+        sampled = closure.members[::step]
+        index = np.concatenate([[index_of(p5.astuple())], closure.rows[::step]])
+        found = w_intertwiner_many(ctx, index, [(0, k) for k in range(1, len(sampled) + 1)])
         for member, (_, invertible) in zip(sampled, found):
             t.check(invertible, (p5.astuple(), member), "class member not isomorphic")
     return t, f"{t.cases} closures, sampled members isomorphic"
@@ -664,7 +663,8 @@ def check_irr_w(ctx, rng, n, exhaustive=False):
     draws = [sample_quintuple(ctx, rng) for _ in range(n)]
     idx = np.array([index_of(p5.astuple()) for p5 in draws], dtype=np.int64).reshape(-1, 5)
     crit = irr_W_criterion_many(ctx, idx).tolist()
-    for p5, c, o in zip(draws, crit, norton_irreducible_many(ctx, build_W_many(ctx, draws)[0])):
+    orac = norton_irreducible_many(ctx, build_many(ctx, idx, ctx.dbar)[0])
+    for p5, c, o in zip(draws, crit, orac):
         t.cases += 1
         t.check(c == o, p5.astuple(), f"criterion={c} oracle={o}")
     return _check_grid(t, w_grid_sweep, ctx, n, exhaustive)
@@ -699,15 +699,11 @@ def _slice_cases(*axes) -> np.ndarray:
 
 
 def _w_slice(ctx: FieldCtx, a_val: int, b: int) -> tuple:
-    p, n = ctx.p, ctx.dbar
+    p = ctx.p
     cases = _slice_cases([a_val], [b], range(1, p), range(1, p), range(p))
-    crit = irr_W_criterion_many(ctx, cases * p)  # plain-lex indices: every entry lies in F_p
-    # one SeqData per (c, lam), repeated over the p values of delta
-    gens = np.zeros((len(cases), 2, 2, n, n), dtype=np.int64)
-    deltas = [(x.x0, x.x1) for x in map(ctx.el, range(p))]
-    for k, case in enumerate(cases[::p, :4].tolist()):
-        fill_gens(gens[k * p:(k + 1) * p], SeqData(Params4(*map(ctx.el, case))), deltas)
-    return cases, crit, [(slice(None), gens)]
+    index = cases * p  # plain-lex indices: every entry lies in F_p
+    gens = build_many(ctx, index, ctx.dbar)[0]
+    return cases, irr_W_criterion_many(ctx, index), [(slice(None), gens)]
 
 
 def _vn_slice(ctx: FieldCtx, a_val: int, b: int) -> tuple:

@@ -38,6 +38,7 @@ class Mutant(NamedTuple):
 ALGEBRA = ("tests/test_algebra.py",)
 CLASSIFY = ("tests/test_classify.py",)
 FIELD = ("tests/test_field.py",)
+MODULES = ("tests/test_modules.py",)
 SUITE = ("tests/test_suite.py",)
 
 W_MONOMIALS = (  # the six rows of classify.W_MONOMIALS, as written there
@@ -178,6 +179,17 @@ MUTANTS = [
            ", (lin(((q - qi) * (q - qi) * k, eps)), y))", ")", ALGEBRA),
     Mutant("relations verdict without the B-side C-relation", "algebra.py",
            "hit[:, 2] & hit[:, 3]", "hit[:, 2]", ALGEBRA),
+    Mutant("builder memo keyed on (a, b, c) only", "modules.py",  # a later lam reuses the first
+           "at = [memo.setdefault(tuple(key), len(memo))",
+           "first = {}\n    at = [memo.setdefault(first.setdefault(tuple(key[:3]), tuple(key)), len(memo))",
+           MODULES),
+    Mutant("builder reads varphi from range(n)", "modules.py",
+           "*map(s.varphi, range(1, n))", "*map(s.varphi, range(n))", MODULES),
+    Mutant("builder writes the corner to A[n-1, 0]", "modules.py",
+           "flat[:, 0, 0, n - 1], flat[:, 0, 1, n - 1] =",
+           "flat[:, 0, 0, n * (n - 1)], flat[:, 0, 1, n * (n - 1)] =", MODULES),
+    Mutant("builder writes the first row's corner into every case", "modules.py",
+           "divmod(index[:, 4], ctx.p)", "divmod(index[:1, 4], ctx.p)", MODULES),
 ]
 
 

@@ -19,10 +19,11 @@ from functools import lru_cache
 import numpy as np
 
 from uawq import errors, table1
+from uawq.algebra import PairRep
 from uawq.classify import OrbitSet
 from uawq.field import Fq2
 from uawq.linalg import FMat
-from uawq.modules import Params5
+from uawq.modules import Params4, Params5, SeqData
 
 # ---------------------------------------------------------------------------
 # the field
@@ -248,6 +249,32 @@ def ref_w_deltas(a, b, c, lam):
     return (ctx.zero, (ad - ad.inv()) * (lamd - lamd.inv()),
             (bd * cd + bd.inv() * cd.inv()) * qd - corner,
             (bd * cd.inv() + bd.inv() * cd) * qd - corner)
+
+
+# ---------------------------------------------------------------------------
+# the modules, entry by entry
+
+
+def ref_module(ctx, row, n):
+    """The n-dimensional module of one row of plain-lex indices of (a, b, c, lam)
+    or (a, b, c, lam, delta): A and B written entry by entry from the
+    ``SeqData`` accessors, A with theta on the diagonal, ones below it and a
+    fifth entry at (0, n-1), B with theta_star on the diagonal and varphi
+    above it."""
+    a, b, c, lam, *corner = (ctx.el(*divmod(int(k), ctx.p)) for k in row)
+    s = SeqData(Params4(a, b, c, lam))
+
+    def a_entry(i, j):
+        if corner and (i, j) == (0, n - 1):
+            return corner[0]
+        return s.theta(i) if i == j else ctx.one if i == j + 1 else ctx.zero
+
+    def b_entry(i, j):
+        return s.theta_star(i) if i == j else s.varphi(j) if j == i + 1 else ctx.zero
+
+    a_mat, b_mat = (FMat.from_entries(ctx, [[f(i, j) for j in range(n)] for i in range(n)])
+                    for f in (a_entry, b_entry))
+    return PairRep(ctx, a_mat, b_mat, *s.scalars())
 
 
 # ---------------------------------------------------------------------------

@@ -869,9 +869,10 @@ def test_intertwiner_many_on_empty_and_mixed_batches(ctx13):
     p5 = sample_quintuple(ctx13, random.Random(0))
     other = next(q for q in (sample_quintuple(ctx13, random.Random(s)) for s in range(1, 50))
                  if build_W(q).scalars() != build_W(p5).scalars())
-    assert classify.w_intertwiner_many(ctx13, [], []) == []
-    assert classify.w_intertwiner_many(ctx13, [p5], []) == []
-    assert classify.w_intertwiner_many(ctx13, [p5, other], [(0, 1)]) == [(None, False)]
+    index = np.array([index_of(q.astuple()) for q in (p5, other)])
+    assert classify.w_intertwiner_many(ctx13, np.empty((0, 5), dtype=np.int64), []) == []
+    assert classify.w_intertwiner_many(ctx13, index[:1], []) == []
+    assert classify.w_intertwiner_many(ctx13, index, [(0, 1)]) == [(None, False)]
 
 
 def w_pairs(ctx, rng, count):
@@ -992,7 +993,7 @@ class TestClassifySample:
         # misses its class, and each pair of the three classes is reported
         # once, by both representatives' JSON, in class order
         monkeypatch.setattr(classify, "w_intertwiner_many",
-                            lambda ctx, params, pairs: [("map", True)] * len(pairs))
+                            lambda ctx, index, pairs: [("map", True)] * len(pairs))
         report = classify_sample(ctx_new(7, 3), 0, 3)
         reps = ('[[0,1],[2,0],[4,4],[6,6],[3,0]]', '[[0,1],[5,4],[1,2],[3,2],[5,4]]',
                 '[[1,0],[1,3],[1,5],[4,1],[2,4]]')

@@ -3,12 +3,12 @@ import random
 import numpy as np
 import pytest
 from conftest import cond_inv_ab, force_nu, sim_related
-from reference import ref_inv_ab_terms
+from reference import gens_of, ref_inv_ab_terms, ref_module
 
 from uawq import errors, suite
 from uawq.algebra import verify_rep
-from uawq.classify import irr_W_criterion, sample_quadruple, sample_quintuple
-from uawq.field import poly_from_roots
+from uawq.classify import irr_W_criterion, sample_quadruple, sample_quintuple, sample_triple
+from uawq.field import ctx_new, index_of, poly_from_roots
 from uawq.linalg import FMat, char_poly, hstack, product_shifted, rank
 from uawq.modules import (
     L_closed,
@@ -17,6 +17,7 @@ from uawq.modules import (
     Params4,
     Params5,
     SeqData,
+    build_many,
     build_Vn,
     build_W,
     check_verma_universal,
@@ -24,7 +25,6 @@ from uawq.modules import (
     closed_form_case,
     dump_module,
     e_vector,
-    fill_gens,
     is_marginal_weight,
     marginal_matrix_e,
     marginal_test_e,
@@ -87,6 +87,71 @@ class TestBuildVn:
             build_Vn(ctx13.one, ctx13.one, ctx13.one, -1)
 
 
+class TestBuildMany:
+    """``build_many`` against ``ref_module``, case by case, with each case's
+    central scalars."""
+
+    @staticmethod
+    def assert_matches_reference(ctx, index, n):
+        gens, scalars = build_many(ctx, index, n)
+        assert gens.shape == (len(index), 2, 2, n, n) and gens.dtype == np.int64
+        assert len(scalars) == len(index)
+        for row, got, got_scalars in zip(index.tolist(), gens, scalars, strict=True):
+            ref = ref_module(ctx, row, n)
+            assert np.array_equal(got, gens_of([ref])[0]), row
+            assert got_scalars == SeqData(ref_params(ctx, row[:4])).scalars()
+        return gens
+
+    def test_one_quadruple_with_many_deltas_and_a_w_slice(self, ctx13, rng):
+        # thirteen deltas of one quadruple share one SeqData, as each (c, lam)
+        # of the slice does over its deltas: no corner may leak to a neighbour
+        quad = index_of(sample_quadruple(ctx13, rng).astuple())
+        deltas = [0] + rng.sample(range(1, 169), 12)
+        grid, _, [(_, grid_gens)] = suite._w_slice(ctx13, 2, 5)
+        index = np.concatenate([[(*quad, x) for x in deltas], grid * 13])
+        gens = self.assert_matches_reference(ctx13, index, ctx13.dbar)
+        assert np.array_equal(gens[len(deltas):], grid_gens)
+
+    @pytest.mark.parametrize("p, d, count", [(13, 3, 40), (29, 28, 8)])
+    def test_w_rows(self, p, d, count):
+        ctx, rng = ctx_new(p, d), random.Random(p)
+        rows = [index_of(sample_quintuple(ctx, rng).astuple()) for _ in range(count)]
+        rows += [(*row[:4], rng.randrange(p * p)) for row in rows[::3]]  # shared quadruples
+        index = np.array(rng.sample(rows, len(rows)))
+        gens = self.assert_matches_reference(ctx, index, ctx.dbar)
+        for row, got in zip(index.tolist(), gens):
+            assert np.array_equal(got, gens_of([build_W(ref_params(ctx, row))])[0])
+
+    @pytest.mark.parametrize("p, d", [(13, 3), (29, 28)])
+    def test_vn_rows_at_every_n(self, p, d):
+        ctx, rng = ctx_new(p, d), random.Random(p)
+        for n in range(ctx.dbar - 1):
+            triples = [sample_triple(ctx, rng) for _ in range(4)]
+            index = np.array([index_of((*abc, ctx.qpow(n))) for abc in triples])
+            gens = self.assert_matches_reference(ctx, index, n + 1)
+            for abc, got in zip(triples, gens):
+                assert np.array_equal(got, gens_of([build_Vn(*abc, n)])[0])
+
+    def test_empty_batches(self, ctx13):
+        for cols in (4, 5):
+            gens, scalars = build_many(ctx13, np.empty((0, cols), dtype=np.int64), 3)
+            assert gens.shape == (0, 2, 2, 3, 3) and scalars == []
+
+    def test_zero_parameters_raise(self, ctx13):
+        row = [2 * 13, 3 * 13, 13 + 4, 5, 0]  # delta may be zero
+        self.assert_matches_reference(ctx13, np.array([row]), 3)
+        for k in range(4):
+            bad = row[:k] + [0] + row[k + 1:]
+            for index in (np.array([row, bad]), np.array([bad])[:, :4]):
+                with pytest.raises(ValueError, match="parameters a, b, c, lam must be nonzero"):
+                    build_many(ctx13, index, 3)
+
+
+def ref_params(ctx, row):
+    """The Params4 or Params5 of an index row."""
+    return (Params4 if len(row) == 4 else Params5)(*map(ctx.from_index, row))
+
+
 class TestBuildW:
     def test_verify_passes(self, ctx13, ctx37, rng):
         for ctx in (ctx13, ctx37):
@@ -99,16 +164,13 @@ class TestBuildW:
         assert rep.A.entry(0, ctx13.dbar - 1) == p5.delta
 
     def test_corners_match_one_build_each(self, ctx13, rng):
-        # every delta of one quadruple from one fill, then a W grid slice, one
-        # fill per (c, lam): later corners must not leak into earlier cases,
+        # every delta of one quadruple from one build, then a W grid slice, one
+        # SeqData per (c, lam): later corners must not leak into earlier cases,
         # which share all of A's other entries
         quad = sample_quadruple(ctx13, rng)
         n = ctx13.dbar
-        gens = np.zeros((13, 2, 2, n, n), dtype=np.int64)
-        fill_gens(gens, SeqData(quad), [(x, 0) for x in range(13)])
-        strided = np.zeros((2, 2, n, n, 2), dtype=np.int64).transpose(0, 4, 1, 2, 3)
-        with pytest.raises(errors.InvariantViolation):
-            fill_gens(strided, SeqData(quad))
+        gens, _ = build_many(ctx13, np.array([(*index_of(quad.astuple()), 13 * x)
+                                              for x in range(13)]), n)
         cases = [Params5(*quad.astuple(), ctx13.el(x)) for x in range(13)]
         grid, _, [(_, grid_gens)] = suite._w_slice(ctx13, 2, 5)
         cases += [Params5(*map(ctx13.el, case)) for case in grid.tolist()]
