@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatch
-from .field import FieldCtx, Fq2, chebyshev_T, mul_parts
+from .field import FieldCtx, Fq2, chebyshev_T, index_of, mul_parts
 from .linalg import (
     LOCKSTEP_BYTES, FMat, check_int64, commutator, is_scalar_matrix, mat_poly_eval, product_shifted,
 )
@@ -77,15 +77,15 @@ def gens_shape(gens: np.ndarray) -> tuple[int, int]:
 
 
 def _relations(ctx: FieldCtx, gens: np.ndarray, scalars):
-    """Per module of a generator array, given its (omega, omega_star,
-    omega_eps): the components (2, cases, 5, n, n) of alpha, beta, the two
-    C-relations of ``verify_rep`` and C, and those (2, cases, 4, n, n) of the
-    scalar matrices that the first four must equal.  A product sums n terms
-    below (1+t)*p^2, checked to fit in int64 first."""
+    """Per module of a generator array, given a row of ``scalars``, the
+    plain-lex indices of its (omega, omega_star, omega_eps): the components
+    (2, cases, 5, n, n) of alpha, beta, the two C-relations of ``verify_rep``
+    and C, and those (2, cases, 4, n, n) of the scalar matrices that the
+    first four must equal.  A product sums n terms below (1+t)*p^2, checked
+    to fit in int64 first."""
     p, t, n = ctx.p, ctx.t, gens.shape[-1]
     check_int64(max(n, 1) * (1 + t) * p * p, "relation products")
-    sc = np.array([[(x.x0, x.x1) for x in s] for s in scalars], dtype=np.int64)
-    sc = sc.reshape(-1, 3, 2).transpose(2, 0, 1)  # components, cases, scalars
+    sc = np.stack(np.divmod(np.reshape(scalars, (-1, 3)), p))  # components, cases, scalars
     q, qi = ctx.q, ctx.q.inv()
     q2, q2i = q * q, qi * qi
     d, h = (q2 - q2i).inv(), (q + qi).inv()
@@ -123,10 +123,10 @@ def _relations(ctx: FieldCtx, gens: np.ndarray, scalars):
 
 
 def verify_rep_many(ctx: FieldCtx, gens: np.ndarray, scalars) -> np.ndarray:
-    """The verdicts (alpha_ok, beta_ok, c_relation_ok) of ``verify_rep`` on
-    each module of a generator array (cases, 2, 2, n, n), as
-    ``modules.build_many`` writes it, given each case's (omega, omega_star,
-    omega_eps); a boolean array (cases, 3).  Large batches run in groups."""
+    """The verdicts (alpha_ok, beta_ok, c_relation_ok) of ``verify_rep`` on each
+    module of a generator array (cases, 2, 2, n, n), given the plain-lex indices
+    (cases, 3) of its (omega, omega_star, omega_eps), as ``modules.build_many``
+    returns both; a boolean array (cases, 3).  Large batches run in groups."""
     cases, n = gens_shape(gens)
     if len(scalars) != cases:
         raise DimensionMismatch(f"{len(scalars)} scalar triples for {cases} cases")
@@ -142,7 +142,7 @@ def verify_rep_many(ctx: FieldCtx, gens: np.ndarray, scalars) -> np.ndarray:
 
 def _side(rep: PairRep, k: int) -> FMat:
     """Side k of ``_relations`` on the one module of ``rep``."""
-    sides = _relations(rep.ctx, stack_gens([rep]), [rep.scalars()])[0]
+    sides = _relations(rep.ctx, stack_gens([rep]), [index_of(rep.scalars())])[0]
     return FMat(rep.ctx, np.moveaxis(sides[:, 0, k], 0, -1))
 
 
@@ -171,7 +171,8 @@ def verify_rep(rep: PairRep) -> RepReport:
     B-analogue with omega_star.
     """
     ctx = rep.ctx
-    got, want = (x[:, 0, :4] for x in _relations(ctx, stack_gens([rep]), [rep.scalars()]))
+    sides = _relations(ctx, stack_gens([rep]), [index_of(rep.scalars())])
+    got, want = (x[:, 0, :4] for x in sides)
     bad = (got != want).any(0)
     failures = [(i, j, Fq2(ctx, *want[:, s, i, j].tolist()), Fq2(ctx, *got[:, s, i, j].tolist()))
                 for s, i, j in zip(*(k.tolist() for k in bad.nonzero()))]

@@ -22,8 +22,8 @@ from .errors import (BadRange, CapExceeded, DimensionMismatch, DivisionByZero, I
                      NoSolutionsInField)
 from .field import FieldCtx, Fq2, index_of, index_sub, mul_parts, poly_roots, quadratic_roots
 from .linalg import LOCKSTEP_BYTES, FMat, _inverses, check_int64, kernel, pivot_step, rank, rref
-from .modules import (Params4, Params5, SeqData, build_many, corner_index, corner_terms,
-                      delta_shift)
+from .modules import (Params4, Params5, build_many, corner_index, corner_terms, delta_shift,
+                      seq_arrays)
 
 # ---------------------------------------------------------------------------
 # feasibility
@@ -46,19 +46,31 @@ class Target:
         return [x.to_json() for x in (self.mu, self.phi, self.omega_star, self.omega_eps)]
 
 
+# mu = b/lam, then phi = (c + 1/c)(lam - 1/lam) - (a + 1/a)(b q - 1/(b q)) as
+# eight signed monomials: exponent vectors over the logs of (a, b, c, lam, q)
+_TARGET_TERMS = np.array([(0, 1, 0, -1, 0),
+                          (0, 0, 1, 1, 0), (0, 0, 1, -1, 0), (0, 0, -1, 1, 0), (0, 0, -1, -1, 0),
+                          (1, 1, 0, 0, 1), (1, -1, 0, 0, -1), (-1, 1, 0, 0, 1), (-1, -1, 0, 0, -1)])
+_PHI_SIGNS = np.array([1, -1, 1, -1, -1, 1, -1, 1])
+
+
+def feasible_targets(ctx: FieldCtx, index: np.ndarray) -> np.ndarray:
+    """The unique targets for which some rows (m, 4) of plain-lex indices of
+    (a, b, c, lam) are feasible, as rows (m, 4) of plain-lex indices of
+    (mu, phi, omega_star, omega_eps); the central scalars are those of
+    ``seq_arrays``, which raises ValueError at a zero entry."""
+    *_, scalars = seq_arrays(ctx, index, np.empty(0, dtype=np.int64))
+    exp = ctx.log_tables()[0]
+    terms = exp[table1.param_logs(ctx, index) @ _TARGET_TERMS.T % len(exp)]
+    phi = np.array(np.divmod(terms[:, 1:], ctx.p)) @ _PHI_SIGNS % ctx.p
+    return np.stack([terms[:, 0], phi[0] * ctx.p + phi[1], scalars[:, 1], scalars[:, 2]], 1)
+
+
 def feasible_target(params: Params4) -> Target:
-    """The unique target for which the quadruple is feasible."""
+    """The unique target for which the quadruple is feasible (``feasible_targets``)."""
     ctx = params.ctx
-    a, b, c, lam = params.astuple()
-    ai, bi, ci, lami = a.inv(), b.inv(), c.inv(), lam.inv()
-    q, qi = ctx.q, ctx.q.inv()
-    s = SeqData(params)
-    return Target(
-        mu=b * lami,
-        phi=(c + ci) * (lam - lami) - (a + ai) * (b * q - bi * qi),
-        omega_star=s.omega_star,
-        omega_eps=s.omega_eps,
-    )
+    row = feasible_targets(ctx, np.array([index_of(params.astuple())]))[0]
+    return Target(*map(ctx.from_index, row.tolist()))
 
 
 def feasible(params: Params4, target: Target) -> bool:
@@ -106,8 +118,7 @@ def solve_feasible(target: Target) -> list[Params4]:
     ctx = mu.ctx
     q, qi = ctx.q, ctx.q.inv()
     mui = mu.inv()
-    out: list[Params4] = []
-    seen: set[tuple] = set()
+    rows = []
     for kappa in sorted(set(poly_roots(ctx, feasible_quartic(target))), key=lambda e: e.key):
         ki = kappa.inv()
         for lam in sorted(set(poly_roots(ctx, feasible_sextic(target, kappa))), key=lambda e: e.key):
@@ -118,18 +129,13 @@ def solve_feasible(target: Target) -> list[Params4]:
             else:
                 r = (phi + kl * (mu * lam * q - mui * lami * qi)) / (lam - lami)
             for c in quadratic_roots(ctx.one, -r, ctx.one):
-                cand = Params4(kappa * lam, mu * lam, c, lam)
-                key = index_of(cand.astuple())
-                if key in seen:
-                    continue
-                seen.add(key)
-                if not feasible(cand, target):
-                    raise InvariantViolation("solver emitted an infeasible tuple")
-                out.append(cand)
-    if not out:
+                rows.append(index_of((kappa * lam, mu * lam, c, lam)))
+    if not rows:
         raise NoSolutionsInField("no feasible quadruple exists inside F_{p^2}")
-    out.sort(key=lambda pr: index_of(pr.astuple()))
-    return out
+    rows = np.array(sorted(set(rows)))  # np.unique would import numpy.ma
+    if (feasible_targets(ctx, rows) != index_of((mu, phi, target.omega_star, we))).any():
+        raise InvariantViolation("solver emitted an infeasible tuple")
+    return [Params4(*map(ctx.from_index, row)) for row in rows.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -705,8 +711,9 @@ def w_intertwiner_many(ctx: FieldCtx, index: np.ndarray, pairs: list) -> list[tu
     of plain-lex indices of (a, b, c, lam, delta), in one call on those whose central
     scalars agree; the rest admit no map: (None, False)."""
     gens, scalars = build_many(ctx, index, ctx.dbar)
-    same = [k for k, (i, j) in enumerate(pairs) if scalars[i] == scalars[j]]
-    found = dict(zip(same, intertwiner_many(ctx, *gens[np.intp(pairs).reshape(-1, 2)[same].T])))
+    pairs = np.intp(pairs).reshape(-1, 2)
+    same = np.flatnonzero((scalars[pairs[:, 0]] == scalars[pairs[:, 1]]).all(1))
+    found = dict(zip(same.tolist(), intertwiner_many(ctx, *gens[pairs[same].T])))
     return [found.get(k, (None, False)) for k in range(len(pairs))]
 
 

@@ -24,6 +24,7 @@ from math import gcd
 
 import numpy as np
 
+from . import table1
 from .algebra import PairRep
 from .errors import (
     BadRange,
@@ -35,7 +36,8 @@ from .errors import (
     WeightOutsideField,
     ZeroVector,
 )
-from .field import FieldCtx, Fq2, index_of, poly_gcd, poly_roots, poly_trim, quadratic_roots
+from .field import (FieldCtx, Fq2, index_of, mul_parts, poly_gcd, poly_roots, poly_trim,
+                    quadratic_roots)
 from .linalg import FMat, char_poly, hstack, kernel, product_shifted, rank
 
 
@@ -128,37 +130,78 @@ class SeqData:
         return self.omega, self.omega_star, self.omega_eps
 
 
-def build_many(ctx: FieldCtx, index: np.ndarray, n: int) -> tuple[np.ndarray, list[tuple]]:
+# The monomials of the sequences: exponent vectors over the logs of
+# (a, b, c, lam, q), then the power of q per unit of i.  They come in pairs:
+# theta and theta_star are sums, the four factors of varphi differences.
+_SEQ_TERMS = np.array([
+    (1, 0, 0, -1, 0, 2), (-1, 0, 0, 1, 0, -2),  # theta: a q^2i/lam + lam q^-2i/a
+    (0, 1, 0, -1, 0, 2), (0, -1, 0, 1, 0, -2),  # theta_star: b q^2i/lam + lam q^-2i/b
+    (-1, -1, 0, 1, 1, 1), (-1, -1, 0, 1, 1, -1),  # lam q (q^i - q^-i)/(a b)
+    (0, 0, 0, -1, -1, 1), (0, 0, 0, 1, 1, -1),  # q^(i-1)/lam - lam q^(1-i)
+    (0, 0, 0, 0, 0, -1), (1, 1, 1, -1, -1, 1),  # q^-i - a b c q^(i-1)/lam
+    (0, 0, 0, 0, 0, -1), (1, 1, -1, -1, -1, 1),  # q^-i - a b q^(i-1)/(c lam)
+])
+_SEQ_SIGNS = np.array([1, 1, -1, -1, -1, -1])
+# omega = (b + 1/b)(c + 1/c) + (a + 1/a)(lam q + 1/(lam q)), and omega_star and
+# omega_eps with (a, b, c) rotated, each expanded into eight monomials: +-1
+# times one of the exponent vectors of a, b, c and lam q plus +-1 times another
+_UNITS = np.array([(1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 1)])
+_CENTRAL_PAIRS = (((1, 2), (0, 3)), ((2, 0), (1, 3)), ((0, 1), (2, 3)))
+_CENTRAL_TERMS = np.array([s * _UNITS[x] + r * _UNITS[y] for pairs in _CENTRAL_PAIRS
+                           for x, y in pairs for s in (1, -1) for r in (1, -1)])
+
+
+def seq_arrays(ctx: FieldCtx, index: np.ndarray, i: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The closed forms of ``SeqData`` for rows (m, 4) of plain-lex indices of
+    (a, b, c, lam) at each entry of an integer vector i: theta(i), theta_star(i)
+    and varphi(i) as component arrays (m, 2, len(i)), and the plain-lex indices
+    (m, 3) of (omega, omega_star, omega_eps).  Every monomial comes from one
+    gather of logs, sums are componentwise and varphi's factors multiplied by
+    ``mul_parts``.  A zero a, b, c or lam raises ValueError."""
+    p, t, m, k = ctx.p, ctx.t, len(index), len(i)
+    logs = table1.param_logs(ctx, index)
+    if (logs < 0).any():
+        raise ValueError("parameters a, b, c, lam must be nonzero")
+    exp = ctx.log_tables()[0]
+    steps = np.multiply.outer(logs[:, 4], i)[..., None] * _SEQ_TERMS[:, 5]  # (m, k, 12)
+    terms = np.concatenate([((logs @ _SEQ_TERMS[:, :5].T)[:, None] + steps).reshape(m, 12 * k),
+                            logs @ _CENTRAL_TERMS.T], 1)
+    parts = np.stack(np.divmod(exp[terms % len(exp)], p), 1)  # (m, 2, 12 k + 24)
+    pairs = parts[..., :12 * k].reshape(m, 2, k, 6, 2)
+    seq = (pairs[..., 0] + _SEQ_SIGNS * pairs[..., 1]) % p  # (m, 2, k, 6)
+    f = seq[..., 2:]  # the factors of varphi, multiplied in pairs
+    f0, f1 = mul_parts(f[:, 0, :, ::2], f[:, 1, :, ::2], f[:, 0, :, 1::2], f[:, 1, :, 1::2], p, t)
+    varphi = np.stack(mul_parts(f0[..., 0], f1[..., 0], f0[..., 1], f1[..., 1], p, t), 1)
+    scalars = parts[..., 12 * k:].reshape(m, 2, 3, 8).sum(-1) % p
+    return seq[..., 0], seq[..., 1], varphi, scalars[:, 0] * p + scalars[:, 1]
+
+
+def build_many(ctx: FieldCtx, index: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The n-dimensional modules of some rows of plain-lex indices of
     (a, b, c, lam), or of (a, b, c, lam, delta): their generator array
-    (cases, 2, 2, n, n), A then B, each as its two components, and each
-    module's central scalars.  theta and ones go on A's diagonal and
-    subdiagonal, theta_star and varphi on B's diagonal and superdiagonal, and
-    a fifth column to A[0, n-1].  One SeqData per distinct (a, b, c, lam)."""
-    memo: dict[tuple, int] = {}
-    at = [memo.setdefault(tuple(key), len(memo)) for key in index[:, :4].tolist()]
-    seqs = [SeqData(Params4(*map(ctx.from_index, key))) for key in memo]
-    parts = np.array([[(x.x0, x.x1) for x in (*map(s.theta, range(n)), *map(s.theta_star, range(n)),
-                                              *map(s.varphi, range(1, n)))] for s in seqs],
-                     dtype=np.int64).reshape(len(seqs), 3 * n - 1, 2)[at].swapaxes(1, 2)
-    gens = np.zeros((len(at), 2, 2, n, n), dtype=np.int64)
+    (cases, 2, 2, n, n), A then B, each as its two components, and the
+    plain-lex indices (cases, 3) of their central scalars.  theta and ones go
+    on A's diagonal and subdiagonal, theta_star and varphi on B's diagonal and
+    superdiagonal, and a fifth column to A[0, n-1].  One ``seq_arrays`` call."""
+    theta, theta_star, varphi, scalars = seq_arrays(ctx, index[:, :4], np.arange(n))
+    gens = np.zeros((len(index), 2, 2, n, n), dtype=np.int64)
     # rows of n*n entries: the diagonal is every (n+1)-th from 0, the
     # subdiagonal from n and the superdiagonal from 1
-    flat = gens.reshape(len(at), 2, 2, n * n)
-    flat[:, 0, :, ::n + 1] = parts[..., :n]
+    flat = gens.reshape(len(index), 2, 2, n * n)
+    flat[:, 0, :, ::n + 1] = theta
     flat[:, 0, 0, n::n + 1] = 1
-    flat[:, 1, :, ::n + 1] = parts[..., n:2 * n]
-    flat[:, 1, :, 1::n + 1] = parts[..., 2 * n:]
+    flat[:, 1, :, ::n + 1] = theta_star
+    flat[:, 1, :, 1::n + 1] = varphi[..., 1:]
     if index.shape[1] == 5:
         flat[:, 0, 0, n - 1], flat[:, 0, 1, n - 1] = divmod(index[:, 4], ctx.p)
-    return gens, [seqs[k].scalars() for k in at]
+    return gens, scalars
 
 
 def _build_one(ctx: FieldCtx, row: tuple[int, ...], n: int) -> PairRep:
     """The module of one index row of ``build_many``, as matrices."""
-    gens, [scalars] = build_many(ctx, np.array([row]), n)
+    gens, scalars = build_many(ctx, np.array([row]), n)
     amat, bmat = (FMat(ctx, np.ascontiguousarray(g)) for g in gens[0].transpose(0, 2, 3, 1))
-    return PairRep(ctx, amat, bmat, *scalars)
+    return PairRep(ctx, amat, bmat, *map(ctx.from_index, scalars[0].tolist()))
 
 
 def build_Vn(a: Fq2, b: Fq2, c: Fq2, n: int) -> PairRep:

@@ -24,12 +24,13 @@ import numpy as np
 from . import table1
 from .algebra import PairRep, central_elements_check, stack_gens, vee, verify_rep_many
 from .classify import (
+    Target,
     _defect_index,
     _row_images,
     classify_sample,
     feasible_quartic,
     feasible_sextic,
-    feasible_target,
+    feasible_targets,
     irr_Vn_criterion,
     irr_W_criterion,
     irr_W_criterion_many,
@@ -276,16 +277,23 @@ def marginal_case(p5: Params5, t: Tally) -> list[int] | None:
     return hits
 
 
-def feasible_case(p4: Params4, t: Tally) -> bool:
-    """The read-off target is feasible; the solver returns the input and only
-    feasible tuples, all inside the input's orbit.  Returns whether the orbit
-    comparison was skipped because the orbit needs a field extension.
+def feasible_cases(ctx: FieldCtx, quads: list[Params4], t: Tally) -> int:
+    """``feasible_case`` on each quadruple, its read-off target from one
+    ``feasible_targets`` call; the number of skipped orbit comparisons."""
+    index = np.array([index_of(p4.astuple()) for p4 in quads], dtype=np.int64).reshape(-1, 4)
+    targets = (Target(*map(ctx.from_index, row)) for row in feasible_targets(ctx, index).tolist())
+    return sum(feasible_case(p4, tgt, t) for p4, tgt in zip(quads, targets))
+
+
+def feasible_case(p4: Params4, tgt: Target, t: Tally) -> bool:
+    """The read-off target ``tgt`` is feasible; the solver returns the input and
+    only feasible tuples, all inside the input's orbit.  Returns whether the
+    orbit comparison was skipped because the orbit needs a field extension.
 
     Feasibility of the read-off target is tested against the solver's
     polynomial system: kappa = a/lam is a root of the quartic and lam a root
     of the sextic at kappa."""
     wit = p4.astuple()
-    tgt = feasible_target(p4)
     kappa = p4.a / p4.lam
     on_system = (poly_eval(feasible_quartic(tgt), kappa).is_zero()
                  and poly_eval(feasible_sextic(tgt, kappa), p4.lam).is_zero())
@@ -425,8 +433,8 @@ def check_vee_involution(ctx, rng, n):
     draws = [_sample_w(ctx, rng) for _ in range(n)]
     reps = [rep for _, rep in draws]
     twists = [vee(rep) for rep in reps]
-    ok, twist_ok = (verify_rep_many(ctx, stack_gens(rs), [r.scalars() for r in rs]).all(1).tolist()
-                    for rs in (reps, twists))
+    ok, twist_ok = (verify_rep_many(ctx, stack_gens(rs), [index_of(r.scalars()) for r in rs])
+                    .all(1).tolist() for rs in (reps, twists))
     for (p5, rep), twist, verdict, twist_verdict in zip(draws, twists, ok, twist_ok):
         t.cases += 1
         t.check(vee(twist) == rep, p5.astuple(), "double twist is not identity")
@@ -580,7 +588,7 @@ def check_feasible_roundtrip(ctx, rng, n):
     """A case is one drawn quadruple, solved from its read-off target."""
     t = Tally()
     t.cases = max(n // 2, 4)
-    skipped = sum(feasible_case(sample_quadruple(ctx, rng), t) for _ in range(t.cases))
+    skipped = feasible_cases(ctx, [sample_quadruple(ctx, rng) for _ in range(t.cases)], t)
     return t, f"solver round-trips ({skipped} orbit skips)"
 
 

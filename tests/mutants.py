@@ -1,15 +1,17 @@
 """Mutation check: every recorded mutant of ``src/uawq`` must fail a test.
 
-Run from anywhere, with no arguments:
+Run from anywhere, with no arguments for every mutant, or with the names of
+some mutants for those alone:
 
     python tests/mutants.py
+    python tests/mutants.py "theta with q^i for q^2i" "builder writes the corner to A[n-1, 0]"
 
 A mutant is data: the file under ``src/uawq`` it changes, a text that occurs
 there exactly once, the text that replaces it, and the test files that must
-notice.  The named test files are first run once on an unmutated copy of
-``src/`` and must pass.  Then each mutant is applied to a fresh temporary copy
-of ``src/``, never in place, and ``pytest -x -q`` runs its test files against
-that copy.  A mutant is killed when a test fails and survives when all pass.
+notice.  The test files of the chosen mutants are first run once on an
+unmutated copy of ``src/`` and must pass.  Then each mutant is applied to a
+fresh temporary copy of ``src/``, never in place, and ``pytest -x -q`` runs
+its test files against that copy.  A mutant is killed when a test fails and survives when all pass.
 The exit status is nonzero if any mutant survives or cannot be applied.
 
 pytest is not collecting this file: its name does not match ``test_*.py``.
@@ -179,17 +181,36 @@ MUTANTS = [
            ", (lin(((q - qi) * (q - qi) * k, eps)), y))", ")", ALGEBRA),
     Mutant("relations verdict without the B-side C-relation", "algebra.py",
            "hit[:, 2] & hit[:, 3]", "hit[:, 2]", ALGEBRA),
-    Mutant("builder memo keyed on (a, b, c) only", "modules.py",  # a later lam reuses the first
-           "at = [memo.setdefault(tuple(key), len(memo))",
-           "first = {}\n    at = [memo.setdefault(first.setdefault(tuple(key[:3]), tuple(key)), len(memo))",
-           MODULES),
-    Mutant("builder reads varphi from range(n)", "modules.py",
-           "*map(s.varphi, range(1, n))", "*map(s.varphi, range(n))", MODULES),
+    Mutant("sequences keyed on (a, b, c) only: every row takes the first row's lam", "modules.py",
+           "    logs = table1.param_logs(ctx, index)\n",
+           "    logs = table1.param_logs(ctx, index)\n    logs[:, 3] = logs[:1, 3]\n", MODULES),
+    Mutant("builder reads varphi(0) to varphi(n-2) for varphi(1) to varphi(n-1)", "modules.py",
+           "varphi[..., 1:]", "varphi[..., :-1]", MODULES),
     Mutant("builder writes the corner to A[n-1, 0]", "modules.py",
            "flat[:, 0, 0, n - 1], flat[:, 0, 1, n - 1] =",
            "flat[:, 0, 0, n * (n - 1)], flat[:, 0, 1, n * (n - 1)] =", MODULES),
     Mutant("builder writes the first row's corner into every case", "modules.py",
            "divmod(index[:, 4], ctx.p)", "divmod(index[:1, 4], ctx.p)", MODULES),
+    Mutant("varphi's k2 without the c inverse", "modules.py",
+           "(1, 1, -1, -1, -1, 1),  # q^-i - a b q^(i-1)/(c lam)",
+           "(1, 1, 0, -1, -1, 1),  # q^-i - a b q^(i-1)/(c lam)", MODULES),
+    Mutant("varphi's lam factor a sum, not a difference", "modules.py",
+           "_SEQ_SIGNS = np.array([1, 1, -1, -1, -1, -1])",
+           "_SEQ_SIGNS = np.array([1, 1, -1, 1, -1, -1])", MODULES),
+    Mutant("theta with q^i for q^2i", "modules.py",
+           "(1, 0, 0, -1, 0, 2), (-1, 0, 0, 1, 0, -2),  # theta:",
+           "(1, 0, 0, -1, 0, 1), (-1, 0, 0, 1, 0, -1),  # theta:", MODULES),
+    Mutant("omega_star with the pairs of omega", "modules.py",
+           "_CENTRAL_PAIRS = (((1, 2), (0, 3)), ((2, 0), (1, 3)),",
+           "_CENTRAL_PAIRS = (((1, 2), (0, 3)), ((1, 2), (0, 3)),", MODULES),
+    Mutant("sequences without the zero check", "modules.py",
+           "    if (logs < 0).any():", "    if (logs < -1).any():", MODULES),
+    Mutant("solver self-check compares mu only", "classify.py",
+           "if (feasible_targets(ctx, rows) != index_of((mu, phi, target.omega_star, we))).any():",
+           "if (feasible_targets(ctx, rows)[:, 0] != mu.x0 * ctx.p + mu.x1).any():", SUITE),
+    Mutant("feasible target's phi a sum of its two products", "classify.py",
+           "_PHI_SIGNS = np.array([1, -1, 1, -1, -1, 1, -1, 1])",
+           "_PHI_SIGNS = np.array([1, -1, 1, -1, 1, -1, 1, -1])", CLASSIFY),
 ]
 
 
@@ -211,8 +232,13 @@ def first_failure(out: str) -> str:
                 out.strip().splitlines()[-1] if out.strip() else "no output")
 
 
-def main() -> int:
-    tests = sorted({t for m in MUTANTS for t in m.tests})
+def main(names: list[str]) -> int:
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"no mutant named {', '.join(map(repr, sorted(unknown)))}")
+        return 2
+    mutants = [m for m in MUTANTS if m.name in names] if names else MUTANTS
+    tests = sorted({t for m in mutants for t in m.tests})
     with tempfile.TemporaryDirectory() as tmp:
         src = copy_src(tmp)
         where = subprocess.run([sys.executable, "-c", "import uawq; print(uawq.__file__)"],
@@ -227,7 +253,7 @@ def main() -> int:
             return 2
     print(f"baseline: {' '.join(tests)} pass unmutated")
     bad = 0
-    for m in MUTANTS:
+    for m in mutants:
         with tempfile.TemporaryDirectory() as tmp:
             src = copy_src(tmp)
             path = src / "uawq" / m.file
@@ -246,9 +272,9 @@ def main() -> int:
         else:
             print(f"ERROR     {m.name}: pytest exit {proc.returncode}, {first_failure(proc.stdout)}")
             bad += 1
-    print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} mutants killed")
+    print(f"{len(mutants) - bad} of {len(mutants)} mutants killed")
     return 1 if bad else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -15,6 +15,7 @@ pytest does not collect this file: its name does not match ``test_*.py``.
 import collections
 import itertools
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from uawq.algebra import PairRep
 from uawq.classify import OrbitSet
 from uawq.field import Fq2
 from uawq.linalg import FMat
-from uawq.modules import Params4, Params5, SeqData
+from uawq.modules import Params5
 
 # ---------------------------------------------------------------------------
 # the field
@@ -252,17 +253,58 @@ def ref_w_deltas(a, b, c, lam):
 
 
 # ---------------------------------------------------------------------------
-# the modules, entry by entry
+# the parameter sequences and the modules, entry by entry
+
+
+class RefSeq(NamedTuple):
+    theta: object
+    theta_star: object
+    varphi: object
+    scalars: tuple
+
+
+def ref_seq(a, b, c, lam):
+    """theta, theta_star and varphi as functions of i, and (omega,
+    omega_star, omega_eps): the closed forms on Fq2 values, every power of q
+    by ``ref_pow``."""
+    ctx = a.ctx
+
+    def qp(k):
+        return ref_pow(ctx.q, k)
+
+    def theta(i):
+        return a / lam * qp(2 * i) + lam / a * qp(-2 * i)
+
+    def theta_star(i):
+        return b / lam * qp(2 * i) + lam / b * qp(-2 * i)
+
+    def varphi(i):
+        return (lam * ctx.q / (a * b) * (qp(i) - qp(-i))
+                * (qp(i - 1) / lam - lam * qp(1 - i))
+                * (qp(-i) - a * b * c / lam * qp(i - 1))
+                * (qp(-i) - a * b / (c * lam) * qp(i - 1)))
+
+    ta, tb, tc = (x + x.inv() for x in (a, b, c))
+    tl = lam * ctx.q + (lam * ctx.q).inv()
+    scalars = (tb * tc + ta * tl, tc * ta + tb * tl, ta * tb + tc * tl)
+    return RefSeq(theta, theta_star, varphi, scalars)
+
+
+def ref_target(a, b, c, lam):
+    """The feasibility target (mu, phi, omega_star, omega_eps) of a quadruple,
+    on Fq2 values."""
+    bq = b * a.ctx.q
+    phi = (c + c.inv()) * (lam - lam.inv()) - (a + a.inv()) * (bq - bq.inv())
+    return (b / lam, phi, *ref_seq(a, b, c, lam).scalars[1:])
 
 
 def ref_module(ctx, row, n):
     """The n-dimensional module of one row of plain-lex indices of (a, b, c, lam)
-    or (a, b, c, lam, delta): A and B written entry by entry from the
-    ``SeqData`` accessors, A with theta on the diagonal, ones below it and a
-    fifth entry at (0, n-1), B with theta_star on the diagonal and varphi
-    above it."""
+    or (a, b, c, lam, delta): A and B written entry by entry from ``ref_seq``,
+    A with theta on the diagonal, ones below it and a fifth entry at
+    (0, n-1), B with theta_star on the diagonal and varphi above it."""
     a, b, c, lam, *corner = (ctx.el(*divmod(int(k), ctx.p)) for k in row)
-    s = SeqData(Params4(a, b, c, lam))
+    s = ref_seq(a, b, c, lam)
 
     def a_entry(i, j):
         if corner and (i, j) == (0, n - 1):
@@ -274,7 +316,7 @@ def ref_module(ctx, row, n):
 
     a_mat, b_mat = (FMat.from_entries(ctx, [[f(i, j) for j in range(n)] for i in range(n)])
                     for f in (a_entry, b_entry))
-    return PairRep(ctx, a_mat, b_mat, *s.scalars())
+    return PairRep(ctx, a_mat, b_mat, *s.scalars)
 
 
 # ---------------------------------------------------------------------------

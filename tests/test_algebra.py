@@ -19,7 +19,7 @@ from uawq.algebra import (
 )
 from uawq.classify import sample_quintuple, sample_triple
 from uawq.errors import DimensionMismatch
-from uawq.field import ctx_new
+from uawq.field import ctx_new, index_of
 from uawq.linalg import FMat, is_scalar_matrix
 from uawq.modules import Params5, build_Vn, build_W
 
@@ -127,7 +127,8 @@ class TestVerifyRep:
 
 
 def judged(ctx, reps):
-    return verify_rep_many(ctx, stack_gens(reps), [rep.scalars() for rep in reps]).tolist()
+    scalars = [index_of(rep.scalars()) for rep in reps]
+    return verify_rep_many(ctx, stack_gens(reps), scalars).tolist()
 
 
 def planted(reps, rng):
@@ -180,10 +181,11 @@ class TestVerifyRepMany:
         reps = [PairRep(ctx, empty, empty, *map(ctx.from_index, (k, k + 5, k + 9)))
                 for k in range(3)]
         assert judged(ctx, reps) == [list(ref_relations(rep)) for rep in reps] == [[True] * 3] * 3
+        scalars = index_of(reps[0].scalars())
         with pytest.raises(DimensionMismatch):
-            verify_rep_many(ctx, np.zeros((2, 2, 2, 3, 4), dtype=np.int64), [reps[0].scalars()] * 2)
+            verify_rep_many(ctx, np.zeros((2, 2, 2, 3, 4), dtype=np.int64), [scalars] * 2)
         with pytest.raises(DimensionMismatch):
-            verify_rep_many(ctx, np.zeros((2, 2, 2, 3, 3), dtype=np.int64), [reps[0].scalars()])
+            verify_rep_many(ctx, np.zeros((2, 2, 2, 3, 3), dtype=np.int64), [scalars])
 
 
 class TestVee:

@@ -20,6 +20,7 @@ from uawq.classify import (
     delta_shift,
     feasible,
     feasible_target,
+    feasible_targets,
     intertwiner,
     irr_Vn_criterion,
     irr_W_criterion,
@@ -50,6 +51,7 @@ from reference import (
     ref_irr_W_criterion,
     ref_s4_orbit,
     ref_span_dim,
+    ref_target,
     ref_w_deltas,
     uniform_quintuple,
 )
@@ -69,6 +71,21 @@ class TestFeasible:
         q = ctx13.q
         tgt = feasible_target(Params4(*[ctx13.one] * 4))
         assert tgt.phi == ctx13.el(-2) * (q - q.inv())
+
+    @pytest.mark.parametrize("p, d", [(13, 3), (13, 6), (29, 28)])
+    def test_targets_match_the_reference(self, p, d):
+        ctx, rng = ctx_new(p, d), random.Random(p * d)
+        quads = [sample_quadruple(ctx, rng).astuple() for _ in range(20)]
+        got = feasible_targets(ctx, np.array([index_of(quad) for quad in quads]))
+        assert got.shape == (20, 4) and got.dtype == np.int64
+        assert [tuple(map(ctx.from_index, row)) for row in got.tolist()] == [
+            ref_target(*quad) for quad in quads]
+        assert feasible_targets(ctx, got[:0]).shape == (0, 4)
+        for k in range(4):
+            bad = list(index_of(quads[0]))
+            bad[k] = 0
+            with pytest.raises(ValueError, match="parameters a, b, c, lam must be nonzero"):
+                feasible_targets(ctx, np.array([index_of(quads[1]), bad]))
 
     def test_scalars_match_seq(self, ctx13, rng):
         p4 = sample_quadruple(ctx13, rng)

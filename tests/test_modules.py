@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 from conftest import cond_inv_ab, force_nu, sim_related
-from reference import gens_of, ref_inv_ab_terms, ref_module
+from reference import gens_of, ref_inv_ab_terms, ref_module, ref_seq
 
 from uawq import errors, suite
 from uawq.algebra import verify_rep
@@ -30,6 +30,7 @@ from uawq.modules import (
     marginal_test_e,
     marginal_vectors,
     nu_of,
+    seq_arrays,
     w_ij,
     weight_spaces,
 )
@@ -73,6 +74,62 @@ class TestSeq:
             assert p4 != p5 and p5 != p4
 
 
+class TestSeqArrays:
+    """``seq_arrays`` against ``ref_seq``, entry by entry."""
+
+    @staticmethod
+    def assert_matches_reference(ctx, index, i):
+        theta, theta_star, varphi, scalars = seq_arrays(ctx, index, i)
+        for arr in (theta, theta_star, varphi):
+            assert arr.shape == (len(index), 2, len(i)) and arr.dtype == np.int64
+        assert scalars.shape == (len(index), 3) and scalars.dtype == np.int64
+        for r, row in enumerate(index.tolist()):
+            ref = ref_seq(*map(ctx.from_index, row))
+            for seq, arr in zip((ref.theta, ref.theta_star, ref.varphi), (theta, theta_star, varphi)):
+                assert list(map(tuple, arr[r].T.tolist())) == [seq(k).key for k in i.tolist()], row
+            assert tuple(map(ctx.from_index, scalars[r].tolist())) == ref.scalars, row
+
+    @pytest.mark.parametrize("p, d", [(13, 3), (13, 6), (29, 28)])
+    def test_rows_below_zero_and_past_d(self, p, d):
+        # at (13, 6) d is even: dbar = d/2, and q^dbar = -1 flips each factor
+        # of varphi, so its period dbar is not q's order
+        ctx, rng = ctx_new(p, d), random.Random(p * d)
+        index = np.array([index_of(sample_quadruple(ctx, rng).astuple()) for _ in range(10)])
+        dbar = ctx.dbar
+        self.assert_matches_reference(ctx, index, np.array([-2 * d - 1, -d, -1, 0, 1, dbar - 1,
+                                                            dbar, d - 1, d, d + 1, 3 * d + 2]))
+        seqs = seq_arrays(ctx, index, np.arange(-dbar, 2 * dbar))[:3]
+        for arr in seqs:
+            assert np.array_equal(arr[..., :dbar], arr[..., dbar:2 * dbar])
+            assert np.array_equal(arr[..., :dbar], arr[..., 2 * dbar:])
+
+    def test_empty_and_one_row_batches(self, ctx13, rng):
+        row = np.array([index_of(sample_quadruple(ctx13, rng).astuple())])
+        for index in (row, row[:0]):
+            for i in (np.arange(-4, 5), np.arange(0)):
+                self.assert_matches_reference(ctx13, index, i)
+
+    def test_zero_parameters_raise(self, ctx13):
+        row = [2 * 13, 3 * 13, 13 + 4, 5]
+        for k in range(4):
+            bad = row[:k] + [0] + row[k + 1:]
+            for index in (np.array([row, bad]), np.array([bad])):
+                with pytest.raises(ValueError, match="parameters a, b, c, lam must be nonzero"):
+                    seq_arrays(ctx13, index, np.arange(3))
+
+    @pytest.mark.parametrize("p, d", [(13, 6), (29, 28)])
+    def test_seqdata_matches_the_reference(self, p, d):
+        # SeqData stays the per-case form of the spectral side
+        ctx, rng = ctx_new(p, d), random.Random(p + d)
+        for _ in range(4):
+            p4 = sample_quadruple(ctx, rng)
+            s, ref = SeqData(p4), ref_seq(*p4.astuple())
+            for k in range(-d, 2 * d):
+                assert (s.theta(k), s.theta_star(k), s.varphi(k)) == (
+                    ref.theta(k), ref.theta_star(k), ref.varphi(k))
+            assert s.scalars() == ref.scalars
+
+
 class TestBuildVn:
     def test_v0_is_scalar_pair(self, ctx13):
         rep = build_Vn(ctx13.el(2), ctx13.el(3), ctx13.el(4), 0)
@@ -95,16 +152,17 @@ class TestBuildMany:
     def assert_matches_reference(ctx, index, n):
         gens, scalars = build_many(ctx, index, n)
         assert gens.shape == (len(index), 2, 2, n, n) and gens.dtype == np.int64
-        assert len(scalars) == len(index)
-        for row, got, got_scalars in zip(index.tolist(), gens, scalars, strict=True):
+        assert scalars.shape == (len(index), 3) and scalars.dtype == np.int64
+        for row, got, got_scalars in zip(index.tolist(), gens, scalars.tolist(), strict=True):
             ref = ref_module(ctx, row, n)
             assert np.array_equal(got, gens_of([ref])[0]), row
-            assert got_scalars == SeqData(ref_params(ctx, row[:4])).scalars()
+            assert tuple(map(ctx.from_index, got_scalars)) == ref.scalars()
         return gens
 
     def test_one_quadruple_with_many_deltas_and_a_w_slice(self, ctx13, rng):
-        # thirteen deltas of one quadruple share one SeqData, as each (c, lam)
-        # of the slice does over its deltas: no corner may leak to a neighbour
+        # thirteen deltas of one quadruple share their sequences, as each
+        # (c, lam) of the slice does over its deltas: no corner may leak to a
+        # neighbour
         quad = index_of(sample_quadruple(ctx13, rng).astuple())
         deltas = [0] + rng.sample(range(1, 169), 12)
         grid, _, [(_, grid_gens)] = suite._w_slice(ctx13, 2, 5)
@@ -135,7 +193,7 @@ class TestBuildMany:
     def test_empty_batches(self, ctx13):
         for cols in (4, 5):
             gens, scalars = build_many(ctx13, np.empty((0, cols), dtype=np.int64), 3)
-            assert gens.shape == (0, 2, 2, 3, 3) and scalars == []
+            assert gens.shape == (0, 2, 2, 3, 3) and scalars.shape == (0, 3)
 
     def test_zero_parameters_raise(self, ctx13):
         row = [2 * 13, 3 * 13, 13 + 4, 5, 0]  # delta may be zero
@@ -164,9 +222,9 @@ class TestBuildW:
         assert rep.A.entry(0, ctx13.dbar - 1) == p5.delta
 
     def test_corners_match_one_build_each(self, ctx13, rng):
-        # every delta of one quadruple from one build, then a W grid slice, one
-        # SeqData per (c, lam): later corners must not leak into earlier cases,
-        # which share all of A's other entries
+        # every delta of one quadruple from one build, then a W grid slice:
+        # later corners must not leak into earlier cases, which share all of
+        # A's other entries
         quad = sample_quadruple(ctx13, rng)
         n = ctx13.dbar
         gens, _ = build_many(ctx13, np.array([(*index_of(quad.astuple()), 13 * x)

@@ -14,11 +14,11 @@ from conftest import force_nu, image_pair
 import uawq
 from uawq import classify, suite, table1
 from uawq.algebra import vee
-from uawq.classify import (Target, classify_sample, feasible_target, intertwiner, sample_quadruple,
+from uawq.classify import (classify_sample, feasible_target, intertwiner, sample_quadruple,
                            sample_quintuple, sample_triple, s4_orbit, simeq_closure)
 from uawq.cli import main
 from uawq.errors import NuOutsideField
-from uawq.field import ctx_new
+from uawq.field import ctx_new, index_of
 from uawq.linalg import FMat, kron, rank, rref, vstack
 from uawq.modules import build_Vn, build_W, nu_of
 from uawq.suite import report_bytes, run_suite
@@ -186,43 +186,48 @@ def test_irr_stdout_is_golden_at_29(capsys, params):
 
 
 def test_feasible_case_rejects_a_corrupted_target(monkeypatch, ctx13):
-    # A wrong phi formula in feasible_target, seen by every caller: comparing
+    # A wrong phi formula in feasible_targets, seen by every caller: comparing
     # the read-off target with itself cannot notice it, the solver's
     # polynomial system does.
-    def corrupted(p4):
-        tgt = feasible_target(p4)
-        return Target(tgt.mu, tgt.phi + 1, tgt.omega_star, tgt.omega_eps)
+    real = classify.feasible_targets
+
+    def corrupted(ctx, index):
+        out = real(ctx, index)
+        out[:, 1] = (out[:, 1] + ctx.p) % (ctx.p * ctx.p)  # phi + 1: x0 + 1 mod p
+        return out
 
     rng = random.Random(3)
     quads = [sample_quadruple(ctx13, rng) for _ in range(10)]
     honest = suite.Tally()
-    for p4 in quads:
-        suite.feasible_case(p4, honest)
+    suite.feasible_cases(ctx13, quads, honest)
     assert honest.failures == 0
-    monkeypatch.setattr(classify, "feasible_target", corrupted)
-    monkeypatch.setattr(suite, "feasible_target", corrupted)
+    monkeypatch.setattr(classify, "feasible_targets", corrupted)
+    monkeypatch.setattr(suite, "feasible_targets", corrupted)
     t = suite.Tally()
-    for p4 in quads:
-        suite.feasible_case(p4, t)
+    suite.feasible_cases(ctx13, quads, t)
     assert t.failures == len(quads)
     assert t.first == (quads[0].astuple(), "read-off target not feasible")
 
 
 def test_feasible_case_reports_an_infeasible_solver_output(monkeypatch, ctx13):
-    # solve_feasible checks each output with classify.feasible and raises on
-    # a failure; feasible_case records it as the case's failure
+    # solve_feasible checks all its outputs with one classify.feasible_targets
+    # call and raises if any row differs; feasible_case records it as the
+    # case's failure.  Only omega_eps of the last of several rows is wrong.
     p4 = sample_quadruple(ctx13, random.Random(5))
-    real, calls = classify.feasible, []
+    tgt = feasible_target(p4)
+    real, calls = classify.feasible_targets, []
 
-    def reject_first(params, target):
-        calls.append(params)
-        return len(calls) > 1 and real(params, target)
+    def reject_last(ctx, index):
+        calls.append(len(index))
+        out = real(ctx, index)
+        out[-1, 3] = (out[-1, 3] + 1) % (ctx.p * ctx.p)
+        return out
 
-    monkeypatch.setattr(classify, "feasible", reject_first)
+    monkeypatch.setattr(classify, "feasible_targets", reject_last)
     t = suite.Tally()
-    assert suite.feasible_case(p4, t) is False
+    assert suite.feasible_case(p4, tgt, t) is False
     assert (t.failures, t.first) == (1, (p4.astuple(), "solver output not feasible"))
-    assert len(calls) == 1
+    assert len(calls) == 1 and calls[0] > 1
 
 
 def run_optimized(code: str) -> list[str]:
@@ -340,11 +345,11 @@ def test_grid_chunks_report_flipped_cases_in_grid_order(monkeypatch):
 def plant_relation_failures(monkeypatch, modules):
     """``suite.verify_rep_many`` failing every case whose central scalars are
     those of one of ``modules``."""
-    real, fails = suite.verify_rep_many, {rep.scalars() for rep in modules}
+    real, fails = suite.verify_rep_many, {index_of(rep.scalars()) for rep in modules}
 
     def planted(ctx, gens, scalars):
         out = real(ctx, gens, scalars)
-        out[[tuple(s) in fails for s in scalars]] = False
+        out[[tuple(s) in fails for s in np.asarray(scalars).tolist()]] = False
         return out
 
     monkeypatch.setattr(suite, "verify_rep_many", planted)
