@@ -39,7 +39,6 @@ from .modules import (
     NuData,
     Params4,
     Params5,
-    SeqData,
     L_closed,
     L_recurrence,
     build_Vn,

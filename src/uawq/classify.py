@@ -22,8 +22,7 @@ from .errors import (BadRange, CapExceeded, DimensionMismatch, DivisionByZero, I
                      NoSolutionsInField)
 from .field import FieldCtx, Fq2, index_of, index_sub, mul_parts, poly_roots, quadratic_roots
 from .linalg import LOCKSTEP_BYTES, FMat, _inverses, check_int64, kernel, pivot_step, rank, rref
-from .modules import (Params4, Params5, build_many, corner_index, corner_terms, delta_shift,
-                      seq_arrays)
+from .modules import Params4, Params5, build_many, corner_index, delta_shift, seq_arrays
 
 # ---------------------------------------------------------------------------
 # feasibility
@@ -289,13 +288,6 @@ def s4_orbit(params: Params4) -> OrbitSet:
     return _explore(ctx, sign_index(quad, ctx.p),
                     lambda depth, _: None if depth else _row_images(ctx, quad[None]),
                     tuple(table1.ROW_BY_LABEL))
-
-
-def orbit_image(row: table1.Row, quad: tuple, shift: Fq2) -> tuple:
-    """The row image of a quadruple, with delta chosen so that delta_shift of
-    the image is ``shift``."""
-    img = table1.apply_row(row, quad)
-    return (*img, shift - corner_terms(img[0], img[3]))
 
 
 @lru_cache(maxsize=None)

@@ -272,10 +272,6 @@ def hstack(mats: Sequence[FMat]) -> FMat:
     return FMat(mats[0].ctx, np.concatenate([m.arr for m in mats], axis=1))
 
 
-def vstack(mats: Sequence[FMat]) -> FMat:
-    return FMat(mats[0].ctx, np.concatenate([m.arr for m in mats], axis=0))
-
-
 def kron(a: FMat, b: FMat) -> FMat:
     x, y = a.arr, b.arr
     c = mul_parts(x[..., 0], x[..., 1], y[..., 0], y[..., 1], a.ctx.p, a.ctx.t, np.kron)

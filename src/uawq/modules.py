@@ -80,56 +80,6 @@ class Params5(Params4):
         return (self.a, self.b, self.c, self.lam, self.delta)
 
 
-class SeqData:
-    """Closed-form parameter sequences and the three central scalars.
-
-    theta, theta_star and varphi are dbar-periodic; the accessors evaluate
-    the closed forms for any index, so periodicity is a checkable property
-    rather than an artifact of caching.
-    """
-
-    __slots__ = ("ctx", "params", "_alam", "_blam", "_pref", "_k1", "_k2",
-                 "omega", "omega_star", "omega_eps")
-
-    def __init__(self, params: Params4):
-        ctx = params.ctx
-        a, b, c, lam = params.astuple()
-        self.ctx = ctx
-        self.params = params
-        ai, bi, ci, lami = a.inv(), b.inv(), c.inv(), lam.inv()
-        q = ctx.q
-        qi = q.inv()
-        self._alam = a * lami
-        self._blam = b * lami
-        self._pref = ai * bi * lam * q
-        self._k1 = a * b * c * lami
-        self._k2 = a * b * ci * lami
-        lq = lam * q + lami * qi
-        self.omega = (b + bi) * (c + ci) + (a + ai) * lq
-        self.omega_star = (c + ci) * (a + ai) + (b + bi) * lq
-        self.omega_eps = (a + ai) * (b + bi) + (c + ci) * lq
-
-    def theta(self, i: int) -> Fq2:
-        v = self._alam * self.ctx.qpow(2 * i)
-        return v + v.inv()
-
-    def theta_star(self, i: int) -> Fq2:
-        v = self._blam * self.ctx.qpow(2 * i)
-        return v + v.inv()
-
-    def varphi(self, i: int) -> Fq2:
-        ctx = self.ctx
-        lam = self.params.lam
-        f1 = ctx.qpow(i) - ctx.qpow(-i)
-        f2 = lam.inv() * ctx.qpow(i - 1) - lam * ctx.qpow(1 - i)
-        f3 = ctx.qpow(-i) - self._k1 * ctx.qpow(i - 1)
-        f4 = ctx.qpow(-i) - self._k2 * ctx.qpow(i - 1)
-        return self._pref * f1 * f2 * f3 * f4
-
-    def scalars(self) -> tuple[Fq2, Fq2, Fq2]:
-        return self.omega, self.omega_star, self.omega_eps
-
-
 # The monomials of the sequences: exponent vectors over the logs of
 # (a, b, c, lam, q), then the power of q per unit of i.  They come in pairs:
 # theta and theta_star are sums, the four factors of varphi differences.
@@ -152,7 +102,7 @@ _CENTRAL_TERMS = np.array([s * _UNITS[x] + r * _UNITS[y] for pairs in _CENTRAL_P
 
 
 def seq_arrays(ctx: FieldCtx, index: np.ndarray, i: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The closed forms of ``SeqData`` for rows (m, 4) of plain-lex indices of
+    """The parameter sequences for rows (m, 4) of plain-lex indices of
     (a, b, c, lam) at each entry of an integer vector i: theta(i), theta_star(i)
     and varphi(i) as component arrays (m, 2, len(i)), and the plain-lex indices
     (m, 3) of (omega, omega_star, omega_eps).  Every monomial comes from one
@@ -174,6 +124,16 @@ def seq_arrays(ctx: FieldCtx, index: np.ndarray, i: np.ndarray) -> tuple[np.ndar
     varphi = np.stack(mul_parts(f0[..., 0], f1[..., 0], f0[..., 1], f1[..., 1], p, t), 1)
     scalars = parts[..., 12 * k:].reshape(m, 2, 3, 8).sum(-1) % p
     return seq[..., 0], seq[..., 1], varphi, scalars[:, 0] * p + scalars[:, 1]
+
+
+def _seq_values(params: Params4, i: np.ndarray) -> tuple:
+    """theta, theta_star and varphi of the quadruple of ``params`` at each entry
+    of i, and its central scalars (omega, omega_star, omega_eps), as Fq2
+    values: one ``seq_arrays`` call."""
+    ctx = params.ctx
+    *seqs, scalars = seq_arrays(ctx, np.array([index_of(params.astuple()[:4])]), i)
+    return (*([Fq2(ctx, x0, x1) for x0, x1 in zip(*arr[0].tolist())] for arr in seqs),
+            tuple(map(ctx.from_index, scalars[0].tolist())))
 
 
 def build_many(ctx: FieldCtx, index: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -412,12 +372,12 @@ def e_vector(params: Params5, i: int, nu: NuData) -> FMat:
     dbar = ctx.dbar
     if not 0 <= i <= dbar - 1:
         raise BadRange(f"i={i} outside [0, {dbar - 1}]")
-    s = SeqData(params.quadruple)
+    theta = _seq_values(params, np.arange(dbar))[0]
     vt = nu.vartheta(i)
     coeffs = [ctx.one] * dbar
     # coefficient of w_{h-1} is prod_{j=h}^{dbar-1} (vartheta_i - theta_j)
     for h in range(dbar - 1, 0, -1):
-        coeffs[h - 1] = coeffs[h] * (vt - s.theta(h))
+        coeffs[h - 1] = coeffs[h] * (vt - theta[h])
     return FMat.column(ctx, coeffs)
 
 
@@ -472,15 +432,16 @@ def w_ij(params: Params5, i: int, j: int) -> FMat:
     dbar = ctx.dbar
     if not 0 <= i <= j <= dbar - 1:
         raise BadRange(f"need 0 <= i <= j <= {dbar - 1}, got ({i}, {j})")
-    s = SeqData(params.quadruple)
-    tj = s.theta_star(j)
+    # theta_star and varphi at i..j, read at offset k for index i + k
+    _, theta_star, varphi, _ = _seq_values(params, np.arange(i, j + 1))
+    tj = theta_star[j - i]
     coeffs = [ctx.zero] * dbar
     for h in range(j - i + 1):
         term = ctx.one
         for k in range(h, j - i):
-            term = term * s.varphi(i + k + 1)
+            term = term * varphi[k + 1]
         for k in range(h):
-            term = term * (tj - s.theta_star(i + k))
+            term = term * (tj - theta_star[k])
         coeffs[i + h] = term
     return FMat.column(ctx, coeffs)
 
@@ -495,16 +456,16 @@ def L_recurrence(params: Params5, i: int, nu: NuData) -> list[list[Fq2]]:
     dbar = ctx.dbar
     if not 0 <= i <= dbar - 1:
         raise BadRange(f"i={i} outside [0, {dbar - 1}]")
-    s = SeqData(params.quadruple)
+    theta, theta_star, varphi, _ = _seq_values(params, np.arange(dbar))
     vt = nu.vartheta(i)
     L = [[ctx.zero] * dbar for _ in range(dbar)]
     L[0][0] = ctx.one
     for j in range(1, dbar):
-        L[j][0] = L[j - 1][0] * (vt - s.theta(dbar - j))
+        L[j][0] = L[j - 1][0] * (vt - theta[dbar - j])
     for k in range(1, dbar):
         for j in range(1, dbar):
-            L[j][k] = s.varphi(dbar - j) * L[j - 1][k - 1] + (
-                s.theta_star(dbar - j - 1) - s.theta_star(dbar - k)
+            L[j][k] = varphi[dbar - j] * L[j - 1][k - 1] + (
+                theta_star[dbar - j - 1] - theta_star[dbar - k]
             ) * L[j][k - 1]
     return L
 
@@ -532,14 +493,13 @@ def L_closed(params: Params5, i: int, j: int, k: int, nu: NuData) -> Fq2:
         x = nu.nu * ctx.qpow(-2 * i)
         raise CaseNotApplicable(f"nu q^-2i = {x!r} matches no closed-form case")
     a, b, c, lam = params.quadruple.astuple()
-    s = SeqData(params.quadruple)
 
     if case == 0:
         if j != k:
             return ctx.zero
         out = ctx.one
-        for h in range(1, j + 1):
-            out = out * s.varphi(dbar - h)
+        for phi in _seq_values(params, np.arange(dbar - j, dbar))[2]:
+            out = out * phi  # varphi(dbar - h) for h = j, ..., 1
         return out
 
     def qp(e: int) -> Fq2:
@@ -586,22 +546,20 @@ def check_verma_universal(rep: PairRep, v: FMat, params: Params4) -> bool:
     if v.is_zero():
         raise ZeroVector("universal-property test on the zero vector")
     ctx = rep.ctx
-    s = SeqData(params)
+    theta, theta_star, varphi, (_, omega_star, omega_eps) = _seq_values(params, np.arange(2))
     n = rep.n
-    if not (rep.B @ v == v * s.theta_star(0)):
+    if not (rep.B @ v == v * theta_star[0]):
         return False
-    lhs = (rep.B - FMat.scalar(ctx, n, s.theta_star(1))) @ (rep.A @ v)
-    coeff = s.theta(0) * (s.theta_star(0) - s.theta_star(1)) + s.varphi(1)
+    lhs = (rep.B - FMat.scalar(ctx, n, theta_star[1])) @ (rep.A @ v)
+    coeff = theta[0] * (theta_star[0] - theta_star[1]) + varphi[1]
     if not (lhs == v * coeff):
         return False
-    return rep.omega_star == s.omega_star and rep.omega_eps == s.omega_eps
+    return rep.omega_star == omega_star and rep.omega_eps == omega_eps
 
 
 def check_W_universal(rep: PairRep, v: FMat, params: Params5) -> bool:
     """check_verma_universal plus the corner condition prod(A - theta_i) v = delta v."""
     if not check_verma_universal(rep, v, params.quadruple):
         return False
-    ctx = params.ctx
-    s = SeqData(params.quadruple)
-    shifts = [s.theta(i) for i in range(ctx.dbar)]
+    shifts = _seq_values(params, np.arange(params.ctx.dbar))[0]
     return product_shifted(rep.A, shifts) @ v == v * params.delta

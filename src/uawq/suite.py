@@ -58,7 +58,7 @@ from .modules import (
     L_recurrence,
     Params4,
     Params5,
-    SeqData,
+    _seq_values,
     build_many,
     build_W,
     check_W_universal,
@@ -71,6 +71,7 @@ from .modules import (
     marginal_values,
     marginal_vectors,
     nu_of,
+    seq_arrays,
     w_ij,
     weight_spaces,
 )
@@ -154,11 +155,11 @@ def charpoly_corner(ctx: FieldCtx, rng: random.Random, count: int) -> Tally:
     t = Tally()
     for _ in range(count):
         p5, rep = _sample_w(ctx, rng)
-        s = SeqData(p5.quadruple)
-        want_a = poly_from_roots(ctx, [s.theta(i) for i in range(ctx.dbar)])
+        theta, theta_star, _, _ = _seq_values(p5, np.arange(ctx.dbar))
+        want_a = poly_from_roots(ctx, theta)
         want_a[0] = want_a[0] - p5.delta
         if t.check(char_poly(rep.A) == want_a, p5.astuple(), "lowering charpoly mismatch"):
-            want_b = poly_from_roots(ctx, [s.theta_star(i) for i in range(ctx.dbar)])
+            want_b = poly_from_roots(ctx, theta_star)
             t.check(char_poly(rep.B) == want_b, p5.astuple(), "raising charpoly mismatch")
         t.cases += 1
     return t
@@ -173,8 +174,7 @@ def center_chebyshev(ctx: FieldCtx, rng: random.Random, count: int) -> Tally:
         mu = rand_nonzero(ctx, rng)
         if t.check(central_elements_check(rep, mu).ok, p5.astuple(),
                    "central element fails to commute"):
-            s = SeqData(p5.quadruple)
-            prod = product_shifted(rep.A, [s.theta(i) for i in range(ctx.dbar)])
+            prod = product_shifted(rep.A, _seq_values(p5, np.arange(ctx.dbar))[0])
             t.check(p5.delta == is_scalar_matrix(prod), p5.astuple(),
                     "corner product is not delta*I")
         t.cases += 1
@@ -230,15 +230,17 @@ def ladder_case(p5: Params5, t: Tally) -> set[int] | None:
     ctx = p5.ctx
     dbar = ctx.dbar
     rep = build_W(p5)
-    s = SeqData(p5.quadruple)
+    theta_star = _seq_values(p5, np.arange(dbar))[1]
     cases = set()
     for i in range(dbar):
         ei = e_vector(p5, i, nd)
         t.check(rep.A @ ei == ei * nd.vartheta(i), (p5.astuple(), i), "not an eigenvector")
         t.check(ei.entry(dbar - 1, 0) == ctx.one, (p5.astuple(), i), "last coefficient not 1")
         L = L_recurrence(p5, i, nd)
+        vec = ei  # at step k: prod_{h=1}^{k} (B - theta_star_{dbar-h}) e_i
         for k in range(dbar):
-            vec = product_shifted(rep.B, [s.theta_star(dbar - h) for h in range(1, k + 1)]) @ ei
+            if k:
+                vec = rep.B @ vec - vec * theta_star[dbar - k]
             for j in range(dbar):
                 t.check(vec.entry(dbar - j - 1, 0) == L[j][k], (p5.astuple(), i, j, k),
                         "recurrence disagrees with matrix application")
@@ -369,14 +371,14 @@ def descent_delta_case(p5: Params5, t: Tally) -> None:
     dbar = ctx.dbar
     q, qi = ctx.q, ctx.q.inv()
     rep = build_W(p5)
-    s = SeqData(p5.quadruple)
-    lhs = (rep.B - FMat.scalar(ctx, dbar, s.theta_star(dbar - 2))) @ (
-        rep.B - FMat.scalar(ctx, dbar, s.theta_star(dbar - 1))) @ (rep.A @ w_ij(p5, 0, dbar - 1))
+    theta_star = _seq_values(p5, np.arange(dbar))[1]
+    lhs = (rep.B - FMat.scalar(ctx, dbar, theta_star[dbar - 2])) @ (
+        rep.B - FMat.scalar(ctx, dbar, theta_star[dbar - 1])) @ (rep.A @ w_ij(p5, 0, dbar - 1))
     pref = ctx.qpow(-dbar * (dbar - 1) // 2) * (q * q - qi * qi)
     for i in range(1, dbar):
         pref = pref * (ctx.qpow(i) - ctx.qpow(-i))
     defect = ctx.from_index(_defect_index(ctx, np.array(index_of(p5.astuple()))))
-    want = w_ij(p5, 0, 0) * (pref * (s.theta_star(0) - s.theta_star(dbar - 1)) * defect)
+    want = w_ij(p5, 0, 0) * (pref * (theta_star[0] - theta_star[dbar - 1]) * defect)
     t.check(lhs == want, p5.astuple(), "descent scalar mismatch")
 
 
@@ -461,18 +463,19 @@ def check_weight_ladder(ctx, rng, n):
 
 
 def check_periodicity(ctx, rng, n):
-    """A case is one drawn quadruple's three sequences."""
+    """A case is one drawn quadruple's three sequences, from one ``seq_arrays`` call."""
     t = Tally()
     dbar = ctx.dbar
-    for _ in range(max(n // 4, 2)):
+    quads = [sample_quadruple(ctx, rng) for _ in range(max(n // 4, 2))]
+    index = np.array([index_of(p4.astuple()) for p4 in quads])
+    seqs = np.stack(seq_arrays(ctx, index, np.arange(4 * dbar + 1))[:3], 1)  # (m, 3, 2, i)
+    # at each i < 3 dbar + 1, whether all three sequences equal their values at i + dbar
+    same = (seqs[..., :3 * dbar + 1] == seqs[..., dbar:]).all((1, 2)).tolist()
+    for p4, periodic, phi0 in zip(quads, same, seqs[:, 2, :, 0].tolist()):
         t.cases += 1
-        s = SeqData(sample_quadruple(ctx, rng))
-        for i in range(3 * dbar + 1):
-            t.check(s.theta(i) == s.theta(i + dbar)
-                    and s.theta_star(i) == s.theta_star(i + dbar)
-                    and s.varphi(i) == s.varphi(i + dbar),
-                    (s.params.astuple(), i), "period break")
-        t.check(s.varphi(0).is_zero(), s.params.astuple(), "varphi(0) != 0")
+        for i, ok in enumerate(periodic):
+            t.check(ok, (p4.astuple(), i), "period break")
+        t.check(phi0 == [0, 0], p4.astuple(), "varphi(0) != 0")
     return t, "theta/theta*/varphi dbar-periodic"
 
 
@@ -525,18 +528,18 @@ def check_bridge_vectors(ctx, rng, n):
         t.cases += 1
         p5, rep = _sample_w(ctx, rng)
         a, b, c, lam, delta = p5.astuple()
-        s = SeqData(p5.quadruple)
+        _, theta_star, varphi, _ = _seq_values(p5, np.arange(dbar + 1))
         for i in range(dbar):
-            if s.varphi(i).is_zero():
+            if varphi[i].is_zero():
                 for j in range(i, dbar):
-                    t.check(((rep.B - S(rep, s.theta_star(j))) @ w_ij(p5, i, j)).is_zero(),
+                    t.check(((rep.B - S(rep, theta_star[j])) @ w_ij(p5, i, j)).is_zero(),
                             (p5.astuple(), i, j), "eigcondition fails")
         for i in range(1, dbar):
             w0i = w_ij(p5, 0, i)
-            lhs = (rep.B - S(rep, s.theta_star(i + 1))) @ (
-                rep.B - S(rep, s.theta_star(i))) @ (rep.A @ w0i)
+            lhs = (rep.B - S(rep, theta_star[i + 1])) @ (
+                rep.B - S(rep, theta_star[i])) @ (rep.A @ w0i)
             scal = (a / b * lam * q * (q - qi) * (q * q - qi * qi)
-                    * (ctx.qpow(i) - ctx.qpow(-i)) * s.varphi(i)
+                    * (ctx.qpow(i) - ctx.qpow(-i)) * varphi[i]
                     * (b * ctx.qpow(i) - b.inv() * ctx.qpow(-i))
                     * (ctx.qpow(-i) - b * lam.inv() / (a * c) * ctx.qpow(i - 1))
                     * (ctx.qpow(-i) - b * c * lam.inv() / a * ctx.qpow(i - 1)))
@@ -544,15 +547,15 @@ def check_bridge_vectors(ctx, rng, n):
                     "descent scalar mismatch")
         # dim-1 eigenspace spanning when varphi_i = 0 and a hypothesis holds
         for i in range(dbar):
-            if not s.varphi(i).is_zero():
+            if not varphi[i].is_zero():
                 continue
             for j in range(i, dbar):
-                phis_ok = all(not s.varphi(h).is_zero() for h in range(i + 1, j + 1))
-                tj_ok = all(s.theta_star(j) != s.theta_star(h) for h in range(i, j))
+                phis_ok = all(not varphi[h].is_zero() for h in range(i + 1, j + 1))
+                tj_ok = all(theta_star[j] != theta_star[h] for h in range(i, j))
                 if not (phis_ok or tj_ok):
                     continue
                 sub = rep.B.arr[i:j + 1, i:j + 1, :]
-                subm = FMat(ctx, sub) - FMat.scalar(ctx, j - i + 1, s.theta_star(j))
+                subm = FMat(ctx, sub) - FMat.scalar(ctx, j - i + 1, theta_star[j])
                 eig = kernel(subm)
                 wij_trunc = FMat(ctx, w_ij(p5, i, j).arr[i:j + 1, :, :])
                 t.check(eig.ncols == 1 and rank(hstack([eig, wij_trunc])) == 1,

@@ -203,6 +203,28 @@ MUTANTS = [
     Mutant("omega_star with the pairs of omega", "modules.py",
            "_CENTRAL_PAIRS = (((1, 2), (0, 3)), ((2, 0), (1, 3)),",
            "_CENTRAL_PAIRS = (((1, 2), (0, 3)), ((1, 2), (0, 3)),", MODULES),
+    Mutant("Fq2 sequence values with their components swapped", "modules.py",
+           "Fq2(ctx, x0, x1) for x0, x1", "Fq2(ctx, x1, x0) for x0, x1", MODULES),
+    Mutant("e_vector reads theta(h-1) for theta(h)", "modules.py",
+           "coeffs[h] * (vt - theta[h])", "coeffs[h] * (vt - theta[h - 1])", MODULES),
+    Mutant("L_recurrence reads theta_star(dbar-k-1) for theta_star(dbar-k)", "modules.py",
+           "theta_star[dbar - j - 1] - theta_star[dbar - k]",
+           "theta_star[dbar - j - 1] - theta_star[dbar - k - 1]", MODULES),
+    Mutant("w_ij reads varphi(i+k) for varphi(i+k+1)", "modules.py",
+           "term = term * varphi[k + 1]", "term = term * varphi[k]", MODULES),
+    Mutant("L_closed case 0 reads varphi one index low", "modules.py",
+           "np.arange(dbar - j, dbar)", "np.arange(dbar - j - 1, dbar - 1)", MODULES),
+    Mutant("universal property reads varphi(0) for varphi(1)", "modules.py",
+           "+ varphi[1]", "+ varphi[0]", MODULES),
+    Mutant("ladder's running vector skips its first step", "suite.py",
+           "            if k:\n                vec = rep.B @ vec",
+           "            if k > 1:\n                vec = rep.B @ vec", SUITE),
+    Mutant("lowering charpoly from theta_star", "suite.py",
+           "want_a = poly_from_roots(ctx, theta)", "want_a = poly_from_roots(ctx, theta_star)",
+           SUITE),
+    Mutant("bridge descent reads theta_star(i) for theta_star(i+1)", "suite.py",
+           "lhs = (rep.B - S(rep, theta_star[i + 1]))", "lhs = (rep.B - S(rep, theta_star[i]))",
+           SUITE),
     Mutant("sequences without the zero check", "modules.py",
            "    if (logs < 0).any():", "    if (logs < -1).any():", MODULES),
     Mutant("solver self-check compares mu only", "classify.py",

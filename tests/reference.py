@@ -103,6 +103,13 @@ def ref_corner(a, lam):
     return x + x.inv()
 
 
+def ref_orbit_image(row, quad, shift):
+    """The row image of a quadruple, with the delta that makes the image's
+    corner invariant ``shift``."""
+    img = ref_apply_row(row, quad)
+    return (*img, shift - ref_corner(img[0], img[3]))
+
+
 def ref_move_inv(p):
     a, lam = p.a.inv(), p.lam.inv() * p.ctx.qpow(-2)
     return Params5(a, p.b, p.c, lam, p.delta), Params5(a, p.b.inv(), p.c, lam, p.delta)
@@ -181,8 +188,7 @@ def ref_closure(params, cap=10_000):
         shift = cur.delta + ref_corner(cur.a, cur.lam)
         quad = cur.quadruple.astuple()
         for row in table1.ROWS:
-            img = ref_apply_row(row, quad)
-            intern(ref_canon_sign((*img, shift - ref_corner(img[0], img[3]))), i, f"s4:{row[0]}")
+            intern(ref_canon_sign(ref_orbit_image(row, quad, shift)), i, f"s4:{row[0]}")
         for cand, cond, label in zip(ref_move_inv(cur), (ref_cond_inv_a, ref_cond_inv_ab),
                                      ("inv-a", "inv-ab")):
             img = ref_canon_sign(cand.astuple())
@@ -467,10 +473,19 @@ def ref_kernel(m):
     return FMat(m.ctx, basis)
 
 
+def ref_kron_system(rep_x, rep_y):
+    """The dense Kronecker system on all n^2 entries of S, row-major:
+    kron(I, g_X^T) - kron(g_Y, I) for g = A, B, stacked and built per
+    component (I has no sqrt(t) part)."""
+    eye = np.eye(rep_x.n, dtype=np.int64)
+    return FMat(rep_x.ctx, np.concatenate([
+        np.stack([np.kron(eye, gx.arr[..., c].T) - np.kron(gy.arr[..., c], eye) for c in (0, 1)],
+                 axis=-1)
+        for gx, gy in ((rep_x.A, rep_y.A), (rep_x.B, rep_y.B))]))
+
+
 def ref_intertwiner(rep_x, rep_y):
-    """The intertwiner read off the dense Kronecker system on all n^2 entries
-    of S, row-major: kron(I, g_X^T) - kron(g_Y, I) for g = A, B, stacked and
-    built per component (I has no sqrt(t) part).  Its candidates are the
+    """The intertwiner read off ``ref_kron_system``.  Its candidates are the
     ref_kernel columns; the first of full rank is returned, else the first
     of full rank among cands[0] + c cands[j], j = 1, 2, ..., for the first
     256 nonzero c in plain-lex order, else cands[0]."""
@@ -478,12 +493,7 @@ def ref_intertwiner(rep_x, rep_y):
         return None
     ctx, n = rep_x.ctx, rep_x.n
     t = ctx.t
-    eye = np.eye(n, dtype=np.int64)
-    system = np.concatenate([
-        np.stack([np.kron(eye, gx.arr[..., c].T) - np.kron(gy.arr[..., c], eye) for c in (0, 1)],
-                 axis=-1)
-        for gx, gy in ((rep_x.A, rep_y.A), (rep_x.B, rep_y.B))])
-    null = ref_kernel(FMat(ctx, system))
+    null = ref_kernel(ref_kron_system(rep_x, rep_y))
     cands = [FMat(ctx, null.arr[:, j].reshape(n, n, 2)) for j in range(null.ncols)]
     coeffs = list(itertools.islice((c for c in ctx.elements() if not c.is_zero()), 256))
 

@@ -26,7 +26,6 @@ from uawq.classify import (
     irr_W_criterion,
     irr_W_criterion_many,
     norton_irreducible_many,
-    orbit_image,
     rand_nonzero,
     s4_orbit,
     sample_quadruple,
@@ -38,7 +37,7 @@ from uawq.classify import (
 )
 from uawq.field import ctx_new, index_of, is_square, sqrt
 from uawq.linalg import FMat, hstack, rank, rref
-from uawq.modules import Params4, Params5, SeqData, build_Vn, build_W
+from uawq.modules import Params4, Params5, build_Vn, build_W
 
 from conftest import (approx_equiv, cond_inv_ab, image_pair, move_images, sim_related,
                       simeq_z2s4)
@@ -49,7 +48,9 @@ from reference import (
     ref_inv_ab_terms,
     ref_irr_Vn_criterion,
     ref_irr_W_criterion,
+    ref_orbit_image,
     ref_s4_orbit,
+    ref_seq,
     ref_span_dim,
     ref_target,
     ref_w_deltas,
@@ -89,9 +90,9 @@ class TestFeasible:
 
     def test_scalars_match_seq(self, ctx13, rng):
         p4 = sample_quadruple(ctx13, rng)
-        s = SeqData(p4)
+        _, omega_star, omega_eps = ref_seq(*p4.astuple()).scalars
         tgt = feasible_target(p4)
-        assert tgt.omega_star == s.omega_star and tgt.omega_eps == s.omega_eps
+        assert tgt.omega_star == omega_star and tgt.omega_eps == omega_eps
 
     def test_negated_mu_fails(self, ctx13, rng):
         found = False
@@ -303,7 +304,7 @@ class TestSimeqClosure:
             shift = delta_shift(p5)
             quad = p5.quadruple.astuple()
             for row in table1.ROWS:
-                assert delta_shift(Params5(*orbit_image(row, quad, shift))) == shift, row[0]
+                assert delta_shift(Params5(*ref_orbit_image(row, quad, shift))) == shift, row[0]
             for k, img in enumerate(move_images(p5)):
                 assert delta_shift(img) == shift
                 assert move_images(img)[k] == p5
@@ -479,7 +480,7 @@ class TestIrrW:
         val = irr_W_criterion(p5)
         shift = delta_shift(p5)
         for row in table1.ROWS[:6]:
-            assert irr_W_criterion(Params5(*orbit_image(row, p5.quadruple.astuple(), shift))) == val
+            assert irr_W_criterion(Params5(*ref_orbit_image(row, p5.quadruple.astuple(), shift))) == val
 
 
 def verdict(f, *args):
@@ -743,7 +744,7 @@ class TestIntertwiner:
         p5 = sample_quintuple(ctx13, rng)
         rep = build_W(p5)
         shift = delta_shift(p5)
-        other = build_W(Params5(*orbit_image(table1.ROWS[6], p5.quadruple.astuple(), shift)))
+        other = build_W(Params5(*ref_orbit_image(table1.ROWS[6], p5.quadruple.astuple(), shift)))
         s = intertwiner(rep, other)
         assert s is not None
         assert s @ rep.A == other.A @ s
@@ -758,7 +759,7 @@ class TestIntertwiner:
                 continue
             rep = build_W(p5)
             shift = delta_shift(p5)
-            other = Params5(*orbit_image(table1.ROWS[1], p5.quadruple.astuple(), shift))
+            other = Params5(*ref_orbit_image(table1.ROWS[1], p5.quadruple.astuple(), shift))
             if not irr_W_criterion(other):
                 continue
             s = intertwiner(rep, build_W(other))
@@ -899,7 +900,7 @@ def w_pairs(ctx, rng, count):
         p5 = sample_quintuple(ctx, rng)
         x = build_W(p5)
         row = table1.ROWS[rng.randrange(len(table1.ROWS))]
-        y = build_W(Params5(*orbit_image(row, p5.quadruple.astuple(), delta_shift(p5))))
+        y = build_W(Params5(*ref_orbit_image(row, p5.quadruple.astuple(), delta_shift(p5))))
         yield from ((x, x), (x, y), (y, x), (x, build_W(sample_quintuple(ctx, rng))))
 
 

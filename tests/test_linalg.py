@@ -20,7 +20,6 @@ from uawq.linalg import (
     product_shifted,
     rank,
     rref,
-    vstack,
 )
 
 
@@ -171,8 +170,8 @@ def test_kron_mixed_product(ctx13, rng):
 def test_stacking(ctx13, rng):
     a = rand_mat(ctx13, rng, 2, 3)
     b = rand_mat(ctx13, rng, 2, 3)
-    assert vstack([a, b]).shape == (4, 3)
     assert hstack([a, b]).shape == (2, 6)
+    assert [hstack([a, b]).col(k) for k in range(6)] == [m.col(k) for m in (a, b) for k in range(3)]
 
 
 def test_product_shifted_is_poly_eval(ctx13, rng):

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import force_nu, image_pair
+from reference import ref_kron_system
 
 import uawq
 from uawq import classify, suite, table1
@@ -19,7 +20,7 @@ from uawq.classify import (classify_sample, feasible_target, intertwiner, sample
 from uawq.cli import main
 from uawq.errors import NuOutsideField
 from uawq.field import ctx_new, index_of
-from uawq.linalg import FMat, kron, rank, rref, vstack
+from uawq.linalg import rank, rref
 from uawq.modules import build_Vn, build_W, nu_of
 from uawq.suite import report_bytes, run_suite
 
@@ -105,14 +106,6 @@ def test_nu_is_golden_at_41():
     assert got == NU_41
 
 
-def intertwiner_system(rep_x, rep_y):
-    """The stacked Kronecker system on the row-major entries of S; its kernel
-    basis is the one intertwiner takes its candidates from."""
-    ident = FMat.identity(rep_x.ctx, rep_x.n)
-    return vstack([kron(ident, rep_x.A.transpose()) - kron(rep_y.A, ident),
-                   kron(ident, rep_x.B.transpose()) - kron(rep_y.B, ident)])
-
-
 # Recorded before the sparse-aware elimination: intertwiner on eight
 # image_pair draws from random.Random(11) at (29, 28) (392x196 systems) ...
 INTERTWINER_29_SHA256 = [
@@ -152,7 +145,7 @@ def test_intertwiner_systems_reduce_golden_at_41():
     ctx, rng = ctx_new(41, 40), random.Random(12)
     got = []
     for _ in range(2):
-        m = intertwiner_system(*image_pair(ctx, rng))
+        m = ref_kron_system(*image_pair(ctx, rng))
         assert m.shape == (800, 400)
         red, piv = rref(m)
         got.append(sha([red.arr.tolist(), list(piv)]))  # the to_json() nesting
@@ -353,6 +346,18 @@ def plant_relation_failures(monkeypatch, modules):
         return out
 
     monkeypatch.setattr(suite, "verify_rep_many", planted)
+
+
+def test_relation_verify_catches_a_wrong_sequence_body(monkeypatch):
+    # The builder and every spectral check read one sequence body; the
+    # defining relations are what catch a wrong formula in it at run time.
+    ctx = ctx_new(13, 3)
+    assert suite.relation_verify(ctx, random.Random(5), 12).failures == 0
+    terms = uawq.modules._SEQ_TERMS.copy()
+    terms[:2, 5] //= 2  # theta with q^i for q^2i
+    monkeypatch.setattr(uawq.modules, "_SEQ_TERMS", terms)
+    got = suite.relation_verify(ctx, random.Random(5), 12)
+    assert got.cases == 24 and got.failures >= 12, (got.failures, got.first)
 
 
 @pytest.mark.parametrize("w_first", [False, True])
