@@ -4,7 +4,7 @@ A PairRep is a pair of square matrices (A, B) over F_{p^2} together with the
 three scalars by which the central generators act.  The third generator C is
 never stored; it is derived from A, B and the gamma scalar.  The relations
 are one exact body on arrays of many modules (verify_rep_many), and
-verify_rep, derive_C, alpha_matrix and beta_matrix are batches of one of it.
+verify_rep and derive_C are batches of one of it.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ class RepReport(NamedTuple):
 def stack_gens(reps) -> np.ndarray:
     """The generator array (cases, 2, 2, n, n) of some modules of one dimension:
     A then B, each as its two components, as ``modules.build_many`` writes it."""
-    return np.moveaxis(np.array([(rep.A.arr, rep.B.arr) for rep in reps]), -1, 2)
+    return np.array([(rep.A.arr, rep.B.arr) for rep in reps])
 
 
 def gens_shape(gens: np.ndarray) -> tuple[int, int]:
@@ -143,22 +143,12 @@ def verify_rep_many(ctx: FieldCtx, gens: np.ndarray, scalars) -> np.ndarray:
 def _side(rep: PairRep, k: int) -> FMat:
     """Side k of ``_relations`` on the one module of ``rep``."""
     sides = _relations(rep.ctx, stack_gens([rep]), [index_of(rep.scalars())])[0]
-    return FMat(rep.ctx, np.moveaxis(sides[:, 0, k], 0, -1))
+    return FMat(rep.ctx, sides[:, 0, k])
 
 
 def derive_C(rep: PairRep) -> FMat:
     """C = omega_eps/(q + 1/q) * I - (q A B - 1/q B A)/(q^2 - 1/q^2)."""
     return _side(rep, 4)
-
-
-def alpha_matrix(rep: PairRep) -> FMat:
-    """Matrix of the first central generator recovered from A, B and gamma."""
-    return _side(rep, 0)
-
-
-def beta_matrix(rep: PairRep) -> FMat:
-    """Matrix of the second central generator; the A <-> B mirror of alpha."""
-    return _side(rep, 1)
 
 
 def verify_rep(rep: PairRep) -> RepReport:
@@ -236,8 +226,6 @@ __all__ = [
     "RepReport",
     "CentralReport",
     "derive_C",
-    "alpha_matrix",
-    "beta_matrix",
     "verify_rep",
     "verify_rep_many",
     "gens_shape",

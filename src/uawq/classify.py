@@ -446,22 +446,33 @@ def irr_W_criterion_many(ctx: FieldCtx, index: np.ndarray) -> np.ndarray:
     return ~(binds & (inside @ _W_INCIDENCE.T)).any(1)
 
 
-def _echelon_insert(basis0, basis1, pivots, size: int, v0, v1, p: int, t: int) -> bool:
-    """Reduce row v against the first ``size`` rows of a reduced echelon basis
-    and store what is left as row ``size`` by one ``pivot_step``; whether any was."""
-    c0, c1 = v0[pivots[:size]], v1[pivots[:size]]
-    used = np.flatnonzero(c0 | c1)
+def _echelon_insert(basis0, basis1, pivots, size, v0, v1, p: int, t: int, lead: int | None = None):
+    """Per case, reduce row v (cases, cols) against the first ``size`` rows of
+    its reduced echelon basis (cases, rows, cols) with pivot columns (cases,
+    rows), and store what is left, if it is nonzero in its first ``lead``
+    entries (all by default), as row ``size`` by one ``pivot_step``, on which
+    it pivots.  Rows at or past a case's size must be zero; size is left as it
+    is.  Returns the indices of the cases that gained a row."""
+    rows = np.arange(len(v0))
+    # rows at or past a case's size are zero and reduce nothing
+    piv = pivots[:, :size.max()]
+    c0, c1 = v0[rows[:, None], piv], v1[rows[:, None], piv]
+    used = np.flatnonzero((c0 | c1).any(0))
     if used.size:
-        v0, v1 = mul_parts(c0[used], c1[used], basis0[used], basis1[used], p, t, np.matmul,
-                           subtract_from=(v0, v1))
-    nz = np.flatnonzero(v0 | v1)
-    if nz.size == 0:
-        return False
-    j = int(nz[0])
-    w0, w1 = pivot_step(basis0[:size], basis1[:size], v0, v1, j, p, t)
-    basis0[size, j:], basis1[size, j:] = w0, w1
-    pivots[size] = j
-    return True
+        r0, r1 = mul_parts(c0[:, None, used], c1[:, None, used], basis0[:, used],
+                           basis1[:, used], p, t, np.matmul,
+                           subtract_from=(v0[:, None], v1[:, None]))
+        v0, v1 = r0[:, 0], r1[:, 0]
+    nz = (v0[:, :lead] | v1[:, :lead]) != 0
+    gain = np.flatnonzero(nz.any(1))
+    if gain.size:
+        # a case without gain has j = 0 and a zero row, which pivots nothing
+        j = nz.argmax(1)
+        w0, w1 = pivot_step(basis0, basis1, v0, v1, j, p, t)
+        at, lo = size[gain], v0.shape[1] - w0.shape[1]
+        basis0[gain, at, lo:], basis1[gain, at, lo:] = w0[gain], w1[gain]
+        pivots[gain, at] = j[gain]
+    return gain
 
 
 def _batch_shape(ctx: FieldCtx, gens: np.ndarray, power: int, what: str) -> tuple[int, int]:
@@ -479,12 +490,12 @@ def _spin_many(ctx: FieldCtx, gens: np.ndarray, seeds: np.ndarray, lead: int | N
     """The dimension of the span of each case's seed X (cases, 2, n, m) under
     X -> A X and X -> B X, in lockstep on the cases.  Each case keeps an
     echelon basis of rows of length n m and a stack of the rows whose products
-    are still to be inserted; a new row is reduced against the rows whose
-    pivot it touches (at most n m products of (1+t)*p^2) and pivoted by
-    ``pivot_step``.  Each step pops every live case's top row and inserts its
-    products.  A popped row cleared by later pivots is the row inserted there
-    plus multiples of later rows, and every row is pushed and popped once, so
-    from the last row back the products of each row lie in the span: it is the
+    are still to be inserted; ``_echelon_insert`` reduces a new row against
+    the rows whose pivot it touches (at most n m products of (1+t)*p^2).
+    Each step pops every live case's top row and inserts its products.  A
+    popped row cleared by later pivots is the row inserted there plus
+    multiples of later rows, and every row is pushed and popped once, so from
+    the last row back the products of each row lie in the span: it is the
     closure of the seed.  A case leaves when its stack is empty or span full.
     Given ``lead``, rows pivot on their first ``lead`` entries only.  Per case:
     the dimension, the final rows (lead, n m) as two components, their pivots.
@@ -510,27 +521,8 @@ def _spin_many(ctx: FieldCtx, gens: np.ndarray, seeds: np.ndarray, lead: int | N
     out = [size.copy(), basis0.copy(), basis1.copy(), pivots.copy()]
 
     def insert(v0: np.ndarray, v1: np.ndarray) -> None:
-        rows = np.arange(len(v0))
-        # rows at or past a case's size are zero and reduce nothing
-        piv = pivots[:, :size.max()]
-        c0, c1 = v0[rows[:, None], piv], v1[rows[:, None], piv]
-        used = np.flatnonzero((c0 | c1).any(0))
-        if used.size:
-            r0, r1 = mul_parts(c0[:, None, used], c1[:, None, used], basis0[:, used],
-                               basis1[:, used], p, t, np.matmul,
-                               subtract_from=(v0[:, None], v1[:, None]))
-            v0, v1 = r0[:, 0], r1[:, 0]
-        nz = (v0[:, :lead] | v1[:, :lead]) != 0
-        gain = np.flatnonzero(nz.any(1))
-        if not gain.size:
-            return
-        # a case without gain has j = 0 and a zero row, which pivots nothing
-        j = nz.argmax(1)
-        w0, w1 = pivot_step(basis0, basis1, v0, v1, j, p, t)
-        at, lo = size[gain], full - w0.shape[1]
-        basis0[gain, at, lo:], basis1[gain, at, lo:] = w0[gain], w1[gain]
-        pivots[gain, at] = j[gain]
-        stack[gain, depth[gain]] = at
+        gain = _echelon_insert(basis0, basis1, pivots, size, v0, v1, p, t, lead)
+        stack[gain, depth[gain]] = size[gain]
         size[gain] += 1
         depth[gain] += 1
 
@@ -688,13 +680,12 @@ def intertwiner_many(ctx: FieldCtx, gx: np.ndarray, gy: np.ndarray) -> list[tupl
         code = (s0 * p + s1).reshape(len(good), n * n)
         last = n * n - 1 - (code[:, ::-1] != 0).argmax(1)
         inv = _inverses(p, t)[code[range(len(good)), last]]
-        s0, s1 = mul_parts(s0, s1, inv[:, :1, None], inv[:, 1:, None], p, t)
-        for c, x0, x1, valid, invertible in zip(at[good], s0, s1, ok, dims[at.size + good] == n):
+        s = np.stack(mul_parts(s0, s1, inv[:, :1, None], inv[:, 1:, None], p, t), 1)
+        for c, x, valid, invertible in zip(at[good], s, ok, dims[at.size + good] == n):
             if valid:
-                out[c] = FMat(ctx, np.stack([x0, x1], -1)), bool(invertible)
+                out[c] = FMat(ctx, x), bool(invertible)
     for c in np.flatnonzero(~full):
-        out[c] = _intertwiner_solve(ctx, tuple(gx[c].transpose(0, 2, 3, 1)),
-                                    tuple(gy[c].transpose(0, 2, 3, 1)))
+        out[c] = _intertwiner_solve(ctx, gx[c], gy[c])
     return out
 
 
@@ -720,9 +711,9 @@ def intertwiner(rep_x: PairRep, rep_y: PairRep) -> FMat | None:
     return intertwiner_many(rep_x.ctx, *stack_gens([rep_x, rep_y])[:, None])[0][0]
 
 
-def _intertwiner_solve(ctx: FieldCtx, gx: tuple, gy: tuple) -> tuple[FMat | None, bool]:
+def _intertwiner_solve(ctx: FieldCtx, gx: np.ndarray, gy: np.ndarray) -> tuple[FMat | None, bool]:
     """One case of ``intertwiner_many`` by the general solve, from the
-    generators (A, B) of each module as (n, n, 2) arrays.
+    generators (A, B) of each module, (2, 2, n, n) as in a generator array.
 
     The solutions come from spinning (Parker's Meat-Axe; Holt, Eick and
     O'Brien, Handbook of Computational Group Theory, ch. 7): spinning e_0 under
@@ -737,41 +728,41 @@ def _intertwiner_solve(ctx: FieldCtx, gx: tuple, gy: tuple) -> tuple[FMat | None
     the reduced echelon form of the solutions with their entries reversed;
     the first invertible one is preferred, then one of a bounded pencil scan.
     """
-    n = gx[0].shape[0]
+    n = gx.shape[-1]
     p, t = ctx.p, ctx.t
 
     def mm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return np.stack(mul_parts(x[..., 0], x[..., 1], y[..., 0], y[..., 1], p, t, np.matmul), -1)
-    eye = np.eye(n, dtype=np.int64)[..., None] * np.array([1, 0])
-    ech, pivots = np.zeros((2, n, n), dtype=np.int64), np.zeros(n, dtype=np.intp)
-    pmat, origin = np.zeros((n, n, 2), dtype=np.int64), []  # b_k; its seed's number or (g, j)
+        return np.stack(mul_parts(*x, *y, p, t, np.matmul))
+    eye = np.multiply.outer([1, 0], np.eye(n, dtype=np.int64))
+    ech, pivots = np.zeros((2, 1, n, n), dtype=np.int64), np.zeros((1, n), dtype=np.intp)
+    pmat, origin = np.zeros((2, n, n), dtype=np.int64), []  # b_k; its seed's number or (g, j)
     m = e = head = 0
     while len(origin) < n:
         if head < len(origin):
-            new, head = [(mm(g, pmat[:, head]), (i, head)) for i, g in enumerate(gx)], head + 1
+            new, head = [(mm(g, pmat[..., head]), (i, head)) for i, g in enumerate(gx)], head + 1
         else:
-            new, e = [(eye[e], m)], e + 1
+            new, e = [(eye[:, e], m)], e + 1
         for v, how in new:
-            if _echelon_insert(ech[0], ech[1], pivots, len(origin), v[:, 0], v[:, 1], p, t):
-                pmat[:, len(origin)] = v
+            if _echelon_insert(*ech, pivots, np.array([len(origin)]), *v[:, None], p, t).size:
+                pmat[..., len(origin)] = v
                 origin.append(how)
                 m += isinstance(how, int)
-    tk = np.zeros((n, n, m * n, 2), dtype=np.int64)  # tk[k] is T_k
+    tk = np.zeros((2, n, n, m * n), dtype=np.int64)  # tk[:, k] is T_k
     for k, how in enumerate(origin):
         if isinstance(how, tuple):
-            tk[k] = mm(gy[how[0]], tk[how[1]])
+            tk[:, k] = mm(gy[how[0]], tk[:, how[1]])
         else:
-            tk[k, :, how * n:(how + 1) * n] = eye
-    pinv = rref(FMat(ctx, np.concatenate([pmat, eye], axis=1)))[0].arr[:, n:]
-    rel = [mm(mm(mm(pinv, g), pmat).transpose(1, 0, 2), tk.reshape(n, n * m * n, 2))
+            tk[:, k, :, how * n:(how + 1) * n] = eye
+    pinv = rref(FMat(ctx, np.concatenate([pmat, eye], axis=2)))[0].arr[..., n:]
+    rel = [mm(mm(mm(pinv, g), pmat).transpose(0, 2, 1), tk.reshape(2, n, n * m * n))
            .reshape(tk.shape) - mm(h, tk) for g, h in zip(gx, gy)]
-    null = kernel(FMat(ctx, np.concatenate(rel).reshape(2 * n * n, m * n, 2))).arr
-    k = null.shape[1]
+    null = kernel(FMat(ctx, np.concatenate(rel, 1).reshape(2, 2 * n * n, m * n))).arr
+    k = null.shape[2]
     if k == 0:
         return None, False
-    sols = mm(mm(tk, null).transpose(2, 1, 0, 3), pinv).reshape(k, n * n, 2)
-    red = rref(FMat(ctx, sols[:, ::-1]))[0].arr[::-1, ::-1]
-    cands = [FMat(ctx, row.reshape(n, n, 2)) for row in red]
+    sols = mm(mm(tk, null).transpose(0, 3, 2, 1), pinv).reshape(2, k, n * n)
+    red = rref(FMat(ctx, sols[..., ::-1]))[0].arr[:, ::-1, ::-1]
+    cands = [FMat(ctx, row.reshape(2, n, n)) for row in red.swapaxes(0, 1)]
     # if every basis element is singular, cands[0] + c cands[j] for the first
     # 256 nonzero c in plain-lex order, j = 1, 2, ...
     pencil = (cands[0] + cands[j] * c for j in range(1, k)

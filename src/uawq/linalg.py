@@ -1,8 +1,10 @@
 """Dense exact linear algebra over F_{p^2}.
 
-Matrices are stored as int64 numpy arrays of shape (rows, cols, 2); the last
-axis holds the two components of x0 + x1*sqrt(t).  All arithmetic reduces
-mod p after every product, so entries never leave [0, p).
+Matrices are stored as int64 numpy arrays of shape (2, rows, cols); the first
+axis holds the two components of x0 + x1*sqrt(t), as in the generator arrays
+(cases, 2, 2, n, n) of ``modules.build_many``, whose [c, g] is the array of
+generator g of case c.  All arithmetic reduces mod p after every product, so
+entries never leave [0, p).
 
 The FMat wrapper gives operator syntax (@, +, -, scalar *) and exact
 equality; the module-level functions provide echelon forms, kernels,
@@ -26,8 +28,8 @@ class FMat:
     __slots__ = ("ctx", "arr")
 
     def __init__(self, ctx: FieldCtx, arr: np.ndarray):
-        if arr.ndim != 3 or arr.shape[2] != 2:
-            raise InvariantViolation(f"matrix array of shape {arr.shape}, want (rows, cols, 2)")
+        if arr.ndim != 3 or arr.shape[0] != 2:
+            raise InvariantViolation(f"matrix array of shape {arr.shape}, want (2, rows, cols)")
         a = np.ascontiguousarray(arr, dtype=np.int64) % ctx.p
         a.setflags(write=False)
         self.ctx = ctx
@@ -39,29 +41,27 @@ class FMat:
     def _of_parts(cls, ctx: FieldCtx, parts) -> "FMat":
         """The matrix of components in [0, p), as ``mul_parts`` leaves them, not reduced again."""
         m = cls.__new__(cls)
-        m.ctx, m.arr = ctx, np.stack(parts, axis=-1)
+        m.ctx, m.arr = ctx, np.stack(parts)
         m.arr.setflags(write=False)
         return m
 
     @classmethod
     def zeros(cls, ctx: FieldCtx, rows: int, cols: int) -> "FMat":
-        return cls(ctx, np.zeros((rows, cols, 2), dtype=np.int64))
+        return cls(ctx, np.zeros((2, rows, cols), dtype=np.int64))
 
     @classmethod
     def identity(cls, ctx: FieldCtx, n: int) -> "FMat":
-        a = np.zeros((n, n, 2), dtype=np.int64)
-        a[np.arange(n), np.arange(n), 0] = 1
-        return cls(ctx, a)
+        return cls.scalar(ctx, n, ctx.one)
 
     @classmethod
     def from_entries(cls, ctx: FieldCtx, rows: Sequence[Sequence[Fq2]]) -> "FMat":
         r = len(rows)
         c = len(rows[0]) if r else 0
-        a = np.zeros((r, c, 2), dtype=np.int64)
+        a = np.zeros((2, r, c), dtype=np.int64)
         for i, row in enumerate(rows):
             for j, x in enumerate(row):
-                a[i, j, 0] = x.x0
-                a[i, j, 1] = x.x1
+                a[0, i, j] = x.x0
+                a[1, i, j] = x.x1
         return cls(ctx, a)
 
     @classmethod
@@ -70,44 +70,40 @@ class FMat:
 
     @classmethod
     def scalar(cls, ctx: FieldCtx, n: int, s: Fq2) -> "FMat":
-        a = np.zeros((n, n, 2), dtype=np.int64)
-        a[np.arange(n), np.arange(n), 0] = s.x0
-        a[np.arange(n), np.arange(n), 1] = s.x1
-        return cls(ctx, a)
+        return cls(ctx, np.multiply.outer([s.x0, s.x1], np.eye(n, dtype=np.int64)))
 
     # -- shape / access ----------------------------------------------------
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.arr.shape[0], self.arr.shape[1]
+        return self.arr.shape[1], self.arr.shape[2]
 
     @property
     def nrows(self) -> int:
-        return self.arr.shape[0]
+        return self.arr.shape[1]
 
     @property
     def ncols(self) -> int:
-        return self.arr.shape[1]
+        return self.arr.shape[2]
 
     def entry(self, i: int, j: int) -> Fq2:
-        return Fq2(self.ctx, int(self.arr[i, j, 0]), int(self.arr[i, j, 1]))
+        return Fq2(self.ctx, int(self.arr[0, i, j]), int(self.arr[1, i, j]))
 
     def col(self, j: int) -> "FMat":
-        return FMat(self.ctx, self.arr[:, j : j + 1, :])
+        return FMat(self.ctx, self.arr[:, :, j : j + 1])
 
     def is_zero(self) -> bool:
         return not self.arr.any()
 
     def transpose(self) -> "FMat":
-        return FMat(self.ctx, self.arr.transpose(1, 0, 2))
+        return FMat(self.ctx, self.arr.transpose(0, 2, 1))
 
     # -- arithmetic ---------------------------------------------------------
 
     def __matmul__(self, other: "FMat") -> "FMat":
         if self.ncols != other.nrows:
             raise DimensionMismatch(f"{self.shape} @ {other.shape}")
-        a, b = self.arr, other.arr
-        c = mul_parts(a[..., 0], a[..., 1], b[..., 0], b[..., 1], self.ctx.p, self.ctx.t, np.matmul)
+        c = mul_parts(*self.arr, *other.arr, self.ctx.p, self.ctx.t, np.matmul)
         return FMat._of_parts(self.ctx, c)
 
     def __add__(self, other: "FMat") -> "FMat":
@@ -124,8 +120,7 @@ class FMat:
             s = self.ctx.el(s)
         if not isinstance(s, Fq2):
             return NotImplemented
-        a = self.arr
-        c = mul_parts(a[..., 0], a[..., 1], s.x0, s.x1, self.ctx.p, self.ctx.t)
+        c = mul_parts(*self.arr, s.x0, s.x1, self.ctx.p, self.ctx.t)
         return FMat._of_parts(self.ctx, c)
 
     __rmul__ = __mul__
@@ -146,7 +141,7 @@ class FMat:
         return "FMat([" + ", ".join(rows) + "])"
 
     def to_json(self) -> list[list[list[int]]]:
-        return [[list(map(int, self.arr[i, j])) for j in range(self.ncols)] for i in range(self.nrows)]
+        return self.arr.transpose(1, 2, 0).tolist()
 
 
 def commutator(a: FMat, b: FMat) -> FMat:
@@ -230,8 +225,7 @@ def rref(m: FMat) -> tuple[FMat, tuple[int, ...]]:
     ctx = m.ctx
     p, t = ctx.p, ctx.t
     check_int64((1 + t) * p * p, "rref row update")
-    a0 = m.arr[..., 0].copy()
-    a1 = m.arr[..., 1].copy()
+    a0, a1 = m.arr.copy()
     rows, cols = m.shape
     pivots: list[int] = []
     r = 0
@@ -262,20 +256,18 @@ def kernel(m: FMat) -> FMat:
     red, pivots = rref(m)
     cols = m.ncols
     free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((cols, len(free), 2), dtype=np.int64)
-    basis[list(pivots)] = -red.arr[: len(pivots)][:, free]
-    basis[free, range(len(free)), 0] = 1
+    basis = np.zeros((2, cols, len(free)), dtype=np.int64)
+    basis[:, list(pivots)] = -red.arr[:, : len(pivots)][:, :, free]
+    basis[0, free, range(len(free))] = 1
     return FMat(m.ctx, basis)
 
 
 def hstack(mats: Sequence[FMat]) -> FMat:
-    return FMat(mats[0].ctx, np.concatenate([m.arr for m in mats], axis=1))
+    return FMat(mats[0].ctx, np.concatenate([m.arr for m in mats], axis=2))
 
 
 def kron(a: FMat, b: FMat) -> FMat:
-    x, y = a.arr, b.arr
-    c = mul_parts(x[..., 0], x[..., 1], y[..., 0], y[..., 1], a.ctx.p, a.ctx.t, np.kron)
-    return FMat._of_parts(a.ctx, c)
+    return FMat._of_parts(a.ctx, mul_parts(*a.arr, *b.arr, a.ctx.p, a.ctx.t, np.kron))
 
 
 # ---------------------------------------------------------------------------

@@ -160,7 +160,7 @@ def build_many(ctx: FieldCtx, index: np.ndarray, n: int) -> tuple[np.ndarray, np
 def _build_one(ctx: FieldCtx, row: tuple[int, ...], n: int) -> PairRep:
     """The module of one index row of ``build_many``, as matrices."""
     gens, scalars = build_many(ctx, np.array([row]), n)
-    amat, bmat = (FMat(ctx, np.ascontiguousarray(g)) for g in gens[0].transpose(0, 2, 3, 1))
+    amat, bmat = (FMat(ctx, g) for g in gens[0])
     return PairRep(ctx, amat, bmat, *map(ctx.from_index, scalars[0].tolist()))
 
 

@@ -554,10 +554,10 @@ def check_bridge_vectors(ctx, rng, n):
                 tj_ok = all(theta_star[j] != theta_star[h] for h in range(i, j))
                 if not (phis_ok or tj_ok):
                     continue
-                sub = rep.B.arr[i:j + 1, i:j + 1, :]
+                sub = rep.B.arr[:, i:j + 1, i:j + 1]
                 subm = FMat(ctx, sub) - FMat.scalar(ctx, j - i + 1, theta_star[j])
                 eig = kernel(subm)
-                wij_trunc = FMat(ctx, w_ij(p5, i, j).arr[i:j + 1, :, :])
+                wij_trunc = FMat(ctx, w_ij(p5, i, j).arr[:, i:j + 1])
                 t.check(eig.ncols == 1 and rank(hstack([eig, wij_trunc])) == 1,
                         (p5.astuple(), i, j), "span mismatch")
     return t, "descent, eigconditions, spans"

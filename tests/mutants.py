@@ -104,14 +104,17 @@ MUTANTS = [
            "        members = np.concatenate([members, level])\n        level = level[:0]\n",
            CLASSIFY),
     Mutant("intertwiner with the A relation block in place of B's", "classify.py",
-           "for g, h in zip(gx, gy)]", "for g, h in zip(gx[:1] * 2, gy[:1] * 2)]",
+           "for g, h in zip(gx, gy)]", "for g, h in zip(gx[[0, 0]], gy[[0, 0]])]",
            CLASSIFY),
     Mutant("intertwiner basis without the column reversal", "classify.py",
-           "rref(FMat(ctx, sols[:, ::-1]))[0].arr[::-1, ::-1]", "rref(FMat(ctx, sols))[0].arr[::-1]",
+           "rref(FMat(ctx, sols[..., ::-1]))[0].arr[:, ::-1, ::-1]",
+           "rref(FMat(ctx, sols))[0].arr[:, ::-1]",
            CLASSIFY),
     Mutant("intertwiner returns S P in place of S", "classify.py",
-           "sols = mm(mm(tk, null).transpose(2, 1, 0, 3), pinv)",
-           "sols = mm(tk, null).transpose(2, 1, 0, 3)", CLASSIFY),
+           "sols = mm(mm(tk, null).transpose(0, 3, 2, 1), pinv)",
+           "sols = mm(tk, null).transpose(0, 3, 2, 1)", CLASSIFY),
+    Mutant("_echelon_insert stores the new row one index low", "classify.py",
+           "at, lo = size[gain], ", "at, lo = size[gain] - 1, ", CLASSIFY),
     Mutant("standard basis without the B-relation check", "classify.py",
            "ok = (np.array(sx) == np.array(ys)).all((0, 2, 3, 4))",
            "ok = (np.array(sx) == np.array(ys))[:, :, 0].all((0, 2, 3))", CLASSIFY),
@@ -141,7 +144,9 @@ MUTANTS = [
            "verdict[at] = full[:at.size] & full[at.size:]", "verdict[at] = full[at.size:]",
            CLASSIFY),
     Mutant("_of_parts components swapped", "linalg.py",
-           "np.stack(parts, axis=-1)", "np.stack(parts[::-1], axis=-1)", ("tests/test_linalg.py",)),
+           "np.stack(parts)", "np.stack(parts[::-1])", ("tests/test_linalg.py",)),
+    Mutant("FMat.to_json writes each matrix transposed", "linalg.py",
+           "self.arr.transpose(1, 2, 0).tolist()", "self.arr.transpose(2, 1, 0).tolist()", SUITE),
     Mutant("W incidence entry [0, 3] flipped", "classify.py",
            "_W_INCIDENCE = np.array([[j in js for j in range(len(W_MONOMIALS))] for _, js in W_CONDITIONS])",
            "_W_INCIDENCE = np.array([[j in js for j in range(len(W_MONOMIALS))] for _, js in W_CONDITIONS])"

@@ -375,11 +375,6 @@ def ref_relations(rep):
 # linear algebra on component arrays
 
 
-def gens_of(reps):
-    """The generator array of some modules of one dimension."""
-    return np.moveaxis(np.array([(rep.A.arr, rep.B.arr) for rep in reps]), -1, 2)
-
-
 def ref_span_dim(rep):
     """Dimension of the span the spanning oracle closes, by the vstack closure it
     replaced: every insert reduces against and updates every basis row."""
@@ -387,8 +382,8 @@ def ref_span_dim(rep):
     n = rep.n
     p, t = ctx.p, ctx.t
     nn = n * n
-    a0, a1 = rep.A.arr[..., 0], rep.A.arr[..., 1]
-    b0, b1 = rep.B.arr[..., 0], rep.B.arr[..., 1]
+    a0, a1 = rep.A.arr
+    b0, b1 = rep.B.arr
     basis0 = np.zeros((0, nn), dtype=np.int64)
     basis1 = np.zeros((0, nn), dtype=np.int64)
     pivots = []
@@ -439,22 +434,22 @@ def ref_rref(m):
     for c in range(cols):
         if r == rows:
             break
-        nz = np.nonzero((a[r:, c, 0] != 0) | (a[r:, c, 1] != 0))[0]
+        nz = np.nonzero((a[0, r:, c] != 0) | (a[1, r:, c] != 0))[0]
         if nz.size == 0:
             continue
         i = r + int(nz[0])
         if i != r:
-            a[[r, i]] = a[[i, r]]
-        piv = Fq2(ctx, int(a[r, c, 0]), int(a[r, c, 1])).inv()
-        a[r, :, 0], a[r, :, 1] = ((a[r, :, 0] * piv.x0 + t * (a[r, :, 1] * piv.x1)) % p,
-                                  (a[r, :, 0] * piv.x1 + a[r, :, 1] * piv.x0) % p)
-        f0, f1 = a[:, c, 0].copy(), a[:, c, 1].copy()
+            a[:, [r, i]] = a[:, [i, r]]
+        piv = Fq2(ctx, int(a[0, r, c]), int(a[1, r, c])).inv()
+        a[0, r], a[1, r] = ((a[0, r] * piv.x0 + t * (a[1, r] * piv.x1)) % p,
+                            (a[0, r] * piv.x1 + a[1, r] * piv.x0) % p)
+        f0, f1 = a[0, :, c].copy(), a[1, :, c].copy()
         f0[r] = 0
         f1[r] = 0
-        s0 = np.outer(f0, a[r, :, 0]) + t * np.outer(f1, a[r, :, 1])
-        s1 = np.outer(f0, a[r, :, 1]) + np.outer(f1, a[r, :, 0])
-        a[:, :, 0] = (a[:, :, 0] - s0) % p
-        a[:, :, 1] = (a[:, :, 1] - s1) % p
+        s0 = np.outer(f0, a[0, r]) + t * np.outer(f1, a[1, r])
+        s1 = np.outer(f0, a[1, r]) + np.outer(f1, a[0, r])
+        a[0] = (a[0] - s0) % p
+        a[1] = (a[1] - s1) % p
         pivots.append(c)
         r += 1
     return FMat(ctx, a), tuple(pivots)
@@ -464,12 +459,12 @@ def ref_kernel(m):
     """Kernel basis filled entry by entry from ref_rref."""
     red, pivots = ref_rref(m)
     free = [c for c in range(m.ncols) if c not in pivots]
-    basis = np.zeros((m.ncols, len(free), 2), dtype=np.int64)
+    basis = np.zeros((2, m.ncols, len(free)), dtype=np.int64)
     for k, fc in enumerate(free):
-        basis[fc, k, 0] = 1
+        basis[0, fc, k] = 1
         for r, pc in enumerate(pivots):
-            basis[pc, k, 0] = (-red.arr[r, fc, 0]) % m.ctx.p
-            basis[pc, k, 1] = (-red.arr[r, fc, 1]) % m.ctx.p
+            basis[0, pc, k] = (-red.arr[0, r, fc]) % m.ctx.p
+            basis[1, pc, k] = (-red.arr[1, r, fc]) % m.ctx.p
     return FMat(m.ctx, basis)
 
 
@@ -479,9 +474,8 @@ def ref_kron_system(rep_x, rep_y):
     component (I has no sqrt(t) part)."""
     eye = np.eye(rep_x.n, dtype=np.int64)
     return FMat(rep_x.ctx, np.concatenate([
-        np.stack([np.kron(eye, gx.arr[..., c].T) - np.kron(gy.arr[..., c], eye) for c in (0, 1)],
-                 axis=-1)
-        for gx, gy in ((rep_x.A, rep_y.A), (rep_x.B, rep_y.B))]))
+        np.stack([np.kron(eye, gx.arr[c].T) - np.kron(gy.arr[c], eye) for c in (0, 1)])
+        for gx, gy in ((rep_x.A, rep_y.A), (rep_x.B, rep_y.B))], 1))
 
 
 def ref_intertwiner(rep_x, rep_y):
@@ -494,13 +488,13 @@ def ref_intertwiner(rep_x, rep_y):
     ctx, n = rep_x.ctx, rep_x.n
     t = ctx.t
     null = ref_kernel(ref_kron_system(rep_x, rep_y))
-    cands = [FMat(ctx, null.arr[:, j].reshape(n, n, 2)) for j in range(null.ncols)]
+    cands = [FMat(ctx, null.arr[..., j].reshape(2, n, n)) for j in range(null.ncols)]
     coeffs = list(itertools.islice((c for c in ctx.elements() if not c.is_zero()), 256))
 
     def combo(j, c):
         a, b = cands[0].arr, cands[j].arr
-        return FMat(ctx, np.stack([a[..., 0] + c.x0 * b[..., 0] + t * c.x1 * b[..., 1],
-                                   a[..., 1] + c.x0 * b[..., 1] + c.x1 * b[..., 0]], axis=-1))
+        return FMat(ctx, np.stack([a[0] + c.x0 * b[0] + t * c.x1 * b[1],
+                                   a[1] + c.x0 * b[1] + c.x1 * b[0]]))
 
     tries = itertools.chain(cands, (combo(j, c) for j in range(1, len(cands)) for c in coeffs))
     return next((s for s in tries if len(ref_rref(s)[1]) == n), cands[0] if cands else None)

@@ -8,8 +8,6 @@ from reference import ref_relations
 from uawq import algebra
 from uawq.algebra import (
     PairRep,
-    alpha_matrix,
-    beta_matrix,
     central_elements_check,
     derive_C,
     stack_gens,
@@ -68,8 +66,8 @@ class TestAlphaBeta:
         ctx = ctx13
         rep = build_Vn(ctx.el(2), ctx.el(3), ctx.el(4), 0)
         assert rep.n == 1
-        assert alpha_matrix(rep).entry(0, 0) == rep.omega
-        assert beta_matrix(rep).entry(0, 0) == rep.omega_star
+        assert algebra._side(rep, 0).entry(0, 0) == rep.omega
+        assert algebra._side(rep, 1).entry(0, 0) == rep.omega_star
 
     def test_random_pair_not_scalar(self, ctx13):
         rng = random.Random(7)
@@ -82,7 +80,7 @@ class TestAlphaBeta:
             )
 
         rep = PairRep(ctx, rand3(), rand3(), ctx.one, ctx.one, ctx.one)
-        assert is_scalar_matrix(alpha_matrix(rep)) is None
+        assert is_scalar_matrix(algebra._side(rep, 0)) is None
         assert not verify_rep(rep).ok
 
 
@@ -141,9 +139,9 @@ def planted(reps, rng):
     for k, name in zip(at, ("A", "B", "omega", "omega_star", "omega_eps")):
         old = getattr(out[k], name)
         if isinstance(old, FMat):
-            unit = np.zeros((n, n, 2), dtype=np.int64)
+            unit = np.zeros((2, n, n), dtype=np.int64)
             i = rng.randrange(n)
-            unit[i, i, rng.randrange(2)] = 1
+            unit[rng.randrange(2), i, i] = 1
             new = old + FMat(ctx, unit)
         else:
             new = old + ctx.one

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uawq import classify, errors, table1
-from uawq.algebra import PairRep
+from uawq.algebra import PairRep, stack_gens
 from uawq.classify import (
     Target,
     burnside_irreducible,
@@ -42,7 +42,6 @@ from uawq.modules import Params4, Params5, build_Vn, build_W
 from conftest import (approx_equiv, cond_inv_ab, image_pair, move_images, sim_related,
                       simeq_z2s4)
 from reference import (
-    gens_of,
     ref_closure,
     ref_intertwiner,
     ref_inv_ab_terms,
@@ -625,7 +624,7 @@ class TestBurnside:
     def test_one_dimensional(self, ctx13):
         rep = build_Vn(ctx13.el(2), ctx13.el(3), ctx13.el(4), 0)
         assert burnside_irreducible(rep)
-        assert burnside_irreducible_many(ctx13, gens_of([rep])) == [True]
+        assert burnside_irreducible_many(ctx13, stack_gens([rep])) == [True]
 
     def test_matches_vstack_closure_on_a_p7_chunk(self, monkeypatch):
         # every case of the a=1 chunk of the exhaustive W sweep at p=7: one
@@ -639,13 +638,13 @@ class TestBurnside:
         full = [dim == 9 for dim in dims]
         assert [burnside_irreducible(rep) for rep in reps] == full
         for oracle in (burnside_irreducible_many, norton_irreducible_many):
-            per_b = [oracle(ctx, gens_of(reps[k:k + 252])) for k in range(0, len(reps), 252)]
+            per_b = [oracle(ctx, stack_gens(reps[k:k + 252])) for k in range(0, len(reps), 252)]
             assert [v for verdicts in per_b for v in verdicts] == full
-            assert oracle(ctx, gens_of(reps)) == full
+            assert oracle(ctx, stack_gens(reps)) == full
         monkeypatch.setattr(classify, "LOCKSTEP_BYTES", 100 * 16 * 9 * 9)
-        assert burnside_irreducible_many(ctx, gens_of(reps)) == full
+        assert burnside_irreducible_many(ctx, stack_gens(reps)) == full
         monkeypatch.setattr(classify, "LOCKSTEP_BYTES", 100 * 16 * 3 * 3)
-        assert norton_irreducible_many(ctx, gens_of(reps)) == full
+        assert norton_irreducible_many(ctx, stack_gens(reps)) == full
         assert {5, 6, 7, 9} <= set(dims)
 
     @pytest.mark.parametrize("p,d,count", [(13, 3, 40), (29, 28, 3)])
@@ -655,14 +654,14 @@ class TestBurnside:
         ctx, reps = seeded_w_with_variants(p, d, count, p)
         full = [ref_span_dim(rep) == rep.n ** 2 for rep in reps]
         assert [burnside_irreducible(rep) for rep in reps] == full
-        assert burnside_irreducible_many(ctx, gens_of(reps)) == full
-        assert norton_irreducible_many(ctx, gens_of(reps)) == full
+        assert burnside_irreducible_many(ctx, stack_gens(reps)) == full
+        assert norton_irreducible_many(ctx, stack_gens(reps)) == full
         assert set(full) == {False, True}
 
     def test_matches_burnside_at_dbar_20(self):
         ctx, reps = seeded_w_with_variants(41, 40, 3, 41)
-        full = burnside_irreducible_many(ctx, gens_of(reps))
-        assert norton_irreducible_many(ctx, gens_of(reps)) == full
+        full = burnside_irreducible_many(ctx, stack_gens(reps))
+        assert norton_irreducible_many(ctx, stack_gens(reps)) == full
         assert [burnside_irreducible(rep) for rep in reps] == full
         assert full == [True, False] * 3
 
@@ -670,7 +669,7 @@ class TestBurnside:
         # two seeded draws; the Burnside closure takes about 1 s per module
         ctx, rng = ctx_new(61, 62), random.Random(31)
         draws = [sample_quintuple(ctx, rng) for _ in range(2)]
-        gens = gens_of([build_W(p5) for p5 in draws])
+        gens = stack_gens([build_W(p5) for p5 in draws])
         full = burnside_irreducible_many(ctx, gens)
         assert norton_irreducible_many(ctx, gens) == full == [irr_W_criterion(p5) for p5 in draws]
 
@@ -682,8 +681,8 @@ class TestBurnside:
         reps += [build_Vn(ctx13.el(2), ctx13.el(3), ctx13.el(c), n) for c in range(1, 13)]
         full = [ref_span_dim(rep) == rep.n ** 2 for rep in reps]
         assert [burnside_irreducible(rep) for rep in reps] == full
-        assert burnside_irreducible_many(ctx13, gens_of(reps)) == full
-        assert norton_irreducible_many(ctx13, gens_of(reps)) == full
+        assert burnside_irreducible_many(ctx13, stack_gens(reps)) == full
+        assert norton_irreducible_many(ctx13, stack_gens(reps)) == full
         assert set(full) == ({True} if n == 0 else {False, True})
 
     def test_fallback_to_burnside(self, monkeypatch):
@@ -691,13 +690,13 @@ class TestBurnside:
         # along its diagonal: Norton's test does not apply, and these cases
         # go whole to the Burnside closure with unchanged verdicts
         ctx, reps = seeded_w_with_variants(13, 3, 6, 13)
-        gens = gens_of(reps)
+        gens = stack_gens(reps)
         reversed_ = gens[..., ::-1, ::-1].copy()
         flat = gens.copy()
         for i in (1, 2):
             flat[:, 1, :, i, i] = gens[:, 1, :, 0, 0]
-        flat_full = [ref_span_dim(SimpleNamespace(ctx=ctx, n=3, A=FMat(ctx, np.moveaxis(a, 0, -1)),
-                                                  B=FMat(ctx, np.moveaxis(b, 0, -1)))) == 9
+        flat_full = [ref_span_dim(SimpleNamespace(ctx=ctx, n=3, A=FMat(ctx, a),
+                                                  B=FMat(ctx, b))) == 9
                      for a, b in flat]
         full = [ref_span_dim(rep) == 9 for rep in reps]
         calls = []
@@ -785,8 +784,8 @@ class TestIntertwiner:
 def block_sum(x, y):
     """The direct sum of two modules, with zero central scalars."""
     def blocks(a, b):
-        out = np.zeros((a.nrows + b.nrows,) * 2 + (2,), dtype=np.int64)
-        out[:a.nrows, :a.nrows], out[a.nrows:, a.nrows:] = a.arr, b.arr
+        out = np.zeros((2,) + (a.nrows + b.nrows,) * 2, dtype=np.int64)
+        out[:, :a.nrows, :a.nrows], out[:, a.nrows:, a.nrows:] = a.arr, b.arr
         return FMat(x.ctx, out)
     return PairRep(x.ctx, blocks(x.A, y.A), blocks(x.B, y.B), *[x.ctx.zero] * 3)
 
@@ -824,18 +823,19 @@ def intertwiner_kinds(ctx, rng, count):
         kinds["isomorphic"].append((x, y))
         kinds["other delta"].append((w, build_W(Params5(*p5.quadruple.astuple(), p5.delta + 1))))
         bumped = w.B.arr.copy()
-        bumped[0, 1, 0] += 1
+        bumped[0, 0, 1] += 1
         kinds["other B"].append((w, with_b(w, bumped, w.scalars())))
         kinds["other scalars"].append((x, w))
         one, rest = (build_Vn(*sample_triple(ctx, rng), n) for n in (0, ctx.dbar - 2))
         kinds["sum"].append((block_sum(one, rest), block_sum(rest, one)))
         kinds["reversed"].append(tuple(
-            PairRep(ctx, FMat(ctx, r.A.arr[::-1, ::-1]), FMat(ctx, r.B.arr[::-1, ::-1]), *r.scalars())
+            PairRep(ctx, FMat(ctx, r.A.arr[:, ::-1, ::-1]), FMat(ctx, r.B.arr[:, ::-1, ::-1]),
+                    *r.scalars())
             for r in (x, y)))
         diag = [x.B.entry(i, i) for i in range(x.n)]
         k = next(k for k, lam in enumerate(diag) if diag.count(lam) == 1)
         repeated = x.B.arr.copy()
-        repeated[k - 1, k - 1] = repeated[k, k]
+        repeated[:, k - 1, k - 1] = repeated[:, k, k]
         kinds["repeated"].append((x, with_b(x, repeated, x.scalars())))
     return kinds
 
@@ -864,8 +864,8 @@ def test_intertwiner_many_matches_the_reference_on_mixed_batches(monkeypatch, p,
     invertible, singular = 0, 0
     for n in sorted({x.n for x, _ in pairs}):
         batch = [(x, y) for x, y in pairs if x.n == n]
-        got = classify.intertwiner_many(ctx, gens_of([x for x, _ in batch]),
-                                        gens_of([y for _, y in batch]))
+        got = classify.intertwiner_many(ctx, stack_gens([x for x, _ in batch]),
+                                        stack_gens([y for _, y in batch]))
         for (x, y), (s, flag) in zip(batch, got):
             r = ref_intertwiner(x, y)
             assert (s is None and r is None) or (s is not None and r is not None and s == r)
@@ -922,11 +922,11 @@ def synthetic_pairs(ctx, rng, count):
 
     def rand(n):
         return FMat(ctx, np.array([[[rng.randrange(p), rng.randrange(p)] for _ in range(n)]
-                                   for _ in range(n)]))
+                                   for _ in range(n)]).transpose(2, 0, 1))
 
     def twice(m):
-        a = np.zeros((2 * m.nrows, 2 * m.nrows, 2), dtype=np.int64)
-        a[:m.nrows, :m.nrows] = a[m.nrows:, m.nrows:] = m.arr
+        a = np.zeros((2, 2 * m.nrows, 2 * m.nrows), dtype=np.int64)
+        a[:, :m.nrows, :m.nrows] = a[:, m.nrows:, m.nrows:] = m.arr
         return FMat(ctx, a)
 
     def rep(a, b):
@@ -943,7 +943,7 @@ def synthetic_pairs(ctx, rng, count):
             g = rand(m)
             while rank(g) < m:
                 g = rand(m)
-            ginv = FMat(ctx, rref(hstack([g, FMat.identity(ctx, m)]))[0].arr[:, m:])
+            ginv = FMat(ctx, rref(hstack([g, FMat.identity(ctx, m)]))[0].arr[..., m:])
             y = rep(g @ x.A @ ginv, g @ x.B @ ginv)
             yield from ((x, x), (x, y), (y, x), (x, rep(rand(m), rand(m))))
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from reference import ref_kernel, ref_rref
 
-from uawq.errors import DimensionMismatch
+from uawq.errors import DimensionMismatch, InvariantViolation
 from uawq.field import ctx_new, poly_from_roots
 from uawq.linalg import (
     FMat,
@@ -54,10 +54,17 @@ def test_views_are_stored_c_contiguous(ctx13, rng):
     # transposes, reversed columns and column slices are strided views of
     # their source; the matrix keeps its entries in row-major order
     m = rand_mat(ctx13, rng, 3, 4)
-    for view, want in ((m.transpose(), m.arr.transpose(1, 0, 2)),
-                       (FMat(ctx13, m.arr[:, ::-1]), m.arr[:, ::-1]), (m.col(2), m.arr[:, 2:3])):
+    for view, want in ((m.transpose(), m.arr.transpose(0, 2, 1)),
+                       (FMat(ctx13, m.arr[..., ::-1]), m.arr[..., ::-1]),
+                       (m.col(2), m.arr[..., 2:3])):
         assert view.arr.flags.c_contiguous
         assert np.array_equal(view.arr, want)
+
+
+def test_shape_guard(ctx13):
+    for bad in (np.zeros((3, 3, 2), dtype=np.int64), np.zeros((2, 2), dtype=np.int64)):
+        with pytest.raises(InvariantViolation, match=r"want \(2, rows, cols\)"):
+            FMat(ctx13, bad)
 
 
 def test_matmul_shape_guard(ctx13, rng):
@@ -156,7 +163,7 @@ def _inverse(m):
     n = m.nrows
     red, piv = rref(hstack([m, FMat.identity(ctx, n)]))
     assert piv == tuple(range(n)), "matrix not invertible"
-    return FMat(ctx, red.arr[:, n:, :])
+    return FMat(ctx, red.arr[..., n:])
 
 
 def test_kron_mixed_product(ctx13, rng):
@@ -246,5 +253,5 @@ def test_internal_products_are_reduced_entrywise_products(p, d):
             assert got.arr.dtype == np.int64 and not got.arr.flags.writeable
             assert 0 <= got.arr.min() and got.arr.max() < p
             assert got == (want if isinstance(want, FMat) else FMat.from_entries(ctx, want))
-    outside = np.array([[[p + 3, -1]]])
-    assert FMat(ctx, outside).arr.tolist() == [[[3, p - 1]]]
+    outside = np.array([[[p + 3]], [[-1]]])
+    assert FMat(ctx, outside).to_json() == [[[3, p - 1]]]
