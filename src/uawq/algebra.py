@@ -190,12 +190,6 @@ class CentralReport(NamedTuple):
     def ok(self) -> bool:
         return self.chebyshev_central and self.shifted_product_central
 
-    def to_json(self) -> dict:
-        return {
-            "chebyshev_central": self.chebyshev_central,
-            "shifted_product_central": self.shifted_product_central,
-        }
-
 
 def central_elements_check(rep: PairRep, mu: Fq2) -> CentralReport:
     """Centrality of T_dbar at the generators and of the mu-shifted products.

@@ -41,9 +41,6 @@ class Target:
         if self.mu.is_zero():
             raise ValueError("mu must be nonzero")
 
-    def to_json(self) -> list[list[int]]:
-        return [x.to_json() for x in (self.mu, self.phi, self.omega_star, self.omega_eps)]
-
 
 # mu = b/lam, then phi = (c + 1/c)(lam - 1/lam) - (a + 1/a)(b q - 1/(b q)) as
 # eight signed monomials: exponent vectors over the logs of (a, b, c, lam, q)
@@ -118,9 +115,9 @@ def solve_feasible(target: Target) -> list[Params4]:
     q, qi = ctx.q, ctx.q.inv()
     mui = mu.inv()
     rows = []
-    for kappa in sorted(set(poly_roots(ctx, feasible_quartic(target))), key=lambda e: e.key):
+    for kappa in poly_roots(ctx, feasible_quartic(target)):
         ki = kappa.inv()
-        for lam in sorted(set(poly_roots(ctx, feasible_sextic(target, kappa))), key=lambda e: e.key):
+        for lam in poly_roots(ctx, feasible_sextic(target, kappa)):
             lami = lam.inv()
             kl = kappa * lam + ki * lami
             if lam * lam == ctx.one:
@@ -131,7 +128,10 @@ def solve_feasible(target: Target) -> list[Params4]:
                 rows.append(index_of((kappa * lam, mu * lam, c, lam)))
     if not rows:
         raise NoSolutionsInField("no feasible quadruple exists inside F_{p^2}")
-    rows = np.array(sorted(set(rows)))  # np.unique would import numpy.ma
+    # The rows are distinct: each root comes once, and a row gives back its
+    # (kappa, lam, c) (lam last, kappa first over lam).  The loops run in kappa
+    # order, not in the rows' plain-lex order, hence the sort.
+    rows = np.array(sorted(rows))
     if (feasible_targets(ctx, rows) != index_of((mu, phi, target.omega_star, we))).any():
         raise InvariantViolation("solver emitted an infeasible tuple")
     return [Params4(*map(ctx.from_index, row)) for row in rows.tolist()]

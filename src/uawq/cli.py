@@ -146,12 +146,12 @@ def cmd_suite(args) -> int:
 
     def emit(s: str) -> None:
         lines.append(s)
-        if not args.json:
+        if not (args.json or args.out):
             print(s, flush=True)
 
     results = run_suite(args.p, args.d, seed=args.seed, level=args.level, emit=emit)
     ok = all(r.passed for r in results)
-    if args.json:
+    if args.json or args.out:
         payload = {
             "schema": 1,
             "level": args.level,
@@ -162,10 +162,7 @@ def cmd_suite(args) -> int:
                 for r in results
             ],
         }
-        _write_out(payload, args)
-    elif args.out:
-        with open(args.out, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _write_out(payload, args, "\n".join(lines))
     return EXIT_OK if ok else EXIT_SUITE_FAIL
 
 

@@ -16,6 +16,10 @@ Zech's logarithms", IEEE Trans. IT, 1990), as read-only int64 arrays.
 Elements are addressed in them by their plain-lex index x0*p + x1, which is
 monotone in ``key``.  Scalar readers take Python ints off them, so every
 ``Fq2`` holds plain ints.
+
+The root finders (``poly_roots`` by a scan of the whole field,
+``quadratic_roots`` by the quadratic formula) return each root in F_{p^2}
+once, in plain-lex order.
 """
 
 from __future__ import annotations
@@ -454,21 +458,6 @@ def poly_from_roots(ctx: FieldCtx, roots: Sequence[Fq2]) -> list[Fq2]:
     return out
 
 
-def poly_divmod_linear(f: Sequence[Fq2], r: Fq2) -> tuple[list[Fq2], Fq2]:
-    """Synthetic division of f by (x - r): returns (quotient, remainder)."""
-    ctx = r.ctx
-    f = list(f)
-    if not f:
-        return [], ctx.zero
-    n = len(f) - 1
-    quo = [ctx.zero] * n
-    acc = f[n]
-    for i in range(n - 1, -1, -1):
-        quo[i] = acc
-        acc = f[i] + acc * r
-    return poly_trim(quo), acc
-
-
 def poly_gcd(f: Sequence[Fq2], g: Sequence[Fq2]) -> list[Fq2]:
     """Monic gcd via the Euclidean algorithm."""
     a, b = poly_trim(f), poly_trim(g)
@@ -496,11 +485,10 @@ def _poly_mod(a: list[Fq2], b: list[Fq2]) -> list[Fq2]:
 
 
 def poly_roots(ctx: FieldCtx, coeffs: Sequence[Fq2]) -> list[Fq2]:
-    """All roots of f in F_{p^2} with multiplicity, sorted lexicographically.
+    """The distinct roots of f in F_{p^2}, in plain-lex order.
 
-    Exhaustive evaluation over the whole field finds the distinct roots;
-    repeated synthetic division then determines each multiplicity.  Roots in
-    larger extensions are simply absent from the result.
+    f is evaluated at every element of the field at once; roots in larger
+    extensions are simply absent from the result.
     """
     f = poly_trim(coeffs)
     if not f:
@@ -511,24 +499,12 @@ def poly_roots(ctx: FieldCtx, coeffs: Sequence[Fq2]) -> list[Fq2]:
     acc0 = acc1 = np.zeros(p * p, dtype=np.int64)
     for c in reversed(f):
         acc0, acc1 = mul_parts(acc0, acc1, neg0, neg1, p, ctx.t, subtract_from=(c.x0, c.x1))
-    hits = np.nonzero((acc0 == 0) & (acc1 == 0))[0]
-    out: list[Fq2] = []
-    for k in hits:
-        root = ctx.from_index(k)
-        g = f
-        while True:
-            g, rem = poly_divmod_linear(g, root)
-            if not rem.is_zero():
-                raise InvariantViolation("scan root fails synthetic division")
-            out.append(root)
-            if not g or not poly_eval(g, root).is_zero():
-                break
-    out.sort(key=lambda e: e.key)
-    return out
+    return [ctx.from_index(k) for k in np.flatnonzero((acc0 == 0) & (acc1 == 0)).tolist()]
 
 
 def quadratic_roots(a: Fq2, b: Fq2, c: Fq2) -> list[Fq2]:
-    """Roots in F_{p^2} of a x^2 + b x + c (a != 0), without a full field scan."""
+    """The distinct roots in F_{p^2} of a x^2 + b x + c (a != 0), in plain-lex
+    order, without a full field scan."""
     disc = b * b - 4 * a * c
     try:
         s = sqrt(disc)
@@ -538,7 +514,7 @@ def quadratic_roots(a: Fq2, b: Fq2, c: Fq2) -> list[Fq2]:
     r1 = (-b + s) * inv2a
     r2 = (-b - s) * inv2a
     if r1 == r2:
-        return [r1, r1]
+        return [r1]
     return sorted((r1, r2), key=lambda e: e.key)
 
 

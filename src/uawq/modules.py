@@ -210,16 +210,12 @@ def weight_spaces(rep: PairRep) -> list[tuple[Fq2, FMat]]:
     columns are in reduced echelon form.
     """
     ctx = rep.ctx
-    cp = char_poly(rep.B)
-    eigs = sorted(set(poly_roots(ctx, cp)), key=lambda e: e.key)
     out = []
-    for th in eigs:
+    for th in poly_roots(ctx, char_poly(rep.B)):
         roots = quadratic_roots(ctx.one, -th, ctx.one)
         if not roots:
             raise WeightOutsideField(f"mu with mu + 1/mu = {th!r} is outside F_{{p^2}}")
-        mu = min(roots, key=lambda e: e.key)
-        basis = kernel(rep.B - FMat.scalar(ctx, rep.n, th))
-        out.append((mu, basis))
+        out.append((roots[0], kernel(rep.B - FMat.scalar(ctx, rep.n, th))))
     return out
 
 
@@ -291,8 +287,7 @@ def marginal_vectors(rep: PairRep, mu: Fq2) -> list[FMat]:
     if all(gamma.is_zero() for _, _, gamma in forms):
         out.append(basis.col(1))  # the line (x, y) = (0, 1)
     if g:
-        for troot in sorted(set(poly_roots(ctx, g)), key=lambda e: e.key):
-            out.append(basis.col(0) + basis.col(1) * troot)
+        out += [basis.col(0) + basis.col(1) * troot for troot in poly_roots(ctx, g)]
     return out
 
 

@@ -158,6 +158,10 @@ MUTANTS = [
            "np.minimum(exp[r], exp[r + half])", "np.maximum(exp[r], exp[r + half])", FIELD),
     Mutant("from_index without its int", "field.py",
            "divmod(int(k), self.p)", "divmod(k, self.p)", FIELD),
+    Mutant("poly_roots keeps points where one component vanishes", "field.py",
+           "(acc0 == 0) & (acc1 == 0)", "(acc0 == 0) | (acc1 == 0)", FIELD),
+    Mutant("quadratic_roots returns a double root twice", "field.py",
+           "return [r1]", "return [r1, r1]", FIELD),
     *(Mutant(f"W_MONOMIALS[{i}][{k}] += 1", "classify.py", row, bump_exponent(row, k), CLASSIFY)
       for i, row in enumerate(W_MONOMIALS) for k in range(5)),
     *(Mutant(f"W_CONDITIONS triples {i} and {j} swapped", "classify.py",

@@ -58,6 +58,19 @@ def least_roots(ctx):
     return out
 
 
+def ref_roots(ctx, f):
+    """The zeros of f in F_{p^2}, in plain-lex order: Horner on ``Fq2`` at
+    every element."""
+    out = []
+    for x in ctx.elements():
+        acc = ctx.zero
+        for c in reversed(f):
+            acc = acc * x + c
+        if acc.is_zero():
+            out.append(x)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # the 24-row orbit and the equivalence closure, with their own sign rule, row
 # evaluation by powers, corner terms, inversion moves and side conditions

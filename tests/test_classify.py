@@ -589,8 +589,8 @@ def test_references_reach_no_log_index_or_elimination_code():
     # The references in reference.py must not share what they check: every
     # name, attribute and imported name of its source stays clear of the log
     # tables (also behind sqrt, is_square and ** on Fq2), index arithmetic,
-    # the log-table row action, the shared elimination code and any private
-    # name of uawq.
+    # the log-table row action, the field scan of poly_roots, the shared
+    # elimination code and any private name of uawq.
     tree = ast.parse((Path(__file__).parent / "reference.py").read_text())
     names, members = set(), set()  # bare names; attributes and imported names
     for node in ast.walk(tree):
@@ -603,7 +603,8 @@ def test_references_reach_no_log_index_or_elimination_code():
             members.add(node.name)
     forbidden = {"log_tables", "root_log", "is_square", "sqrt", "index_of", "index_sub",
                  "sign_index", "corner_index", "EXPONENTS", "orbit_logs", "entry_logs",
-                 "mul_parts", "pivot_step", "rref", "kernel", "rank"}
+                 "mul_parts", "pivot_step", "rref", "kernel", "rank", "element_table",
+                 "poly_roots"}
     assert {"ref_pow", "ROWS", "ref_key"} <= names | members
     assert not (names | members) & forbidden, (names | members) & forbidden
     assert not [name for name in members if name.startswith("_")]

@@ -148,6 +148,13 @@ class TestSuiteCmd:
         assert len(blob["checks"]) == 20
         assert all(c["passed"] for c in blob["checks"])
 
+    def test_text_out_file(self, capsys, tmp_path):
+        target = tmp_path / "suite.txt"
+        argv = ("suite", "--p", "7", "--d", "3", "--level", "smoke")
+        code, out, _ = run(capsys, *argv, "--out", str(target))
+        assert code == 0 and out == ""
+        assert target.read_text() == run(capsys, *argv)[1]
+
     def test_invalid_field_exit2(self, capsys):
         code, _out, err = run(capsys, "suite", "--p", "15", "--d", "3",
                               "--level", "smoke")

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 from conftest import force_nu
-from reference import euler_is_square, least_roots, ref_apply_row, ref_pow
+from reference import euler_is_square, least_roots, ref_apply_row, ref_pow, ref_roots
 
 from uawq import errors, table1
 from uawq.modules import Params4
@@ -14,7 +14,6 @@ from uawq.field import (
     ctx_new,
     is_square,
     mul_parts,
-    poly_divmod_linear,
     poly_eval,
     poly_from_roots,
     poly_gcd,
@@ -156,28 +155,41 @@ class TestPolyRoots:
 
     def test_double_root(self, ctx13):
         f = poly_from_roots(ctx13, [ctx13.el(3), ctx13.el(3)])
-        assert poly_roots(ctx13, f) == [ctx13.el(3), ctx13.el(3)]
+        assert poly_roots(ctx13, f) == [ctx13.el(3)]
 
     def test_zero_poly_raises(self, ctx13):
         with pytest.raises(errors.ZeroPolynomial):
             poly_roots(ctx13, [ctx13.zero, ctx13.zero])
 
     def test_rootless_factor_degree(self, ctx13, rng):
-        # degree minus total multiplicity equals the degree of the rootless part
+        # each root is a zero of f, and the product of x - r over the roots
+        # divides f
         for _ in range(20):
             coeffs = [ctx13.from_index(rng.randrange(13 * 13)) for _ in range(5)]
             coeffs.append(ctx13.one)
             roots = poly_roots(ctx13, coeffs)
-            g = list(coeffs)
-            for r in roots:
-                g, rem = poly_divmod_linear(g, r)
-                assert rem.is_zero()
-            assert len(g) - 1 == len(coeffs) - 1 - len(roots)
+            linear = poly_from_roots(ctx13, roots)
+            assert poly_gcd(coeffs, linear) == linear
             for r in roots:
                 assert poly_eval(coeffs, r).is_zero()
-            if g:
-                for r in set(roots):
-                    assert not poly_eval(g, r).is_zero()
+
+    @pytest.mark.parametrize("p,d", [(13, 3), (29, 28)])
+    def test_matches_reference(self, p, d):
+        ctx, rng = ctx_new(p, d), random.Random(p * 100 + d)
+
+        def draw(low=0):
+            return ctx.from_index(rng.randrange(low, p * p))
+
+        for _ in range(12):
+            # 1-4 linear factors drawn with repeats, times a cofactor of degree 0-2
+            pool = [draw(), draw()]
+            roots = [rng.choice(pool) for _ in range(rng.randrange(1, 5))]
+            cofactor = [draw() for _ in range(rng.randrange(3))] + [draw(1)]
+            f = poly_mul(poly_from_roots(ctx, roots), cofactor)
+            assert poly_roots(ctx, f) == ref_roots(ctx, f)
+            for s in pool:  # a (x - r)^2, where b^2 = 4ac, and a (x - r)(x - s)
+                quad = poly_mul([draw(1)], poly_from_roots(ctx, [pool[0], s]))
+                assert quadratic_roots(*reversed(quad)) == ref_roots(ctx, quad)
 
     def test_quadratic_matches_scan(self, ctx13, rng):
         for _ in range(30):
