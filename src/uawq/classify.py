@@ -20,7 +20,7 @@ from . import table1
 from .algebra import PairRep, gens_shape, stack_gens
 from .errors import (BadRange, CapExceeded, DimensionMismatch, DivisionByZero, InvariantViolation,
                      NoSolutionsInField)
-from .field import FieldCtx, Fq2, index_of, index_sub, mul_parts, poly_roots, quadratic_roots
+from .field import FieldCtx, Fq2, index_of, index_sub, mul_parts, poly_roots_many
 from .linalg import LOCKSTEP_BYTES, FMat, _inverses, check_int64, kernel, pivot_step, rank, rref
 from .modules import Params4, Params5, build_many, corner_index, delta_shift, seq_arrays
 
@@ -74,65 +74,104 @@ def feasible(params: Params4, target: Target) -> bool:
     return feasible_target(params) == target
 
 
-def _shifts(target: Target) -> tuple[Fq2, Fq2]:
-    """d1 = (we - q phi)/(q + 1/q) and d2 = (we + phi/q)/(q + 1/q), the
-    coefficients shared by the quartic and the sextic."""
-    q, qi = target.mu.ctx.q, target.mu.ctx.q.inv()
-    we, phi = target.omega_eps, target.phi
-    return (we - q * phi) / (q + qi), (we + qi * phi) / (q + qi)
+# Monomials over the logs of (mu, kappa, -, -, q): the quartic's mu q, mu/q, q/mu,
+# 1/(mu q), the sextic's 1/(kappa mu q), kappa/(mu q), mu q/kappa, kappa mu q
+_POLY_TERMS = np.array([(1, 0, 0, 0, 1), (1, 0, 0, 0, -1), (-1, 0, 0, 0, 1), (-1, 0, 0, 0, -1),
+                        (-1, -1, 0, 0, -1), (-1, 1, 0, 0, -1), (1, -1, 0, 0, 1), (1, 1, 0, 0, 1)])
 
 
-def feasible_quartic(target: Target) -> list[Fq2]:
-    """The quartic whose roots are the values kappa = a/lam of feasible tuples."""
-    mu, ws = target.mu, target.omega_star
-    q, qi = mu.ctx.q, mu.ctx.q.inv()
-    d1, d2 = _shifts(target)
-    return [mu * q, -d1, ws - mu * qi - mu.inv() * q, -d2, (mu * q).inv()]
+def feasible_polys(ctx: FieldCtx, targets: np.ndarray, kappa: np.ndarray):
+    """The quartics in kappa = a/lam of rows (m, 4) of plain-lex indices of
+    targets (mu, phi, omega_star, omega_eps), and their sextics in lam at the
+    nonzero plain-lex indices kappa (m,), as components (2, m, 5) and (2, m, 7)
+    of their coefficients in ascending degree: with d1 = (we - q phi)/(q + 1/q)
+    and d2 = (we + phi/q)/(q + 1/q), for ws = omega_star and we = omega_eps,
+    [mu q, -d1, ws - mu/q - q/mu, -d2, 1/(mu q)] and
+    [-1/(kappa mu q), 0, d2 - kappa/(mu q), 0, mu q/kappa - d1, 0, kappa mu q]."""
+    p, t = ctx.p, ctx.t
+    exp = ctx.log_tables()[0]
+    ones = np.full((len(kappa), 2), p)
+    logs = table1.param_logs(ctx, np.column_stack([targets[:, 0], kappa, ones]))
+    mono = np.stack(np.divmod(exp[logs @ _POLY_TERMS.T % len(exp)], p))  # (2, m, 8)
+    _, phi, ws, we = np.stack(np.divmod(targets.T, p), 1)  # each (2, m)
+    k = (ctx.q + ctx.q.inv()).inv()
+    wek = mul_parts(*we, k.x0, k.x1, p, t)
+    d1, d2 = (np.stack(mul_parts(*phi, f.x0, f.x1, p, t, subtract_from=wek))
+              for f in (k * ctx.q, -k * ctx.q.inv()))
+    zero = np.zeros_like(d1)
+    quartic = [mono[..., 0], -d1, ws - mono[..., 1] - mono[..., 2], -d2, mono[..., 3]]
+    sextic = [-mono[..., 4], zero, d2 - mono[..., 5], zero, mono[..., 6] - d1, zero, mono[..., 7]]
+    return np.stack(quartic, -1) % p, np.stack(sextic, -1) % p
 
 
-def feasible_sextic(target: Target, kappa: Fq2) -> list[Fq2]:
-    """The sextic whose roots are the values lam of feasible tuples with a/lam = kappa."""
-    mu = target.mu
-    ctx = mu.ctx
-    q, qi = ctx.q, ctx.q.inv()
-    d1, d2 = _shifts(target)
-    zero = ctx.zero
-    return [-(kappa * mu * q).inv(), zero, d2 - kappa * mu.inv() * qi, zero,
-            kappa.inv() * mu * q - d1, zero, kappa * mu * q]
+# r = c + 1/c is read off pairs x + s/x of monomials over the logs of (a, b, -, lam, q):
+# a + 1/a, then b + 1/b and lam q + 1/(lam q) from omega_eps, 1/(b q) - b q and
+# lam - 1/lam from phi
+_R_TERMS = np.array([(1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 0, 1, 1), (0, -1, 0, 0, -1),
+                     (0, 0, 0, 1, 0)])
+_R_SIGNS = np.array([1, 1, 1, -1, -1])
+
+
+def solve_feasible_many(ctx: FieldCtx, targets: np.ndarray) -> list[tuple[np.ndarray, bool]]:
+    """Per row (m, 4) of plain-lex indices of targets (mu, phi, omega_star,
+    omega_eps), mu nonzero (else ValueError): its feasible quadruples in
+    F_{p^2} as sorted rows (k, 4) of plain-lex indices, and whether one
+    ``feasible_targets`` call over every row of every target gives it back.
+
+    One field scan finds the roots kappa of all quartics, one more the roots
+    lam of all sextics at (target, kappa), in groups within LOCKSTEP_BYTES;
+    c solves c^2 - r c + 1 with r = c + 1/c read off phi, or off omega_eps
+    where lam^2 = 1; the solutions are (kappa*lam, mu*lam, c, lam)."""
+    p, t, m = ctx.p, ctx.t, len(targets)
+    if (targets[:, 0] == 0).any():
+        raise ValueError("mu must be nonzero")
+    exp, log = ctx.log_tables()
+    n = len(exp)
+    group = max(1, LOCKSTEP_BYTES // (16 * p * p))
+
+    def roots(coeffs):  # poly_roots_many group by group; an empty batch is one empty group
+        found = [(poly + k, root) for k in range(0, max(coeffs.shape[1], 1), group)
+                 for poly, root in [poly_roots_many(ctx, coeffs[:, k:k + group])]]
+        return map(np.concatenate, zip(*found))
+
+    owner, kappa = roots(feasible_polys(ctx, targets, np.full(m, p))[0])  # kappa = 1 unread
+    sextic, lam = roots(feasible_polys(ctx, targets[owner], kappa)[1])
+    owner, kappa = owner[sextic], kappa[sextic]
+    mu, phi, _, we = targets[owner].T
+    a, b = exp[(log[np.stack([kappa, mu])] + log[lam]) % n]
+    logs = table1.param_logs(ctx, np.stack([a, b, np.full_like(a, p), lam], 1))
+    unit = 2 * logs[:, 3] % n == 0  # lam^2 = 1
+    pairs = np.stack(np.divmod(exp[np.stack([logs, -logs]) @ _R_TERMS.T % n], p))  # (2, 2, k, 5)
+    pairs = (pairs[:, 0] + _R_SIGNS * pairs[:, 1]) % p
+    # r = (base - (a + 1/a) mm) / den, with (base, mm, den) from omega_eps or phi
+    base = np.stack(np.divmod(np.where(unit, we, phi), p))
+    mm, den = (np.where(unit, pairs[..., i], pairs[..., i + 2]) for i in (1, 2))
+    num = mul_parts(*pairs[..., 0], *mm, p, t, subtract_from=base)
+    r = np.stack(mul_parts(*num, *np.divmod(exp[-log[den[0] * p + den[1]] % n], p), p, t))
+    # c = (r +- s)/2 for the canonical root s of r^2 - 4, where it has one
+    d0, d1 = mul_parts(*r, *r, p, t)
+    disc = (d0 - 4) % p * p + d1
+    square = (disc == 0) | (log[disc] % 2 == 0)
+    s = np.stack(np.divmod(np.where(disc == 0, 0, exp[ctx.root_log(log[disc])]), p))
+    c = np.concatenate([r + s, r - s], 1) * ((p + 1) // 2) % p  # (2, 2k)
+    keep = np.concatenate([square, square & (s != 0).any(0)])
+    rows = np.column_stack([*np.tile([owner, a, b], 2), c[0] * p + c[1], np.tile(lam, 2)])[keep]
+    rows = rows[np.lexsort(rows.T[::-1])]  # by target, then plain-lex
+    own, rows = rows[:, 0], rows[:, 1:]
+    bad = (feasible_targets(ctx, rows) != targets[own]).any(1)
+    ok = np.bincount(own[bad], minlength=m) == 0
+    return list(zip(np.split(rows, np.cumsum(np.bincount(own, minlength=m))[:-1]), ok.tolist()))
 
 
 def solve_feasible(target: Target) -> list[Params4]:
-    """All quadruples in F_{p^2} feasible for the target.
-
-    Follows the polynomial characterization: a quartic for kappa, for each
-    kappa a sextic for lam, then a quadratic for c; solutions are emitted as
-    (kappa*lam, mu*lam, c, lam).  Raises NoSolutionsInField when nothing
-    survives in F_{p^2}.
-    """
-    mu, phi = target.mu, target.phi
-    we = target.omega_eps
-    ctx = mu.ctx
-    q, qi = ctx.q, ctx.q.inv()
-    mui = mu.inv()
-    rows = []
-    for kappa in poly_roots(ctx, feasible_quartic(target)):
-        ki = kappa.inv()
-        for lam in poly_roots(ctx, feasible_sextic(target, kappa)):
-            lami = lam.inv()
-            kl = kappa * lam + ki * lami
-            if lam * lam == ctx.one:
-                r = (we - kl * (mu * lam + mui * lami)) / (lam * q + lami * qi)
-            else:
-                r = (phi + kl * (mu * lam * q - mui * lami * qi)) / (lam - lami)
-            for c in quadratic_roots(ctx.one, -r, ctx.one):
-                rows.append(index_of((kappa * lam, mu * lam, c, lam)))
-    if not rows:
+    """``solve_feasible_many`` on a batch of one, as Params4; NoSolutionsInField
+    when none lies in F_{p^2}, InvariantViolation when one fails the check."""
+    ctx = target.mu.ctx
+    row = index_of((target.mu, target.phi, target.omega_star, target.omega_eps))
+    [(rows, ok)] = solve_feasible_many(ctx, np.array([row]))
+    if not len(rows):
         raise NoSolutionsInField("no feasible quadruple exists inside F_{p^2}")
-    # The rows are distinct: each root comes once, and a row gives back its
-    # (kappa, lam, c) (lam last, kappa first over lam).  The loops run in kappa
-    # order, not in the rows' plain-lex order, hence the sort.
-    rows = np.array(sorted(rows))
-    if (feasible_targets(ctx, rows) != index_of((mu, phi, target.omega_star, we))).any():
+    if not ok:
         raise InvariantViolation("solver emitted an infeasible tuple")
     return [Params4(*map(ctx.from_index, row)) for row in rows.tolist()]
 

@@ -17,9 +17,9 @@ Elements are addressed in them by their plain-lex index x0*p + x1, which is
 monotone in ``key``.  Scalar readers take Python ints off them, so every
 ``Fq2`` holds plain ints.
 
-The root finders (``poly_roots`` by a scan of the whole field,
-``quadratic_roots`` by the quadratic formula) return each root in F_{p^2}
-once, in plain-lex order.
+The root finders (``poly_roots_many`` by one scan of the whole field for a
+batch of polynomials, ``poly_roots`` a batch of one, ``quadratic_roots`` by
+the quadratic formula) return each root in F_{p^2} once, in plain-lex order.
 """
 
 from __future__ import annotations
@@ -484,22 +484,34 @@ def _poly_mod(a: list[Fq2], b: list[Fq2]) -> list[Fq2]:
     return poly_trim(r)
 
 
-def poly_roots(ctx: FieldCtx, coeffs: Sequence[Fq2]) -> list[Fq2]:
-    """The distinct roots of f in F_{p^2}, in plain-lex order.
+def poly_eval_many(ctx: FieldCtx, coeffs: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Components (polys, k) of the values of polynomials (2, polys, width), in ascending
+    degree, at the components x of k points, (2, k), or of one point each, (2, polys, 1)."""
+    p = ctx.p
+    # Horner steps acc*x + c, written as c - acc*(-x)
+    neg0, neg1 = -x % p
+    acc0 = acc1 = np.zeros((coeffs.shape[1], x.shape[-1]), dtype=np.int64)
+    for k in reversed(range(coeffs.shape[2])):
+        acc0, acc1 = mul_parts(acc0, acc1, neg0, neg1, p, ctx.t, subtract_from=coeffs[..., k:k + 1])
+    return acc0, acc1
 
-    f is evaluated at every element of the field at once; roots in larger
-    extensions are simply absent from the result.
-    """
+
+def poly_roots_many(ctx: FieldCtx, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The roots in F_{p^2} of polynomials (2, polys, width), as in ``poly_eval_many``:
+    each once, as pairs (polynomial, plain-lex index) in that order.  All are
+    evaluated at every element at once, (polys, p^2) per component."""
+    acc0, acc1 = poly_eval_many(ctx, coeffs, ctx.element_table().T)
+    return np.nonzero((acc0 == 0) & (acc1 == 0))
+
+
+def poly_roots(ctx: FieldCtx, coeffs: Sequence[Fq2]) -> list[Fq2]:
+    """The distinct roots of f in F_{p^2}, in plain-lex order: ``poly_roots_many``
+    on a batch of one."""
     f = poly_trim(coeffs)
     if not f:
         raise ZeroPolynomial("root finding on the zero polynomial")
-    p = ctx.p
-    # Horner steps acc*x + c, written as c - acc*(-x)
-    neg0, neg1 = (-ctx.element_table() % p).T
-    acc0 = acc1 = np.zeros(p * p, dtype=np.int64)
-    for c in reversed(f):
-        acc0, acc1 = mul_parts(acc0, acc1, neg0, neg1, p, ctx.t, subtract_from=(c.x0, c.x1))
-    return [ctx.from_index(k) for k in np.flatnonzero((acc0 == 0) & (acc1 == 0)).tolist()]
+    _, roots = poly_roots_many(ctx, np.array([[[c.x0 for c in f]], [[c.x1 for c in f]]]))
+    return [ctx.from_index(k) for k in roots.tolist()]
 
 
 def quadratic_roots(a: Fq2, b: Fq2, c: Fq2) -> list[Fq2]:

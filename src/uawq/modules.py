@@ -423,21 +423,23 @@ def marginal_matrix_e(rep: PairRep, params: Params5, i: int, nu: NuData) -> tupl
 
 def w_ij(params: Params5, i: int, j: int) -> FMat:
     """The bridging vector between basis slots i and j (w_ii = w_i)."""
-    ctx = params.ctx
-    dbar = ctx.dbar
+    dbar = params.ctx.dbar
     if not 0 <= i <= j <= dbar - 1:
         raise BadRange(f"need 0 <= i <= j <= {dbar - 1}, got ({i}, {j})")
-    # theta_star and varphi at i..j, read at offset k for index i + k
-    _, theta_star, varphi, _ = _seq_values(params, np.arange(i, j + 1))
-    tj = theta_star[j - i]
-    coeffs = [ctx.zero] * dbar
-    for h in range(j - i + 1):
+    _, theta_star, varphi, _ = _seq_values(params, np.arange(j + 1))
+    return _bridge(params.ctx, i, j, theta_star, varphi)
+
+
+def _bridge(ctx: FieldCtx, i: int, j: int, theta_star: list[Fq2], varphi: list[Fq2]) -> FMat:
+    """w_ij from theta_star and varphi read at 0..j (at least)."""
+    coeffs = [ctx.zero] * ctx.dbar
+    for h in range(i, j + 1):
         term = ctx.one
-        for k in range(h, j - i):
+        for k in range(h, j):
             term = term * varphi[k + 1]
-        for k in range(h):
-            term = term * (tj - theta_star[k])
-        coeffs[i + h] = term
+        for k in range(i, h):
+            term = term * (theta_star[j] - theta_star[k])
+        coeffs[h] = term
     return FMat.column(ctx, coeffs)
 
 

@@ -24,12 +24,10 @@ import numpy as np
 from . import table1
 from .algebra import PairRep, central_elements_check, stack_gens, vee, verify_rep_many
 from .classify import (
-    Target,
     _defect_index,
     _row_images,
     classify_sample,
-    feasible_quartic,
-    feasible_sextic,
+    feasible_polys,
     feasible_targets,
     irr_Vn_criterion,
     irr_W_criterion,
@@ -43,13 +41,12 @@ from .classify import (
     sign_index,
     sign_key,
     simeq_closure,
-    solve_feasible,
+    solve_feasible_many,
     w_intertwiner_many,
 )
-from .errors import InvariantViolation, NeedsExtension, NuOutsideField
-from .field import (
-    FieldCtx, chebyshev_T, ctx_new, index_of, poly_eval, poly_from_roots, poly_roots, sqrt,
-)
+from .errors import NeedsExtension, NuOutsideField
+from .field import (FieldCtx, chebyshev_T, ctx_new, index_of, poly_eval, poly_eval_many,
+                    poly_from_roots, poly_roots, sqrt)
 from .linalg import (
     FMat, char_poly, hstack, is_scalar_matrix, kernel, krylov_span_dim, product_shifted, rank,
 )
@@ -58,6 +55,7 @@ from .modules import (
     L_recurrence,
     Params4,
     Params5,
+    _bridge,
     _seq_values,
     build_many,
     build_W,
@@ -280,33 +278,31 @@ def marginal_case(p5: Params5, t: Tally) -> list[int] | None:
 
 
 def feasible_cases(ctx: FieldCtx, quads: list[Params4], t: Tally) -> int:
-    """``feasible_case`` on each quadruple, its read-off target from one
-    ``feasible_targets`` call; the number of skipped orbit comparisons."""
+    """``feasible_case`` on each quadruple; the number of skipped orbit
+    comparisons.  One ``feasible_targets`` call reads off the targets, one
+    evaluation puts kappa = a/lam on their quartics and lam on their sextics
+    at kappa, and one ``solve_feasible_many`` call solves them."""
     index = np.array([index_of(p4.astuple()) for p4 in quads], dtype=np.int64).reshape(-1, 4)
-    targets = (Target(*map(ctx.from_index, row)) for row in feasible_targets(ctx, index).tolist())
-    return sum(feasible_case(p4, tgt, t) for p4, tgt in zip(quads, targets))
+    kappa = np.array([index_of([p4.a / p4.lam]) for p4 in quads], dtype=np.int64).reshape(-1)
+    targets = feasible_targets(ctx, index)
+    values = [poly_eval_many(ctx, polys, np.array(np.divmod(x[:, None], ctx.p)))
+              for polys, x in zip(feasible_polys(ctx, targets, kappa), (kappa, index[:, 3]))]
+    on_system = (np.array(values) == 0).all((0, 1, 3))
+    return sum(feasible_case(p4, on, *solved, t) for p4, on, solved in
+               zip(quads, on_system.tolist(), solve_feasible_many(ctx, targets)))
 
 
-def feasible_case(p4: Params4, tgt: Target, t: Tally) -> bool:
-    """The read-off target ``tgt`` is feasible; the solver returns the input and
-    only feasible tuples, all inside the input's orbit.  Returns whether the
-    orbit comparison was skipped because the orbit needs a field extension.
-
-    Feasibility of the read-off target is tested against the solver's
-    polynomial system: kappa = a/lam is a root of the quartic and lam a root
-    of the sextic at kappa."""
+def feasible_case(p4: Params4, on_system: bool, rows: np.ndarray, ok: bool, t: Tally) -> bool:
+    """The read-off target is ``on_system``; the solver's ``rows`` for it hold
+    the input, pass its self-check (``ok``) and stay in the input's orbit.
+    Returns whether the orbit comparison was skipped because the orbit needs
+    a field extension."""
     wit = p4.astuple()
-    kappa = p4.a / p4.lam
-    on_system = (poly_eval(feasible_quartic(tgt), kappa).is_zero()
-                 and poly_eval(feasible_sextic(tgt, kappa), p4.lam).is_zero())
     if not t.check(on_system, wit, "read-off target not feasible"):
         return False
-    try:
-        sols = solve_feasible(tgt)
-    except InvariantViolation:  # the solver checks every output's feasibility
-        return t.check(False, wit, "solver output not feasible")
-    own, *keys = map(tuple, sign_index(np.array([index_of(x.astuple()) for x in (p4, *sols)]),
-                                       p4.ctx.p).tolist())
+    if not t.check(ok, wit, "solver output not feasible"):
+        return False
+    own, *keys = map(tuple, sign_index(np.concatenate([[index_of(wit)], rows]), p4.ctx.p).tolist())
     if not t.check(own in keys, wit, "input lost by solver"):
         return False
     try:
@@ -529,13 +525,14 @@ def check_bridge_vectors(ctx, rng, n):
         p5, rep = _sample_w(ctx, rng)
         a, b, c, lam, delta = p5.astuple()
         _, theta_star, varphi, _ = _seq_values(p5, np.arange(dbar + 1))
+        w = partial(_bridge, ctx, theta_star=theta_star, varphi=varphi)
         for i in range(dbar):
             if varphi[i].is_zero():
                 for j in range(i, dbar):
-                    t.check(((rep.B - S(rep, theta_star[j])) @ w_ij(p5, i, j)).is_zero(),
+                    t.check(((rep.B - S(rep, theta_star[j])) @ w(i, j)).is_zero(),
                             (p5.astuple(), i, j), "eigcondition fails")
         for i in range(1, dbar):
-            w0i = w_ij(p5, 0, i)
+            w0i = w(0, i)
             lhs = (rep.B - S(rep, theta_star[i + 1])) @ (
                 rep.B - S(rep, theta_star[i])) @ (rep.A @ w0i)
             scal = (a / b * lam * q * (q - qi) * (q * q - qi * qi)
@@ -543,7 +540,7 @@ def check_bridge_vectors(ctx, rng, n):
                     * (b * ctx.qpow(i) - b.inv() * ctx.qpow(-i))
                     * (ctx.qpow(-i) - b * lam.inv() / (a * c) * ctx.qpow(i - 1))
                     * (ctx.qpow(-i) - b * c * lam.inv() / a * ctx.qpow(i - 1)))
-            t.check(lhs == w_ij(p5, 0, i - 1) * scal, (p5.astuple(), i),
+            t.check(lhs == w(0, i - 1) * scal, (p5.astuple(), i),
                     "descent scalar mismatch")
         # dim-1 eigenspace spanning when varphi_i = 0 and a hypothesis holds
         for i in range(dbar):
@@ -557,7 +554,7 @@ def check_bridge_vectors(ctx, rng, n):
                 sub = rep.B.arr[:, i:j + 1, i:j + 1]
                 subm = FMat(ctx, sub) - FMat.scalar(ctx, j - i + 1, theta_star[j])
                 eig = kernel(subm)
-                wij_trunc = FMat(ctx, w_ij(p5, i, j).arr[:, i:j + 1])
+                wij_trunc = FMat(ctx, w(i, j).arr[:, i:j + 1])
                 t.check(eig.ncols == 1 and rank(hstack([eig, wij_trunc])) == 1,
                         (p5.astuple(), i, j), "span mismatch")
     return t, "descent, eigconditions, spans"

@@ -237,8 +237,18 @@ MUTANTS = [
     Mutant("sequences without the zero check", "modules.py",
            "    if (logs < 0).any():", "    if (logs < -1).any():", MODULES),
     Mutant("solver self-check compares mu only", "classify.py",
-           "if (feasible_targets(ctx, rows) != index_of((mu, phi, target.omega_star, we))).any():",
-           "if (feasible_targets(ctx, rows)[:, 0] != mu.x0 * ctx.p + mu.x1).any():", SUITE),
+           "bad = (feasible_targets(ctx, rows) != targets[own]).any(1)",
+           "bad = feasible_targets(ctx, rows)[:, 0] != targets[own, 0]", SUITE),
+    Mutant("solver reads r off omega_eps for every lam", "classify.py",
+           "unit = 2 * logs[:, 3] % n == 0", "unit = logs[:, 3] >= 0", CLASSIFY),
+    Mutant("solver emits a double root c twice", "classify.py",
+           "square & (s != 0).any(0)", "square", CLASSIFY),
+    Mutant("solver pairs sextic roots with the wrong kappa", "classify.py",
+           "owner, kappa = owner[sextic], kappa[sextic]",
+           "owner, kappa = owner[sextic], kappa[sextic - 1]", CLASSIFY),
+    Mutant("solver sorts its rows by target only", "classify.py",
+           "rows = rows[np.lexsort(rows.T[::-1])]",
+           "rows = rows[np.argsort(rows[:, 0], kind=\"stable\")]", CLASSIFY),
     Mutant("feasible target's phi a sum of its two products", "classify.py",
            "_PHI_SIGNS = np.array([1, -1, 1, -1, -1, 1, -1, 1])",
            "_PHI_SIGNS = np.array([1, -1, 1, -1, 1, -1, 1, -1])", CLASSIFY),

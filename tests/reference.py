@@ -317,6 +317,28 @@ def ref_target(a, b, c, lam):
     return (b / lam, phi, *ref_seq(a, b, c, lam).scalars[1:])
 
 
+def ref_solve(mu, phi, omega_star, omega_eps):
+    """The quadruples (a, b, c, lam) feasible for a target, in plain-lex order:
+    the quartic in kappa = a/lam, for each root a sextic in lam, for each root
+    the quadratic c^2 - r c + 1 with r read off phi, or off omega_eps where
+    lam^2 = 1, all on Fq2 values and every root by ``ref_roots``."""
+    ctx, we = mu.ctx, omega_eps
+    q, qi, zero = ctx.q, ctx.q.inv(), ctx.zero
+    d1, d2 = (we - q * phi) / (q + qi), (we + qi * phi) / (q + qi)
+    out = []
+    for kappa in ref_roots(ctx, [mu * q, -d1, omega_star - mu * qi - q / mu, -d2, 1 / (mu * q)]):
+        sextic = [-1 / (kappa * mu * q), zero, d2 - kappa * qi / mu, zero, mu * q / kappa - d1,
+                  zero, kappa * mu * q]
+        for lam in ref_roots(ctx, sextic):
+            a, b = kappa * lam, mu * lam
+            if lam * lam == ctx.one:
+                r = (we - (a + 1 / a) * (b + 1 / b)) / (lam * q + 1 / (lam * q))
+            else:
+                r = (phi + (a + 1 / a) * (b * q - 1 / (b * q))) / (lam - 1 / lam)
+            out += [(a, b, c, lam) for c in ref_roots(ctx, [ctx.one, -r, ctx.one])]
+    return sorted(out, key=ref_key)
+
+
 def ref_module(ctx, row, n):
     """The n-dimensional module of one row of plain-lex indices of (a, b, c, lam)
     or (a, b, c, lam, delta): A and B written entry by entry from ``ref_seq``,

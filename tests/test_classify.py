@@ -50,6 +50,7 @@ from reference import (
     ref_orbit_image,
     ref_s4_orbit,
     ref_seq,
+    ref_solve,
     ref_span_dim,
     ref_target,
     ref_w_deltas,
@@ -115,7 +116,58 @@ class TestFeasible:
             assert feasible(Params4(*member), tgt)
 
 
+def special_quadruples(ctx, rng):
+    """Quadruples whose targets reach the solver's edge cases: lam = 1 and
+    lam = -1 (r read off omega_eps), c = 1 and c = -1 (r^2 = 4, a double root
+    c), and lam q = i with i^2 = -1, where r can only come from phi."""
+    i = next(x for x in ctx.elements() if x * x == ctx.el(-1))
+    a, b, c = (rand_nonzero(ctx, rng) for _ in range(3))
+    return [Params4(a, b, c, ctx.one), Params4(a, b, c, ctx.el(-1)), Params4(a, b, ctx.one, c),
+            Params4(a, b, ctx.el(-1), c), Params4(a, b, c, i / ctx.q)]
+
+
 class TestSolveFeasible:
+    @pytest.mark.parametrize("p, d", [(13, 3), (13, 6), (29, 28), (37, 6)])
+    def test_matches_the_reference(self, p, d):
+        ctx, rng = ctx_new(p, d), random.Random(p + d)
+        quads = [sample_quadruple(ctx, rng) for _ in range(3)] + special_quadruples(ctx, rng)
+        targets = feasible_targets(ctx, np.array([index_of(p4.astuple()) for p4 in quads]))
+        # two drawn targets, among them one with no solution in F_{p^2}
+        targets = np.concatenate([targets, [[rng.randrange(1, p * p)] + [
+            rng.randrange(p * p) for _ in range(3)] for _ in range(2)]])
+        got = classify.solve_feasible_many(ctx, targets)
+        assert len(got) == len(targets)
+        for row, (rows, ok) in zip(targets.tolist(), got):
+            want = ref_solve(*map(ctx.from_index, row))
+            assert rows.dtype == np.int64 and rows.shape == (len(want), 4)
+            assert rows.tolist() == [list(index_of(x)) for x in want] and ok is True
+            tgt = Target(*map(ctx.from_index, row))
+            if want:
+                assert solve_feasible(tgt) == [Params4(*x) for x in want]
+            else:
+                with pytest.raises(errors.NoSolutionsInField):
+                    solve_feasible(tgt)
+        rows = np.concatenate([rows for rows, _ in got])
+        assert not all(len(rows) for rows, _ in got)
+        one, minus_one = p, (p - 1) * p  # plain-lex indices
+        assert {one, minus_one} <= set(rows[:, 3].tolist()) & set(rows[:, 2].tolist())
+        assert index_of([quads[-1].lam]) in map(tuple, rows[:, 3:].tolist())
+        for k, p4 in enumerate(quads):
+            assert index_of(p4.astuple()) in map(tuple, got[k][0].tolist())
+
+    def test_empty_batches_groups_and_a_zero_mu(self, monkeypatch, ctx13, rng):
+        quads = [sample_quadruple(ctx13, rng) for _ in range(4)] + special_quadruples(ctx13, rng)
+        targets = feasible_targets(ctx13, np.array([index_of(p4.astuple()) for p4 in quads]))
+        whole = classify.solve_feasible_many(ctx13, targets)
+        assert classify.solve_feasible_many(ctx13, targets[:0]) == []
+        for size in (1, 2, 3):  # scans of that many polynomials at a time
+            monkeypatch.setattr(classify, "LOCKSTEP_BYTES", size * 16 * 13 * 13)
+            split = classify.solve_feasible_many(ctx13, targets)
+            assert [(rows.tolist(), ok) for rows, ok in split] == [
+                (rows.tolist(), ok) for rows, ok in whole]
+        with pytest.raises(ValueError, match="mu must be nonzero"):
+            classify.solve_feasible_many(ctx13, np.array([targets[0], [0, 1, 2, 3]]))
+
     def test_solver_equals_computable_orbit(self, ctx13, rng):
         # when the whole orbit lives in F_{p^2}, the solver recovers exactly
         # the sign-classes of the orbit

@@ -15,10 +15,12 @@ from uawq.field import (
     is_square,
     mul_parts,
     poly_eval,
+    poly_eval_many,
     poly_from_roots,
     poly_gcd,
     poly_mul,
     poly_roots,
+    poly_roots_many,
     quadratic_roots,
     sqrt,
 )
@@ -190,6 +192,31 @@ class TestPolyRoots:
             for s in pool:  # a (x - r)^2, where b^2 = 4ac, and a (x - r)(x - s)
                 quad = poly_mul([draw(1)], poly_from_roots(ctx, [pool[0], s]))
                 assert quadratic_roots(*reversed(quad)) == ref_roots(ctx, quad)
+
+    def test_batch_matches_one_at_a_time(self, ctx13, rng):
+        # degrees 1-6 padded with zero leading coefficients to one width, some
+        # with repeated roots
+        polys = [poly_from_roots(ctx13, [ctx13.from_index(rng.randrange(169)) for _ in range(k)])
+                 for k in (1, 2, 3, 6)]
+        polys += [[ctx13.from_index(rng.randrange(169)) for _ in range(k)] + [ctx13.one]
+                  for k in (2, 4, 6)]
+        width = max(map(len, polys))
+        coeffs = np.array([[[x.x0 for x in f] + [0] * (width - len(f)) for f in polys],
+                           [[x.x1 for x in f] + [0] * (width - len(f)) for f in polys]])
+        poly, roots = poly_roots_many(ctx13, coeffs)
+        assert [ctx13.from_index(k) for k in roots.tolist()] == [
+            r for f in polys for r in poly_roots(ctx13, f)]
+        assert poly.tolist() == [k for k, f in enumerate(polys) for _ in poly_roots(ctx13, f)]
+        assert [len(x) for x in poly_roots_many(ctx13, coeffs[:, :0])] == [0, 0]
+        # the values at shared points (2, k) and at one point per polynomial (2, polys, 1)
+        xs = [ctx13.from_index(rng.randrange(169)) for _ in polys]
+        shared = np.array([[x.x0 for x in xs], [x.x1 for x in xs]])
+        at_all = poly_eval_many(ctx13, coeffs, shared)
+        at_one = poly_eval_many(ctx13, coeffs, shared[:, :, None])
+        for k, f in enumerate(polys):
+            assert [ctx13.el(*v) for v in zip(*(c[k].tolist() for c in at_all))] == [
+                poly_eval(f, x) for x in xs]
+            assert ctx13.el(*(int(c[k, 0]) for c in at_one)) == poly_eval(f, xs[k])
 
     def test_quadratic_matches_scan(self, ctx13, rng):
         for _ in range(30):

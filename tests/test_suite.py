@@ -15,7 +15,7 @@ from reference import ref_kron_system
 import uawq
 from uawq import classify, suite, table1
 from uawq.algebra import vee
-from uawq.classify import (classify_sample, feasible_target, intertwiner, sample_quadruple,
+from uawq.classify import (classify_sample, intertwiner, sample_quadruple,
                            sample_quintuple, sample_triple, s4_orbit, simeq_closure)
 from uawq.cli import main
 from uawq.errors import NuOutsideField
@@ -28,6 +28,9 @@ from uawq.suite import report_bytes, run_suite
 # and 1 print the same lines) and of the compact, key-sorted JSON of
 # classify_sample(ctx_new(13, 3), 42, 10).
 SUITE_SMOKE_SHA256 = "8d68eb647367397007897e0ab85626033678309e9ab055973f2806c3aada2744"
+# The same for run_suite(13, 3, seed, "standard"), seeds 0 and 1, recorded
+# before feasibility was solved for a batch of targets at once.
+SUITE_STANDARD_SHA256 = "30b08a2c9ba4d87515e8edf3cd374e38d739836953167f9109f9abaa4d89fc13"
 CLASSIFY_SHA256 = "f887cbae6576a8f415dab2149a75bd2ea79c1cc72ef39aa7dd490cf47c150aef"
 
 
@@ -36,6 +39,13 @@ def test_suite_smoke_lines_are_golden(seed):
     lines = []
     run_suite(13, 3, seed, "smoke", emit=lines.append)
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == SUITE_SMOKE_SHA256
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_suite_standard_lines_are_golden(seed):
+    lines = []
+    run_suite(13, 3, seed, "standard", emit=lines.append)
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == SUITE_STANDARD_SHA256
 
 
 def test_classify_report_is_golden(ctx13):
@@ -203,24 +213,29 @@ def test_feasible_case_rejects_a_corrupted_target(monkeypatch, ctx13):
 
 
 def test_feasible_case_reports_an_infeasible_solver_output(monkeypatch, ctx13):
-    # solve_feasible checks all its outputs with one classify.feasible_targets
-    # call and raises if any row differs; feasible_case records it as the
-    # case's failure.  Only omega_eps of the last of several rows is wrong.
-    p4 = sample_quadruple(ctx13, random.Random(5))
-    tgt = feasible_target(p4)
+    # solve_feasible_many checks every row of every target with one
+    # classify.feasible_targets call; feasible_cases charges a wrong row to its
+    # own case alone.  Only omega_eps of one row of the fourth target is wrong,
+    # the input quadruple itself; the read-off targets come from suite's own
+    # name, which stays honest.
+    rng = random.Random(5)
+    quads = [sample_quadruple(ctx13, rng) for _ in range(10)]
+    planted = index_of(quads[3].astuple())
     real, calls = classify.feasible_targets, []
 
-    def reject_last(ctx, index):
-        calls.append(len(index))
+    def reject_one(ctx, index):
+        hit = (index == planted).all(1)
+        calls.append((len(index), hit.sum()))
         out = real(ctx, index)
-        out[-1, 3] = (out[-1, 3] + 1) % (ctx.p * ctx.p)
+        out[hit, 3] = (out[hit, 3] + 1) % (ctx.p * ctx.p)
         return out
 
-    monkeypatch.setattr(classify, "feasible_targets", reject_last)
+    monkeypatch.setattr(classify, "feasible_targets", reject_one)
     t = suite.Tally()
-    assert suite.feasible_case(p4, tgt, t) is False
-    assert (t.failures, t.first) == (1, (p4.astuple(), "solver output not feasible"))
-    assert len(calls) == 1 and calls[0] > 1
+    suite.feasible_cases(ctx13, quads, t)
+    assert (t.failures, t.first) == (1, (quads[3].astuple(), "solver output not feasible"))
+    [(rows, hits)] = calls
+    assert rows > len(quads) and hits == 1
 
 
 def run_optimized(code: str) -> list[str]:
