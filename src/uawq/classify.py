@@ -10,8 +10,8 @@ both routes against each other.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from itertools import chain, combinations, islice
 
 import numpy as np
@@ -209,22 +209,35 @@ def sign_key(t: tuple) -> tuple[int, ...]:
     return tuple(sign_index(np.array(index_of(t)), t[0].ctx.p).tolist())
 
 
-@dataclass(frozen=True)
 class OrbitSet:
-    """Sign-class members of an orbit plus the generating move per edge."""
+    """Sign-class members of an orbit plus the generating move per edge: from
+    ``members`` and ``edges``, or as the search holds them, from the members'
+    plain-lex index ``rows`` and the edges' columns ``arcs``, read on demand."""
 
-    members: tuple[tuple, ...]  # canonical sign-class tuples, sorted by index
-    edges: tuple[tuple[int, str, int], ...]  # (source index, move label, target index)
-    # the members' plain-lex indices, a row each: as the search holds them, or from members
-    rows: np.ndarray = field(default=None, compare=False, repr=False)
+    def __init__(self, members=None, edges=None, rows=None, ctx=None, arcs=None):
+        if members is not None:  # tuples sorted by index; (source, label, target), sorted
+            self.members, self.edges = members, edges
+        self.rows = np.array([index_of(m) for m in members]) if rows is None else rows
+        self._ctx, self._arcs = ctx, arcs
 
-    def __post_init__(self):
-        if self.rows is None:
-            object.__setattr__(self, "rows", np.array([index_of(m) for m in self.members]))
+    @cached_property
+    def members(self) -> tuple[tuple, ...]:
+        return tuple(tuple(map(self._ctx.from_index, m)) for m in self.rows.tolist())
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, str, int], ...]:
+        return tuple(zip(*(column.tolist() for column in self._arcs)))
+
+    def __eq__(self, other) -> bool:
+        mine = self.members, self.edges
+        return isinstance(other, OrbitSet) and mine == (other.members, other.edges)
+
+    def __repr__(self) -> str:
+        return f"OrbitSet(members={self.members!r}, edges={self.edges!r})"
 
     @property
     def size(self) -> int:
-        return len(self.members)
+        return len(self.rows)
 
     def member_keys(self) -> set[tuple[int, ...]]:
         """The members' ``sign_key``s."""
@@ -255,78 +268,96 @@ def _intern(members: np.ndarray, cand: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return ids[group[m:]], rows[new]
 
 
-def _explore(ctx: FieldCtx, start: np.ndarray, moves, labels: tuple[str, ...],
-             cap: int = 10_000) -> OrbitSet:
-    """Level-synchronous breadth-first search from a sign class, a row of
-    plain-lex indices.  ``moves(depth, nodes)`` is None to stop, or for the
-    (m, w) nodes of a level: their (m, len(labels), w) candidates, the mask
-    of those that apply, and None or (node, move, raise_error) for the first
-    move that cannot be made.  The masked candidates' sign classes, in
+def _explore(ctx: FieldCtx, starts: np.ndarray, moves, labels: tuple[str, ...],
+             cap: int = 10_000) -> list:
+    """Level-synchronous breadth-first searches from the sign classes ``starts``,
+    rows of plain-lex indices, at once; a row leads with its start's position,
+    so no two searches share a member.  ``moves(depth, nodes)`` is None to
+    stop, or for the (m, w) nodes of a level, of every start: their
+    (m, len(labels), w) candidates, the mask of those that apply, and (stuck,
+    move, error): the nodes that cannot make ``move`` and the moves after it,
+    and each one's error.  Per start, the masked candidates' sign classes, in
     (node, move) order, are edges; those not yet known are the next level,
-    numbered by first occurrence, as a node-by-node search numbers them.
-    Those before the stop are admitted first: CapExceeded if they pass the
-    cap, then the stop's error.  The OrbitSet holds the members sorted by
-    index, as field elements and as rows."""
-    members = level = start[None]
-    edges = []
-    while len(level) and (expansion := moves(len(edges), level)) is not None:
-        images, mask, stop = expansion
-        if stop is not None:
-            mask[stop[0], stop[1]:] = mask[stop[0] + 1:] = False
+    numbered by first occurrence, as a node-by-node search numbers them.  Those
+    before its first stuck move are admitted first: CapExceeded if they pass
+    the cap, else that move's error, ends a start's search and no other's.
+    Per start: the error, or an OrbitSet of the members sorted by index."""
+    n, width = len(starts), len(labels)
+    if not n:
+        return []
+    members = level = np.concatenate([np.arange(n)[:, None], starts], 1)
+    ids, errors, edges = np.arange(n), [None] * n, []
+    while len(level) and (expansion := moves(len(edges), level[:, 1:])) is not None:
+        images, mask, (stuck, move, error) = expansion
+        if len(stuck):  # a start's (node, move) pairs from its first stuck one on are cut
+            cut = np.full(n, mask.size)
+            np.minimum.at(cut, level[stuck, 0], stuck * width + move)
+            mask &= np.arange(mask.size).reshape(mask.shape) < cut[level[:, 0], None]
         node, mv = np.nonzero(mask)
-        ids, level = _intern(members, sign_index(images[node, mv], ctx.p))
-        if len(members) + len(level) > cap:
-            raise CapExceeded(f"closure exceeded cap={cap} nodes")
-        if stop is not None:
-            stop[2]()
-        edges.append((node + len(members) - len(mask), mv, ids))
-        members = np.concatenate([members, level])
-    order = np.lexsort(members.T[::-1])
-    rows = members[order]
-    renum = np.argsort(order)
+        found, new = _intern(members, np.concatenate(
+            [level[node, :1], sign_index(images[node, mv], ctx.p)], 1))
+        edges.append(np.stack([ids[node], mv, found]))
+        members, ids = np.concatenate([members, new]), len(members) + np.arange(len(new))
+        for s in np.flatnonzero(np.bincount(members[:, 0], minlength=n) > cap).tolist():
+            errors[s] = errors[s] or CapExceeded(f"closure exceeded cap={cap} nodes")
+        for i in stuck.tolist():  # in node order, so a start keeps its first stuck node's error
+            errors[level[i, 0]] = errors[level[i, 0]] or error(i)
+        ids = ids[np.array([e is None for e in errors])[new[:, 0]]]
+        level = members[ids]
+    order = np.lexsort(members.T[::-1])  # by start, then by index
+    rows, arcs = members[order], np.concatenate(edges, 1)
+    arcs[::2] = np.argsort(order)[arcs[::2]]
     # (source, label) is unique, so edges sort by source and the label's rank
-    rank = np.argsort(sorted(range(len(labels)), key=labels.__getitem__))
-    src, move, tgt = map(np.concatenate, zip(*edges))
-    src, tgt = renum[src], renum[tgt]
-    by = np.argsort(src * len(labels) + rank[move])
-    return OrbitSet(
-        members=tuple(tuple(map(ctx.from_index, m)) for m in rows.tolist()),
-        edges=tuple(zip(src[by].tolist(), np.array(labels, dtype=object)[move[by]].tolist(),
-                        tgt[by].tolist())),
-        rows=rows,
-    )
+    rank = np.argsort(sorted(range(width), key=labels.__getitem__))
+    src, move, tgt = arcs[:, np.argsort(arcs[0] * width + rank[arcs[1]])]
+    lo = np.searchsorted(rows[:, 0], np.arange(n + 1))  # each start's rows
+    at = np.searchsorted(src, lo)  # and edges
+    arcs = (src - lo[rows[src, 0]], np.array(labels, dtype=object)[move], tgt - lo[rows[tgt, 0]])
+    return [errors[s] or OrbitSet(rows=rows[lo[s]:lo[s + 1], 1:], ctx=ctx,
+                                  arcs=[column[at[s]:at[s + 1]] for column in arcs])
+            for s in range(n)]
 
 
-def _row_images(ctx: FieldCtx, quads: np.ndarray, shift: int | None = None):
+def _result(outcome):
+    """An OrbitSet of ``_explore``, or the error that it holds raised."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def _row_images(ctx: FieldCtx, quads: np.ndarray):
     """The 24 row images, in row order, of the rows of an (m, 4) array of
     plain-lex indices, by one product of ``table1.EXPONENTS`` with their logs;
-    given the index ``shift`` of a delta_shift, with the deltas that keep it.
-    As ``moves`` returns them: every row applies, up to a missing s."""
-    logs = table1.orbit_logs(ctx, quads)
+    of an (m, 5) array, with the deltas that keep each row's delta_shift,
+    delta + corner_index.  As ``moves`` returns them: every row applies, and a
+    node whose s is missing is stuck from the first row that needs it on."""
+    logs = table1.orbit_logs(ctx, quads[:, :4])
     ent = table1.entry_logs(ctx, table1.EXPONENTS, logs)
     images = ctx.log_tables()[0][ent]
-    if shift is not None:
-        delta = index_sub(shift, corner_index(ctx, ent[..., 0] - ent[..., 3]), ctx.p)
+    if quads.shape[1] == 5:
+        corner = corner_index(ctx, logs[:, 0] - logs[:, 3])
+        shift = index_sub(quads[:, 4], _negation(ctx.p)[corner], ctx.p)
+        delta = index_sub(shift[:, None], corner_index(ctx, ent[..., 0] - ent[..., 3]), ctx.p)
         images = np.concatenate([images, delta[..., None]], -1)
-    mask = np.ones(images.shape[:2], dtype=bool)
-    for i in np.flatnonzero(logs[:, 5] < 0)[:1]:
-        k = next(k for k, row in enumerate(table1.ROWS) if table1.row_needs_sqrt(row))
-        return images, mask, (i, k, lambda: table1.require_root(ctx, table1.ROWS[k], logs[i]))
-    return images, mask, None
+    k = next(k for k, row in enumerate(table1.ROWS) if table1.row_needs_sqrt(row))
+    return images, np.ones(images.shape[:2], dtype=bool), (
+        np.flatnonzero(logs[:, 5] < 0), k,
+        lambda i: table1.missing_root(ctx, table1.ROWS[k], logs[i]))
+
+
+def s4_orbit_many(ctx: FieldCtx, quads: np.ndarray) -> list:
+    """Per row of an (m, 4) array of plain-lex indices of quadruples, the
+    sign-classes of its 24 row images, or the NeedsExtension of a missing
+    sqrt(a b c lam q): searches of ``_explore`` stopped after their first
+    level, which expand each quadruple itself and none of its images."""
+    return _explore(ctx, sign_index(quads, ctx.p),
+                    lambda depth, _: None if depth else _row_images(ctx, quads),
+                    tuple(table1.ROW_BY_LABEL))
 
 
 def s4_orbit(params: Params4) -> OrbitSet:
-    """Sign-classes of the 24 row images of the quadruple: the search of
-    ``_explore`` stopped after its first level.
-
-    Raises NeedsExtension when sqrt(a b c lam q) is missing from F_{p^2}.
-    """
-    ctx = params.ctx
-    quad = np.array(index_of(params.astuple()))
-    # the search expands the quadruple itself, node 0, and none of its images
-    return _explore(ctx, sign_index(quad, ctx.p),
-                    lambda depth, _: None if depth else _row_images(ctx, quad[None]),
-                    tuple(table1.ROW_BY_LABEL))
+    """``s4_orbit_many`` of one quadruple: raises its NeedsExtension."""
+    return _result(s4_orbit_many(params.ctx, np.array([index_of(params.astuple())]))[0])
 
 
 @lru_cache(maxsize=None)
@@ -391,8 +422,9 @@ CLOSURE_LABELS = (*(f"s4:{label}" for label in table1.ROW_BY_LABEL), "inv-a", "i
                   "inv-ab", "inv-ab:rev")
 
 
-def simeq_closure(params: Params5, cap: int = 10_000) -> OrbitSet:
-    """Breadth-first closure of the generated equivalence, as sign-classes.
+def simeq_closure_many(ctx: FieldCtx, index: np.ndarray, cap: int = 10_000) -> list:
+    """Breadth-first closures of the generated equivalence, as sign-classes,
+    from each row of an (m, 5) array of plain-lex indices of quintuples.
 
     Expands by (1) the 24-row orbit moves with delta adjusted to keep the
     corner invariant, (2) the a-inversion move where its side condition
@@ -400,16 +432,13 @@ def simeq_closure(params: Params5, cap: int = 10_000) -> OrbitSet:
     one-step relation is directional, so moves are also applied in reverse:
     a candidate X is admitted when the conditions hold at X and the move
     sends X back to the current node.  ``_explore`` makes the 28 moves of a
-    whole level at once, up to a fixpoint.  Raises CapExceeded if the member
-    count passes the cap, else NeedsExtension at the first node, in search
-    order, whose rows need a missing root.
+    whole level of every closure at once, up to a fixpoint.  Per row: the
+    OrbitSet; or CapExceeded if its member count passes the cap, else
+    NeedsExtension at its first node, in search order, whose rows need a
+    missing root.
     """
-    ctx = params.ctx
-    # every move keeps delta_shift, so an image's delta depends on its a/lam alone
-    shift = index_of((delta_shift(params),))[0]
-
     def moves(depth, nodes):
-        rows, mask, stop = _row_images(ctx, nodes[:, :4], shift)
+        rows, mask, stop = _row_images(ctx, nodes)
         inv = np.concatenate([nodes[None], _move_inv(ctx, nodes)])
         # each inversion where its conditions hold at the node, then in
         # reverse where they hold at the image: image ~ node by involution
@@ -417,8 +446,12 @@ def simeq_closure(params: Params5, cap: int = 10_000) -> OrbitSet:
         return (np.concatenate([rows, inv[[1, 1, 2, 2]].swapaxes(0, 1)], 1),
                 np.concatenate([mask, conds.T], 1), stop)
 
-    start = sign_index(np.array(index_of(params.astuple())), ctx.p)
-    return _explore(ctx, start, moves, CLOSURE_LABELS, cap)
+    return _explore(ctx, sign_index(index, ctx.p), moves, CLOSURE_LABELS, cap)
+
+
+def simeq_closure(params: Params5, cap: int = 10_000) -> OrbitSet:
+    """``simeq_closure_many`` of one quintuple: raises its error."""
+    return _result(simeq_closure_many(params.ctx, np.array([index_of(params.astuple())]), cap)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -862,35 +895,28 @@ def classify_sample(ctx: FieldCtx, seed: int, count: int, cap: int = 10_000) -> 
     samples = [sample_quintuple(ctx, rng) for _ in range(count)]
     index = np.array([index_of(p5.astuple()) for p5 in samples])
     irreducible = irr_W_criterion_many(ctx, index)
-    rejected = []
+    kept = np.flatnonzero(irreducible).tolist()
+    rejected = [{"index": idx, "params": samples[idx].to_json(), "reason": "reducible"}
+                for idx in np.flatnonzero(~irreducible).tolist()]
     errors = []
     closures: dict[tuple, dict] = {}  # class key -> record
-    for idx, p5 in enumerate(samples):
-        if not irreducible[idx]:
-            rejected.append({"index": idx, "params": p5.to_json(), "reason": "reducible"})
+    for idx, orb in zip(kept, simeq_closure_many(ctx, index[kept], cap)):
+        if isinstance(orb, CapExceeded):
+            errors.append({"index": idx, "params": samples[idx].to_json(), "error": str(orb)})
             continue
-        try:
-            orb = simeq_closure(p5, cap)
-        except CapExceeded as exc:
-            errors.append({"index": idx, "params": p5.to_json(), "error": str(exc)})
-            continue
-        keys = orb.member_keys()
-        key = index_of(orb.members[0])
+        keys = _result(orb).member_keys()
+        key = tuple(orb.rows[0].tolist())
         if key not in closures:
-            closures[key] = {"representative": orb.members[0], "member_keys": keys,
-                             "size": orb.size, "samples": []}
+            closures[key] = {"member_keys": keys, "size": orb.size, "samples": []}
         rec = closures[key]
         rec["samples"].append(idx)
         if rec["member_keys"] != keys:
-            errors.append({
-                "index": idx,
-                "params": p5.to_json(),
-                "error": "closure mismatch within one class",
-            })
+            errors.append({"index": idx, "params": samples[idx].to_json(),
+                           "error": "closure mismatch within one class"})
 
     # cross-validation: intertwiners within and across classes, in one call
     class_keys = sorted(closures)
-    reps = [Params5(*closures[k]["representative"]) for k in class_keys]
+    reps = [Params5(*map(ctx.from_index, k)) for k in class_keys]
     within = [(c, idx) for c, k in enumerate(class_keys) for idx in closures[k]["samples"]]
     cross = list(combinations(range(len(reps)), 2))
     rows = np.concatenate([np.array(class_keys, dtype=np.int64).reshape(-1, 5),

@@ -35,6 +35,7 @@ from .classify import (
     norton_irreducible_many,
     rand_nonzero,
     s4_orbit,
+    s4_orbit_many,
     sample_quadruple,
     sample_quintuple,
     sample_triple,
@@ -61,7 +62,6 @@ from .modules import (
     build_W,
     check_W_universal,
     closed_form_case,
-    delta_shift,
     e_vector,
     is_marginal_weight,
     marginal_matrix_e,
@@ -288,15 +288,17 @@ def feasible_cases(ctx: FieldCtx, quads: list[Params4], t: Tally) -> int:
     values = [poly_eval_many(ctx, polys, np.array(np.divmod(x[:, None], ctx.p)))
               for polys, x in zip(feasible_polys(ctx, targets, kappa), (kappa, index[:, 3]))]
     on_system = (np.array(values) == 0).all((0, 1, 3))
-    return sum(feasible_case(p4, on, *solved, t) for p4, on, solved in
-               zip(quads, on_system.tolist(), solve_feasible_many(ctx, targets)))
+    return sum(feasible_case(p4, on, *solved, orbit, t) for p4, on, solved, orbit in
+               zip(quads, on_system.tolist(), solve_feasible_many(ctx, targets),
+                   s4_orbit_many(ctx, index)))
 
 
-def feasible_case(p4: Params4, on_system: bool, rows: np.ndarray, ok: bool, t: Tally) -> bool:
+def feasible_case(p4: Params4, on_system: bool, rows: np.ndarray, ok: bool, orbit,
+                  t: Tally) -> bool:
     """The read-off target is ``on_system``; the solver's ``rows`` for it hold
-    the input, pass its self-check (``ok``) and stay in the input's orbit.
-    Returns whether the orbit comparison was skipped because the orbit needs
-    a field extension."""
+    the input, pass its self-check (``ok``) and stay in the input's ``orbit``,
+    an ``s4_orbit_many`` outcome.  Returns whether the orbit comparison was
+    skipped because the orbit needs a field extension."""
     wit = p4.astuple()
     if not t.check(on_system, wit, "read-off target not feasible"):
         return False
@@ -305,11 +307,9 @@ def feasible_case(p4: Params4, on_system: bool, rows: np.ndarray, ok: bool, t: T
     own, *keys = map(tuple, sign_index(np.concatenate([[index_of(wit)], rows]), p4.ctx.p).tolist())
     if not t.check(own in keys, wit, "input lost by solver"):
         return False
-    try:
-        orbit_keys = s4_orbit(p4).member_keys()
-    except NeedsExtension:
+    if isinstance(orbit, NeedsExtension):
         return True
-    t.check(set(keys) <= orbit_keys, wit, "solver output leaves the orbit")
+    t.check(set(keys) <= orbit.member_keys(), wit, "solver output leaves the orbit")
     return False
 
 
@@ -319,15 +319,15 @@ def equiv_case(p5: Params5, rows, t: Tally) -> int:
     number of maps checked."""
     ctx = p5.ctx
     rep = build_W(p5)
-    quad = np.array([index_of(p5.quadruple.astuple())])
-    every, _, stop = _row_images(ctx, quad, index_of((delta_shift(p5),))[0])
-    if stop is not None and any(map(table1.row_needs_sqrt, rows)):
-        stop[2]()  # a requested row needs a root that F_{p^2} lacks
+    own = np.array([index_of(p5.astuple())])
+    every, _, (stuck, _, error) = _row_images(ctx, own)
+    if len(stuck) and any(map(table1.row_needs_sqrt, rows)):
+        raise error(0)  # a requested row needs a root that F_{p^2} lacks
     picked = every[0, [table1.ROWS.index(row) for row in rows]]
     images = {}  # the first row to each distinct neighbour
     for row, key, img in zip(rows, sign_index(picked, ctx.p).tolist(), picked):
         images.setdefault(tuple(key), (row[0], img))
-    index = np.array([index_of(p5.astuple())] + [img for _, img in images.values()])
+    index = np.concatenate([own, [img for _, img in images.values()]])
     found = w_intertwiner_many(ctx, index, [(0, k) for k in range(1, len(images) + 1)])
     for (label, _), (_, invertible) in zip(images.values(), found):
         t.check(invertible, (p5.astuple(), label), "no invertible map")
@@ -601,9 +601,9 @@ def check_orbit_closure(ctx, rng, n):
         orb = s4_orbit(p4)
         t.cases += 1
         t.check(orb.size <= 24, p4.astuple(), "more than 24 sign-classes")
-        images, _, stop = _row_images(ctx, orb.rows)
-        if stop is not None:
-            stop[2]()  # a generator row needs a root that F_{p^2} lacks
+        images, _, (stuck, _, error) = _row_images(ctx, orb.rows)
+        if len(stuck):
+            raise error(stuck[0])  # a generator row needs a root that F_{p^2} lacks
         keys = orb.member_keys()
         for k, img in enumerate(sign_index(images[:, gens], ctx.p).reshape(-1, 4).tolist()):
             t.check(tuple(img) in keys, (p4.astuple(), table1.GENERATOR_LABELS[k % len(gens)]),

@@ -108,12 +108,12 @@ def orbit_logs(ctx: FieldCtx, quads) -> np.ndarray:
     return np.concatenate([logs, np.where(total % 2, -1, ctx.root_log(total))[..., None]], -1)
 
 
-def require_root(ctx: FieldCtx, row: Row, logs) -> None:
-    """Raise NeedsExtension when the row involves s and ``orbit_logs`` has none."""
+def missing_root(ctx: FieldCtx, row: Row, logs) -> NeedsExtension | None:
+    """The NeedsExtension to raise when the row involves s and ``orbit_logs`` has none."""
     if logs[5] < 0 and row_needs_sqrt(row):
         exp, _ = ctx.log_tables()
         arg = ctx.from_index(exp[logs[:5].sum() % len(exp)])
-        raise NeedsExtension(f"orbit row {row[0]} needs sqrt of non-square {arg!r}")
+        return NeedsExtension(f"orbit row {row[0]} needs sqrt of non-square {arg!r}")
 
 
 def entry_logs(ctx: FieldCtx, expo, logs: np.ndarray) -> np.ndarray:
@@ -128,5 +128,6 @@ def apply_row(row: Row, quad: tuple[Fq2, Fq2, Fq2, Fq2]) -> tuple[Fq2, Fq2, Fq2,
     is a non-square in F_{p^2}."""
     ctx = quad[0].ctx
     logs = orbit_logs(ctx, index_of(quad))
-    require_root(ctx, row, logs)
+    if (missing := missing_root(ctx, row, logs)) is not None:
+        raise missing
     return tuple(map(ctx.from_index, ctx.log_tables()[0][entry_logs(ctx, row[2], logs)].tolist()))

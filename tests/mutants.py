@@ -98,11 +98,16 @@ MUTANTS = [
            "np.concatenate([mask, conds.T], 1)",
            "np.concatenate([mask, conds.T & np.array([True, False, True, False])], 1)", CLASSIFY),
     Mutant("cap test off by one", "classify.py",
-           "if len(members) + len(level) > cap:", "if len(members) + len(level) >= cap:", CLASSIFY),
-    Mutant("search stops after the first level", "classify.py",
-           "        members = np.concatenate([members, level])\n",
-           "        members = np.concatenate([members, level])\n        level = level[:0]\n",
+           "minlength=n) > cap)", "minlength=n) >= cap)", CLASSIFY),
+    Mutant("cap counted over all starts together", "classify.py",
+           "np.bincount(members[:, 0], minlength=n) > cap", "np.full(n, len(members)) > cap",
            CLASSIFY),
+    Mutant("start label dropped from interned rows", "classify.py",
+           "[level[node, :1], sign_index(", "[0 * level[node, :1], sign_index(", CLASSIFY),
+    Mutant("one start's stop mask applied to every start", "classify.py",
+           "< cut[level[:, 0], None]", "< cut.min()", CLASSIFY),
+    Mutant("search stops after the first level", "classify.py",
+           "        level = members[ids]\n", "        level = members[ids[:0]]\n", CLASSIFY),
     Mutant("intertwiner with the A relation block in place of B's", "classify.py",
            "for g, h in zip(gx, gy)]", "for g, h in zip(gx[[0, 0]], gy[[0, 0]])]",
            CLASSIFY),

@@ -473,6 +473,87 @@ def test_closures_match_the_fq2_reference_where_a_five_entry_key_overflows():
         assert outcome(s4_orbit, p5.quadruple) == outcome(ref_s4_orbit, p5.quadruple)
 
 
+def batch_outcome(result):
+    """``outcome`` of one start of a batch search: an orbit's JSON, or its error's type and message."""
+    if isinstance(result, Exception):
+        return type(result).__name__, str(result)
+    return json.dumps(result.to_json())
+
+
+def indices(params):
+    return np.array([index_of(x.astuple()) for x in params], dtype=np.int64)
+
+
+class TestMultiStartSearch:
+    @pytest.mark.parametrize("p,d", [(13, 3), (29, 28)])
+    def test_a_capped_a_stuck_and_complete_starts_in_one_batch(self, p, d):
+        # a cap of 24 stops a start whose closure is larger and lets those of
+        # 24 members or fewer complete; a uniform draw stops at a missing root
+        # first.  Each start, placed between the others, keeps the rows,
+        # members, edges or error of its own search
+        ctx, rng = ctx_new(p, d), random.Random(26)
+        by_kind = {}
+        while len(by_kind.get("orbit", ())) < 3 or "CapExceeded" not in by_kind:
+            p5 = sample_quintuple(ctx, rng)
+            got = outcome(simeq_closure, p5, 24)
+            by_kind.setdefault(got[0] if isinstance(got, tuple) else "orbit", []).append(p5)
+        while "NeedsExtension" not in by_kind:
+            p5 = uniform_quintuple(ctx, rng)
+            if outcome(simeq_closure, p5, 24)[0] == "NeedsExtension":
+                by_kind["NeedsExtension"] = [p5]
+        small = by_kind["orbit"]
+        batch = [small[0], by_kind["CapExceeded"][0], small[1], by_kind["NeedsExtension"][0], small[2]]
+        for search, single, params, args in [
+                (classify.simeq_closure_many, simeq_closure, batch, (24,)),
+                (classify.s4_orbit_many, s4_orbit, [p5.quadruple for p5 in batch], ())]:
+            got = search(ctx, indices(params), *args)
+            kinds = []
+            for x, result in zip(params, got):
+                try:
+                    want = single(x, *args)
+                except (errors.NeedsExtension, errors.CapExceeded) as exc:
+                    assert (type(result), str(result)) == (type(exc), str(exc))
+                    kinds.append(type(exc).__name__)
+                    continue
+                assert np.array_equal(result.rows, want.rows)
+                assert (result.members, result.edges) == (want.members, want.edges)
+                kinds.append("orbit")
+            assert kinds == (["orbit", "CapExceeded", "orbit", "NeedsExtension", "orbit"]
+                             if single is simeq_closure else
+                             ["orbit", "orbit", "orbit", "NeedsExtension", "orbit"])
+
+    @pytest.mark.parametrize("p,d", [(7, 3), (13, 3), (29, 28)])
+    def test_repeated_starts_and_starts_of_one_class_match_the_reference(self, p, d):
+        # the same start twice and a second member of one class stay separate
+        # searches: each matches the Fq2 reference with and without a cap
+        ctx, rng = ctx_new(p, d), random.Random(p * 100 + d)
+        siblings = 0
+        for _ in range(3):
+            first, second, third = (sample_quintuple(ctx, rng) for _ in range(3))
+            sibling = Params5(*ref_closure(first).members[-1])
+            siblings += sign_key(sibling.astuple()) != sign_key(first.astuple())
+            batch = [first, second, first, sibling, uniform_quintuple(ctx, rng), third, second]
+            for cap in (10_000, 3):
+                got = classify.simeq_closure_many(ctx, indices(batch), cap)
+                assert [batch_outcome(r) for r in got] == [outcome(ref_closure, x, cap) for x in batch]
+            got = classify.s4_orbit_many(ctx, indices(batch)[:, :4])
+            assert [batch_outcome(r) for r in got] == [outcome(ref_s4_orbit, x.quadruple) for x in batch]
+        assert siblings
+
+    def test_an_empty_batch(self, ctx13):
+        assert classify.simeq_closure_many(ctx13, np.zeros((0, 5), dtype=np.int64)) == []
+        assert classify.s4_orbit_many(ctx13, np.zeros((0, 4), dtype=np.int64)) == []
+
+    def test_members_and_edges_are_built_when_first_read(self, ctx13, rng):
+        orb = simeq_closure(sample_quintuple(ctx13, rng))
+        assert "members" not in vars(orb) and "edges" not in vars(orb)
+        assert orb.size == len(orb.member_keys()) == len(orb.rows)
+        assert "members" not in vars(orb)
+        again = classify.OrbitSet(orb.members, orb.edges)
+        assert again == orb and repr(again) == repr(orb) and again.to_json() == orb.to_json()
+        assert np.array_equal(again.rows, orb.rows)
+
+
 @pytest.mark.parametrize("p,d", [(3, 8), (13, 3), (61, 3)])
 @settings(max_examples=300, deadline=None, database=None)
 @given(data=st.data())
@@ -1045,15 +1126,14 @@ class TestClassifySample:
         # its module has another corner invariant and matches no sample:
         # checking the samples against each other cannot notice, checking
         # each against the representative's module does, once per sample
-        real = classify.simeq_closure
+        real = classify.simeq_closure_many
 
-        def moved(p5, cap=10_000):
-            orb = real(p5, cap)
-            first = orb.members[0]
-            return classify.OrbitSet(((*first[:4], first[4] + 1), *orb.members[1:]), orb.edges)
+        def moved(ctx, index, cap=10_000):
+            return [classify.OrbitSet(((*orb.members[0][:4], orb.members[0][4] + 1),
+                                       *orb.members[1:]), orb.edges) for orb in real(ctx, index, cap)]
 
         assert classify_sample(ctx13, 3, 15)["errors"] == []
-        monkeypatch.setattr(classify, "simeq_closure", moved)
+        monkeypatch.setattr(classify, "simeq_closure_many", moved)
         report = classify_sample(ctx13, 3, 15)
         missing = [e["index"] for e in report["errors"]
                    if e["error"] == "missing within-class isomorphism"]

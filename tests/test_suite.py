@@ -32,6 +32,9 @@ SUITE_SMOKE_SHA256 = "8d68eb647367397007897e0ab85626033678309e9ab055973f2806c3aa
 # before feasibility was solved for a batch of targets at once.
 SUITE_STANDARD_SHA256 = "30b08a2c9ba4d87515e8edf3cd374e38d739836953167f9109f9abaa4d89fc13"
 CLASSIFY_SHA256 = "f887cbae6576a8f415dab2149a75bd2ea79c1cc72ef39aa7dd490cf47c150aef"
+# SHA-256 of the stdout of `uawq classify --p 13 --d 3 --seed 42 --count 200
+# --json`, recorded while each closure was still searched on its own.
+CLASSIFY_200_STDOUT_SHA256 = "fa12a813bebd0022cb76b4f41912fc983a97bc01d6fca1053a69f4c8e16df368"
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -51,6 +54,11 @@ def test_suite_standard_lines_are_golden(seed):
 def test_classify_report_is_golden(ctx13):
     report = classify_sample(ctx13, 42, 10)
     assert hashlib.sha256(report_bytes(report)).hexdigest() == CLASSIFY_SHA256
+
+
+def test_classify_stdout_at_count_200_is_golden(capsys):
+    assert main(["classify", "--p", "13", "--d", "3", "--seed", "42", "--count", "200", "--json"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == CLASSIFY_200_STDOUT_SHA256
 
 
 def sha(doc) -> str:
@@ -418,8 +426,8 @@ def test_orbit_closure_reports_planted_escapes_in_member_order(monkeypatch):
     labels = [row[0] for row in table1.ROWS]
     plants = iter([[(1, "(34)"), (0, "(132)"), (2, "(23)")], [(0, "(12)")]])
 
-    def planted(ctx, quads, *shift):
-        images, mask, stop = real(ctx, quads, *shift)
+    def planted(ctx, quads):
+        images, mask, stop = real(ctx, quads)
         for member, label in next(plants):
             images[member, labels.index(label)] = 0
         return images, mask, stop
